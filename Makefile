@@ -2,9 +2,13 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke profile experiments fuzz audit-smoke cover shard-equiv plan-smoke federation-smoke import-smoke
+.PHONY: check build vet test race bench bench-smoke profile experiments fuzz audit-smoke cover shard-equiv plan-smoke import-smoke fmt
 
-check: build vet race
+check: fmt build vet race
+
+# gofmt gate: fails listing every file gofmt would rewrite.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -61,17 +65,11 @@ audit-smoke:
 	./scripts/audit_smoke.sh
 
 # Scenario-plan canary matrix: the curated plans/ catalog must pass with
-# byte-identical output across -parallel and across SIGTERM + resume, and a
-# seeded-violation plan must fail with its assertion in the junit report.
+# byte-identical output across -parallel and across SIGTERM + resume (the
+# federation storm/flap plans and their cross-system compares included), and
+# every seeded must-fail plan must fail with its violation in the junit report.
 plan-smoke:
 	./scripts/plan_smoke.sh
-
-# Multi-CDN federation canary: the provider-storm and broker-flap plans must
-# pass (stranded_users == 0, zero auditor violations, cross-system compares)
-# with byte-identical output across -parallel and across SIGTERM + resume,
-# and the seeded bad-compare plan must fail with the compare in the report.
-federation-smoke:
-	./scripts/federation_smoke.sh
 
 # Trace-import smoke: regenerate the committed crawl fixture, require the
 # inferred bundle to match plans/bundles/smoke.json byte-for-byte, check

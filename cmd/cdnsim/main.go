@@ -30,13 +30,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"cdnconsistency/internal/cdn"
-	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/federation"
@@ -115,7 +113,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 		return runPlan(ctx, *planFile, stdout)
 	}
 
-	sys, err := resolveSystem(*system, *method, *infra)
+	name := *system
+	if name == "" {
+		name = *method + "/" + *infra
+	}
+	sys, err := core.ParseSystem(name)
 	if err != nil {
 		return err
 	}
@@ -174,13 +176,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 			opts = append(opts, core.WithFaults(spec))
 		}
 		if *fed != "" {
-			if *shards > 0 {
-				// Fail the flag combination up front instead of run by run inside
-				// the cdn layer. (-audit has no such gate: sharded runs sweep at
-				// window barriers.)
-				return fmt.Errorf("-shards and -federation are mutually exclusive (the federation layer is serial-only)")
-			}
-			spec, err := resolveFederation(*fed)
+			spec, err := federation.ParseArg(*fed)
 			if err != nil {
 				return err
 			}
@@ -277,45 +273,6 @@ func rejectImportConflicts(fs *flag.FlagSet) error {
 	return nil
 }
 
-func resolveSystem(system, method, infra string) (core.System, error) {
-	if system != "" {
-		return core.SystemByName(system)
-	}
-	var m consistency.Method
-	switch method {
-	case "TTL":
-		m = consistency.MethodTTL
-	case "Push":
-		m = consistency.MethodPush
-	case "Invalidation":
-		m = consistency.MethodInvalidation
-	case "Self":
-		m = consistency.MethodSelfAdaptive
-	case "AdaptiveTTL":
-		m = consistency.MethodAdaptiveTTL
-	case "Lease":
-		m = consistency.MethodLease
-	case "Regime":
-		m = consistency.MethodRegime
-	default:
-		return core.System{}, fmt.Errorf("unknown method %q", method)
-	}
-	var inf consistency.Infra
-	switch infra {
-	case "Unicast":
-		inf = consistency.InfraUnicast
-	case "Multicast":
-		inf = consistency.InfraMulticast
-	case "Hybrid":
-		inf = consistency.InfraHybrid
-	case "Broadcast":
-		inf = consistency.InfraBroadcast
-	default:
-		return core.System{}, fmt.Errorf("unknown infra %q", infra)
-	}
-	return core.System{Name: method + "/" + infra, Method: m, Infra: inf}, nil
-}
-
 // resolvePopulation maps the -population/-usermodel flags to a population
 // spec: "@path" loads a JSON spec file; an empty -population under the
 // cohort model draws a heavy-tailed population matching -servers and -users
@@ -343,24 +300,6 @@ func resolvePopulation(usermodel, popFile string, servers, users, cohorts int, u
 		Period:           userTTL,
 		Seed:             seed,
 	})
-}
-
-// resolveFederation maps the -federation flag to a spec: "@path" loads a
-// JSON federation spec, anything else is a provider count handed to
-// federation.DefaultSpec's real-city site list.
-func resolveFederation(arg string) (federation.Spec, error) {
-	if path, ok := strings.CutPrefix(arg, "@"); ok {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return federation.Spec{}, err
-		}
-		return federation.ParseSpec(data)
-	}
-	n, err := strconv.Atoi(arg)
-	if err != nil || n < 1 {
-		return federation.Spec{}, fmt.Errorf("-federation wants a provider count >= 1 or @file.json, got %q", arg)
-	}
-	return federation.DefaultSpec(n), nil
 }
 
 // resolveFaults maps the -faults flag to a spec: "@path" loads a JSON

@@ -201,17 +201,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	if *shards < 0 {
 		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
-	if *shards > 0 && *fedFlag != "" {
-		// Provider selection and degradation are global state, so the
-		// federation layer is serial-only. (-audit composes with -shards:
-		// sharded runs sweep at window barriers.)
-		return fmt.Errorf("-shards and -federation are mutually exclusive (the federation layer is serial-only)")
-	}
 	simScale.Shards = *shards
 	fedSpec := federation.DefaultSpec(3)
 	if *fedFlag != "" {
 		var err error
-		if fedSpec, err = resolveFederation(*fedFlag); err != nil {
+		if fedSpec, err = federation.ParseArg(*fedFlag); err != nil {
 			return err
 		}
 	}
@@ -263,6 +257,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 			"audit-cadence": auditCad.String(),
 			"federation":    *fedFlag,
 			"import":        *importArg,
+			// Serial and sharded runs are different simulations (ext-scale's
+			// tables differ); the worker count is not, so it stays out.
+			"sharded": strconv.FormatBool(*shards > 0),
 		}}
 		var err error
 		journal, err = checkpoint.Open(ckDir, meta)
@@ -494,24 +491,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		printMetrics(errw, summary, *parallel)
 	}
 	return nil
-}
-
-// resolveFederation turns the -federation flag value into a provider spec:
-// "@path" parses a JSON spec file, anything else must be a provider count
-// (>= 1) expanded through the real-city default sites.
-func resolveFederation(arg string) (federation.Spec, error) {
-	if path, ok := strings.CutPrefix(arg, "@"); ok {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return federation.Spec{}, err
-		}
-		return federation.ParseSpec(data)
-	}
-	n, err := strconv.Atoi(arg)
-	if err != nil || n < 1 {
-		return federation.Spec{}, fmt.Errorf("-federation wants a provider count >= 1 or @file.json, got %q", arg)
-	}
-	return federation.DefaultSpec(n), nil
 }
 
 // printMetrics writes the per-job summary table. It goes to stderr so that

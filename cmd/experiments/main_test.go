@@ -86,7 +86,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-federation", "0"},
 		{"-federation", "x"},
 		{"-federation", "@no-such-file.json"},
-		{"-shards", "2", "-federation", "3"},
 	}
 	for _, args := range cases {
 		if _, _, err := runCLI(t, args...); err == nil {
@@ -248,6 +247,29 @@ func TestRunCheckpointSafetyChecks(t *testing.T) {
 	}
 	if !strings.Contains(out, "fig16") {
 		t.Errorf("resume did not re-emit the recorded figure:\n%s", out)
+	}
+}
+
+// Serial and sharded sweeps are different simulations, so a journal recorded
+// by one must not be replayed as the other; the worker count alone changes
+// no bytes and resumes freely.
+func TestRunCheckpointSeparatesSerialFromSharded(t *testing.T) {
+	dir := t.TempDir()
+	if _, _, err := runCLI(t, "-scale", "small", "-only", "fig16", "-checkpoint", dir); err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	if _, _, err := runCLI(t, "-scale", "small", "-only", "fig16", "-resume", dir, "-shards", "2"); err == nil ||
+		!strings.Contains(err.Error(), "different sweep") {
+		t.Errorf("sharded resume of a serial journal accepted: %v", err)
+	}
+
+	dir = t.TempDir()
+	if _, _, err := runCLI(t, "-scale", "small", "-only", "fig16", "-checkpoint", dir, "-shards", "1"); err != nil {
+		t.Fatalf("sharded run: %v", err)
+	}
+	if _, stderr, err := runCLI(t, "-scale", "small", "-only", "fig16", "-resume", dir, "-shards", "2"); err != nil ||
+		!strings.Contains(stderr, "fig16 restored from checkpoint") {
+		t.Errorf("resume at another worker count did not replay the journal: err=%v\n%s", err, stderr)
 	}
 }
 

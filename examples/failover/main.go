@@ -14,6 +14,7 @@ import (
 	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
+	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/workload"
 )
 
@@ -33,22 +34,24 @@ func main() {
 		core.WithDNSRouting(30 * time.Second),
 	}
 
+	crashes := core.WithFaults(fault.Spec{RandomCrashes: &fault.RandomCrashes{Count: 15}})
+
 	type scenario struct {
 		name string
 		sys  core.System
 		opts []core.Option
 	}
 	scenarios := []scenario{
-		{"push/unicast", core.SystemPush, []core.Option{core.WithFailures(15, false)}},
+		{"push/unicast", core.SystemPush, []core.Option{crashes}},
 		{"push/multicast (no repair)",
 			core.System{Name: "PushMulti", Method: consistency.MethodPush, Infra: consistency.InfraMulticast},
-			[]core.Option{core.WithFailures(15, false)}},
+			[]core.Option{crashes}},
 		{"push/multicast (repair)",
 			core.System{Name: "PushMulti", Method: consistency.MethodPush, Infra: consistency.InfraMulticast},
-			[]core.Option{core.WithFailures(15, true)}},
+			[]core.Option{crashes, core.WithTreeRepair()}},
 		{"push/broadcast",
 			core.System{Name: "PushBcast", Method: consistency.MethodPush, Infra: consistency.InfraBroadcast},
-			[]core.Option{core.WithFailures(15, false)}},
+			[]core.Option{crashes}},
 	}
 
 	fmt.Println("scenario                      failed  live  at_final  converged")

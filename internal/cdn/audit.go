@@ -117,7 +117,7 @@ func newAuditor(s *simulation) *auditor {
 // arbitrarily long without any invariant being broken.
 func (s *simulation) regimeMaxDelay() time.Duration {
 	cfg := s.cfg
-	if cfg.FailServers > 0 || (cfg.Faults != nil && !cfg.Faults.Empty()) || cfg.Net.LossProb > 0 {
+	if (cfg.Faults != nil && !cfg.Faults.Empty()) || cfg.Net.LossProb > 0 {
 		return 0
 	}
 	if cfg.Federation != nil {

@@ -103,22 +103,12 @@ type Config struct {
 	// default 60 s.
 	LeaseDuration time.Duration
 
-	// FailServers crash-stops that many randomly chosen servers at random
-	// times inside the failure window. Failed servers stop responding to
-	// polls, fetches, pushes and visits. This exercises the paper's
-	// criticism that node failures break multicast-tree connectivity
-	// (Section 1).
-	FailServers int
-	// FailWindowStart/FailWindowFrac position the FailServers crash window
-	// as fractions of the horizon: crashes land uniformly in
-	// [FailWindowStart, FailWindowStart+FailWindowFrac] x horizon. Both
-	// zero selects the classic middle third.
-	FailWindowStart float64
-	FailWindowFrac  float64
-	// RepairTree re-attaches a failed node's orphaned children to the
+	// RepairTree re-attaches a crashed node's orphaned children to the
 	// nearest live node (multicast only). Without it the failed node's
-	// subtree stops receiving pushed updates. It also governs whether
-	// crash-recovered servers re-join the multicast tree via Reattach.
+	// subtree stops receiving pushed updates — the paper's criticism that
+	// node failures break multicast-tree connectivity (Section 1). It also
+	// governs whether crash-recovered servers re-join the multicast tree via
+	// Reattach. Crashes themselves come from Faults.
 	RepairTree bool
 
 	// Federation optionally runs the simulation against a multi-CDN
@@ -181,8 +171,8 @@ type Config struct {
 	// worker count changes only wall-clock time, never output. Sharded runs
 	// are a different simulation than serial runs of the same seed (cells
 	// draw independent RNG streams), and a few inherently global features
-	// are unavailable: UseDNSRouting, UserSwitchEveryVisit, OnCatchUp, and
-	// multicast tree mutation (Failover/RepairTree under InfraMulticast).
+	// are unavailable: UseDNSRouting, UserSwitchEveryVisit, and multicast
+	// tree mutation (Failover/RepairTree under InfraMulticast).
 	// The runtime auditor composes with sharding: its sweeps run at window
 	// barriers (see AuditOptions).
 	Shards int
@@ -201,12 +191,6 @@ type Config struct {
 
 	Net  netmodel.Config
 	Seed int64
-
-	// OnCatchUp, when set, is invoked synchronously whenever a server
-	// catches an update: server index (0-based), snapshot id, and the
-	// catch-up delay. Downstream users build staleness time series from
-	// it; the callback must not retain references past the call.
-	OnCatchUp func(server, snapshot int, delay time.Duration)
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -289,9 +273,6 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("cdn: Population pins users to servers; incompatible with UseDNSRouting")
 		}
 	}
-	if c.FailServers < 0 {
-		return c, fmt.Errorf("cdn: negative FailServers %d", c.FailServers)
-	}
 	if c.Federation != nil {
 		if err := c.Federation.Validate(); err != nil {
 			return c, fmt.Errorf("cdn: %w", err)
@@ -325,9 +306,6 @@ func (c Config) withDefaults() (Config, error) {
 		if c.UserSwitchEveryVisit {
 			return c, fmt.Errorf("cdn: sharded runs cannot use UserSwitchEveryVisit (visits would cross cells)")
 		}
-		if c.OnCatchUp != nil {
-			return c, fmt.Errorf("cdn: sharded runs cannot use OnCatchUp (callbacks would fire from multiple goroutines)")
-		}
 		if c.Infra == consistency.InfraMulticast && (c.Failover || c.RepairTree) {
 			return c, fmt.Errorf("cdn: sharded runs cannot mutate the multicast tree (Failover/RepairTree); the partition is static")
 		}
@@ -340,16 +318,6 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("cdn: unknown audit self-test %q (valid: %s)",
 				c.Audit.SelfTest, strings.Join(AuditSelfTestNames(), ", "))
 		}
-	}
-	if c.FailWindowStart == 0 && c.FailWindowFrac == 0 {
-		c.FailWindowStart, c.FailWindowFrac = 1.0/3, 1.0/3
-	}
-	if c.FailWindowStart < 0 || c.FailWindowStart >= 1 {
-		return c, fmt.Errorf("cdn: FailWindowStart %v outside [0, 1)", c.FailWindowStart)
-	}
-	if c.FailWindowFrac <= 0 || c.FailWindowStart+c.FailWindowFrac > 1 {
-		return c, fmt.Errorf("cdn: failure window [%v, %v+%v] outside (0, 1]",
-			c.FailWindowStart, c.FailWindowStart, c.FailWindowFrac)
 	}
 	if len(c.Updates) == 0 {
 		updates, err := workload.Schedule(workload.DefaultGame(), c.Seed)

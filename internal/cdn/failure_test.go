@@ -5,13 +5,20 @@ import (
 	"time"
 
 	"cdnconsistency/internal/consistency"
+	"cdnconsistency/internal/fault"
 )
+
+// crashStops fails n distinct random servers for good inside the middle
+// third of the run.
+func crashStops(n int) *fault.Spec {
+	return &fault.Spec{RandomCrashes: &fault.RandomCrashes{Count: n}}
+}
 
 func TestFailureConfigValidation(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodTTL, consistency.InfraUnicast)
-	cfg.FailServers = -1
+	cfg.Faults = crashStops(-1)
 	if _, err := Run(cfg); err == nil {
-		t.Error("negative FailServers accepted")
+		t.Error("negative crash count accepted")
 	}
 	cfg = baseConfig(t, consistency.MethodTTL, consistency.InfraUnicast)
 	cfg.UseDNSRouting = true
@@ -23,7 +30,7 @@ func TestFailureConfigValidation(t *testing.T) {
 
 func TestFailuresCrashStopServers(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodTTL, consistency.InfraUnicast)
-	cfg.FailServers = 10
+	cfg.Faults = crashStops(10)
 	res := mustRun(t, cfg)
 	if res.FailedServers != 10 {
 		t.Errorf("FailedServers = %d, want 10", res.FailedServers)
@@ -35,7 +42,7 @@ func TestFailuresCrashStopServers(t *testing.T) {
 
 func TestFailuresCappedAtServerCount(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodPush, consistency.InfraUnicast)
-	cfg.FailServers = 1000
+	cfg.Faults = crashStops(1000)
 	res := mustRun(t, cfg)
 	if res.FailedServers != 80 {
 		t.Errorf("FailedServers = %d, want 80", res.FailedServers)
@@ -52,7 +59,7 @@ func TestMulticastFailureBreaksPropagationRepairRestoresIt(t *testing.T) {
 	run := func(repair bool) *Result {
 		cfg := baseConfig(t, consistency.MethodPush, consistency.InfraMulticast)
 		cfg.TreeDegree = 2 // deep tree: failures strand large subtrees
-		cfg.FailServers = 12
+		cfg.Faults = crashStops(12)
 		cfg.RepairTree = repair
 		return mustRun(t, cfg)
 	}
@@ -75,7 +82,7 @@ func TestMulticastFailureBreaksPropagationRepairRestoresIt(t *testing.T) {
 // Unicast is immune to relay failures: every live server still gets pushes.
 func TestUnicastUnaffectedByOtherServersFailures(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodPush, consistency.InfraUnicast)
-	cfg.FailServers = 20
+	cfg.Faults = crashStops(20)
 	res := mustRun(t, cfg)
 	if res.LiveServersAtFinalVersion != res.LiveServers {
 		t.Errorf("live servers at final version = %d of %d, want all",
@@ -85,10 +92,10 @@ func TestUnicastUnaffectedByOtherServersFailures(t *testing.T) {
 
 // TTL pollers ride out dead relay parents via timeouts: the run completes
 // and live servers keep making progress wherever their parent chain is live.
-func TestTTLWithFailuresCompletes(t *testing.T) {
+func TestTTLWithCrashesCompletes(t *testing.T) {
 	for _, infra := range []consistency.Infra{consistency.InfraUnicast, consistency.InfraMulticast, consistency.InfraHybrid} {
 		cfg := baseConfig(t, consistency.MethodTTL, infra)
-		cfg.FailServers = 8
+		cfg.Faults = crashStops(8)
 		res := mustRun(t, cfg)
 		if res.LiveServers == 0 {
 			t.Fatalf("%v: no live servers", infra)
@@ -96,9 +103,9 @@ func TestTTLWithFailuresCompletes(t *testing.T) {
 	}
 }
 
-func TestSelfAdaptiveWithFailuresCompletes(t *testing.T) {
+func TestSelfAdaptiveWithCrashesCompletes(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodSelfAdaptive, consistency.InfraHybrid)
-	cfg.FailServers = 8
+	cfg.Faults = crashStops(8)
 	res := mustRun(t, cfg)
 	if res.LiveServers != 72 {
 		t.Errorf("LiveServers = %d, want 72", res.LiveServers)
@@ -107,7 +114,7 @@ func TestSelfAdaptiveWithFailuresCompletes(t *testing.T) {
 
 func TestInvalidationFetchFailureServesStale(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodInvalidation, consistency.InfraMulticast)
-	cfg.FailServers = 10
+	cfg.Faults = crashStops(10)
 	res := mustRun(t, cfg)
 	// The run must complete with users still observing content.
 	if res.UserObservations == 0 {

@@ -188,45 +188,6 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 }
 
-// The OnCatchUp observer sees exactly the events the result aggregates.
-func TestOnCatchUpObserver(t *testing.T) {
-	cfg := baseConfig(t, consistency.MethodPush, consistency.InfraUnicast)
-	type ev struct {
-		server, snapshot int
-	}
-	var events []ev
-	var delaySum float64
-	cfg.OnCatchUp = func(server, snapshot int, delay time.Duration) {
-		if server < 0 || server >= 80 {
-			t.Fatalf("server index %d out of range", server)
-		}
-		if delay < 0 {
-			t.Fatalf("negative delay %v", delay)
-		}
-		events = append(events, ev{server, snapshot})
-		delaySum += delay.Seconds()
-	}
-	res := mustRun(t, cfg)
-	if len(events) == 0 {
-		t.Fatal("observer saw no events")
-	}
-	// Under unicast Push every (server, update) pair is caught once:
-	// the observer count must match the update message count.
-	if len(events) != res.UpdateMsgsToServers {
-		t.Errorf("observer events = %d, update msgs = %d", len(events), res.UpdateMsgsToServers)
-	}
-	// The aggregate mean must equal the observer's mean.
-	var resSum float64
-	for _, v := range res.ServerAvgInconsistency {
-		resSum += v
-	}
-	obsMean := delaySum / float64(len(events))
-	resMean := res.MeanServerInconsistency()
-	if math.Abs(obsMean-resMean) > 0.01 {
-		t.Errorf("observer mean %.4f vs result mean %.4f", obsMean, resMean)
-	}
-}
-
 // Cross-feature: self-adaptive under DNS routing completes and stays sane.
 func TestSelfAdaptiveWithDNSRouting(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodSelfAdaptive, consistency.InfraUnicast)

@@ -103,7 +103,7 @@ func TestBroadcastMessageBlowup(t *testing.T) {
 func TestBroadcastSurvivesFailures(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodPush, consistency.InfraBroadcast)
 	cfg.Clusters = 8
-	cfg.FailServers = 10
+	cfg.Faults = crashStops(10)
 	res := mustRun(t, cfg)
 	if res.LiveServers != 70 {
 		t.Fatalf("live servers = %d", res.LiveServers)

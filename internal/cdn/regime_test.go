@@ -106,9 +106,9 @@ func TestRegimeDeterministic(t *testing.T) {
 	}
 }
 
-func TestRegimeWithFailures(t *testing.T) {
+func TestRegimeWithCrashes(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodRegime, consistency.InfraUnicast)
-	cfg.FailServers = 10
+	cfg.Faults = crashStops(10)
 	res := mustRun(t, cfg)
 	if res.LiveServers != 70 {
 		t.Errorf("live servers = %d", res.LiveServers)

@@ -216,6 +216,9 @@ func TestShardedConfigGates(t *testing.T) {
 		{"switch-every-visit", func(c *Config) { c.UserSwitchEveryVisit = true }},
 		{"negative-shards", func(c *Config) { c.Shards = -1 }},
 		{"negative-cells", func(c *Config) { c.ShardCells = -1 }},
+		// The partition is static, so nothing may mutate the multicast tree.
+		{"multicast-repair", func(c *Config) { c.Infra, c.RepairTree = consistency.InfraMulticast, true }},
+		{"multicast-failover", func(c *Config) { c.Infra, c.Failover = consistency.InfraMulticast, true }},
 	}
 	for _, tc := range cases {
 		tc := tc

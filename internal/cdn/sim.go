@@ -421,9 +421,6 @@ func (s *simulation) setVersion(nd *node, v int) {
 			if s.aud != nil && nd.idx > 0 {
 				s.aud.onDelay(nd.idx, now-at)
 			}
-			if s.cfg.OnCatchUp != nil && nd.idx > 0 {
-				s.cfg.OnCatchUp(nd.idx-1, id, now-at)
-			}
 		}
 	}
 	nd.version = v
@@ -462,7 +459,6 @@ func (s *simulation) run() (*Result, error) {
 	if err := s.um.schedule(); err != nil {
 		return nil, err
 	}
-	s.scheduleFailures()
 	s.scheduleFaults()
 	if s.fed != nil && s.fed.brokerPeriod > 0 {
 		// The meta-CDN broker is a periodic engine event: deterministic
@@ -575,42 +571,6 @@ func (s *simulation) run() (*Result, error) {
 	}
 	s.um.collect(res)
 	return res, nil
-}
-
-// scheduleFailures crash-stops FailServers random servers at random times
-// inside the configured failure window (the middle third by default).
-func (s *simulation) scheduleFailures() {
-	if s.cfg.FailServers <= 0 {
-		return
-	}
-	n := len(s.nodes) - 1
-	count := s.cfg.FailServers
-	if count > n {
-		count = n
-	}
-	// Distinct victims via partial Fisher-Yates over server indices.
-	victims := make([]int, n)
-	for i := range victims {
-		victims[i] = i + 1
-	}
-	// Victim and time draws come from cell 0's stream (single-threaded
-	// setup, so sharded draws are deterministic too); each crash event is
-	// scheduled in the victim's own cell.
-	rng := s.rng(0)
-	for i := 0; i < count; i++ {
-		j := i + rng.Intn(n-i)
-		victims[i], victims[j] = victims[j], victims[i]
-	}
-	windowStart := time.Duration(s.cfg.FailWindowStart * float64(s.horizon))
-	window := time.Duration(s.cfg.FailWindowFrac * float64(s.horizon))
-	if window < 1 {
-		window = 1
-	}
-	for _, v := range victims[:count] {
-		v := v
-		at := windowStart + time.Duration(rng.Int63n(int64(window)))
-		s.at(v, at, func() { s.failServer(v) })
-	}
 }
 
 // scheduleFaults arms the compiled fault schedule. Event server indices are

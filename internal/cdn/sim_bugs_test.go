@@ -115,10 +115,10 @@ func TestSequentialRepairsKeepTreeValid(t *testing.T) {
 
 // End-to-end: a full run with repairs enabled ends with a valid tree over
 // live nodes and no live node parked under a dead parent.
-func TestRunWithFailuresEndsWithValidLiveTree(t *testing.T) {
+func TestRunWithCrashesEndsWithValidLiveTree(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodPush, consistency.InfraMulticast)
 	cfg.TreeDegree = 2
-	cfg.FailServers = 10
+	cfg.Faults = crashStops(10)
 	cfg.RepairTree = true
 	full, err := cfg.withDefaults()
 	if err != nil {

@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"cdnconsistency/internal/cdn"
@@ -59,6 +60,37 @@ func SystemByName(name string) (System, error) {
 		}
 	}
 	return System{}, fmt.Errorf("core: unknown system %q", name)
+}
+
+// ParseSystem resolves a named system ("HAT") or an explicit "Method/Infra"
+// pair ("TTL/Multicast", named after the pair). Method and infrastructure
+// names are their String() forms.
+func ParseSystem(name string) (System, error) {
+	if sys, err := SystemByName(name); err == nil {
+		return sys, nil
+	}
+	method, infra, ok := strings.Cut(name, "/")
+	if !ok {
+		return System{}, fmt.Errorf("core: unknown system %q (want a named system or \"Method/Infra\")", name)
+	}
+	sys := System{Name: name}
+	for m := consistency.MethodTTL; m.Valid(); m++ {
+		if m.String() == method {
+			sys.Method = m
+		}
+	}
+	if !sys.Method.Valid() {
+		return System{}, fmt.Errorf("core: unknown method %q", method)
+	}
+	for i := consistency.InfraUnicast; i.Valid(); i++ {
+		if i.String() == infra {
+			sys.Infra = i
+		}
+	}
+	if !sys.Infra.Valid() {
+		return System{}, fmt.Errorf("core: unknown infra %q", infra)
+	}
+	return sys, nil
 }
 
 // Option customizes an experiment run.
@@ -175,13 +207,11 @@ func WithDNSRouting(resolverTTL time.Duration) Option {
 	}
 }
 
-// WithFailures crash-stops n random servers mid-run; repair controls
-// whether the multicast tree re-attaches orphaned subtrees.
-func WithFailures(n int, repair bool) Option {
-	return func(c *cdn.Config) {
-		c.FailServers = n
-		c.RepairTree = repair
-	}
+// WithTreeRepair makes the multicast tree re-attach the subtrees orphaned
+// by a crashed relay to the nearest live node (the oracle repair; crashes
+// come from WithFaults). Without it a dead relay strands its subtree.
+func WithTreeRepair() Option {
+	return func(c *cdn.Config) { c.RepairTree = true }
 }
 
 // WithLeaseDuration sets the cooperative-lease lifetime for MethodLease.
@@ -220,15 +250,6 @@ func WithFederation(spec federation.Spec) Option {
 // outages, and persistent re-sync of crash-recovered servers.
 func WithFailover() Option {
 	return func(c *cdn.Config) { c.Failover = true }
-}
-
-// WithFailWindow positions the WithFailures crash window as horizon
-// fractions (default: the middle third).
-func WithFailWindow(start, frac float64) Option {
-	return func(c *cdn.Config) {
-		c.FailWindowStart = start
-		c.FailWindowFrac = frac
-	}
 }
 
 // WithContext makes the run cancellable: the event loop polls ctx at a fixed

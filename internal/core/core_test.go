@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cdnconsistency/internal/consistency"
+	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/netmodel"
 	"cdnconsistency/internal/topology"
 	"cdnconsistency/internal/workload"
@@ -54,6 +55,31 @@ func TestSystemByName(t *testing.T) {
 	}
 	if _, err := SystemByName("nope"); err == nil {
 		t.Error("unknown name accepted")
+	}
+}
+
+func TestParseSystem(t *testing.T) {
+	for _, name := range []string{"Push", "Invalidation", "TTL", "Self", "Hybrid", "HAT",
+		"TTL/Multicast", "Push/Broadcast", "Lease/Unicast", "Regime/Unicast", "AdaptiveTTL/Hybrid"} {
+		if _, err := ParseSystem(name); err != nil {
+			t.Errorf("ParseSystem(%q): %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "ttl", "TTL/", "/Unicast", "TTL/Unicast/Extra", "HAT/Hybrid", "Self/"} {
+		if _, err := ParseSystem(name); err == nil {
+			t.Errorf("ParseSystem(%q) accepted", name)
+		}
+	}
+	got, err := ParseSystem("Self/Multicast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := System{Name: "Self/Multicast", Method: consistency.MethodSelfAdaptive, Infra: consistency.InfraMulticast}
+	if got != want {
+		t.Errorf("ParseSystem(Self/Multicast) = %+v, want %+v", got, want)
+	}
+	if got, _ := ParseSystem("HAT"); got != SystemHAT {
+		t.Errorf("ParseSystem(HAT) = %+v, want %+v", got, SystemHAT)
 	}
 }
 
@@ -177,7 +203,7 @@ func TestAllOptionsApply(t *testing.T) {
 
 	res, err = Run(SystemTTL, quickOpts(
 		WithDNSRouting(20*time.Second),
-		WithFailures(3, false),
+		WithFaults(fault.Spec{RandomCrashes: &fault.RandomCrashes{Count: 3}}),
 	)...)
 	if err != nil {
 		t.Fatal(err)
@@ -210,6 +236,22 @@ func TestAllOptionsApply(t *testing.T) {
 	}
 	if multi.TreeDepth >= binary.TreeDepth {
 		t.Errorf("degree-6 depth %d not below degree-2 depth %d", multi.TreeDepth, binary.TreeDepth)
+	}
+
+	pushMulti := System{Name: "pm", Method: consistency.MethodPush, Infra: consistency.InfraMulticast}
+	repaired, err := Run(pushMulti, quickOpts(WithTreeDegree(2), WithTreeRepair(),
+		WithFaults(fault.Spec{RandomCrashes: &fault.RandomCrashes{Count: 4}}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repaired.FailedServers != 4 || repaired.LiveServersAtFinalVersion != repaired.LiveServers {
+		t.Errorf("repaired tree: failed=%d, %d of %d live servers at final version",
+			repaired.FailedServers, repaired.LiveServersAtFinalVersion, repaired.LiveServers)
+	}
+	// Tree repair mutates the multicast tree, which the sharded engine's
+	// static partition forbids: rejection proves the option is applied.
+	if _, err := Run(pushMulti, quickOpts(WithTreeRepair(), WithShards(1))...); err == nil {
+		t.Error("sharded multicast run accepted WithTreeRepair")
 	}
 
 	hat, err := RunHAT(quickOpts(WithSupernodeDegree(2))...)

@@ -21,7 +21,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"regexp"
+	"strconv"
+	"strings"
 
 	"cdnconsistency/internal/fault"
 )
@@ -149,6 +152,24 @@ func ParseSpec(data []byte) (Spec, error) {
 		return Spec{}, err
 	}
 	return s, nil
+}
+
+// ParseArg resolves a command-line federation argument: "@path" loads a
+// JSON spec file through ParseSpec; anything else must be a provider count
+// (>= 1) expanded through DefaultSpec's real-city sites.
+func ParseArg(arg string) (Spec, error) {
+	if path, ok := strings.CutPrefix(arg, "@"); ok {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return Spec{}, err
+		}
+		return ParseSpec(data)
+	}
+	n, err := strconv.Atoi(arg)
+	if err != nil || n < 1 {
+		return Spec{}, fmt.Errorf("-federation wants a provider count >= 1 or @file.json, got %q", arg)
+	}
+	return DefaultSpec(n), nil
 }
 
 // Marshal renders the spec as indented JSON that ParseSpec round-trips.

@@ -8,6 +8,7 @@ import (
 	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
+	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/runner"
 	"cdnconsistency/internal/topology"
 )
@@ -56,12 +57,16 @@ func ExtTreeFailure(scale SimScale) (*Table, error) {
 		Note:   "paper Section 1: node failures break structure connectivity and lead to unsuccessful update propagation",
 		Header: []string{"repair", "failed", "live_at_final", "live", "final_frac"},
 	}
-	failures := scale.Servers / 8
+	crashes := core.WithFaults(fault.Spec{RandomCrashes: &fault.RandomCrashes{Count: scale.Servers / 8}})
 	repairs := []bool{false, true}
 	results, err := collectRuns(t, scale.Parallel, len(repairs), func(i int) (*cdn.Result, error) {
+		opts := scale.opts(crashes)
+		if repairs[i] {
+			opts = append(opts, core.WithTreeRepair())
+		}
 		res, err := core.Run(core.System{
 			Name: "Push", Method: consistency.MethodPush, Infra: consistency.InfraMulticast,
-		}, scale.opts(core.WithFailures(failures, repairs[i]))...)
+		}, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("figures: ext-tree-failure: %w", err)
 		}

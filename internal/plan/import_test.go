@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"cdnconsistency/internal/topology"
-	"cdnconsistency/internal/traceimport"
 	"cdnconsistency/internal/tracegen"
+	"cdnconsistency/internal/traceimport"
 )
 
 // writeImportFixtures generates a small trace, infers its bundle, and lays

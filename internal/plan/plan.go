@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"cdnconsistency/internal/cdn"
-	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/federation"
@@ -260,61 +259,6 @@ func (p *Plan) Marshal() ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// resolveSystem accepts the six named Section 5.3 systems or an explicit
-// "Method/Infra" pair.
-func resolveSystem(name string) (core.System, error) {
-	if sys, err := core.SystemByName(name); err == nil {
-		return sys, nil
-	}
-	method, infra, ok := strings.Cut(name, "/")
-	if !ok {
-		return core.System{}, fmt.Errorf("plan: unknown system %q (want a named system or \"Method/Infra\")", name)
-	}
-	m, err := parseMethod(method)
-	if err != nil {
-		return core.System{}, err
-	}
-	inf, err := parseInfra(infra)
-	if err != nil {
-		return core.System{}, err
-	}
-	return core.System{Name: name, Method: m, Infra: inf}, nil
-}
-
-func parseMethod(s string) (consistency.Method, error) {
-	switch s {
-	case "TTL":
-		return consistency.MethodTTL, nil
-	case "Push":
-		return consistency.MethodPush, nil
-	case "Invalidation":
-		return consistency.MethodInvalidation, nil
-	case "Self":
-		return consistency.MethodSelfAdaptive, nil
-	case "AdaptiveTTL":
-		return consistency.MethodAdaptiveTTL, nil
-	case "Lease":
-		return consistency.MethodLease, nil
-	case "Regime":
-		return consistency.MethodRegime, nil
-	}
-	return 0, fmt.Errorf("plan: unknown method %q", s)
-}
-
-func parseInfra(s string) (consistency.Infra, error) {
-	switch s {
-	case "Unicast":
-		return consistency.InfraUnicast, nil
-	case "Multicast":
-		return consistency.InfraMulticast, nil
-	case "Hybrid":
-		return consistency.InfraHybrid, nil
-	case "Broadcast":
-		return consistency.InfraBroadcast, nil
-	}
-	return 0, fmt.Errorf("plan: unknown infra %q", s)
-}
-
 // Validate checks structural soundness without running anything: resolvable
 // systems, known metrics and operators, consistent model/fault/engine
 // combinations. It mirrors the up-front rejections the cdn layer would make
@@ -328,7 +272,7 @@ func (p *Plan) Validate() error {
 	}
 	seen := map[string]bool{}
 	for _, s := range p.Systems {
-		if _, err := resolveSystem(s); err != nil {
+		if _, err := core.ParseSystem(s); err != nil {
 			return fmt.Errorf("plan %s: %w", p.Name, err)
 		}
 		if seen[s] {

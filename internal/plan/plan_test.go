@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cdnconsistency/internal/consistency"
+	"cdnconsistency/internal/core"
 )
 
 // validPlanJSON is a minimal structurally valid plan.
@@ -107,16 +110,28 @@ func TestParsePlanRejects(t *testing.T) {
 	}
 }
 
+// Plan systems name the paper's six systems or explicit "Method/Infra"
+// pairs; cells carry the resolved system under the name the plan used.
 func TestResolveSystemPairs(t *testing.T) {
-	for _, name := range []string{"Push", "Invalidation", "TTL", "Self", "Hybrid", "HAT",
-		"TTL/Multicast", "Push/Broadcast", "Lease/Unicast", "Regime/Unicast", "AdaptiveTTL/Hybrid"} {
-		if _, err := resolveSystem(name); err != nil {
-			t.Errorf("resolveSystem(%q): %v", name, err)
-		}
+	p, err := ParsePlan([]byte(`{"name":"x","systems":["HAT","TTL/Multicast","AdaptiveTTL/Hybrid"],"assert":[{"metric":"crashes","op":"==","value":0}]}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range []string{"", "ttl", "TTL/", "/Unicast", "TTL/Unicast/Extra"} {
-		if _, err := resolveSystem(name); err == nil {
-			t.Errorf("resolveSystem(%q) accepted", name)
+	cells, err := p.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.System{
+		core.SystemHAT,
+		{Name: "TTL/Multicast", Method: consistency.MethodTTL, Infra: consistency.InfraMulticast},
+		{Name: "AdaptiveTTL/Hybrid", Method: consistency.MethodAdaptiveTTL, Infra: consistency.InfraHybrid},
+	}
+	if len(cells) != len(want) {
+		t.Fatalf("cells = %d, want %d", len(cells), len(want))
+	}
+	for i, c := range cells {
+		if c.System != want[i] {
+			t.Errorf("cell %d system = %+v, want %+v", i, c.System, want[i])
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (c Cell) ID() string {
 func (p *Plan) Cells() ([]Cell, error) {
 	var out []Cell
 	for _, name := range p.Systems {
-		sys, err := resolveSystem(name)
+		sys, err := core.ParseSystem(name)
 		if err != nil {
 			return nil, fmt.Errorf("plan %s: %w", p.Name, err)
 		}

@@ -6,14 +6,15 @@
 #   2. run the catalog again with -checkpoint and SIGTERM it as soon as the
 #      journal records a finished cell, then resume and require the resumed
 #      stdout and junit report to be byte-identical to the uninterrupted run,
-#   3. run a seeded-violation plan and require a non-zero exit plus a junit
-#      <failure> carrying the assertion message,
-#   4. run the seeded audit-tripwire plan (deliberate mid-run corruption via
-#      audit_self_test under the sharded engine) and require the barrier
-#      auditor to catch it.
+#   3. run each seeded must-fail plan and require a non-zero exit plus a
+#      junit <failure> naming what it violates: an impossible SLO, a false
+#      cross-system compare, and the audit tripwire (deliberate mid-run
+#      corruption via audit_self_test, caught by the sharded barrier auditor).
 #
-# Any SLO regression, torn journal, resume divergence, or a seeded violation
-# that the harness fails to catch fails the script.
+# The catalog includes the federation storm/flap plans, so their stranded-user
+# SLOs and cross-system compares ride through all three steps. Any SLO
+# regression, torn journal, resume divergence, or a seeded violation that the
+# harness fails to catch fails the script.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,6 +35,8 @@ echo "plan-smoke: curated catalog, parallel"
 cmp "$TMP/serial.out" "$TMP/parallel.out"
 cmp "$TMP/serial.xml" "$TMP/parallel.xml"
 grep -q 'failures="0" errors="0"' "$TMP/serial.xml"
+grep -q 'stranded_users == 0' "$TMP/serial.out"
+grep -q '^PASS.compare degraded_seconds' "$TMP/serial.out"
 echo "plan-smoke: catalog passes; stdout and junit are byte-identical across -parallel"
 
 echo "plan-smoke: interrupted catalog (SIGTERM once a cell is checkpointed)"
@@ -59,22 +62,21 @@ cmp "$TMP/serial.out" "$TMP/resumed.out"
 cmp "$TMP/serial.xml" "$TMP/resumed.xml"
 echo "plan-smoke: resumed stdout and junit are byte-identical to the uninterrupted run"
 
-echo "plan-smoke: seeded-violation plan must fail"
-if "$TMP/experiments" -plan plans/seeded/bad-slo.json -junit "$TMP/seeded.xml" \
-    >"$TMP/seeded.out" 2>/dev/null; then
-    echo "plan-smoke: FAIL — seeded violation passed" >&2
-    exit 1
-fi
-grep -q '<failure message=' "$TMP/seeded.xml"
-grep -q 'p99_user_inconsistency' "$TMP/seeded.xml"
-echo "plan-smoke: OK — seeded violation failed with the assertion message in the junit report"
-
-echo "plan-smoke: seeded audit tripwire (sharded audit_self_test) must fail"
-if "$TMP/experiments" -plan plans/seeded/bad-audit-tripwire.json -junit "$TMP/tripwire.xml" \
-    >"$TMP/tripwire.out" 2>/dev/null; then
-    echo "plan-smoke: FAIL — audit self-test corruption passed the sharded auditor" >&2
-    exit 1
-fi
-grep -q '<failure message=' "$TMP/tripwire.xml"
-grep -q 'audit_violations' "$TMP/tripwire.xml"
-echo "plan-smoke: OK — sharded barrier auditor caught the seeded corruption"
+# Seeded must-fail plans: the plan file, then the string its junit <failure>
+# must carry.
+while read -r seeded want; do
+    name=$(basename "$seeded" .json)
+    echo "plan-smoke: seeded plan $name must fail"
+    if "$TMP/experiments" -plan "$seeded" -junit "$TMP/$name.xml" \
+        </dev/null >"$TMP/$name.out" 2>/dev/null; then
+        echo "plan-smoke: FAIL — seeded plan $name passed" >&2
+        exit 1
+    fi
+    grep -q '<failure message=' "$TMP/$name.xml"
+    grep -q "$want" "$TMP/$name.xml"
+    echo "plan-smoke: OK — $name failed with '$want' in the junit report"
+done <<'EOF'
+plans/seeded/bad-slo.json p99_user_inconsistency
+plans/seeded/bad-compare.json compare degraded_seconds
+plans/seeded/bad-audit-tripwire.json audit_violations
+EOF
