@@ -79,15 +79,18 @@ import-smoke:
 
 # Short fuzz smoke over the tree fail/recover repair, the fault-scenario
 # compiler, the population-spec, federation-spec and scenario-plan parsers,
-# the access-log parser, and the whole trace-import path (one -fuzz pattern
-# per package run, as go test requires; patterns are anchored where a
-# package holds several fuzz targets).
+# the JSONL reader and its canonical poll-line scanner (differentially
+# against encoding/json), the access-log parser, and the whole trace-import
+# path (one -fuzz pattern per package run, as go test requires; patterns
+# are anchored where a package holds several fuzz targets).
 fuzz:
 	$(GO) test ./internal/overlay -run '^$$' -fuzz FuzzTreeFailRecover -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzCompile -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParsePopulation -fuzztime 10s
 	$(GO) test ./internal/federation -run '^$$' -fuzz FuzzParseFederation -fuzztime 10s
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzReadPollLine$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzParseAccessLog$$' -fuzztime 10s
 	$(GO) test ./internal/traceimport -run '^$$' -fuzz 'FuzzImportTrace$$' -fuzztime 10s
 

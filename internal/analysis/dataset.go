@@ -34,11 +34,59 @@ type Dataset struct {
 	// order, for "next snapshot" lookups.
 	alphaOrder [][]int
 
-	// episodeCache memoizes PerServerInconsistency per day. episodeMu
-	// guards it: a Dataset is otherwise read-only after NewDataset, and
+	// episodeCache memoizes PerServerInconsistency per day and servers
+	// holds the lazily built per-server index of each day. episodeMu
+	// guards both: a Dataset is otherwise read-only after NewDataset, and
 	// the figure generators read one concurrently.
 	episodeMu    sync.Mutex
 	episodeCache []map[string][]float64
+	servers      []*serverIndex
+}
+
+// serverIndex splits one day's content-server records per server, so that
+// scoped analyses combine per-server tables instead of re-filtering every
+// record of the day.
+type serverIndex struct {
+	// ids lists the servers with records that day, sorted.
+	ids []string
+	// recs[i] holds ids[i]'s records in time order.
+	recs [][]trace.PollRecord
+	// alphas[i] is ids[i]'s own first-appearance table (computeAlphas).
+	alphas []map[int]time.Duration
+}
+
+func newServerIndex(records []trace.PollRecord) *serverIndex {
+	grouped := groupByObserver(records)
+	idx := &serverIndex{ids: make([]string, 0, len(grouped))}
+	for id := range grouped {
+		idx.ids = append(idx.ids, id)
+	}
+	sort.Strings(idx.ids)
+	idx.recs = make([][]trace.PollRecord, len(idx.ids))
+	idx.alphas = make([]map[int]time.Duration, len(idx.ids))
+	for i, id := range idx.ids {
+		idx.recs[i] = grouped[id]
+		idx.alphas[i] = computeAlphas(grouped[id])
+	}
+	return idx
+}
+
+// serverIndexLocked returns day's per-server index, building it on first
+// use; the caller holds episodeMu.
+func (d *Dataset) serverIndexLocked(day int) *serverIndex {
+	if d.servers == nil {
+		d.servers = make([]*serverIndex, d.Days())
+	}
+	if d.servers[day] == nil {
+		d.servers[day] = newServerIndex(d.serverRecs[day])
+	}
+	return d.servers[day]
+}
+
+func (d *Dataset) serverIndex(day int) *serverIndex {
+	d.episodeMu.Lock()
+	defer d.episodeMu.Unlock()
+	return d.serverIndexLocked(day)
 }
 
 // NewDataset indexes a trace. The trace must pass Validate.
@@ -212,8 +260,15 @@ func groupByObserver(records []trace.PollRecord) map[string][]trace.PollRecord {
 	return out
 }
 
+// add merges another measure into ri.
+func (ri *RequestInconsistency) add(o RequestInconsistency) {
+	ri.Lengths = append(ri.Lengths, o.Lengths...)
+	ri.Fresh += o.Fresh
+	ri.Total += o.Total
+}
+
 // collectInconsistencies runs the episode measure over every observer in
-// records against the given alpha scope.
+// records, in observer-id order, against the given alpha scope.
 func collectInconsistencies(records []trace.PollRecord, alphas map[int]time.Duration, order []int) RequestInconsistency {
 	grouped := groupByObserver(records)
 	keys := make([]string, 0, len(grouped))
@@ -223,10 +278,7 @@ func collectInconsistencies(records []trace.PollRecord, alphas map[int]time.Dura
 	sort.Strings(keys)
 	var out RequestInconsistency
 	for _, k := range keys {
-		ri := episodeLengths(grouped[k], alphas, order)
-		out.Lengths = append(out.Lengths, ri.Lengths...)
-		out.Fresh += ri.Fresh
-		out.Total += ri.Total
+		out.add(episodeLengths(grouped[k], alphas, order))
 	}
 	return out
 }
@@ -237,7 +289,12 @@ func (d *Dataset) RequestInconsistencies(day int) (RequestInconsistency, error) 
 	if err := d.checkDay(day); err != nil {
 		return RequestInconsistency{}, err
 	}
-	return collectInconsistencies(d.serverRecs[day], d.alphas[day], d.alphaOrder[day]), nil
+	idx := d.serverIndex(day)
+	var out RequestInconsistency
+	for _, recs := range idx.recs {
+		out.add(episodeLengths(recs, d.alphas[day], d.alphaOrder[day]))
+	}
+	return out, nil
 }
 
 // RequestInconsistenciesAll merges every day's Figure-3 measure.
@@ -245,9 +302,7 @@ func (d *Dataset) RequestInconsistenciesAll() RequestInconsistency {
 	var out RequestInconsistency
 	for day := 0; day < d.Days(); day++ {
 		ri, _ := d.RequestInconsistencies(day)
-		out.Lengths = append(out.Lengths, ri.Lengths...)
-		out.Fresh += ri.Fresh
-		out.Total += ri.Total
+		out.add(ri)
 	}
 	return out
 }
@@ -272,18 +327,28 @@ func (d *Dataset) ScopedInconsistencies(day int, servers, alphaScope map[string]
 	if err := d.checkDay(day); err != nil {
 		return RequestInconsistency{}, err
 	}
-	var scopeRecs, memberRecs []trace.PollRecord
-	for _, r := range d.serverRecs[day] {
-		if alphaScope[r.Server] {
-			scopeRecs = append(scopeRecs, r)
+	idx := d.serverIndex(day)
+	// The scope's first appearance of a snapshot is the earliest among its
+	// servers' own first appearances.
+	alphas := make(map[int]time.Duration)
+	for i, id := range idx.ids {
+		if !alphaScope[id] {
+			continue
 		}
-		if servers[r.Server] {
-			memberRecs = append(memberRecs, r)
+		for snap, at := range idx.alphas[i] {
+			if cur, ok := alphas[snap]; !ok || at < cur {
+				alphas[snap] = at
+			}
 		}
 	}
-	alphas := computeAlphas(scopeRecs)
 	order := sortedSnapshots(alphas)
-	return collectInconsistencies(memberRecs, alphas, order), nil
+	var out RequestInconsistency
+	for i, id := range idx.ids {
+		if servers[id] {
+			out.add(episodeLengths(idx.recs[i], alphas, order))
+		}
+	}
+	return out, nil
 }
 
 // PerServerInconsistency aggregates one day's episode inconsistencies per
@@ -303,15 +368,14 @@ func (d *Dataset) PerServerInconsistency(day int) (map[string][]float64, error) 
 		return cached, nil
 	}
 	out := make(map[string][]float64, len(d.Trace.Servers))
-	grouped := groupByObserver(d.serverRecs[day])
+	idx := d.serverIndexLocked(day)
 	for _, s := range d.Trace.Servers {
-		recs, ok := grouped[s.ID]
-		if !ok {
+		i := sort.SearchStrings(idx.ids, s.ID)
+		if i == len(idx.ids) || idx.ids[i] != s.ID {
 			out[s.ID] = nil
 			continue
 		}
-		ri := episodeLengths(recs, d.alphas[day], d.alphaOrder[day])
-		out[s.ID] = ri.Lengths
+		out[s.ID] = episodeLengths(idx.recs[i], d.alphas[day], d.alphaOrder[day]).Lengths
 	}
 	d.episodeCache[day] = out
 	return out, nil

@@ -1,11 +1,16 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"cdnconsistency/internal/topology"
 	"cdnconsistency/internal/trace"
+	"cdnconsistency/internal/tracegen"
 )
 
 // tinyTrace builds a 1-day trace with two servers and a fully controlled
@@ -154,6 +159,136 @@ func TestScopedInconsistencies(t *testing.T) {
 	}
 	if len(ri.Lengths) != 2 {
 		t.Errorf("cross-scoped lengths = %v, want 2", ri.Lengths)
+	}
+}
+
+// scopedByFiltering is ScopedInconsistencies computed the direct way: filter
+// the day's records by scope and by membership, derive the alphas from the
+// scope's records, and run the episode measure per member server.
+func scopedByFiltering(d *Dataset, day int, servers, alphaScope map[string]bool) RequestInconsistency {
+	var scopeRecs, memberRecs []trace.PollRecord
+	for _, r := range d.ServerRecords(day) {
+		if alphaScope[r.Server] {
+			scopeRecs = append(scopeRecs, r)
+		}
+		if servers[r.Server] {
+			memberRecs = append(memberRecs, r)
+		}
+	}
+	alphas := computeAlphas(scopeRecs)
+	return collectInconsistencies(memberRecs, alphas, sortedSnapshots(alphas))
+}
+
+// crawlScopes returns every ISP and city cluster of a generated crawl with
+// its complement, the scopes Fig05 and Fig09 pass.
+func crawlScopes(t *testing.T) (*Dataset, [][2]map[string]bool) {
+	t.Helper()
+	res, err := tracegen.Generate(tracegen.Config{
+		Topology: topology.Config{Servers: 24, Seed: 3},
+		Days:     2,
+		Seed:     3,
+	})
+	if err != nil {
+		t.Fatalf("tracegen.Generate: %v", err)
+	}
+	d := mustDataset(t, res.Trace)
+	groups := map[string]map[string]bool{}
+	for _, s := range d.Trace.Servers {
+		for _, key := range []string{fmt.Sprintf("isp-%d", s.ISP), fmt.Sprintf("city-%d", s.City)} {
+			if groups[key] == nil {
+				groups[key] = map[string]bool{}
+			}
+			groups[key][s.ID] = true
+		}
+	}
+	var scopes [][2]map[string]bool
+	for _, members := range groups {
+		others := map[string]bool{}
+		for _, s := range d.Trace.Servers {
+			if !members[s.ID] {
+				others[s.ID] = true
+			}
+		}
+		scopes = append(scopes, [2]map[string]bool{members, members}, [2]map[string]bool{members, others})
+	}
+	return d, scopes
+}
+
+// TestScopedInconsistenciesMatchesFiltering checks the per-server index
+// against the direct definition on every intra and inter scope of a
+// generated crawl: same lengths in the same order, same counts.
+func TestScopedInconsistenciesMatchesFiltering(t *testing.T) {
+	d, scopes := crawlScopes(t)
+	for day := 0; day < d.Days(); day++ {
+		for _, sc := range scopes {
+			got, err := d.ScopedInconsistencies(day, sc[0], sc[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := scopedByFiltering(d, day, sc[0], sc[1]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("day %d: indexed %+v, filtered %+v", day, got, want)
+			}
+		}
+		got, err := d.RequestInconsistencies(day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := collectInconsistencies(d.ServerRecords(day), d.alphas[day], d.alphaOrder[day]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("day %d: RequestInconsistencies %+v, want %+v", day, got, want)
+		}
+	}
+}
+
+// TestDatasetIndexConcurrentReaders has goroutines race to build the lazy
+// per-server index through every reader of it; each must see the serial
+// answers (run under -race).
+func TestDatasetIndexConcurrentReaders(t *testing.T) {
+	d, scopes := crawlScopes(t)
+	type answer struct {
+		scoped []RequestInconsistency
+		all    RequestInconsistency
+		per    map[string][]float64
+	}
+	read := func(d *Dataset) (answer, error) {
+		var a answer
+		for _, sc := range scopes {
+			ri, err := d.ScopedInconsistencies(0, sc[0], sc[1])
+			if err != nil {
+				return a, err
+			}
+			a.scoped = append(a.scoped, ri)
+		}
+		a.all = d.RequestInconsistenciesAll()
+		per, err := d.PerServerInconsistency(1)
+		a.per = per
+		return a, err
+	}
+	fresh, err := NewDataset(d.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := read(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	got := make([]answer, 4)
+	errs := make([]error, len(got))
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = read(d)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("reader %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("reader %d saw different answers", i)
+		}
 	}
 }
 

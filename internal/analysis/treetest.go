@@ -285,6 +285,20 @@ type TreeVerdict struct {
 	DynamicTreeLikely bool
 }
 
+// LargestCluster returns the members of the cluster with the most members,
+// ties going to the smallest key, so the choice does not depend on map
+// iteration order. It returns nil when every cluster is empty.
+func LargestCluster(clusters map[string][]string) []string {
+	var best string
+	var largest []string
+	for k, members := range clusters {
+		if len(members) > len(largest) || (len(members) == len(largest) && k < best) {
+			best, largest = k, members
+		}
+	}
+	return largest
+}
+
 // TreeExistence runs the complete Section-3.5 battery using the given
 // clusters (typically Dataset location or ISP clusters).
 func (d *Dataset) TreeExistence(clusters map[string][]string, ttl time.Duration) (TreeVerdict, error) {
@@ -299,13 +313,7 @@ func (d *Dataset) TreeExistence(clusters map[string][]string, ttl time.Duration)
 		verdict.ClusterRankSpread = spreads
 	}
 	// Server-level spread inside the largest cluster.
-	var largest []string
-	for k, members := range clusters {
-		if len(members) > len(largest) {
-			largest = clusters[k]
-		}
-	}
-	if len(largest) >= 2 {
+	if largest := LargestCluster(clusters); len(largest) >= 2 {
 		rs, err := d.ServerRankStability(largest)
 		if err == nil {
 			verdict.ServerRankSpread = rs.MeanSpread

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -205,6 +206,56 @@ func TestTreeExistenceVerdicts(t *testing.T) {
 	}
 	if !lv.StaticTreeLikely {
 		t.Error("layered trace not classified as static tree")
+	}
+}
+
+// TestLargestClusterTieBreak pins the deterministic pick among equally large
+// clusters: the smallest key wins on every call, and TreeExistence's server
+// rank spread, computed inside that cluster, repeats exactly.
+func TestLargestClusterTieBreak(t *testing.T) {
+	clusters := map[string][]string{"c": {"s4", "s5"}, "a": {"s0", "s1"}, "b": {"s2", "s3"}, "d": {"s6"}}
+	for i := 0; i < 50; i++ {
+		if got := LargestCluster(clusters); !reflect.DeepEqual(got, clusters["a"]) {
+			t.Fatalf("call %d: LargestCluster = %v, want cluster a %v", i, got, clusters["a"])
+		}
+	}
+	if got := LargestCluster(map[string][]string{"a": nil}); got != nil {
+		t.Errorf("all-empty clusters gave %v, want nil", got)
+	}
+
+	// churnTrace's two city clusters tie at two servers. Making the stale
+	// server alternate inside city-0 only gives the two different spreads,
+	// so a map-order pick would flip the verdict between calls.
+	tr := churnTrace()
+	for i := range tr.Records {
+		r := &tr.Records[i]
+		stale := []string{"s0", "s2", "s0"}[r.Day]
+		r.Snapshot = int(r.At / (10 * time.Second))
+		if r.Server == stale && r.At > 10*time.Second {
+			r.Snapshot = 1
+		}
+	}
+	d := mustDataset(t, tr)
+	tied := clustersOf(d.Trace)
+	want, err := d.ServerRankStability(tied["city-0"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := d.ServerRankStability(tied["city-1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.MeanSpread == other.MeanSpread {
+		t.Fatalf("fixture clusters have equal spread %v; the tie would not show", want.MeanSpread)
+	}
+	for i := 0; i < 50; i++ {
+		v, err := d.TreeExistence(tied, 60*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.ServerRankSpread != want.MeanSpread {
+			t.Fatalf("call %d: ServerRankSpread = %v, want city-0's %v", i, v.ServerRankSpread, want.MeanSpread)
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The access-log flavor is a line-oriented key=value format shaped like a
@@ -26,6 +28,13 @@ import (
 // Floats are written in shortest-round-trip form and durations in
 // time.Duration syntax, so WriteAccessLog -> ParseAccessLog reproduces the
 // representable part of a trace exactly.
+//
+// The parser works on the reader's buffer in place: lines are split into
+// byte tokens exactly where strings.Fields would split them, plain decimal
+// integers and the durations Duration.String writes are decoded without
+// building strings, and server and poller ids are interned per call. Any
+// other value goes through strconv or time.ParseDuration, so the accepted
+// inputs and the error texts are theirs.
 
 const accessLogHeader = "#cdnlog v1"
 
@@ -36,9 +45,17 @@ func WriteAccessLog(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	fmt.Fprintf(bw, "%s days=%d daylen=%s poll=%s\n",
 		accessLogHeader, t.Meta.Days, t.Meta.DayLength, t.Meta.PollInterval)
+	var line []byte
 	for _, s := range t.Servers {
-		fmt.Fprintf(bw, "#server id=%s lat=%s lon=%s isp=%d city=%d dist=%s\n",
-			s.ID, fg(s.Lat), fg(s.Lon), s.ISP, s.City, fg(s.DistanceKm))
+		line = append(line[:0], "#server id="...)
+		line = append(line, s.ID...)
+		line = strconv.AppendFloat(append(line, " lat="...), s.Lat, 'g', -1, 64)
+		line = strconv.AppendFloat(append(line, " lon="...), s.Lon, 'g', -1, 64)
+		line = strconv.AppendInt(append(line, " isp="...), int64(s.ISP), 10)
+		line = strconv.AppendInt(append(line, " city="...), int64(s.City), 10)
+		line = strconv.AppendFloat(append(line, " dist="...), s.DistanceKm, 'g', -1, 64)
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	lastDay, lastAt := 0, time.Duration(-1)
 	for i, r := range t.Records {
@@ -46,37 +63,41 @@ func WriteAccessLog(w io.Writer, t *Trace) error {
 			return fmt.Errorf("trace: access log record %d out of (day, time) order; SortRecords first", i)
 		}
 		lastDay, lastAt = r.Day, r.At
-		fmt.Fprintf(bw, "poll day=%d at=%s srv=%s via=%s rtt=%s snap=%d",
-			r.Day, r.At, r.Server, r.Poller, r.RTT, r.Snapshot)
+		line = strconv.AppendInt(append(line[:0], "poll day="...), int64(r.Day), 10)
+		line = append(append(line, " at="...), r.At.String()...)
+		line = append(append(line, " srv="...), r.Server...)
+		line = append(append(line, " via="...), r.Poller...)
+		line = append(append(line, " rtt="...), r.RTT.String()...)
+		line = strconv.AppendInt(append(line, " snap="...), int64(r.Snapshot), 10)
 		if r.Absent {
-			bw.WriteString(" absent")
+			line = append(line, " absent"...)
 		}
 		if r.Provider {
-			bw.WriteString(" provider")
+			line = append(line, " provider"...)
 		}
 		if r.UserView {
-			bw.WriteString(" user")
+			line = append(line, " user"...)
 		}
-		bw.WriteByte('\n')
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
 }
-
-// fg formats a float in shortest form that round-trips through ParseFloat.
-func fg(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // ParseAccessLog parses a trace written by WriteAccessLog (or an external
 // log in the same format) and validates it.
 func ParseAccessLog(r io.Reader) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	t := &Trace{}
+	ids := interner{}
+	var tokens [][]byte
 	lineNo := 0
 	sawHeader := false
 	lastDay, lastAt := 0, time.Duration(-1)
 	for {
-		line, err := br.ReadString('\n')
+		line, err := readLine(br)
 		if err == io.EOF {
-			if line != "" {
+			if len(line) != 0 {
 				return nil, fmt.Errorf("trace: access log line %d: truncated last line (missing newline)", lineNo+1)
 			}
 			break
@@ -85,15 +106,16 @@ func ParseAccessLog(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: access log: %w", err)
 		}
 		lineNo++
-		line = strings.TrimSuffix(line, "\n")
-		if strings.TrimSpace(line) == "" {
+		line = line[:len(line)-1]
+		tokens = appendFields(tokens[:0], line)
+		if len(tokens) == 0 {
 			return nil, fmt.Errorf("trace: access log line %d: blank line", lineNo)
 		}
 		if !sawHeader {
-			if !strings.HasPrefix(line, accessLogHeader+" ") {
+			if !bytes.HasPrefix(line, []byte(accessLogHeader+" ")) {
 				return nil, fmt.Errorf("trace: access log line %d: missing %q header", lineNo, accessLogHeader)
 			}
-			meta, err := parseLogHeader(strings.Fields(line[len(accessLogHeader)+1:]))
+			meta, err := parseLogHeader(appendFields(tokens[:0], line[len(accessLogHeader)+1:]))
 			if err != nil {
 				return nil, fmt.Errorf("trace: access log line %d: %w", lineNo, err)
 			}
@@ -101,16 +123,15 @@ func ParseAccessLog(r io.Reader) (*Trace, error) {
 			sawHeader = true
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		switch string(tokens[0]) {
 		case "#server":
-			s, err := parseLogServer(fields[1:])
+			s, err := parseLogServer(tokens[1:], ids)
 			if err != nil {
 				return nil, fmt.Errorf("trace: access log line %d: %w", lineNo, err)
 			}
 			t.Servers = append(t.Servers, s)
 		case "poll":
-			rec, err := parseLogPoll(fields[1:])
+			rec, err := parseLogPoll(tokens[1:], ids)
 			if err != nil {
 				return nil, fmt.Errorf("trace: access log line %d: %w", lineNo, err)
 			}
@@ -121,7 +142,7 @@ func ParseAccessLog(r io.Reader) (*Trace, error) {
 			lastDay, lastAt = rec.Day, rec.At
 			t.Records = append(t.Records, rec)
 		default:
-			return nil, fmt.Errorf("trace: access log line %d: unknown line kind %q", lineNo, fields[0])
+			return nil, fmt.Errorf("trace: access log line %d: unknown line kind %q", lineNo, tokens[0])
 		}
 	}
 	if !sawHeader {
@@ -133,49 +154,177 @@ func ParseAccessLog(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// kvScan walks key=value tokens, rejecting unknown, duplicate, and
-// malformed keys. Bare tokens (no '=') are dispatched to flag when allowed.
-func kvScan(tokens []string, set map[string]func(string) error, flag func(string) error) error {
-	seen := make(map[string]bool, len(tokens))
-	for _, tok := range tokens {
-		key, val, ok := strings.Cut(tok, "=")
-		if !ok {
-			if flag == nil {
-				return fmt.Errorf("stray token %q", tok)
-			}
-			if seen[tok] {
-				return fmt.Errorf("duplicate flag %q", tok)
-			}
-			seen[tok] = true
-			if err := flag(tok); err != nil {
-				return err
-			}
-			continue
-		}
-		parse, known := set[key]
-		if !known {
-			return fmt.Errorf("unknown field %q", key)
-		}
-		if seen[key] {
-			return fmt.Errorf("duplicate field %q", key)
-		}
-		seen[key] = true
-		if err := parse(val); err != nil {
-			return fmt.Errorf("field %s: %w", key, err)
-		}
+// readLine returns the next line including its '\n', like ReadString, but
+// in the reader's buffer when the line fits there; the bytes are valid until
+// the next read. At end of input it returns the unterminated rest with
+// io.EOF.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
 	}
+	long := append([]byte(nil), line...)
+	for err == bufio.ErrBufferFull {
+		line, err = br.ReadSlice('\n')
+		long = append(long, line...)
+	}
+	return long, err
+}
+
+// appendFields appends the tokens of line to dst, splitting around runs of
+// unicode.IsSpace exactly as strings.Fields does.
+func appendFields(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i := 0; i < len(line); {
+		space, size := asciiSpace[line[i]] != 0, 1
+		if line[i] >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRune(line[i:])
+			space = unicode.IsSpace(r)
+		}
+		if space {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// Each line kind maps its key names to bits with a switch; the bits seen so
+// far reject a repeated key.
+const (
+	hDays = 1 << iota
+	hDayLen
+	hPoll
+)
+
+func headerBit(key []byte) uint16 {
+	switch string(key) {
+	case "days":
+		return hDays
+	case "daylen":
+		return hDayLen
+	case "poll":
+		return hPoll
+	}
+	return 0
+}
+
+const (
+	sID = 1 << iota
+	sLat
+	sLon
+	sISP
+	sCity
+	sDist
+)
+
+func serverBit(key []byte) uint16 {
+	switch string(key) {
+	case "id":
+		return sID
+	case "lat":
+		return sLat
+	case "lon":
+		return sLon
+	case "isp":
+		return sISP
+	case "city":
+		return sCity
+	case "dist":
+		return sDist
+	}
+	return 0
+}
+
+// Poll lines carry key=value fields and bare flags, which share one
+// namespace for duplicate detection.
+const (
+	pDay = 1 << iota
+	pAt
+	pSrv
+	pVia
+	pRTT
+	pSnap
+	pAbsent
+	pProvider
+	pUser
+
+	pFields = pAbsent - 1
+)
+
+func pollBit(name []byte) uint16 {
+	switch string(name) {
+	case "day":
+		return pDay
+	case "at":
+		return pAt
+	case "srv":
+		return pSrv
+	case "via":
+		return pVia
+	case "rtt":
+		return pRTT
+	case "snap":
+		return pSnap
+	case "absent":
+		return pAbsent
+	case "provider":
+		return pProvider
+	case "user":
+		return pUser
+	}
+	return 0
+}
+
+// markField records key's bit in seen, rejecting unknown (bit 0) and
+// repeated keys.
+func markField(key []byte, bit uint16, seen *uint16) error {
+	if bit == 0 {
+		return fmt.Errorf("unknown field %q", key)
+	}
+	if *seen&bit != 0 {
+		return fmt.Errorf("duplicate field %q", key)
+	}
+	*seen |= bit
 	return nil
 }
 
-func parseLogHeader(tokens []string) (Meta, error) {
+func parseLogHeader(tokens [][]byte) (Meta, error) {
 	var m Meta
-	err := kvScan(tokens, map[string]func(string) error{
-		"days":   func(v string) (err error) { m.Days, err = strconv.Atoi(v); return },
-		"daylen": func(v string) (err error) { m.DayLength, err = time.ParseDuration(v); return },
-		"poll":   func(v string) (err error) { m.PollInterval, err = time.ParseDuration(v); return },
-	}, nil)
-	if err != nil {
-		return Meta{}, err
+	var seen uint16
+	for _, tok := range tokens {
+		key, val, ok := bytes.Cut(tok, []byte("="))
+		if !ok {
+			return Meta{}, fmt.Errorf("stray token %q", tok)
+		}
+		bit := headerBit(key)
+		if err := markField(key, bit, &seen); err != nil {
+			return Meta{}, err
+		}
+		var err error
+		switch bit {
+		case hDays:
+			m.Days, err = parseInt(val)
+		case hDayLen:
+			m.DayLength, err = parseDuration(val)
+		case hPoll:
+			m.PollInterval, err = parseDuration(val)
+		}
+		if err != nil {
+			return Meta{}, fmt.Errorf("field %s: %w", key, err)
+		}
 	}
 	if m.Days == 0 || m.PollInterval == 0 {
 		return Meta{}, fmt.Errorf("header needs days and poll")
@@ -183,18 +332,36 @@ func parseLogHeader(tokens []string) (Meta, error) {
 	return m, nil
 }
 
-func parseLogServer(tokens []string) (ServerInfo, error) {
+func parseLogServer(tokens [][]byte, ids interner) (ServerInfo, error) {
 	var s ServerInfo
-	err := kvScan(tokens, map[string]func(string) error{
-		"id":   func(v string) error { s.ID = v; return nil },
-		"lat":  func(v string) (err error) { s.Lat, err = strconv.ParseFloat(v, 64); return },
-		"lon":  func(v string) (err error) { s.Lon, err = strconv.ParseFloat(v, 64); return },
-		"isp":  func(v string) (err error) { s.ISP, err = strconv.Atoi(v); return },
-		"city": func(v string) (err error) { s.City, err = strconv.Atoi(v); return },
-		"dist": func(v string) (err error) { s.DistanceKm, err = strconv.ParseFloat(v, 64); return },
-	}, nil)
-	if err != nil {
-		return ServerInfo{}, err
+	var seen uint16
+	for _, tok := range tokens {
+		key, val, ok := bytes.Cut(tok, []byte("="))
+		if !ok {
+			return ServerInfo{}, fmt.Errorf("stray token %q", tok)
+		}
+		bit := serverBit(key)
+		if err := markField(key, bit, &seen); err != nil {
+			return ServerInfo{}, err
+		}
+		var err error
+		switch bit {
+		case sID:
+			s.ID = ids.bytes(val)
+		case sLat:
+			s.Lat, err = strconv.ParseFloat(string(val), 64)
+		case sLon:
+			s.Lon, err = strconv.ParseFloat(string(val), 64)
+		case sISP:
+			s.ISP, err = parseInt(val)
+		case sCity:
+			s.City, err = parseInt(val)
+		case sDist:
+			s.DistanceKm, err = strconv.ParseFloat(string(val), 64)
+		}
+		if err != nil {
+			return ServerInfo{}, fmt.Errorf("field %s: %w", key, err)
+		}
 	}
 	if s.ID == "" {
 		return ServerInfo{}, fmt.Errorf("#server line needs id")
@@ -202,30 +369,53 @@ func parseLogServer(tokens []string) (ServerInfo, error) {
 	return s, nil
 }
 
-func parseLogPoll(tokens []string) (PollRecord, error) {
+func parseLogPoll(tokens [][]byte, ids interner) (PollRecord, error) {
 	var rec PollRecord
-	err := kvScan(tokens, map[string]func(string) error{
-		"day":  func(v string) (err error) { rec.Day, err = strconv.Atoi(v); return },
-		"at":   func(v string) (err error) { rec.At, err = time.ParseDuration(v); return },
-		"srv":  func(v string) error { rec.Server = v; return nil },
-		"via":  func(v string) error { rec.Poller = v; return nil },
-		"rtt":  func(v string) (err error) { rec.RTT, err = time.ParseDuration(v); return },
-		"snap": func(v string) (err error) { rec.Snapshot, err = strconv.Atoi(v); return },
-	}, func(flag string) error {
-		switch flag {
-		case "absent":
-			rec.Absent = true
-		case "provider":
-			rec.Provider = true
-		case "user":
-			rec.UserView = true
-		default:
-			return fmt.Errorf("unknown flag %q", flag)
+	var seen uint16
+	for _, tok := range tokens {
+		key, val, ok := bytes.Cut(tok, []byte("="))
+		if !ok {
+			// A bare token repeating any name already seen, key or flag,
+			// is a duplicate flag.
+			bit := pollBit(tok)
+			if seen&bit != 0 {
+				return PollRecord{}, fmt.Errorf("duplicate flag %q", tok)
+			}
+			switch bit {
+			case pAbsent:
+				rec.Absent = true
+			case pProvider:
+				rec.Provider = true
+			case pUser:
+				rec.UserView = true
+			default:
+				return PollRecord{}, fmt.Errorf("unknown flag %q", tok)
+			}
+			seen |= bit
+			continue
 		}
-		return nil
-	})
-	if err != nil {
-		return PollRecord{}, err
+		bit := pollBit(key) & pFields
+		if err := markField(key, bit, &seen); err != nil {
+			return PollRecord{}, err
+		}
+		var err error
+		switch bit {
+		case pDay:
+			rec.Day, err = parseInt(val)
+		case pAt:
+			rec.At, err = parseDuration(val)
+		case pSrv:
+			rec.Server = ids.bytes(val)
+		case pVia:
+			rec.Poller = ids.bytes(val)
+		case pRTT:
+			rec.RTT, err = parseDuration(val)
+		case pSnap:
+			rec.Snapshot, err = parseInt(val)
+		}
+		if err != nil {
+			return PollRecord{}, fmt.Errorf("field %s: %w", key, err)
+		}
 	}
 	if rec.Server == "" || rec.Poller == "" {
 		return PollRecord{}, fmt.Errorf("poll line needs srv and via")
@@ -234,4 +424,111 @@ func parseLogPoll(tokens []string) (PollRecord, error) {
 		return PollRecord{}, fmt.Errorf("absent poll carries snapshot %d", rec.Snapshot)
 	}
 	return rec, nil
+}
+
+// parseInt is strconv.Atoi on bytes, decoding short runs of digits itself.
+func parseInt(b []byte) (int, error) {
+	if len(b) == 0 || len(b) > 18 {
+		return strconv.Atoi(string(b))
+	}
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return strconv.Atoi(string(b))
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, nil
+}
+
+// durationUnit returns a unit Duration.String writes, in nanoseconds, with
+// how many fraction digits it can carry exactly (unit / 10^digits is whole);
+// 0 for any other unit.
+func durationUnit(name []byte) (unit uint64, maxDigits int) {
+	switch string(name) {
+	case "ns":
+		return uint64(time.Nanosecond), 0
+	case "µs":
+		return uint64(time.Microsecond), 3
+	case "ms":
+		return uint64(time.Millisecond), 6
+	case "s":
+		return uint64(time.Second), 9
+	case "m":
+		return uint64(time.Minute), 10
+	case "h":
+		return uint64(time.Hour), 11
+	}
+	return 0, 0
+}
+
+// parseDuration is time.ParseDuration on bytes. It decodes itself an
+// optional '-' and components of digits, an optional fraction no longer
+// than the unit can hold exactly, and one of the units Duration.String
+// writes; in that domain time.ParseDuration's float arithmetic is exact, so
+// both agree. Everything else goes to time.ParseDuration.
+func parseDuration(b []byte) (time.Duration, error) {
+	if d, ok := decodeDuration(b); ok {
+		return d, nil
+	}
+	return time.ParseDuration(string(b))
+}
+
+func decodeDuration(b []byte) (time.Duration, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	var d uint64
+	for len(b) > 0 {
+		v, n := leadingDigits(b)
+		if n == 0 || n > 18 {
+			return 0, false
+		}
+		b = b[n:]
+		var f uint64
+		digits := 0
+		if len(b) > 0 && b[0] == '.' {
+			f, digits = leadingDigits(b[1:])
+			if digits == 0 {
+				return 0, false
+			}
+			b = b[1+digits:]
+		}
+		end := 0
+		for end < len(b) && b[end] != '.' && (b[end] < '0' || b[end] > '9') {
+			end++
+		}
+		unit, maxDigits := durationUnit(b[:end])
+		if unit == 0 || digits > maxDigits || v > 1<<63/unit {
+			return 0, false
+		}
+		b = b[end:]
+		v = v*unit + f*(unit/pow10[digits])
+		if v > 1<<63 || d > 1<<63-v {
+			return 0, false
+		}
+		d += v
+	}
+	if neg {
+		return -time.Duration(d), true
+	}
+	if d > 1<<63-1 {
+		return 0, false
+	}
+	return time.Duration(d), true
+}
+
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11}
+
+// leadingDigits decodes the run of decimal digits at the start of b and
+// returns it with its length; past 19 digits the value is meaningless.
+func leadingDigits(b []byte) (v uint64, n int) {
+	for ; n < len(b) && '0' <= b[n] && b[n] <= '9'; n++ {
+		v = v*10 + uint64(b[n]-'0')
+	}
+	return v, n
 }

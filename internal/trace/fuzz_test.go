@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,56 @@ func FuzzRead(f *testing.F) {
 		if len(again.Records) != len(tr.Records) || len(again.Servers) != len(tr.Servers) {
 			t.Fatalf("round trip changed sizes: %d/%d vs %d/%d",
 				len(tr.Records), len(tr.Servers), len(again.Records), len(again.Servers))
+		}
+	})
+}
+
+// FuzzReadPollLine is the differential check on Read's canonical poll-line
+// scanner: whatever single line it accepts, encoding/json must decode to a
+// "poll" envelope holding the very same record. The seeds sit on the edges
+// of the canonical form; the scanner must turn each of them down or agree.
+func FuzzReadPollLine(f *testing.F) {
+	const canon = `{"type":"poll","poll":{"day":1,"server":"s001","poller":"p01","at":12000000000,"snapshot":5,"rtt":81234567}}`
+	field := func(old, new string) string { return strings.Replace(canon, old, new, 1) }
+	f.Add(canon)
+	f.Add(field(`}}`, `,"absent":true,"provider":true,"user_view":true}}`))
+	f.Add(field(`"day":1`, `"day":-0`))
+	f.Add(field(`"day":1`, `"day":01`))
+	f.Add(field(`"at":12000000000`, `"at":9223372036854775807`))
+	f.Add(field(`"at":12000000000`, `"at":9223372036854775808`))
+	f.Add(field(`"at":12000000000`, `"at":-9223372036854775808`))
+	f.Add(field(`"at":12000000000`, `"at":-9223372036854775809`))
+	f.Add(field(`"snapshot":5`, `"snapshot":5.0`))
+	f.Add(field(`"snapshot":5`, `"snapshot":5e0`))
+	f.Add(field(`"s001"`, `"\u003cs001\u003e"`))
+	f.Add(field(`"s001"`, `"<s&001>"`))
+	f.Add(field(`"s001"`, `"s\"001"`))
+	f.Add(field(`"s001"`, "\"s\xc3\xa9001\""))
+	f.Add(field(`"s001"`, "\"s\xff001\""))
+	f.Add(field(`"s001"`, "\"s\t001\""))
+	f.Add(canon + "\r")
+	f.Add(canon + " ")
+	f.Add(`{"poll":{"day":1,"server":"s001","poller":"p01","at":12000000000,"snapshot":5,"rtt":81234567},"type":"poll"}`)
+	f.Add(field(`"day":1,"server":"s001"`, `"server":"s001","day":1`))
+	f.Add(field(`}}`, `,"cache":"hit"}}`))
+	f.Add(field(`}}`, `,"absent":false}}`))
+	f.Add(field(`}}`, `,"user_view":true,"absent":true}}`))
+	f.Add(field(`}}`, `,"absent":true,"absent":true}}`))
+	f.Add(field(`"type":"poll"`, `"type":"meta"`))
+	f.Fuzz(func(t *testing.T, line string) {
+		got, ok := scanPollLine([]byte(line), interner{})
+		if !ok {
+			return
+		}
+		var want pollLine
+		if err := json.Unmarshal([]byte(line), &want); err != nil {
+			t.Fatalf("scanner accepted a line encoding/json rejects (%v): %q", err, line)
+		}
+		if want.Type != "poll" {
+			t.Fatalf("scanner accepted envelope type %q: %q", want.Type, line)
+		}
+		if got != want.Poll {
+			t.Fatalf("scanner decoded %+v, encoding/json %+v: %q", got, want.Poll, line)
 		}
 	})
 }
