@@ -55,18 +55,35 @@ type serverIndex struct {
 	alphas []map[int]time.Duration
 }
 
+// newServerIndex indexes one day's content-server records. The per-server
+// lists are exact-size windows of one backing array, filled in record order
+// so each stays in time order.
 func newServerIndex(records []trace.PollRecord) *serverIndex {
-	grouped := groupByObserver(records)
-	idx := &serverIndex{ids: make([]string, 0, len(grouped))}
-	for id := range grouped {
+	count := make(map[string]int)
+	for _, r := range records {
+		count[r.Server]++
+	}
+	idx := &serverIndex{ids: make([]string, 0, len(count))}
+	for id := range count {
 		idx.ids = append(idx.ids, id)
 	}
 	sort.Strings(idx.ids)
+	all := make([]trace.PollRecord, len(records))
+	slot := make(map[string]int, len(idx.ids))
 	idx.recs = make([][]trace.PollRecord, len(idx.ids))
-	idx.alphas = make([]map[int]time.Duration, len(idx.ids))
+	off := 0
 	for i, id := range idx.ids {
-		idx.recs[i] = grouped[id]
-		idx.alphas[i] = computeAlphas(grouped[id])
+		slot[id] = i
+		idx.recs[i] = all[off : off : off+count[id]]
+		off += count[id]
+	}
+	for _, r := range records {
+		i := slot[r.Server]
+		idx.recs[i] = append(idx.recs[i], r)
+	}
+	idx.alphas = make([]map[int]time.Duration, len(idx.ids))
+	for i, recs := range idx.recs {
+		idx.alphas[i] = computeAlphas(recs)
 	}
 	return idx
 }

@@ -7,8 +7,6 @@ import (
 	"io"
 	"strconv"
 	"time"
-	"unicode"
-	"unicode/utf8"
 )
 
 // The access-log flavor is a line-oriented key=value format shaped like a
@@ -30,11 +28,10 @@ import (
 // representable part of a trace exactly.
 //
 // The parser works on the reader's buffer in place: lines are split into
-// byte tokens exactly where strings.Fields would split them, plain decimal
-// integers and the durations Duration.String writes are decoded without
-// building strings, and server and poller ids are interned per call. Any
-// other value goes through strconv or time.ParseDuration, so the accepted
-// inputs and the error texts are theirs.
+// byte tokens with bytes.Fields, each line kind's keys are matched with a
+// switch, and server and poller ids are interned per call. Values are
+// decoded by strconv and time.ParseDuration, so the accepted inputs and the
+// error texts are theirs.
 
 const accessLogHeader = "#cdnlog v1"
 
@@ -90,7 +87,6 @@ func ParseAccessLog(r io.Reader) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	t := &Trace{}
 	ids := interner{}
-	var tokens [][]byte
 	lineNo := 0
 	sawHeader := false
 	lastDay, lastAt := 0, time.Duration(-1)
@@ -107,7 +103,7 @@ func ParseAccessLog(r io.Reader) (*Trace, error) {
 		}
 		lineNo++
 		line = line[:len(line)-1]
-		tokens = appendFields(tokens[:0], line)
+		tokens := bytes.Fields(line)
 		if len(tokens) == 0 {
 			return nil, fmt.Errorf("trace: access log line %d: blank line", lineNo)
 		}
@@ -115,7 +111,7 @@ func ParseAccessLog(r io.Reader) (*Trace, error) {
 			if !bytes.HasPrefix(line, []byte(accessLogHeader+" ")) {
 				return nil, fmt.Errorf("trace: access log line %d: missing %q header", lineNo, accessLogHeader)
 			}
-			meta, err := parseLogHeader(appendFields(tokens[:0], line[len(accessLogHeader)+1:]))
+			meta, err := parseLogHeader(bytes.Fields(line[len(accessLogHeader)+1:]))
 			if err != nil {
 				return nil, fmt.Errorf("trace: access log line %d: %w", lineNo, err)
 			}
@@ -170,36 +166,6 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 	}
 	return long, err
 }
-
-// appendFields appends the tokens of line to dst, splitting around runs of
-// unicode.IsSpace exactly as strings.Fields does.
-func appendFields(dst [][]byte, line []byte) [][]byte {
-	start := -1
-	for i := 0; i < len(line); {
-		space, size := asciiSpace[line[i]] != 0, 1
-		if line[i] >= utf8.RuneSelf {
-			var r rune
-			r, size = utf8.DecodeRune(line[i:])
-			space = unicode.IsSpace(r)
-		}
-		if space {
-			if start >= 0 {
-				dst = append(dst, line[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
-		i += size
-	}
-	if start >= 0 {
-		dst = append(dst, line[start:])
-	}
-	return dst
-}
-
-// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
-var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
 
 // Each line kind maps its key names to bits with a switch; the bits seen so
 // far reject a repeated key.
@@ -316,11 +282,11 @@ func parseLogHeader(tokens [][]byte) (Meta, error) {
 		var err error
 		switch bit {
 		case hDays:
-			m.Days, err = parseInt(val)
+			m.Days, err = strconv.Atoi(string(val))
 		case hDayLen:
-			m.DayLength, err = parseDuration(val)
+			m.DayLength, err = time.ParseDuration(string(val))
 		case hPoll:
-			m.PollInterval, err = parseDuration(val)
+			m.PollInterval, err = time.ParseDuration(string(val))
 		}
 		if err != nil {
 			return Meta{}, fmt.Errorf("field %s: %w", key, err)
@@ -353,9 +319,9 @@ func parseLogServer(tokens [][]byte, ids interner) (ServerInfo, error) {
 		case sLon:
 			s.Lon, err = strconv.ParseFloat(string(val), 64)
 		case sISP:
-			s.ISP, err = parseInt(val)
+			s.ISP, err = strconv.Atoi(string(val))
 		case sCity:
-			s.City, err = parseInt(val)
+			s.City, err = strconv.Atoi(string(val))
 		case sDist:
 			s.DistanceKm, err = strconv.ParseFloat(string(val), 64)
 		}
@@ -401,17 +367,17 @@ func parseLogPoll(tokens [][]byte, ids interner) (PollRecord, error) {
 		var err error
 		switch bit {
 		case pDay:
-			rec.Day, err = parseInt(val)
+			rec.Day, err = strconv.Atoi(string(val))
 		case pAt:
-			rec.At, err = parseDuration(val)
+			rec.At, err = time.ParseDuration(string(val))
 		case pSrv:
 			rec.Server = ids.bytes(val)
 		case pVia:
 			rec.Poller = ids.bytes(val)
 		case pRTT:
-			rec.RTT, err = parseDuration(val)
+			rec.RTT, err = time.ParseDuration(string(val))
 		case pSnap:
-			rec.Snapshot, err = parseInt(val)
+			rec.Snapshot, err = strconv.Atoi(string(val))
 		}
 		if err != nil {
 			return PollRecord{}, fmt.Errorf("field %s: %w", key, err)
@@ -424,111 +390,4 @@ func parseLogPoll(tokens [][]byte, ids interner) (PollRecord, error) {
 		return PollRecord{}, fmt.Errorf("absent poll carries snapshot %d", rec.Snapshot)
 	}
 	return rec, nil
-}
-
-// parseInt is strconv.Atoi on bytes, decoding short runs of digits itself.
-func parseInt(b []byte) (int, error) {
-	if len(b) == 0 || len(b) > 18 {
-		return strconv.Atoi(string(b))
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return strconv.Atoi(string(b))
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, nil
-}
-
-// durationUnit returns a unit Duration.String writes, in nanoseconds, with
-// how many fraction digits it can carry exactly (unit / 10^digits is whole);
-// 0 for any other unit.
-func durationUnit(name []byte) (unit uint64, maxDigits int) {
-	switch string(name) {
-	case "ns":
-		return uint64(time.Nanosecond), 0
-	case "µs":
-		return uint64(time.Microsecond), 3
-	case "ms":
-		return uint64(time.Millisecond), 6
-	case "s":
-		return uint64(time.Second), 9
-	case "m":
-		return uint64(time.Minute), 10
-	case "h":
-		return uint64(time.Hour), 11
-	}
-	return 0, 0
-}
-
-// parseDuration is time.ParseDuration on bytes. It decodes itself an
-// optional '-' and components of digits, an optional fraction no longer
-// than the unit can hold exactly, and one of the units Duration.String
-// writes; in that domain time.ParseDuration's float arithmetic is exact, so
-// both agree. Everything else goes to time.ParseDuration.
-func parseDuration(b []byte) (time.Duration, error) {
-	if d, ok := decodeDuration(b); ok {
-		return d, nil
-	}
-	return time.ParseDuration(string(b))
-}
-
-func decodeDuration(b []byte) (time.Duration, bool) {
-	neg := len(b) > 0 && b[0] == '-'
-	if neg {
-		b = b[1:]
-	}
-	if len(b) == 0 {
-		return 0, false
-	}
-	var d uint64
-	for len(b) > 0 {
-		v, n := leadingDigits(b)
-		if n == 0 || n > 18 {
-			return 0, false
-		}
-		b = b[n:]
-		var f uint64
-		digits := 0
-		if len(b) > 0 && b[0] == '.' {
-			f, digits = leadingDigits(b[1:])
-			if digits == 0 {
-				return 0, false
-			}
-			b = b[1+digits:]
-		}
-		end := 0
-		for end < len(b) && b[end] != '.' && (b[end] < '0' || b[end] > '9') {
-			end++
-		}
-		unit, maxDigits := durationUnit(b[:end])
-		if unit == 0 || digits > maxDigits || v > 1<<63/unit {
-			return 0, false
-		}
-		b = b[end:]
-		v = v*unit + f*(unit/pow10[digits])
-		if v > 1<<63 || d > 1<<63-v {
-			return 0, false
-		}
-		d += v
-	}
-	if neg {
-		return -time.Duration(d), true
-	}
-	if d > 1<<63-1 {
-		return 0, false
-	}
-	return time.Duration(d), true
-}
-
-var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11}
-
-// leadingDigits decodes the run of decimal digits at the start of b and
-// returns it with its length; past 19 digits the value is meaningless.
-func leadingDigits(b []byte) (v uint64, n int) {
-	for ; n < len(b) && '0' <= b[n] && b[n] <= '9'; n++ {
-		v = v*10 + uint64(b[n]-'0')
-	}
-	return v, n
 }

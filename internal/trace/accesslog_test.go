@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -185,39 +184,6 @@ func TestAccessLogSameDayEqualTimesAllowed(t *testing.T) {
 	}
 	if _, err := ParseAccessLog(&buf); err != nil {
 		t.Fatalf("ParseAccessLog rejected equal timestamps: %v", err)
-	}
-}
-
-// TestParseDurationMatchesTime checks the byte-level duration decoder
-// against time.ParseDuration: every Duration.String output must take the
-// fast path with the same value, and any input must give the same value or
-// the same error text.
-func TestParseDurationMatchesTime(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		d := time.Duration(rng.Int63() >> uint(rng.Intn(63)))
-		if rng.Intn(2) == 0 {
-			d = -d
-		}
-		for _, d := range []time.Duration{d, d.Round(time.Millisecond), d.Round(time.Second)} {
-			got, ok := decodeDuration([]byte(d.String()))
-			if !ok || got != d {
-				t.Fatalf("decodeDuration(%q) = %v, %v; want %v, true", d.String(), got, ok, d)
-			}
-		}
-	}
-	for _, in := range []string{
-		"", "0", "-0", "+0", "0s", "-0s", "+1s", "-", "1", "s", ".s", ".5s", "1.s", "1.5h", "-1.5h",
-		"2h45m", "1s1h", "1h1h", "1us", "1μs", "1µs", "1.2345ns", "1.0000000001s", "1.00000000001m",
-		"9223372036854775807ns", "9223372036854775808ns", "-9223372036854775808ns",
-		"-9223372036854775809ns", "2562047h47m16.854775807s", "2562047h47m16.854775808s",
-		"-2562047h47m16.854775808s", "2562048h", "99999999999999999999ns", "1x", "1 s", "1s ",
-	} {
-		want, wantErr := time.ParseDuration(in)
-		got, err := parseDuration([]byte(in))
-		if got != want || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Errorf("parseDuration(%q) = %v, %v; time.ParseDuration = %v, %v", in, got, err, want, wantErr)
-		}
 	}
 }
 
