@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke profile experiments fuzz audit-smoke cover shard-equiv plan-smoke import-smoke fmt
+.PHONY: check build vet test race bench bench-smoke profile experiments fuzz cover shard-equiv plan-smoke import-smoke fmt
 
 check: fmt build vet race
 
@@ -58,11 +58,6 @@ profile:
 # Fast full regeneration pass; see EXPERIMENTS.md for the paper-scale run.
 experiments:
 	$(GO) run ./cmd/experiments -scale small -metrics
-
-# Audited interrupt/resume smoke: short sweep under the invariant auditor,
-# SIGTERM mid-run, resume from the checkpoint, require byte-identical stdout.
-audit-smoke:
-	./scripts/audit_smoke.sh
 
 # Scenario-plan canary matrix: the curated plans/ catalog must pass with
 # byte-identical output across -parallel and across SIGTERM + resume (the

@@ -24,12 +24,14 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -56,30 +58,33 @@ func main() {
 
 func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("cdnsim", flag.ContinueOnError)
+	// sc collects the scenario flags. A flag left unset leaves its field
+	// zero, and the run keeps the scenario default.
+	var sc plan.Scenario
+	fs.IntVar(&sc.Servers, "servers", 0, fmt.Sprintf("content servers (default %d)", core.DefaultServers))
+	fs.IntVar(&sc.UsersPerServer, "users", 0, fmt.Sprintf("end-users per server (default %d)", core.DefaultUsersPerServer))
+	fs.DurationVar((*time.Duration)(&sc.ServerTTL), "serverttl", 0, fmt.Sprintf("content-server TTL (default %v)", cdn.DefaultServerTTL))
+	fs.DurationVar((*time.Duration)(&sc.UserTTL), "userttl", 0, fmt.Sprintf("end-user visit period (default %v)", cdn.DefaultUserTTL))
+	fs.Float64Var(&sc.UpdateSizeKB, "updatekb", 0, fmt.Sprintf("update payload size in KB (default %v)", cdn.DefaultUpdateSizeKB))
+	fs.IntVar(&sc.Clusters, "clusters", 0, fmt.Sprintf("hybrid cluster count (default %d)", cdn.DefaultClusters))
+	fs.BoolVar(&sc.UserSwitch, "switch", false, "users switch servers every visit (Figure 24 scenario)")
+	fs.StringVar(&sc.UserModel, "usermodel", cdn.UserModelExplicit, "end-user model: explicit (one actor per user) or cohort (weighted per-server cohorts; scales to millions of users)")
+	fs.IntVar(&sc.Shards, "shards", 0, "sharded multi-core engine worker count (0 = serial engine; results are identical for any value >= 1)")
+	fs.IntVar(&sc.ShardCells, "shardcells", 0, "sharded partition cell count (0 = default 8); the cell count, not the worker count, shapes sharded results")
+	fs.BoolVar(&sc.Failover, "failover", false, "enable failure-aware failover reactions")
+	fs.BoolVar(&sc.Audit, "audit", false, "run under the runtime invariant auditor (fails fast on a violated conservation property; metrics are unchanged; composes with -shards)")
+	fs.DurationVar((*time.Duration)(&sc.AuditCadence), "audit-cadence", 0, "auditor sweep cadence in simulated time (0 = auditor default; requires -audit)")
+	fs.StringVar(&sc.AuditSelfTest, "audit-self-test", "", "inject a named deliberate corruption mid-run to prove the auditor tripwire fires; the run must fail (requires -audit; names: "+strings.Join(cdn.AuditSelfTestNames(), ", ")+")")
 	var (
 		system    = fs.String("system", "", "named system: Push, Invalidation, TTL, Self, Hybrid, HAT")
 		method    = fs.String("method", "TTL", "update method: TTL, Push, Invalidation, Self, AdaptiveTTL, Lease, Regime")
 		infra     = fs.String("infra", "Unicast", "infrastructure: Unicast, Multicast, Hybrid, Broadcast")
-		servers   = fs.Int("servers", 170, "content servers")
-		users     = fs.Int("users", 5, "end-users per server")
-		serverTTL = fs.Duration("serverttl", 60*time.Second, "content-server TTL")
-		userTTL   = fs.Duration("userttl", 10*time.Second, "end-user visit period")
-		updateKB  = fs.Float64("updatekb", 1, "update payload size (KB)")
-		clusters  = fs.Int("clusters", 20, "hybrid cluster count")
 		seed      = fs.Int64("seed", 1, "deterministic seed")
-		switching = fs.Bool("switch", false, "users switch servers every visit (Figure 24 scenario)")
-		usermodel = fs.String("usermodel", "explicit", "end-user model: explicit (one actor per user) or cohort (weighted per-server cohorts; scales to millions of users)")
 		popFile   = fs.String("population", "", "@file.json population spec (see workload.Population); default for -usermodel cohort: a heavy-tailed draw of servers*users total users")
-		cohorts   = fs.Int("cohorts", 8, "cohorts per server for the generated population")
-		shards    = fs.Int("shards", 0, "sharded multi-core engine worker count (0 = serial engine; results are identical for any value >= 1)")
-		cells     = fs.Int("shardcells", 0, "sharded partition cell count (0 = default 8); the cell count, not the worker count, shapes sharded results")
+		cohorts   = fs.Int("cohorts", 0, "cohorts per server for the heavy-tailed draw (0 = default 8); setting it makes the run draw that population under either user model")
 		faults    = fs.String("faults", "", "fault scenario: a built-in name ("+strings.Join(fault.ScenarioNames(), ", ")+") or @file.json")
 		fed       = fs.String("federation", "", "multi-CDN federation: a provider count (default real-city sites) or @file.json spec; serial-only")
-		failover  = fs.Bool("failover", false, "enable failure-aware failover reactions")
-		audit     = fs.Bool("audit", false, "run under the runtime invariant auditor (fails fast on a violated conservation property; metrics are unchanged; composes with -shards)")
-		auditCad  = fs.Duration("audit-cadence", 0, "auditor sweep cadence in simulated time (0 = auditor default)")
-		auditSelf = fs.String("audit-self-test", "", "inject a named deliberate corruption mid-run to prove the auditor tripwire fires; the run must fail (requires -audit; names: "+strings.Join(cdn.AuditSelfTestNames(), ", ")+")")
-		planFile  = fs.String("plan", "", "run one scenario plan file (JSON) serially, printing every check and metric per cell; other simulation flags are ignored")
+		planFile  = fs.String("plan", "", "run one scenario plan file (JSON) serially, printing every check and metric per cell; the plan carries its own systems, seeds and scenario, so simulation flags are rejected")
 		importArg = fs.String("import", "", "replay an imported deployment: a crawl trace (JSONL or #cdnlog access log, inferred on the fly) or a pre-inferred bundle JSON; supplies the topology, TTLs, workload, population, and fault windows, so the flags those replace are rejected")
 		timeout   = fs.Duration("timeout", 0, "wall-clock deadline for the run (0 = none)")
 		cpuprof   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -89,6 +94,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var set []string // the flags the user set, sorted
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
 	profStop, profErr := profiling.Start(profiling.Config{CPUProfile: *cpuprof, MemProfile: *memprof, Trace: *traceOut})
 	if profErr != nil {
 		return profErr
@@ -98,8 +105,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 			retErr = perr
 		}
 	}()
-	if *timeout < 0 || *auditCad < 0 {
-		return fmt.Errorf("-timeout and -audit-cadence must be >= 0")
+	if *timeout < 0 {
+		return fmt.Errorf("-timeout must be >= 0")
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -107,10 +114,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 		defer cancel()
 	}
 	if *planFile != "" {
-		if *importArg != "" {
-			return fmt.Errorf("-plan and -import are mutually exclusive (a plan names its import inside the file)")
+		var bad []string
+		for _, name := range set {
+			switch name {
+			case "plan", "timeout", "cpuprofile", "memprofile", "trace":
+			default:
+				bad = append(bad, "-"+name)
+			}
+		}
+		if len(bad) > 0 {
+			return fmt.Errorf("-plan carries its own systems, seeds and scenario; drop %s", strings.Join(bad, ", "))
 		}
 		return runPlan(ctx, *planFile, stdout)
+	}
+	// The scenario reads a zero count as "use the default", so an explicit
+	// -servers 0 or -users 0 would silently run the default topology.
+	if slices.Contains(set, "servers") && sc.Servers == 0 || slices.Contains(set, "users") && sc.UsersPerServer == 0 {
+		return fmt.Errorf("-servers and -users must be > 0")
 	}
 
 	name := *system
@@ -122,87 +142,73 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 		return err
 	}
 
-	var opts []core.Option
+	format := ""
 	if *importArg != "" {
-		if err := rejectImportConflicts(fs); err != nil {
-			return err
-		}
-		b, format, err := traceimport.LoadAny(*importArg)
+		b, f, err := traceimport.LoadAny(*importArg)
 		if err != nil {
 			return err
 		}
+		sc.Import, format = *importArg, f
+		sc.SetImportBundle(b)
+	}
+	if *popFile != "" {
+		path, ok := strings.CutPrefix(*popFile, "@")
+		if !ok {
+			return fmt.Errorf("-population wants @file.json, got %q", *popFile)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if sc.Population, err = workload.ParsePopulation(data); err != nil {
+			return err
+		}
+	}
+	// The cohort model without a -population or an import draws a
+	// heavy-tailed population of servers*users; -cohorts asks for that draw
+	// under either model.
+	if sc.UserModel == cdn.UserModelCohort && sc.Population == nil && sc.Import == "" || slices.Contains(set, "cohorts") {
+		sc.PopulationGen = &plan.PopulationGen{
+			TotalUsers:       cmp.Or(sc.Servers, core.DefaultServers) * cmp.Or(sc.UsersPerServer, core.DefaultUsersPerServer),
+			Alpha:            1.2,
+			CohortsPerServer: *cohorts,
+			Period:           sc.UserTTL,
+		}
+	}
+	if path, ok := strings.CutPrefix(*faults, "@"); ok {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		spec, err := fault.ParseSpec(data)
+		if err != nil {
+			return err
+		}
+		sc.Faults = &spec
+	} else {
+		sc.FaultScenario = *faults
+	}
+	if *fed != "" {
+		spec, err := federation.ParseArg(*fed)
+		if err != nil {
+			return err
+		}
+		sc.Federation = &spec
+	}
+
+	if err := sc.Validate(sys); err != nil {
+		return err
+	}
+	if b := sc.ImportBundle(); b != nil {
 		s := b.Summary
 		fmt.Fprintf(stdout, "import\t%s format=%s servers=%d sites=%d users=%d server_ttl=%v updates_per_day=%.0f fault_windows=%d\n",
-			*importArg, format, s.Servers, s.Sites, s.Users, s.ServerTTL.D(), s.UpdatesPerDay, len(b.CrashWindows()))
-		bopts, err := b.Options()
-		if err != nil {
-			return err
-		}
-		// Seed first: the bundle's game schedule is drawn from the seed
-		// in effect when its option applies.
-		opts = append(opts, core.WithClusters(*clusters), core.WithSeed(*seed))
-		opts = append(opts, bopts...)
-		if *usermodel != "" {
-			opts = append(opts, core.WithUserModel(*usermodel))
-		}
-	} else {
-		opts = []core.Option{
-			core.WithServers(*servers),
-			core.WithUsersPerServer(*users),
-			core.WithServerTTL(*serverTTL),
-			core.WithUserTTL(*userTTL),
-			core.WithUpdateSizeKB(*updateKB),
-			core.WithClusters(*clusters),
-			core.WithSeed(*seed),
-		}
-		if *switching {
-			opts = append(opts, core.WithUserSwitching())
-		}
-		pop, err := resolvePopulation(*usermodel, *popFile, *servers, *users, *cohorts, *userTTL, *seed)
-		if err != nil {
-			return err
-		}
-		if pop != nil {
-			opts = append(opts, core.WithPopulation(pop))
-		}
-		if *usermodel != "" {
-			opts = append(opts, core.WithUserModel(*usermodel))
-		}
-		if *faults != "" {
-			spec, err := resolveFaults(*faults)
-			if err != nil {
-				return err
-			}
-			opts = append(opts, core.WithFaults(spec))
-		}
-		if *fed != "" {
-			spec, err := federation.ParseArg(*fed)
-			if err != nil {
-				return err
-			}
-			opts = append(opts, core.WithFederation(spec))
-		}
+			sc.Import, format, s.Servers, s.Sites, s.Users, s.ServerTTL.D(), s.UpdatesPerDay, len(b.CrashWindows()))
 	}
-	if *failover {
-		opts = append(opts, core.WithFailover())
+	opts, err := sc.Options(*seed)
+	if err != nil {
+		return err
 	}
-	if *shards > 0 {
-		opts = append(opts, core.WithShards(*shards))
-	}
-	if *cells > 0 {
-		opts = append(opts, core.WithShardCells(*cells))
-	}
-	if *auditSelf != "" && !*audit {
-		return fmt.Errorf("-audit-self-test requires -audit")
-	}
-	if *audit {
-		opts = append(opts, core.WithAudit(*auditCad))
-		if *auditSelf != "" {
-			opts = append(opts, core.WithAuditSelfTest(*auditSelf))
-		}
-	}
-	opts = append(opts, core.WithContext(ctx))
-	res, err := core.Run(sys, opts...)
+	res, err := core.Run(sys, append(opts, core.WithContext(ctx))...)
 	if err != nil {
 		return err
 	}
@@ -250,69 +256,6 @@ func runPlan(ctx context.Context, path string, stdout io.Writer) error {
 		return fmt.Errorf("%d of %d plan cells failed", failed, total)
 	}
 	return nil
-}
-
-// rejectImportConflicts fails up front when -import is combined with a flag
-// the imported bundle already supplies. Only flags the user actually set
-// are conflicts; defaults pass through untouched.
-func rejectImportConflicts(fs *flag.FlagSet) error {
-	conflicts := map[string]bool{
-		"servers": true, "users": true, "serverttl": true, "userttl": true,
-		"updatekb": true, "population": true, "cohorts": true, "switch": true,
-		"faults": true, "federation": true, "shards": true, "shardcells": true,
-	}
-	var bad []string
-	fs.Visit(func(f *flag.Flag) {
-		if conflicts[f.Name] {
-			bad = append(bad, "-"+f.Name)
-		}
-	})
-	if len(bad) > 0 {
-		return fmt.Errorf("-import supplies the deployment; drop the conflicting flags: %s", strings.Join(bad, ", "))
-	}
-	return nil
-}
-
-// resolvePopulation maps the -population/-usermodel flags to a population
-// spec: "@path" loads a JSON spec file; an empty -population under the
-// cohort model draws a heavy-tailed population matching -servers and -users
-// in total.
-func resolvePopulation(usermodel, popFile string, servers, users, cohorts int, userTTL time.Duration, seed int64) (*workload.Population, error) {
-	if popFile != "" {
-		path, ok := strings.CutPrefix(popFile, "@")
-		if !ok {
-			return nil, fmt.Errorf("-population wants @file.json, got %q", popFile)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return workload.ParsePopulation(data)
-	}
-	if usermodel != cdn.UserModelCohort {
-		return nil, nil
-	}
-	return workload.GeneratePopulation(workload.PopulationConfig{
-		Servers:          servers,
-		TotalUsers:       servers * users,
-		Alpha:            1.2,
-		CohortsPerServer: cohorts,
-		Period:           userTTL,
-		Seed:             seed,
-	})
-}
-
-// resolveFaults maps the -faults flag to a spec: "@path" loads a JSON
-// scenario file, anything else is a built-in scenario name.
-func resolveFaults(arg string) (fault.Spec, error) {
-	if path, ok := strings.CutPrefix(arg, "@"); ok {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fault.Spec{}, err
-		}
-		return fault.ParseSpec(data)
-	}
-	return fault.Scenario(arg)
 }
 
 func printResult(w io.Writer, sys core.System, res *cdn.Result) {

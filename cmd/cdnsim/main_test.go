@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cdnconsistency/internal/plan"
 	"cdnconsistency/internal/topology"
 	"cdnconsistency/internal/trace"
 	"cdnconsistency/internal/tracegen"
@@ -69,8 +70,11 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-method", "NotAMethod"},
 		{"-infra", "NotAnInfra"},
 		{"-servers", "0"},
+		{"-users", "0"},
 		{"-badflag"},
 		{"-timeout", "-1s"},
+		{"-audit-cadence", "-1s"},
+		{"-audit", "-audit-cadence", "-1s"},
 		{"-federation", "0"},
 		{"-federation", "x"},
 		{"-federation", "@no-such-file.json"},
@@ -294,6 +298,92 @@ func TestRunImportRejectsConflicts(t *testing.T) {
 	for _, args := range cases {
 		if _, err := runCLI(t, args); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// A plan carries its own systems, seeds and scenario, so every simulation
+// flag set alongside -plan is rejected in one error rather than ignored.
+func TestRunPlanRejectsScenarioFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.json")
+	if err := os.WriteFile(path, []byte(`{"name": "p", "systems": ["TTL"],
+	  "assert": [{"metric": "users", "op": ">=", "value": 0}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{
+		{"-servers", "10"},
+		{"-seed", "2"},
+		{"-system", "HAT"},
+		{"-audit", "-shards", "2"},
+	} {
+		_, err := runCLI(t, append([]string{"-plan", path}, extra...))
+		if err == nil || !strings.Contains(err.Error(), "drop -") {
+			t.Errorf("-plan with %v: err = %v, want a scenario-flag rejection", extra, err)
+		}
+	}
+	_, err := runCLI(t, []string{"-plan", path, "-audit", "-servers", "10"})
+	if err == nil || !strings.Contains(err.Error(), "drop -audit, -servers") {
+		t.Errorf("-plan with two scenario flags: err = %v, want both named in one error", err)
+	}
+}
+
+// TestImportExclusionTable walks the one import-exclusion table and requires
+// both a plan and cdnsim to reject every entry alongside an import.
+func TestImportExclusionTable(t *testing.T) {
+	dir := t.TempDir()
+	popPath := filepath.Join(dir, "pop.json")
+	faultsPath := filepath.Join(dir, "faults.json")
+	for path, data := range map[string]string{
+		popPath:    `{"servers": [[{"count": 1}]]}`,
+		faultsPath: `{"crashes": [{"server": 0, "at": "10s"}]}`,
+	} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each entry: a plan snippet setting the field, and the cdnsim flags
+	// that fill it (nil where cdnsim has no flag for the field).
+	setBy := map[string]struct {
+		json string
+		args []string
+	}{
+		"servers":          {`"servers": 10`, []string{"-servers", "10"}},
+		"users_per_server": {`"users_per_server": 3`, []string{"-users", "3"}},
+		"server_ttl":       {`"server_ttl": "30s"`, []string{"-serverttl", "30s"}},
+		"user_ttl":         {`"user_ttl": "5s"`, []string{"-userttl", "5s"}},
+		"update_size_kb":   {`"update_size_kb": 2`, []string{"-updatekb", "2"}},
+		"game":             {`"game": {"phases": [{"duration": "1m"}]}`, nil},
+		"user_switch":      {`"user_switch": true`, []string{"-switch"}},
+		"population":       {`"population": {"servers": [[{"count": 1}]]}`, []string{"-population", "@" + popPath}},
+		"population_gen":   {`"population_gen": {"total_users": 5}`, []string{"-cohorts", "4"}},
+		"federation":       {`"federation": {"providers": [{"name": "a"}]}`, []string{"-federation", "3"}},
+		"fault_scenario":   {`"fault_scenario": "churn"`, []string{"-faults", "churn"}},
+		"faults":           {`"faults": {"crashes": [{"server": 0, "at": "10s"}]}`, []string{"-faults", "@" + faultsPath}},
+		"shards":           {`"shards": 2`, []string{"-shards", "2"}},
+		"shard_cells":      {`"shard_cells": 4`, []string{"-shardcells", "4"}},
+	}
+	trace := writeImportTrace(t)
+	fields := plan.ImportExclusions()
+	if len(fields) != len(setBy) {
+		t.Errorf("exclusion table has %d entries, this test covers %d", len(fields), len(setBy))
+	}
+	for _, field := range fields {
+		c, ok := setBy[field]
+		if !ok {
+			t.Errorf("exclusion %q has no test case", field)
+			continue
+		}
+		_, err := plan.ParsePlan([]byte(`{"name": "x", "systems": ["TTL"], "import": "b.json", ` + c.json +
+			`, "assert": [{"metric": "users", "op": ">=", "value": 0}]}`))
+		if err == nil || !strings.Contains(err.Error(), "import and "+field+" are mutually exclusive") {
+			t.Errorf("plan with import and %s: err = %v, want the exclusion", field, err)
+		}
+		if c.args == nil {
+			continue
+		}
+		_, err = runCLI(t, append([]string{"-system", "TTL", "-import", trace}, c.args...))
+		if err == nil || !strings.Contains(err.Error(), "import and "+field+" are mutually exclusive") {
+			t.Errorf("cdnsim -import with %v: err = %v, want the %s exclusion", c.args, err, field)
 		}
 	}
 }

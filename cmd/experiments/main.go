@@ -46,7 +46,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -145,7 +144,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return fmt.Errorf("-timeout, -stuck and -audit-cadence must be >= 0")
 	}
 
-	errw := &syncWriter{w: stderr}
+	sw := sweep{
+		ckDir:     *ckDirFlag,
+		resumeDir: *resumeDir,
+		parallel:  *parallel,
+		timeout:   *timeout,
+		stuck:     *stuck,
+		metrics:   *metrics,
+		errw:      &syncWriter{w: stderr},
+	}
 
 	// Plan mode: -plan/-plan-catalog replaces the figure sweep with a scenario
 	// matrix; figure-shaping flags are rejected rather than silently ignored.
@@ -164,17 +171,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 			sort.Strings(bad)
 			return fmt.Errorf("%s: figure-sweep flags cannot be combined with -plan/-plan-catalog", strings.Join(bad, ", "))
 		}
-		return runPlans(ctx, planRunConfig{
-			file:      *planFile,
-			dir:       *planDir,
-			junit:     *junitOut,
-			parallel:  *parallel,
-			metrics:   *metrics,
-			ckDir:     *ckDirFlag,
-			resumeDir: *resumeDir,
-			timeout:   *timeout,
-			stuck:     *stuck,
-		}, stdout, errw)
+		return runPlans(ctx, *planFile, *planDir, *junitOut, sw, stdout)
 	}
 	if *junitOut != "" {
 		return fmt.Errorf("-junit requires -plan or -plan-catalog")
@@ -228,47 +225,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		var err error
 		if importBundle, _, err = traceimport.LoadAny(*importArg); err != nil {
 			return err
-		}
-	}
-
-	// Open the checkpoint journal, if any. -resume implies journaling to the
-	// same directory; a fresh -checkpoint refuses a directory that already
-	// holds progress so recorded outputs are never silently replayed without
-	// the operator asking for it.
-	ckDir := *ckDirFlag
-	resume := false
-	if *resumeDir != "" {
-		if ckDir != "" && ckDir != *resumeDir {
-			return fmt.Errorf("-checkpoint (%s) and -resume (%s) name different directories", ckDir, *resumeDir)
-		}
-		ckDir = *resumeDir
-		resume = true
-	}
-	var journal *checkpoint.Journal
-	if ckDir != "" {
-		// The fingerprint covers everything that shapes a figure's bytes.
-		// -only is deliberately excluded: records are keyed per figure, so an
-		// interrupted sweep may be resumed with a different subset.
-		meta := checkpoint.Meta{Tool: "experiments", Fingerprint: map[string]string{
-			"scale":         *scaleName,
-			"format":        *format,
-			"faults":        *faults,
-			"audit":         strconv.FormatBool(*audit),
-			"audit-cadence": auditCad.String(),
-			"federation":    *fedFlag,
-			"import":        *importArg,
-			// Serial and sharded runs are different simulations (ext-scale's
-			// tables differ); the worker count is not, so it stays out.
-			"sharded": strconv.FormatBool(*shards > 0),
-		}}
-		var err error
-		journal, err = checkpoint.Open(ckDir, meta)
-		if err != nil {
-			return err
-		}
-		if !resume && journal.Len() > 0 {
-			return fmt.Errorf("checkpoint directory %s already records %d finished figures; use -resume %s to continue it",
-				ckDir, journal.Len(), ckDir)
 		}
 	}
 
@@ -414,83 +370,38 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return t.String()
 	}
 
-	restored := make([]bool, len(selected))
-	pjobs := make([]runner.Job[string], len(selected))
+	sjobs := make([]sweepJob, len(selected))
 	for i, j := range selected {
-		i, j := i, j
-		pjobs[i] = runner.Job[string]{
-			ID: j.id,
-			Run: func(m *runner.Metrics) (string, error) {
-				if journal != nil {
-					if rec, ok := journal.Done(j.id); ok {
-						restored[i] = true
-						return rec.Output, nil
-					}
-				}
-				jobCtx := ctx
-				if *timeout > 0 {
-					var cancel context.CancelFunc
-					jobCtx, cancel = context.WithTimeout(ctx, *timeout)
-					defer cancel()
-				}
-				tab, err := j.run(jobCtx, m)
-				if err != nil {
-					return "", err
-				}
-				m.AddEvents(tab.SimEvents)
-				return render(tab), nil
-			},
-		}
-	}
-
-	opts := runner.Options{
-		Workers:    *parallel,
-		FailFast:   true,
-		Context:    ctx,
-		StuckAfter: *stuck,
-		OnStuck: func(id string, elapsed time.Duration, probe string, stacks []byte) {
-			if probe == "" {
-				probe = "none"
+		j := j
+		sjobs[i] = sweepJob{id: j.id, run: func(ctx context.Context, m *runner.Metrics) (string, error) {
+			tab, err := j.run(ctx, m)
+			if err != nil {
+				return "", err
 			}
-			fmt.Fprintf(errw, "experiments: %s still running after %v (last probe: %s); goroutine dump:\n%s\n",
-				id, elapsed.Round(time.Second), probe, stacks)
-		},
+			m.AddEvents(tab.SimEvents)
+			return render(tab), nil
+		}}
 	}
-	var summary []runner.Result[string]
-	err := runner.ForEachOrdered(pjobs, opts,
-		func(i int, r runner.Result[string]) error {
-			if r.Err != nil {
-				return fmt.Errorf("%s: %w", r.ID, r.Err)
-			}
-			fmt.Fprintln(stdout, r.Value)
-			if restored[i] {
-				fmt.Fprintf(errw, "experiments: %s restored from checkpoint\n", r.ID)
-			} else {
-				if journal != nil {
-					if err := journal.Record(checkpoint.Record{
-						ID:      r.ID,
-						Output:  r.Value,
-						WallMS:  r.Metrics.Wall.Milliseconds(),
-						AllocMB: float64(r.Metrics.AllocBytes) / (1 << 20),
-					}); err != nil {
-						return err
-					}
-				}
-				fmt.Fprintf(errw, "experiments: %s done in %v\n", r.ID, r.Metrics.Wall.Round(time.Millisecond))
-			}
-			summary = append(summary, r)
-			return nil
-		})
-	if err != nil {
-		if journal != nil && (errors.Is(err, context.Canceled) || errors.Is(err, runner.ErrCanceled)) {
-			return fmt.Errorf("%w\n%d finished figures are checkpointed; rerun with -resume %s to continue", err, journal.Len(), ckDir)
-		}
-		return err
-	}
-	if *metrics {
-		printMetrics(errw, summary, *parallel)
-	}
-	return nil
+	// The fingerprint covers everything that shapes a figure's bytes. -only
+	// is deliberately excluded: records are keyed per figure, so an
+	// interrupted sweep may be resumed with a different subset.
+	sw.noun = "figures"
+	sw.meta = checkpoint.Meta{Tool: "experiments", Fingerprint: map[string]string{
+		"scale":         *scaleName,
+		"format":        *format,
+		"faults":        *faults,
+		"audit":         strconv.FormatBool(*audit),
+		"audit-cadence": auditCad.String(),
+		"federation":    *fedFlag,
+		"import":        *importArg,
+		// Serial and sharded runs are different simulations (ext-scale's
+		// tables differ); the worker count is not, so it stays out.
+		"sharded": strconv.FormatBool(*shards > 0),
+	}}
+	return sw.run(ctx, sjobs, func(_, out string) error {
+		fmt.Fprintln(stdout, out)
+		return nil
+	})
 }
 
 // printMetrics writes the per-job summary table. It goes to stderr so that

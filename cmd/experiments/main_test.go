@@ -184,13 +184,14 @@ func (c *interruptOnFirstWrite) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
-// Interrupt-then-resume, end to end: a real SIGTERM mid-sweep (delivered
-// through the same signal.NotifyContext wiring main uses) leaves a journal
-// of the finished figures and a resume hint; resuming yields stdout
-// byte-identical to an uninterrupted sweep.
+// Interrupt-then-resume, end to end and under the invariant auditor: a real
+// SIGTERM mid-sweep (delivered through the same signal.NotifyContext wiring
+// main uses) leaves a journal of the finished figures and a resume hint;
+// resuming yields stdout byte-identical to an uninterrupted audited sweep.
+// Any invariant violation along the way fails the run.
 func TestRunInterruptedThenResumed(t *testing.T) {
 	const figs = "fig16,fig17,fig22,ext-regime"
-	full, _, err := runCLI(t, "-scale", "small", "-parallel", "1", "-only", figs)
+	full, _, err := runCLI(t, "-scale", "small", "-parallel", "1", "-audit", "-only", figs)
 	if err != nil {
 		t.Fatalf("uninterrupted: %v", err)
 	}
@@ -204,7 +205,7 @@ func TestRunInterruptedThenResumed(t *testing.T) {
 			t.Errorf("raise SIGTERM: %v", err)
 		}
 	}
-	err = run(ctx, []string{"-scale", "small", "-parallel", "1", "-only", figs, "-checkpoint", dir},
+	err = run(ctx, []string{"-scale", "small", "-parallel", "1", "-audit", "-only", figs, "-checkpoint", dir},
 		&interruptOnFirstWrite{w: &partial, interrupt: sigterm}, io.Discard)
 	if err == nil {
 		t.Fatal("cancellation mid-sweep did not abort the run")
@@ -216,7 +217,7 @@ func TestRunInterruptedThenResumed(t *testing.T) {
 		t.Errorf("interrupted stdout is not a prefix of the uninterrupted sweep:\n--- interrupted ---\n%s", partial.String())
 	}
 
-	resumed, _, err := runCLI(t, "-scale", "small", "-parallel", "1", "-only", figs, "-resume", dir)
+	resumed, _, err := runCLI(t, "-scale", "small", "-parallel", "1", "-audit", "-only", figs, "-resume", dir)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

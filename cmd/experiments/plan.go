@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -16,79 +15,39 @@ import (
 	"cdnconsistency/internal/runner"
 )
 
-// planRunConfig is the plan-mode slice of the experiments flag surface.
-type planRunConfig struct {
-	file      string // -plan: one plan file
-	dir       string // -plan-catalog: a directory of plans
-	junit     string // -junit: junit-style XML report path
-	parallel  int
-	metrics   bool
-	ckDir     string
-	resumeDir string
-	timeout   time.Duration
-	stuck     time.Duration
-}
-
 // runPlans executes a plan file or catalog as a cell matrix through the same
-// ordered worker pool as the figure sweep. Stdout carries one PASS/FAIL block
-// per cell plus a one-line summary, byte-identical at any -parallel value and
+// sweep runner as the figure sweep. Stdout carries one PASS/FAIL block per
+// cell plus a one-line summary, byte-identical at any -parallel value and
 // across checkpoint resume; assertion failures complete the matrix and fail
 // the exit code, while execution aborts (cancellation, -timeout) stop it.
-func runPlans(ctx context.Context, cfg planRunConfig, stdout io.Writer, errw *syncWriter) error {
+func runPlans(ctx context.Context, file, dir, junit string, sw sweep, stdout io.Writer) error {
 	var (
 		plans []*plan.Plan
 		err   error
 	)
-	if cfg.file != "" {
-		p, err := plan.LoadFile(cfg.file)
+	if file != "" {
+		p, err := plan.LoadFile(file)
 		if err != nil {
 			return err
 		}
 		plans = []*plan.Plan{p}
 	} else {
-		plans, err = plan.LoadDir(cfg.dir)
+		plans, err = plan.LoadDir(dir)
 		if err != nil {
 			return err
 		}
 	}
-	var cells []plan.Cell
+	var jobs []sweepJob
 	for _, p := range plans {
-		cs, err := p.Cells()
+		cells, err := p.Cells()
 		if err != nil {
 			return err
 		}
-		cells = append(cells, cs...)
-	}
-
-	// The journal fingerprint is a digest of every plan's canonical bytes:
-	// resuming after any plan edit is refused rather than replaying stale
-	// results.
-	journal, err := openPlanJournal(cfg, plans)
-	if err != nil {
-		return err
-	}
-
-	restored := make([]bool, len(cells))
-	pjobs := make([]runner.Job[string], len(cells))
-	for i, c := range cells {
-		i, c := i, c
-		pjobs[i] = runner.Job[string]{
-			ID: c.ID(),
-			Run: func(m *runner.Metrics) (string, error) {
-				if journal != nil {
-					if rec, ok := journal.Done(c.ID()); ok {
-						restored[i] = true
-						return rec.Output, nil
-					}
-				}
-				jobCtx := ctx
-				if cfg.timeout > 0 {
-					var cancel context.CancelFunc
-					jobCtx, cancel = context.WithTimeout(ctx, cfg.timeout)
-					defer cancel()
-				}
+		for _, c := range cells {
+			c := c
+			jobs = append(jobs, sweepJob{id: c.ID(), run: func(ctx context.Context, m *runner.Metrics) (string, error) {
 				r, err := plan.RunCell(c, plan.RunOptions{
-					Ctx: jobCtx,
+					Ctx: ctx,
 					Probe: func(now time.Duration, events uint64) {
 						m.SetProbe(fmt.Sprintf("sim-clock %v, %d events", now, events))
 					},
@@ -98,69 +57,42 @@ func runPlans(ctx context.Context, cfg planRunConfig, stdout io.Writer, errw *sy
 					return "", err
 				}
 				m.AddEvents(r.Events)
-				// The journaled payload is the CellResult itself; rendering is
-				// a pure function of it, so resumed cells replay byte-identically
-				// and the junit report can be rebuilt from the journal.
+				// The journaled payload is the CellResult itself; rendering
+				// is a pure function of it, so resumed cells replay
+				// byte-identically and the junit report can be rebuilt
+				// from the journal.
 				b, err := json.Marshal(r)
-				if err != nil {
-					return "", err
-				}
-				return string(b), nil
-			},
+				return string(b), err
+			}})
 		}
 	}
 
-	opts := runner.Options{
-		Workers:    cfg.parallel,
-		FailFast:   true,
-		Context:    ctx,
-		StuckAfter: cfg.stuck,
-		OnStuck: func(id string, elapsed time.Duration, probe string, stacks []byte) {
-			if probe == "" {
-				probe = "none"
-			}
-			fmt.Fprintf(errw, "experiments: %s still running after %v (last probe: %s); goroutine dump:\n%s\n",
-				id, elapsed.Round(time.Second), probe, stacks)
-		},
-	}
-	var (
-		results []*plan.CellResult
-		summary []runner.Result[string]
-	)
-	err = runner.ForEachOrdered(pjobs, opts,
-		func(i int, r runner.Result[string]) error {
-			if r.Err != nil {
-				return fmt.Errorf("%s: %w", r.ID, r.Err)
-			}
-			var cr plan.CellResult
-			if err := json.Unmarshal([]byte(r.Value), &cr); err != nil {
-				return fmt.Errorf("%s: corrupt cell record: %w", r.ID, err)
-			}
-			fmt.Fprint(stdout, cr.Render())
-			if restored[i] {
-				fmt.Fprintf(errw, "experiments: %s restored from checkpoint\n", r.ID)
-			} else {
-				if journal != nil {
-					if err := journal.Record(checkpoint.Record{
-						ID:      r.ID,
-						Output:  r.Value,
-						WallMS:  r.Metrics.Wall.Milliseconds(),
-						AllocMB: float64(r.Metrics.AllocBytes) / (1 << 20),
-					}); err != nil {
-						return err
-					}
-				}
-				fmt.Fprintf(errw, "experiments: %s done in %v\n", r.ID, r.Metrics.Wall.Round(time.Millisecond))
-			}
-			results = append(results, &cr)
-			summary = append(summary, r)
-			return nil
-		})
-	if err != nil {
-		if journal != nil && (errors.Is(err, context.Canceled) || errors.Is(err, runner.ErrCanceled)) {
-			return fmt.Errorf("%w\n%d finished cells are checkpointed; rerun with -resume %s to continue",
-				err, journal.Len(), journal.Dir())
+	// The journal fingerprint is a digest of every plan's canonical bytes:
+	// resuming after any plan edit is refused rather than replaying stale
+	// results.
+	h := sha256.New()
+	for _, p := range plans {
+		b, err := p.Marshal()
+		if err != nil {
+			return err
 		}
+		h.Write(b)
+	}
+	sw.noun = "cells"
+	sw.meta = checkpoint.Meta{Tool: "experiments-plan", Fingerprint: map[string]string{
+		"plans": hex.EncodeToString(h.Sum(nil)),
+	}}
+	var results []*plan.CellResult
+	err = sw.run(ctx, jobs, func(id, out string) error {
+		var cr plan.CellResult
+		if err := json.Unmarshal([]byte(out), &cr); err != nil {
+			return fmt.Errorf("%s: corrupt cell record: %w", id, err)
+		}
+		fmt.Fprint(stdout, cr.Render())
+		results = append(results, &cr)
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 
@@ -174,15 +106,15 @@ func runPlans(ctx context.Context, cfg planRunConfig, stdout io.Writer, errw *sy
 		}
 	}
 
-	if cfg.junit != "" {
+	if junit != "" {
 		data, err := plan.JUnit(results)
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(cfg.junit, data, 0o644); err != nil {
+		if err := os.WriteFile(junit, data, 0o644); err != nil {
 			return fmt.Errorf("writing junit report: %w", err)
 		}
-		fmt.Fprintf(errw, "experiments: junit report written to %s\n", cfg.junit)
+		fmt.Fprintf(sw.errw, "experiments: junit report written to %s\n", junit)
 	}
 	failed := 0
 	for _, r := range results {
@@ -191,48 +123,8 @@ func runPlans(ctx context.Context, cfg planRunConfig, stdout io.Writer, errw *sy
 		}
 	}
 	fmt.Fprintf(stdout, "plans: %d cells, %d passed, %d failed\n", len(results), len(results)-failed, failed)
-	if cfg.metrics {
-		printMetrics(errw, summary, cfg.parallel)
-	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d plan cells failed", failed, len(results))
 	}
 	return nil
-}
-
-// openPlanJournal opens the plan-mode checkpoint journal with the same
-// fresh-vs-resume semantics as the figure sweep.
-func openPlanJournal(cfg planRunConfig, plans []*plan.Plan) (*checkpoint.Journal, error) {
-	ckDir := cfg.ckDir
-	resume := false
-	if cfg.resumeDir != "" {
-		if ckDir != "" && ckDir != cfg.resumeDir {
-			return nil, fmt.Errorf("-checkpoint (%s) and -resume (%s) name different directories", ckDir, cfg.resumeDir)
-		}
-		ckDir = cfg.resumeDir
-		resume = true
-	}
-	if ckDir == "" {
-		return nil, nil
-	}
-	h := sha256.New()
-	for _, p := range plans {
-		b, err := p.Marshal()
-		if err != nil {
-			return nil, err
-		}
-		h.Write(b)
-	}
-	meta := checkpoint.Meta{Tool: "experiments-plan", Fingerprint: map[string]string{
-		"plans": hex.EncodeToString(h.Sum(nil)),
-	}}
-	journal, err := checkpoint.Open(ckDir, meta)
-	if err != nil {
-		return nil, err
-	}
-	if !resume && journal.Len() > 0 {
-		return nil, fmt.Errorf("checkpoint directory %s already records %d finished cells; use -resume %s to continue it",
-			ckDir, journal.Len(), ckDir)
-	}
-	return journal, nil
 }

@@ -193,36 +193,154 @@ type Config struct {
 	Seed int64
 }
 
-func (c Config) withDefaults() (Config, error) {
+// Section 4 defaults for the run parameters a Config leaves zero.
+const (
+	DefaultServerTTL    = 60 * time.Second
+	DefaultUserTTL      = 10 * time.Second
+	DefaultUpdateSizeKB = 1
+	DefaultClusters     = 20
+)
+
+// Validate checks the configuration's field rules — valid method and
+// infrastructure pairings, the user-model, federation and sharding
+// exclusions, the population, federation, fault and audit specs, and
+// non-negative counts — without materializing anything. Run applies it
+// before defaulting, so a configuration that passes Validate fails only on
+// inputs built at run time (topology, schedule, population fit).
+func (c Config) Validate() error {
 	if !c.Method.Valid() {
-		return c, fmt.Errorf("cdn: invalid method %v", c.Method)
+		return fmt.Errorf("cdn: invalid method %v", c.Method)
 	}
 	if !c.Infra.Valid() {
-		return c, fmt.Errorf("cdn: invalid infra %v", c.Infra)
+		return fmt.Errorf("cdn: invalid infra %v", c.Infra)
 	}
-	if c.TreeDegree <= 0 {
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"servers", c.Topology.Servers}, {"users per server", c.Topology.UsersPerServer},
+		{"clusters", c.Clusters}, {"tree degree", c.TreeDegree},
+		{"supernode degree", c.SupernodeDegree},
+		{"shards", c.Shards}, {"shard cells", c.ShardCells},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("cdn: negative %s %d", f.name, f.n)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"server TTL", c.ServerTTL}, {"user TTL", c.UserTTL}, {"StartDelay", c.StartDelay},
+	} {
+		if f.d < 0 {
+			return fmt.Errorf("cdn: negative %s %v", f.name, f.d)
+		}
+	}
+	if c.UpdateSizeKB < 0 {
+		return fmt.Errorf("cdn: negative update size %v KB", c.UpdateSizeKB)
+	}
+	if c.Method == consistency.MethodLease && c.Infra != consistency.InfraUnicast {
+		return fmt.Errorf("cdn: MethodLease requires InfraUnicast (leaseholders are provider-direct)")
+	}
+	if c.Method == consistency.MethodRegime && c.Infra != consistency.InfraUnicast {
+		return fmt.Errorf("cdn: MethodRegime requires InfraUnicast (regimes register provider-direct)")
+	}
+	if c.Infra == consistency.InfraBroadcast && c.Method != consistency.MethodPush {
+		return fmt.Errorf("cdn: InfraBroadcast supports only MethodPush (flooding-based push)")
+	}
+	if c.UseDNSRouting && c.UserSwitchEveryVisit {
+		return fmt.Errorf("cdn: UseDNSRouting and UserSwitchEveryVisit are mutually exclusive")
+	}
+	switch c.UserModel {
+	case "", UserModelExplicit:
+	case UserModelCohort:
+		if c.Population == nil {
+			return fmt.Errorf("cdn: UserModelCohort requires a Population")
+		}
+		if c.UseDNSRouting || c.UserSwitchEveryVisit {
+			return fmt.Errorf("cdn: UserModelCohort is incompatible with per-visit user routing (UseDNSRouting/UserSwitchEveryVisit)")
+		}
+	default:
+		return fmt.Errorf("cdn: unknown user model %q (want %q or %q)", c.UserModel, UserModelExplicit, UserModelCohort)
+	}
+	if c.Population != nil {
+		if err := c.Population.Validate(); err != nil {
+			return fmt.Errorf("cdn: %w", err)
+		}
+		if c.UseDNSRouting {
+			return fmt.Errorf("cdn: Population pins users to servers; incompatible with UseDNSRouting")
+		}
+	}
+	if c.Faults != nil {
+		if err := c.Faults.Validate(); err != nil {
+			return fmt.Errorf("cdn: %w", err)
+		}
+	}
+	if c.Federation != nil {
+		if err := c.Federation.Validate(); err != nil {
+			return fmt.Errorf("cdn: %w", err)
+		}
+		if c.Shards > 0 {
+			return fmt.Errorf("cdn: sharded runs cannot use Federation (provider selection and degradation are global state; federate a serial run)")
+		}
+		if c.Method == consistency.MethodLease {
+			return fmt.Errorf("cdn: Federation is incompatible with MethodLease (leaseholders are provider-direct)")
+		}
+		if c.Method == consistency.MethodRegime {
+			return fmt.Errorf("cdn: Federation is incompatible with MethodRegime (regimes register provider-direct)")
+		}
+		if c.Infra == consistency.InfraBroadcast {
+			return fmt.Errorf("cdn: Federation is incompatible with InfraBroadcast (flooding has no origin to federate)")
+		}
+	}
+	if c.Shards > 0 {
+		if c.UseDNSRouting {
+			return fmt.Errorf("cdn: sharded runs cannot use UseDNSRouting (the authoritative DNS is global state)")
+		}
+		if c.UserSwitchEveryVisit {
+			return fmt.Errorf("cdn: sharded runs cannot use UserSwitchEveryVisit (visits would cross cells)")
+		}
+		if c.Infra == consistency.InfraMulticast && (c.Failover || c.RepairTree) {
+			return fmt.Errorf("cdn: sharded runs cannot mutate the multicast tree (Failover/RepairTree); the partition is static")
+		}
+	}
+	if c.Audit != nil {
+		if c.Audit.Cadence < 0 {
+			return fmt.Errorf("cdn: negative audit cadence %v", c.Audit.Cadence)
+		}
+		if !ValidAuditSelfTest(c.Audit.SelfTest) {
+			return fmt.Errorf("cdn: unknown audit self-test %q (valid: %s)",
+				c.Audit.SelfTest, strings.Join(AuditSelfTestNames(), ", "))
+		}
+	}
+	return nil
+}
+
+func (c Config) withDefaults() (Config, error) {
+	if err := c.Validate(); err != nil {
+		return c, err
+	}
+	if c.TreeDegree == 0 {
 		c.TreeDegree = 2
 	}
-	if c.SupernodeDegree <= 0 {
+	if c.SupernodeDegree == 0 {
 		c.SupernodeDegree = 4
 	}
-	if c.Clusters <= 0 {
-		c.Clusters = 20
+	if c.Clusters == 0 {
+		c.Clusters = DefaultClusters
 	}
-	if c.ServerTTL <= 0 {
-		c.ServerTTL = 60 * time.Second
+	if c.ServerTTL == 0 {
+		c.ServerTTL = DefaultServerTTL
 	}
-	if c.UserTTL <= 0 {
-		c.UserTTL = 10 * time.Second
+	if c.UserTTL == 0 {
+		c.UserTTL = DefaultUserTTL
 	}
-	if c.UpdateSizeKB <= 0 {
-		c.UpdateSizeKB = 1
+	if c.UpdateSizeKB == 0 {
+		c.UpdateSizeKB = DefaultUpdateSizeKB
 	}
 	if c.LightSizeKB <= 0 {
 		c.LightSizeKB = 1
-	}
-	if c.StartDelay < 0 {
-		return c, fmt.Errorf("cdn: negative StartDelay %v", c.StartDelay)
 	}
 	if c.StartDelay == 0 {
 		c.StartDelay = 60 * time.Second
@@ -239,85 +357,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.LeaseDuration <= 0 {
 		c.LeaseDuration = 60 * time.Second
 	}
-	if c.Method == consistency.MethodLease && c.Infra != consistency.InfraUnicast {
-		return c, fmt.Errorf("cdn: MethodLease requires InfraUnicast (leaseholders are provider-direct)")
-	}
-	if c.Method == consistency.MethodRegime && c.Infra != consistency.InfraUnicast {
-		return c, fmt.Errorf("cdn: MethodRegime requires InfraUnicast (regimes register provider-direct)")
-	}
-	if c.Infra == consistency.InfraBroadcast && c.Method != consistency.MethodPush {
-		return c, fmt.Errorf("cdn: InfraBroadcast supports only MethodPush (flooding-based push)")
-	}
-	if c.UseDNSRouting && c.UserSwitchEveryVisit {
-		return c, fmt.Errorf("cdn: UseDNSRouting and UserSwitchEveryVisit are mutually exclusive")
-	}
-	switch c.UserModel {
-	case "":
+	if c.UserModel == "" {
 		c.UserModel = UserModelExplicit
-	case UserModelExplicit:
-	case UserModelCohort:
-		if c.Population == nil {
-			return c, fmt.Errorf("cdn: UserModelCohort requires a Population")
-		}
-		if c.UseDNSRouting || c.UserSwitchEveryVisit {
-			return c, fmt.Errorf("cdn: UserModelCohort is incompatible with per-visit user routing (UseDNSRouting/UserSwitchEveryVisit)")
-		}
-	default:
-		return c, fmt.Errorf("cdn: unknown user model %q (want %q or %q)", c.UserModel, UserModelExplicit, UserModelCohort)
 	}
-	if c.Population != nil {
-		if err := c.Population.Validate(); err != nil {
-			return c, fmt.Errorf("cdn: %w", err)
-		}
-		if c.UseDNSRouting {
-			return c, fmt.Errorf("cdn: Population pins users to servers; incompatible with UseDNSRouting")
-		}
-	}
-	if c.Federation != nil {
-		if err := c.Federation.Validate(); err != nil {
-			return c, fmt.Errorf("cdn: %w", err)
-		}
-		if c.Shards > 0 {
-			return c, fmt.Errorf("cdn: sharded runs cannot use Federation (provider selection and degradation are global state; federate a serial run)")
-		}
-		if c.Method == consistency.MethodLease {
-			return c, fmt.Errorf("cdn: Federation is incompatible with MethodLease (leaseholders are provider-direct)")
-		}
-		if c.Method == consistency.MethodRegime {
-			return c, fmt.Errorf("cdn: Federation is incompatible with MethodRegime (regimes register provider-direct)")
-		}
-		if c.Infra == consistency.InfraBroadcast {
-			return c, fmt.Errorf("cdn: Federation is incompatible with InfraBroadcast (flooding has no origin to federate)")
-		}
-	}
-	if c.Shards < 0 {
-		return c, fmt.Errorf("cdn: negative Shards %d", c.Shards)
-	}
-	if c.ShardCells < 0 {
-		return c, fmt.Errorf("cdn: negative ShardCells %d", c.ShardCells)
-	}
-	if c.Shards > 0 {
-		if c.ShardCells == 0 {
-			c.ShardCells = 8
-		}
-		if c.UseDNSRouting {
-			return c, fmt.Errorf("cdn: sharded runs cannot use UseDNSRouting (the authoritative DNS is global state)")
-		}
-		if c.UserSwitchEveryVisit {
-			return c, fmt.Errorf("cdn: sharded runs cannot use UserSwitchEveryVisit (visits would cross cells)")
-		}
-		if c.Infra == consistency.InfraMulticast && (c.Failover || c.RepairTree) {
-			return c, fmt.Errorf("cdn: sharded runs cannot mutate the multicast tree (Failover/RepairTree); the partition is static")
-		}
-	}
-	if c.Audit != nil {
-		if c.Audit.Cadence < 0 {
-			return c, fmt.Errorf("cdn: negative audit cadence %v", c.Audit.Cadence)
-		}
-		if !ValidAuditSelfTest(c.Audit.SelfTest) {
-			return c, fmt.Errorf("cdn: unknown audit self-test %q (valid: %s)",
-				c.Audit.SelfTest, strings.Join(AuditSelfTestNames(), ", "))
-		}
+	if c.Shards > 0 && c.ShardCells == 0 {
+		c.ShardCells = 8
 	}
 	if len(c.Updates) == 0 {
 		updates, err := workload.Schedule(workload.DefaultGame(), c.Seed)

@@ -305,24 +305,41 @@ func WithTick(fn func(now time.Duration, events uint64)) Option {
 	return func(c *cdn.Config) { c.OnTick = fn }
 }
 
-// defaultConfig mirrors the paper's Section 4 setup: 170 servers, 5 users
-// each, provider in Atlanta, 1 KB packets, end-users polling every 10 s.
-func defaultConfig(sys System) cdn.Config {
-	return cdn.Config{
+// The paper's Section 4 topology: 170 content servers with 5 end-users
+// each. Runs that set no topology use it.
+const (
+	DefaultServers        = 170
+	DefaultUsersPerServer = 5
+)
+
+// configure mirrors the paper's Section 4 setup — DefaultServers servers,
+// DefaultUsersPerServer users each, provider in Atlanta, 1 KB packets,
+// end-users polling every 10 s — and applies opts over it.
+func configure(sys System, opts []Option) cdn.Config {
+	cfg := cdn.Config{
 		Method:   sys.Method,
 		Infra:    sys.Infra,
-		Topology: topology.Config{Servers: 170, UsersPerServer: 5, Seed: 1},
+		Topology: topology.Config{Servers: DefaultServers, UsersPerServer: DefaultUsersPerServer, Seed: 1},
 		Seed:     1,
 	}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
+}
+
+// Validate checks the configuration sys and opts describe against the cdn
+// rules (cdn.Config.Validate) without running it.
+func Validate(sys System, opts ...Option) error {
+	if err := configure(sys, opts).Validate(); err != nil {
+		return fmt.Errorf("core: %s: %w", sys.Name, err)
+	}
+	return nil
 }
 
 // Run executes one system with the given options.
 func Run(sys System, opts ...Option) (*cdn.Result, error) {
-	cfg := defaultConfig(sys)
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	res, err := cdn.Run(cfg)
+	res, err := cdn.Run(configure(sys, opts))
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", sys.Name, err)
 	}
@@ -344,10 +361,7 @@ type Comparison struct {
 // update schedule so the results are directly comparable.
 func RunAll(opts ...Option) ([]Comparison, error) {
 	// Materialize the shared inputs once.
-	base := defaultConfig(SystemTTL)
-	for _, opt := range opts {
-		opt(&base)
-	}
+	base := configure(SystemTTL, opts)
 	topo := base.Topo
 	if topo == nil {
 		var err error

@@ -130,7 +130,8 @@ func TestPlanImportDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlanImportExclusions checks every field the bundle supplies is
+// TestPlanImportExclusions checks every field the bundle supplies, and the
+// engine and routing settings an imported replay cannot honour, are
 // rejected alongside import, and that an unresolved import fails at run
 // time with a pointed error.
 func TestPlanImportExclusions(t *testing.T) {
@@ -148,6 +149,8 @@ func TestPlanImportExclusions(t *testing.T) {
 		`"faults": {"crashes": [{"server": 0, "at": "10s"}]},`,
 		`"federation": {"providers": [{"name": "a"}]},`,
 		`"shards": 2,`,
+		`"shard_cells": 4,`,
+		`"user_switch": true,`,
 	} {
 		input := fmt.Sprintf(base, field)
 		_, err := ParsePlan([]byte(input))
@@ -164,7 +167,7 @@ func TestPlanImportExclusions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
-	if _, err := cells[0].run(variant{}, RunOptions{}); err == nil || !strings.Contains(err.Error(), "not resolved") {
+	if _, err := cells[0].run(p.Scenario, RunOptions{}); err == nil || !strings.Contains(err.Error(), "not resolved") {
 		t.Errorf("run with unresolved import: err = %v, want a not-resolved error", err)
 	}
 	if got := p.EffectiveServerTTL(); got != 60*time.Second {

@@ -26,13 +26,9 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
-	"time"
 
-	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
-	"cdnconsistency/internal/federation"
-	"cdnconsistency/internal/traceimport"
 	"cdnconsistency/internal/workload"
 )
 
@@ -118,72 +114,11 @@ type Plan struct {
 	// one matrix axis entry.
 	Systems []string `json:"systems"`
 
-	// Import replays an inferred deployment (internal/traceimport): the
-	// path — relative to the plan file's directory — of a bundle JSON, a
-	// JSONL crawl trace, or a "#cdnlog" access log. The bundle supplies
-	// the topology, TTLs, update workload, user population, and fault
-	// windows, so Import is mutually exclusive with the plan fields it
-	// replaces (servers, TTLs, game, population, faults, federation,
-	// shards). The file is resolved by LoadFile, never by Validate, which
-	// keeps plan parsing free of file IO.
-	Import string `json:"import,omitempty"`
 	// Seeds is the second matrix axis; default [1].
 	Seeds []int64 `json:"seeds,omitempty"`
 
-	// Topology. Zero fields keep the simulation defaults (170 servers,
-	// 5 users per server, 20 clusters).
-	Servers         int `json:"servers,omitempty"`
-	UsersPerServer  int `json:"users_per_server,omitempty"`
-	Clusters        int `json:"clusters,omitempty"`
-	TreeDegree      int `json:"tree_degree,omitempty"`
-	SupernodeDegree int `json:"supernode_degree,omitempty"`
-
-	// Protocol parameters. Zero keeps the defaults (60s server TTL, 10s
-	// user TTL, 1 KB updates).
-	ServerTTL    Duration `json:"server_ttl,omitempty"`
-	UserTTL      Duration `json:"user_ttl,omitempty"`
-	UpdateSizeKB float64  `json:"update_size_kb,omitempty"`
-
-	// Game replaces the default publication workload (the paper's trace
-	// day) with an explicit phase list.
-	Game *GameSpec `json:"game,omitempty"`
-
-	// UserModel selects the end-user simulation model: "" or "explicit"
-	// (one actor per user) or "cohort" (weighted per-server cohorts;
-	// requires Population or PopulationGen).
-	UserModel string `json:"user_model,omitempty"`
-	// Population pins the user population explicitly; PopulationGen draws
-	// one. At most one of the two may be set.
-	Population    *workload.Population `json:"population,omitempty"`
-	PopulationGen *PopulationGen       `json:"population_gen,omitempty"`
-
-	// Federation runs every cell against a multi-CDN federation: provider
-	// origins with distinct TTLs and propagation lags, anycast homing,
-	// peering hand-off, an optional meta-CDN broker, and serve-stale
-	// degradation (see internal/federation). The federation layer is
-	// serial-only: mutually exclusive with Shards.
-	Federation *federation.Spec `json:"federation,omitempty"`
-
-	// FaultScenario names a built-in fault scenario (fault.ScenarioNames);
-	// Faults spells one out inline. At most one of the two may be set.
-	FaultScenario string      `json:"fault_scenario,omitempty"`
-	Faults        *fault.Spec `json:"faults,omitempty"`
-	// Failover enables the failure-aware protocol reactions.
-	Failover bool `json:"failover,omitempty"`
-
-	// Shards > 0 runs cells on the sharded multi-core engine with that
-	// many workers over ShardCells partition cells (default 8).
-	Shards     int `json:"shards,omitempty"`
-	ShardCells int `json:"shard_cells,omitempty"`
-
-	// Audit runs every cell under the runtime invariant auditor, sweeping
-	// at AuditCadence (0 = auditor default). Composes with Shards: a
-	// sharded run audits at its window barriers. AuditSelfTest names a
-	// deliberate corruption (see cdn.AuditOptions.SelfTest) injected
-	// mid-run to prove the tripwire fires — a plan carrying it must FAIL.
-	Audit         bool     `json:"audit,omitempty"`
-	AuditCadence  Duration `json:"audit_cadence,omitempty"`
-	AuditSelfTest string   `json:"audit_self_test,omitempty"`
+	// Scenario is what every cell runs against.
+	Scenario
 
 	// Assert lists the SLO assertions every cell must satisfy.
 	Assert []Assertion `json:"assert"`
@@ -194,21 +129,7 @@ type Plan struct {
 	// whole matrix has run (see EvalCompares): e.g. "HAT's provider load is
 	// at most 0.5x Push's".
 	Compare []Compare `json:"compare,omitempty"`
-
-	// bundle is the resolved Import spec, loaded by LoadFile (or injected
-	// by SetImportBundle). It never marshals: the plan file stays a
-	// pointer to the import, not a copy of it.
-	bundle *traceimport.Bundle
 }
-
-// SetImportBundle attaches a resolved import bundle to the plan, the hook
-// LoadFile uses after reading Plan.Import's file. Callers constructing plans
-// in memory can use it to skip the file round trip.
-func (p *Plan) SetImportBundle(b *traceimport.Bundle) { p.bundle = b }
-
-// ImportBundle returns the resolved import bundle, or nil when the plan has
-// no import (or was parsed without LoadFile).
-func (p *Plan) ImportBundle() *traceimport.Bundle { return p.bundle }
 
 // Compare is one cross-system SLO: it relates the same metric extracted from
 // two of the plan's systems at the same seed — Left Op Factor x Right. Both
@@ -260,9 +181,9 @@ func (p *Plan) Marshal() ([]byte, error) {
 }
 
 // Validate checks structural soundness without running anything: resolvable
-// systems, known metrics and operators, consistent model/fault/engine
-// combinations. It mirrors the up-front rejections the cdn layer would make
-// run by run, so a broken plan fails at load time, not mid-matrix.
+// systems, known metrics and operators, and the scenario against every
+// system (Scenario.Validate, which defers to the cdn rules), so a broken
+// plan fails at load time, not mid-matrix.
 func (p *Plan) Validate() error {
 	if !nameRE.MatchString(p.Name) {
 		return fmt.Errorf("plan: name %q must match %s", p.Name, nameRE)
@@ -271,14 +192,17 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("plan %s: no systems", p.Name)
 	}
 	seen := map[string]bool{}
+	systems := make([]core.System, 0, len(p.Systems))
 	for _, s := range p.Systems {
-		if _, err := core.ParseSystem(s); err != nil {
+		sys, err := core.ParseSystem(s)
+		if err != nil {
 			return fmt.Errorf("plan %s: %w", p.Name, err)
 		}
 		if seen[s] {
 			return fmt.Errorf("plan %s: duplicate system %q", p.Name, s)
 		}
 		seen[s] = true
+		systems = append(systems, sys)
 	}
 	seenSeed := map[int64]bool{}
 	for _, s := range p.Seeds {
@@ -287,125 +211,8 @@ func (p *Plan) Validate() error {
 		}
 		seenSeed[s] = true
 	}
-	for _, v := range []struct {
-		name string
-		val  int
-	}{
-		{"servers", p.Servers}, {"users_per_server", p.UsersPerServer},
-		{"clusters", p.Clusters}, {"tree_degree", p.TreeDegree},
-		{"supernode_degree", p.SupernodeDegree},
-		{"shards", p.Shards}, {"shard_cells", p.ShardCells},
-	} {
-		if v.val < 0 {
-			return fmt.Errorf("plan %s: negative %s %d", p.Name, v.name, v.val)
-		}
-	}
-	for _, v := range []struct {
-		name string
-		val  Duration
-	}{
-		{"server_ttl", p.ServerTTL}, {"user_ttl", p.UserTTL},
-		{"audit_cadence", p.AuditCadence},
-	} {
-		if v.val < 0 {
-			return fmt.Errorf("plan %s: negative %s %v", p.Name, v.name, v.val.D())
-		}
-	}
-	if p.UpdateSizeKB < 0 {
-		return fmt.Errorf("plan %s: negative update_size_kb %v", p.Name, p.UpdateSizeKB)
-	}
-	if p.Game != nil {
-		if len(p.Game.Phases) == 0 {
-			return fmt.Errorf("plan %s: game has no phases", p.Name)
-		}
-		for i, ph := range p.Game.Phases {
-			if ph.Duration <= 0 {
-				return fmt.Errorf("plan %s: game phase %d has non-positive duration", p.Name, i)
-			}
-			if ph.MeanGap < 0 {
-				return fmt.Errorf("plan %s: game phase %d has negative mean gap", p.Name, i)
-			}
-		}
-		if p.Game.SizeKB < 0 || p.Game.MinGap < 0 {
-			return fmt.Errorf("plan %s: negative game size_kb or min_gap", p.Name)
-		}
-	}
-	switch p.UserModel {
-	case "", "explicit", "cohort":
-	default:
-		return fmt.Errorf("plan %s: unknown user_model %q (want \"explicit\" or \"cohort\")", p.Name, p.UserModel)
-	}
-	if p.Import != "" {
-		for _, c := range []struct {
-			name string
-			set  bool
-		}{
-			{"servers", p.Servers > 0},
-			{"users_per_server", p.UsersPerServer > 0},
-			{"server_ttl", p.ServerTTL > 0},
-			{"user_ttl", p.UserTTL > 0},
-			{"update_size_kb", p.UpdateSizeKB > 0},
-			{"game", p.Game != nil},
-			{"population", p.Population != nil},
-			{"population_gen", p.PopulationGen != nil},
-			{"fault_scenario", p.FaultScenario != ""},
-			{"faults", p.Faults != nil},
-			{"federation", p.Federation != nil},
-			{"shards", p.Shards > 0},
-		} {
-			if c.set {
-				return fmt.Errorf("plan %s: import and %s are mutually exclusive (the imported bundle supplies it)", p.Name, c.name)
-			}
-		}
-	}
-	if p.Population != nil && p.PopulationGen != nil {
-		return fmt.Errorf("plan %s: population and population_gen are mutually exclusive", p.Name)
-	}
-	if p.UserModel == "cohort" && p.Population == nil && p.PopulationGen == nil && p.Import == "" {
-		return fmt.Errorf("plan %s: user_model cohort requires population or population_gen", p.Name)
-	}
-	if p.Population != nil {
-		if err := p.Population.Validate(); err != nil {
-			return fmt.Errorf("plan %s: %w", p.Name, err)
-		}
-	}
-	if g := p.PopulationGen; g != nil {
-		if g.TotalUsers <= 0 {
-			return fmt.Errorf("plan %s: population_gen.total_users must be > 0, got %d", p.Name, g.TotalUsers)
-		}
-		if g.CohortsPerServer < 0 || g.Period < 0 || g.SpreadMax < 0 {
-			return fmt.Errorf("plan %s: negative population_gen field", p.Name)
-		}
-	}
-	if p.FaultScenario != "" && p.Faults != nil {
-		return fmt.Errorf("plan %s: fault_scenario and faults are mutually exclusive", p.Name)
-	}
-	if p.FaultScenario != "" {
-		if _, err := fault.Scenario(p.FaultScenario); err != nil {
-			return fmt.Errorf("plan %s: %w", p.Name, err)
-		}
-	}
-	if p.Faults != nil {
-		if err := p.Faults.Validate(); err != nil {
-			return fmt.Errorf("plan %s: %w", p.Name, err)
-		}
-	}
-	if p.AuditSelfTest != "" {
-		if !p.Audit {
-			return fmt.Errorf("plan %s: audit_self_test requires audit", p.Name)
-		}
-		if !cdn.ValidAuditSelfTest(p.AuditSelfTest) {
-			return fmt.Errorf("plan %s: unknown audit_self_test %q (valid: %s)",
-				p.Name, p.AuditSelfTest, strings.Join(cdn.AuditSelfTestNames(), ", "))
-		}
-	}
-	if p.Federation != nil {
-		if err := p.Federation.Validate(); err != nil {
-			return fmt.Errorf("plan %s: %w", p.Name, err)
-		}
-		if p.Shards > 0 {
-			return fmt.Errorf("plan %s: federation and shards are mutually exclusive (the federation layer is serial-only)", p.Name)
-		}
+	if err := p.Scenario.Validate(systems...); err != nil {
+		return fmt.Errorf("plan %s: %w", p.Name, err)
 	}
 	if len(p.Assert) == 0 && len(p.Equivalence) == 0 && len(p.Compare) == 0 {
 		return fmt.Errorf("plan %s: no assertions, equivalence checks, or compares — the plan would enforce nothing", p.Name)
@@ -464,19 +271,6 @@ func (p *Plan) Validate() error {
 		seenEq[eq] = true
 	}
 	return nil
-}
-
-// EffectiveServerTTL is the server TTL assertions with a ttl_mult resolve
-// against: the plan's, the imported bundle's, or the simulation default
-// (60 s) when unset.
-func (p *Plan) EffectiveServerTTL() time.Duration {
-	if p.ServerTTL > 0 {
-		return p.ServerTTL.D()
-	}
-	if p.bundle != nil {
-		return p.bundle.Summary.ServerTTL.D()
-	}
-	return 60 * time.Second
 }
 
 // seeds returns the seed axis, defaulting to [1].

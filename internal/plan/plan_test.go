@@ -87,16 +87,22 @@ func TestParsePlanRejects(t *testing.T) {
 		{"unknown op", `{"name":"x","systems":["TTL"],"assert":[{"metric":"crashes","op":"~=","value":0}]}`, "unknown op"},
 		{"no checks", `{"name":"x","systems":["TTL"]}`, "enforce nothing"},
 		{"both populations", `{"name":"x","systems":["TTL"],"population":{"servers":[[{"count":1,"offset_ns":0}]]},"population_gen":{"total_users":5},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "mutually exclusive"},
-		{"cohort without pop", `{"name":"x","systems":["TTL"],"user_model":"cohort","assert":[{"metric":"crashes","op":"==","value":0}]}`, "requires population"},
-		{"bad user model", `{"name":"x","systems":["TTL"],"user_model":"quantum","assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown user_model"},
+		{"cohort without pop", `{"name":"x","systems":["TTL"],"user_model":"cohort","assert":[{"metric":"crashes","op":"==","value":0}]}`, "requires a Population"},
+		{"bad user model", `{"name":"x","systems":["TTL"],"user_model":"quantum","assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown user model"},
 		{"both faults", `{"name":"x","systems":["TTL"],"fault_scenario":"outage","faults":{},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "mutually exclusive"},
 		{"bad scenario", `{"name":"x","systems":["TTL"],"fault_scenario":"meteor","assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown scenario"},
 		{"self-test without audit", `{"name":"x","systems":["TTL"],"audit_self_test":"version-bounds","assert":[{"metric":"crashes","op":"==","value":0}]}`, "requires audit"},
-		{"unknown self-test", `{"name":"x","systems":["TTL"],"audit":true,"audit_self_test":"meteor","assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown audit_self_test"},
+		{"cadence without audit", `{"name":"x","systems":["TTL"],"audit_cadence":"-5s","assert":[{"metric":"crashes","op":"==","value":0}]}`, "requires audit"},
+		{"unknown self-test", `{"name":"x","systems":["TTL"],"audit":true,"audit_self_test":"meteor","assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown audit self-test"},
 		{"shard equiv without shards", `{"name":"x","systems":["TTL"],"equivalence":["shard_workers"],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "requires shards"},
 		{"cohort equiv without cohort", `{"name":"x","systems":["TTL"],"equivalence":["cohort_explicit"],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "requires user_model"},
 		{"unknown equivalence", `{"name":"x","systems":["TTL"],"equivalence":["teleport"],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown equivalence"},
 		{"empty game", `{"name":"x","systems":["TTL"],"game":{"phases":[]},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "no phases"},
+		// Method x infra, sharding x tree mutation and federation x method are
+		// cdn rules; a plan breaking one fails at load, not mid-matrix.
+		{"lease off unicast", `{"name":"x","systems":["Lease/Multicast"],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "MethodLease requires InfraUnicast"},
+		{"sharded tree mutation", `{"name":"x","systems":["Push/Multicast"],"shards":2,"failover":true,"assert":[{"metric":"crashes","op":"==","value":0}]}`, "cannot mutate the multicast tree"},
+		{"federated lease", `{"name":"x","systems":["Lease/Unicast"],"federation":{"providers":[{"name":"a","lat":1,"lon":2}]},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "Federation is incompatible with MethodLease"},
 	}
 	for _, tc := range cases {
 		p, err := ParsePlan([]byte(tc.json))

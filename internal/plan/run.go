@@ -11,8 +11,6 @@ import (
 	"cdnconsistency/internal/audit"
 	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/core"
-	"cdnconsistency/internal/fault"
-	"cdnconsistency/internal/workload"
 )
 
 // Cell is one matrix entry of a plan: a system at a seed.
@@ -132,156 +130,6 @@ func (r *CellResult) RenderMetrics() string {
 	return b.String()
 }
 
-// variant tweaks one cell run relative to the plan (equivalence re-runs).
-type variant struct {
-	shards    int    // override worker count when > 0
-	userModel string // override user model when != ""
-}
-
-// coreOptions compiles the plan into the core configuration for one run.
-func (c Cell) coreOptions(v variant, opt RunOptions) ([]core.Option, error) {
-	p := c.Plan
-	opts := []core.Option{core.WithSeed(c.Seed)}
-	if p.Import != "" {
-		if p.bundle == nil {
-			return nil, fmt.Errorf("plan %s: import %q was not resolved (load the plan with LoadFile or attach a bundle with SetImportBundle)", p.Name, p.Import)
-		}
-		// The bundle's options are materialized per run: WithGame draws
-		// from the seed already applied above, and the topology must not
-		// be shared across concurrent cell runs.
-		bopts, err := p.bundle.Options()
-		if err != nil {
-			return nil, fmt.Errorf("plan %s: %w", p.Name, err)
-		}
-		opts = append(opts, bopts...)
-	}
-	if p.Servers > 0 {
-		opts = append(opts, core.WithServers(p.Servers))
-	}
-	if p.UsersPerServer > 0 {
-		opts = append(opts, core.WithUsersPerServer(p.UsersPerServer))
-	}
-	if p.Clusters > 0 {
-		opts = append(opts, core.WithClusters(p.Clusters))
-	}
-	if p.TreeDegree > 0 {
-		opts = append(opts, core.WithTreeDegree(p.TreeDegree))
-	}
-	if p.SupernodeDegree > 0 {
-		opts = append(opts, core.WithSupernodeDegree(p.SupernodeDegree))
-	}
-	if p.ServerTTL > 0 {
-		opts = append(opts, core.WithServerTTL(p.ServerTTL.D()))
-	}
-	if p.UserTTL > 0 {
-		opts = append(opts, core.WithUserTTL(p.UserTTL.D()))
-	}
-	if p.UpdateSizeKB > 0 {
-		opts = append(opts, core.WithUpdateSizeKB(p.UpdateSizeKB))
-	}
-	if p.Game != nil {
-		// WithGame draws the schedule with the run's seed; WithSeed is
-		// already ahead of it in the option order.
-		opts = append(opts, core.WithGame(p.Game.Config()))
-	}
-	pop, err := c.population()
-	if err != nil {
-		return nil, err
-	}
-	if pop != nil {
-		opts = append(opts, core.WithPopulation(pop))
-	}
-	model := p.UserModel
-	if v.userModel != "" {
-		model = v.userModel
-	}
-	if model != "" {
-		opts = append(opts, core.WithUserModel(model))
-	}
-	spec, err := c.faultSpec()
-	if err != nil {
-		return nil, err
-	}
-	if spec != nil {
-		opts = append(opts, core.WithFaults(*spec))
-	}
-	if p.Failover {
-		opts = append(opts, core.WithFailover())
-	}
-	if p.Federation != nil {
-		opts = append(opts, core.WithFederation(*p.Federation))
-	}
-	shards := p.Shards
-	if v.shards > 0 {
-		shards = v.shards
-	}
-	if shards > 0 {
-		opts = append(opts, core.WithShards(shards))
-		if p.ShardCells > 0 {
-			opts = append(opts, core.WithShardCells(p.ShardCells))
-		}
-	}
-	if p.Audit {
-		opts = append(opts, core.WithAudit(p.AuditCadence.D()))
-		if p.AuditSelfTest != "" {
-			opts = append(opts, core.WithAuditSelfTest(p.AuditSelfTest))
-		}
-	}
-	if opt.Ctx != nil {
-		opts = append(opts, core.WithContext(opt.Ctx))
-	}
-	if opt.Probe != nil {
-		opts = append(opts, core.WithTick(opt.Probe))
-	}
-	return opts, nil
-}
-
-// population materializes the cell's population: the inline spec, or a
-// generator draw seeded by the cell (so multi-seed plans draw fresh
-// populations) unless the generator pins its own seed.
-func (c Cell) population() (*workload.Population, error) {
-	p := c.Plan
-	if p.Population != nil {
-		return p.Population, nil
-	}
-	g := p.PopulationGen
-	if g == nil {
-		return nil, nil
-	}
-	servers := p.Servers
-	if servers <= 0 {
-		servers = 170
-	}
-	seed := g.Seed
-	if seed == 0 {
-		seed = c.Seed
-	}
-	return workload.GeneratePopulation(workload.PopulationConfig{
-		Servers:          servers,
-		TotalUsers:       g.TotalUsers,
-		Alpha:            g.Alpha,
-		CohortsPerServer: g.CohortsPerServer,
-		Period:           g.Period.D(),
-		SpreadMax:        g.SpreadMax.D(),
-		Seed:             seed,
-	})
-}
-
-func (c Cell) faultSpec() (*fault.Spec, error) {
-	p := c.Plan
-	if p.Faults != nil {
-		return p.Faults, nil
-	}
-	if p.FaultScenario == "" {
-		return nil, nil
-	}
-	spec, err := fault.Scenario(p.FaultScenario)
-	if err != nil {
-		return nil, err
-	}
-	return &spec, nil
-}
-
 // RunCell executes one cell: the primary simulation, the plan's equivalence
 // re-runs, and every assertion. The returned error is non-nil only for
 // cancellation/deadline aborts — those must not be recorded as cell
@@ -295,7 +143,7 @@ func RunCell(c Cell, opt RunOptions) (*CellResult, error) {
 		System: c.System.Name,
 		Seed:   c.Seed,
 	}
-	res, err := c.run(variant{}, opt)
+	res, err := c.run(c.Plan.Scenario, opt)
 	switch {
 	case err == nil:
 		r.Metrics = Metrics(res)
@@ -332,12 +180,18 @@ func RunCell(c Cell, opt RunOptions) (*CellResult, error) {
 	return r, nil
 }
 
-// run executes one simulation under the cell's configuration plus a variant
-// override.
-func (c Cell) run(v variant, opt RunOptions) (*cdn.Result, error) {
-	opts, err := c.coreOptions(v, opt)
+// run executes one simulation of the cell's system and seed against sc: the
+// plan's scenario, or an equivalence re-run's variant of it.
+func (c Cell) run(sc Scenario, opt RunOptions) (*cdn.Result, error) {
+	opts, err := sc.Options(c.Seed)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plan %s: %w", c.Plan.Name, err)
+	}
+	if opt.Ctx != nil {
+		opts = append(opts, core.WithContext(opt.Ctx))
+	}
+	if opt.Probe != nil {
+		opts = append(opts, core.WithTick(opt.Probe))
 	}
 	return core.Run(c.System, opts...)
 }
@@ -347,7 +201,7 @@ func (c Cell) run(v variant, opt RunOptions) (*cdn.Result, error) {
 func (c Cell) runEquivalence(name string, primary map[string]float64, opt RunOptions) (CheckResult, error) {
 	check := CheckResult{Name: "equiv " + name}
 	var (
-		v variant
+		sc = c.Plan.Scenario
 		// approx lists metrics compared within float-summation noise
 		// instead of exactly; skip lists metrics excluded outright.
 		approx, skip map[string]bool
@@ -357,14 +211,14 @@ func (c Cell) runEquivalence(name string, primary map[string]float64, opt RunOpt
 		// Same partition, different worker count: the sharded engine
 		// promises bit-identical results, so every metric must match
 		// exactly.
-		v.shards = c.Plan.Shards + 1
+		sc.Shards++
 	case EquivCohortExplicit:
 		// The cohort model is an exact refactoring of the explicit one:
 		// counters and per-entry values match exactly, but aggregate
 		// means and traffic sums accumulate in a different order, so
 		// they are compared within relative float noise. Event counts
 		// differ by construction (one event per cohort, not per user).
-		v.userModel = cdn.UserModelExplicit
+		sc.UserModel = cdn.UserModelExplicit
 		skip = map[string]bool{"events": true}
 		approx = map[string]bool{
 			"mean_user_inconsistency": true,
@@ -376,7 +230,7 @@ func (c Cell) runEquivalence(name string, primary map[string]float64, opt RunOpt
 		check.Detail = fmt.Sprintf("unknown equivalence check %q", name)
 		return check, nil
 	}
-	res, err := c.run(v, opt)
+	res, err := c.run(sc, opt)
 	if err != nil {
 		if isAbort(err) {
 			return check, err

@@ -142,15 +142,14 @@ func TestRunCellFaultScenario(t *testing.T) {
 }
 
 func TestRunCellSimulationErrorRecorded(t *testing.T) {
-	// Sharded runs cannot mutate the multicast tree; plan validation does not
-	// model that cdn-level rule, so it surfaces as a run error — recorded on
-	// the cell, not returned.
+	// A population must span the topology it runs on; validation builds no
+	// topology, so the mismatch surfaces as a run error — recorded on the
+	// cell, not returned.
 	js := `{
 	  "name": "bad",
-	  "systems": ["TTL/Multicast"],
+	  "systems": ["TTL"],
 	  "servers": 12,
-	  "shards": 1,
-	  "failover": true,
+	  "population": {"servers": [[{"count": 1}]]},
 	  "game": {"phases": [{"name": "play", "duration": "30s", "mean_gap": "15s"}]},
 	  "assert": [{"metric": "crashes", "op": "==", "value": 0}]
 	}`
