@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke profile experiments fuzz cover shard-equiv plan-smoke import-smoke fmt
+.PHONY: check build vet test race bench bench-smoke profile experiments fuzz cover shard-equiv fmt
 
 check: fmt build vet race
 
@@ -58,19 +58,6 @@ profile:
 # Fast full regeneration pass; see EXPERIMENTS.md for the paper-scale run.
 experiments:
 	$(GO) run ./cmd/experiments -scale small -metrics
-
-# Scenario-plan canary matrix: the curated plans/ catalog must pass with
-# byte-identical output across -parallel and across SIGTERM + resume (the
-# federation storm/flap plans and their cross-system compares included), and
-# every seeded must-fail plan must fail with its violation in the junit report.
-plan-smoke:
-	./scripts/plan_smoke.sh
-
-# Trace-import smoke: regenerate the committed crawl fixture, require the
-# inferred bundle to match plans/bundles/smoke.json byte-for-byte, check
-# format convergence and deterministic replay, and run the import plan.
-import-smoke:
-	./scripts/import_smoke.sh
 
 # Short fuzz smoke over the tree fail/recover repair, the fault-scenario
 # compiler, the population-spec, federation-spec and scenario-plan parsers,

@@ -13,6 +13,7 @@ import (
 	"cdnconsistency/internal/topology"
 	"cdnconsistency/internal/trace"
 	"cdnconsistency/internal/tracegen"
+	"cdnconsistency/internal/traceimport"
 )
 
 func runCLI(t *testing.T, args []string) (string, error) {
@@ -181,10 +182,11 @@ func TestRunHonorsCancellation(t *testing.T) {
 	}
 }
 
+// TestRunPlan runs a tiny inline plan and the committed import-replay plan,
+// which replays plans/bundles/smoke.json and pins its fault windows.
 func TestRunPlan(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "p.json")
-	if err := os.WriteFile(path, []byte(`{
+	tiny := filepath.Join(t.TempDir(), "p.json")
+	if err := os.WriteFile(tiny, []byte(`{
 	  "name": "tiny",
 	  "systems": ["TTL", "HAT"],
 	  "servers": 12,
@@ -196,18 +198,30 @@ func TestRunPlan(t *testing.T) {
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := runCLI(t, []string{"-plan", path})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, want := range []string{
-		"== plan tiny/TTL/s1 ==", "== plan tiny/HAT/s1 ==",
-		"PASS\tuser_observations > 0",
-		"metric\tp99_user_inconsistency",
-		"metric\tprovider_km_kb",
+	for _, tc := range []struct {
+		path string
+		want []string
+	}{
+		{tiny, []string{
+			"== plan tiny/TTL/s1 ==", "== plan tiny/HAT/s1 ==",
+			"PASS\tuser_observations > 0",
+			"metric\tp99_user_inconsistency",
+			"metric\tprovider_km_kb",
+		}},
+		{filepath.Join("..", "..", "plans", "40-import-replay.json"), []string{
+			"== plan import-replay/TTL/s1 ==", "== plan import-replay/HAT/s1 ==",
+			"PASS\tcrashes == 11",
+			"PASS\taudit_violations == 0",
+		}},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+		out, err := runCLI(t, []string{"-plan", tc.path})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: output missing %q:\n%s", tc.path, want, out)
+			}
 		}
 	}
 }
@@ -280,6 +294,31 @@ func TestRunImport(t *testing.T) {
 	}
 	if out != again {
 		t.Errorf("imported replay output differs across runs:\n%s\nvs\n%s", out, again)
+	}
+	// The raw trace replays exactly as its pre-inferred bundle does; only
+	// the header line naming the input differs.
+	b, _, err := traceimport.LoadAny(path)
+	if err != nil {
+		t.Fatalf("infer: %v", err)
+	}
+	data, err := b.Marshal()
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	bundlePath := filepath.Join(t.TempDir(), "bundle.json")
+	if err := os.WriteFile(bundlePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromBundle, err := runCLI(t, []string{"-system", "TTL", "-import", bundlePath, "-clusters", "4"})
+	if err != nil {
+		t.Fatalf("run on bundle: %v", err)
+	}
+	if !strings.Contains(fromBundle, "format=bundle") {
+		t.Errorf("bundle input not read as a bundle:\n%s", fromBundle)
+	}
+	body := func(s string) string { return s[strings.IndexByte(s, '\n')+1:] }
+	if body(out) != body(fromBundle) {
+		t.Errorf("raw trace and its bundle replay differently:\n--- trace ---\n%s--- bundle ---\n%s", out, fromBundle)
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"html"
 	"io"
 	"os"
 	"path/filepath"
@@ -74,41 +75,124 @@ func TestPlanCatalogRuns(t *testing.T) {
 	}
 }
 
+// catalogDir is the committed plan catalog, seededDir its must-fail plans.
+var (
+	catalogDir = filepath.Join("..", "..", "plans")
+	seededDir  = filepath.Join(catalogDir, "seeded")
+)
+
+// committedRuns memoizes runCatalog on the committed catalog, which no test
+// edits: its serial run is the reference of both the -parallel and the
+// resume comparison, and a catalog run is a pure function of its plans.
+var committedRuns = map[string][2]string{}
+
+// runCatalog runs the plan catalog in dir with a junit report and returns
+// stdout and the report.
+func runCatalog(t *testing.T, dir string, args ...string) (stdout, junit string) {
+	t.Helper()
+	key := strings.Join(args, " ")
+	if r, ok := committedRuns[key]; ok && dir == catalogDir {
+		return r[0], r[1]
+	}
+	path := filepath.Join(t.TempDir(), "report.xml")
+	out, _, err := runCLI(t, append([]string{"-plan-catalog", dir, "-junit", path}, args...)...)
+	if err != nil {
+		t.Fatalf("%s %v: %v", dir, args, err)
+	}
+	report, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("junit report: %v", err)
+	}
+	if dir == catalogDir {
+		committedRuns[key] = [2]string{out, string(report)}
+	}
+	return out, string(report)
+}
+
+// TestPlanParallelByteIdentical runs a synthetic catalog and the committed
+// one serially and with four workers: stdout and the junit report must be
+// byte-identical and every cell must pass.
 func TestPlanParallelByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	writeTestCatalog(t, dir)
-	serial, _, err := runCLI(t, "-plan-catalog", dir, "-parallel", "1")
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	par, _, err := runCLI(t, "-plan-catalog", dir, "-parallel", "4")
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	if serial != par {
-		t.Errorf("stdout differs across -parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
+	synthetic := t.TempDir()
+	writeTestCatalog(t, synthetic)
+	for _, tc := range []struct {
+		name, dir string
+		// want lists stdout lines the serial run must hold.
+		want []string
+	}{
+		{"synthetic", synthetic, nil},
+		// The federation storm/flap plans strand no user, and their
+		// cross-system compares hold.
+		{"plans", catalogDir, []string{"\nPASS\tstranded_users == 0\t", "\nPASS\tcompare degraded_seconds"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial, serialJunit := runCatalog(t, tc.dir, "-parallel", "1")
+			par, parJunit := runCatalog(t, tc.dir, "-parallel", "4")
+			if serial != par {
+				t.Errorf("stdout differs across -parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
+			}
+			if serialJunit != parJunit {
+				t.Errorf("junit differs across -parallel:\n--- serial ---\n%s\n--- parallel ---\n%s", serialJunit, parJunit)
+			}
+			if !strings.Contains(serialJunit, `failures="0" errors="0"`) {
+				t.Errorf("catalog did not pass:\n%s", serialJunit)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(serial, want) {
+					t.Errorf("stdout missing %q:\n%s", want, serial)
+				}
+			}
+		})
 	}
 }
 
+// TestPlanSeededViolationFails runs every must-fail plan in plans/seeded:
+// each must fail the run, and its junit report must carry a <failure> with
+// the violation. Each file needs a row, so a new seeded plan cannot go
+// unrun.
 func TestPlanSeededViolationFails(t *testing.T) {
-	dir := t.TempDir()
-	writeTestPlan(t, dir, "bad.json", "bad", `"TTL"`,
-		`"assert": [{"metric": "p99_user_inconsistency", "op": "<=", "value": 0.001}]`)
-	junit := filepath.Join(t.TempDir(), "report.xml")
-	out, _, err := runCLI(t, "-plan", filepath.Join(dir, "bad.json"), "-junit", junit)
-	if err == nil || !strings.Contains(err.Error(), "1 of 1 plan cells failed") {
-		t.Fatalf("seeded violation did not fail the run: %v", err)
+	rows := map[string]struct {
+		// failed is the run error's failed-cell count; assertion the
+		// violated check its stdout FAIL line and junit <failure> name.
+		failed, assertion string
+	}{
+		"bad-slo.json":            {"1 of 1", "p99_user_inconsistency <= 0.001"},
+		"bad-compare.json":        {"1 of 3", "compare degraded_seconds: Push > TTL s1"},
+		"bad-audit-tripwire.json": {"1 of 1", "audit_violations == 0"},
+		"bad-budget.json":         {"2 of 2", "provider_km_kb <= 1"},
 	}
-	if !strings.Contains(out, "FAIL\tp99_user_inconsistency <= 0.001") {
-		t.Errorf("stdout missing FAIL line:\n%s", out)
+	files, err := filepath.Glob(filepath.Join(seededDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	report, rerr := os.ReadFile(junit)
-	if rerr != nil {
-		t.Fatalf("junit report not written on failure: %v", rerr)
+	if len(files) != len(rows) {
+		t.Errorf("%d seeded plans but %d rows", len(files), len(rows))
 	}
-	if !strings.Contains(string(report), `<failure message="1 assertion(s) failed">`) ||
-		!strings.Contains(string(report), "p99_user_inconsistency &lt;= 0.001: got ") {
-		t.Errorf("junit missing failure message with assertion detail:\n%s", report)
+	for _, path := range files {
+		name := filepath.Base(path)
+		row, ok := rows[name]
+		if !ok {
+			t.Errorf("seeded plan %s has no row: add the assertion it must fail", name)
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			junit := filepath.Join(t.TempDir(), "report.xml")
+			out, _, err := runCLI(t, "-plan", path, "-junit", junit)
+			if err == nil || !strings.Contains(err.Error(), row.failed+" plan cells failed") {
+				t.Fatalf("seeded violation did not fail %s cells: %v", row.failed, err)
+			}
+			if !strings.Contains(out, "FAIL\t"+row.assertion+"\t") {
+				t.Errorf("stdout missing FAIL line for %q:\n%s", row.assertion, out)
+			}
+			report, err := os.ReadFile(junit)
+			if err != nil {
+				t.Fatalf("junit report not written on failure: %v", err)
+			}
+			want := `<failure message="1 assertion(s) failed">` + html.EscapeString(row.assertion) + ": "
+			if !strings.Contains(string(report), want) {
+				t.Errorf("junit missing %q:\n%s", want, report)
+			}
+		})
 	}
 }
 
@@ -125,13 +209,17 @@ func (c *cancelOnFirstWrite) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
+// TestPlanResumeByteIdentical interrupts a synthetic catalog and the
+// committed one after the first cell lands, resumes from the checkpoint, and
+// requires stdout and the junit report byte-identical to an uninterrupted
+// run.
 func TestPlanResumeByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	writeTestCatalog(t, dir)
+	synthetic := t.TempDir()
+	writeTestCatalog(t, synthetic)
 	// A deliberately heavier trailing plan: with one worker the cancellation
 	// fired by the first cell's emission always lands while this one is
 	// still simulating, so the interruption is genuinely mid-matrix.
-	if err := os.WriteFile(filepath.Join(dir, "30-c.json"), []byte(`{
+	if err := os.WriteFile(filepath.Join(synthetic, "30-c.json"), []byte(`{
 	  "name": "gamma",
 	  "systems": ["TTL"],
 	  "servers": 100,
@@ -143,33 +231,38 @@ func TestPlanResumeByteIdentical(t *testing.T) {
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := runCLI(t, "-plan-catalog", dir, "-parallel", "1")
-	if err != nil {
-		t.Fatalf("uninterrupted run: %v", err)
-	}
+	for _, tc := range []struct{ name, dir string }{{"synthetic", synthetic}, {"plans", catalogDir}} {
+		t.Run(tc.name, func(t *testing.T) {
+			full, fullJunit := runCatalog(t, tc.dir, "-parallel", "1")
 
-	ck := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var partial bytes.Buffer
-	err = run(ctx, []string{"-plan-catalog", dir, "-parallel", "1", "-checkpoint", ck},
-		&cancelOnFirstWrite{w: &partial, cancel: cancel}, io.Discard)
-	if err == nil {
-		t.Fatal("interrupted run finished cleanly; cancellation came too late to test resume")
-	}
-	if !strings.Contains(err.Error(), "-resume "+ck) {
-		t.Fatalf("interrupted run did not hint at -resume: %v", err)
-	}
+			ck := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var partial bytes.Buffer
+			err := run(ctx, []string{"-plan-catalog", tc.dir, "-parallel", "1", "-checkpoint", ck},
+				&cancelOnFirstWrite{w: &partial, cancel: cancel}, io.Discard)
+			if err == nil {
+				t.Fatal("interrupted run finished cleanly; cancellation came too late to test resume")
+			}
+			if !strings.Contains(err.Error(), "-resume "+ck) {
+				t.Fatalf("interrupted run did not hint at -resume: %v", err)
+			}
 
-	var out, errb bytes.Buffer
-	if err := run(context.Background(), []string{"-plan-catalog", dir, "-parallel", "1", "-resume", ck}, &out, &errb); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if out.String() != full {
-		t.Errorf("resumed stdout differs from uninterrupted run:\n--- resumed ---\n%s\n--- full ---\n%s", out.String(), full)
-	}
-	if !strings.Contains(errb.String(), "restored from checkpoint") {
-		t.Errorf("resume recomputed every cell (no restores):\n%s", errb.String())
+			junit := filepath.Join(t.TempDir(), "resumed.xml")
+			var out, errb bytes.Buffer
+			if err := run(context.Background(), []string{"-plan-catalog", tc.dir, "-parallel", "1", "-resume", ck, "-junit", junit}, &out, &errb); err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if out.String() != full {
+				t.Errorf("resumed stdout differs from uninterrupted run:\n--- resumed ---\n%s\n--- full ---\n%s", out.String(), full)
+			}
+			if report, err := os.ReadFile(junit); err != nil || string(report) != fullJunit {
+				t.Errorf("resumed junit differs from uninterrupted run (err %v):\n--- resumed ---\n%s\n--- full ---\n%s", err, report, fullJunit)
+			}
+			if !strings.Contains(errb.String(), "restored from checkpoint") {
+				t.Errorf("resume recomputed every cell (no restores):\n%s", errb.String())
+			}
+		})
 	}
 }
 

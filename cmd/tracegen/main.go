@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"cdnconsistency/internal/topology"
 	"cdnconsistency/internal/trace"
@@ -49,15 +48,7 @@ func run(args []string) error {
 		Seed:     *seed,
 	}
 	if *short {
-		cfg.Game = workload.GameConfig{
-			Phases: []workload.Phase{
-				{Name: "play1", Duration: 5 * time.Minute, MeanGap: 15 * time.Second},
-				{Name: "break", Duration: 2 * time.Minute},
-				{Name: "play2", Duration: 5 * time.Minute, MeanGap: 15 * time.Second},
-			},
-			SizeKB: 1,
-			MinGap: time.Second,
-		}
+		cfg.Game = workload.ShortGame()
 	}
 	res, err := tracegen.Generate(cfg)
 	if err != nil {

@@ -8,45 +8,84 @@ import (
 	"testing"
 
 	"cdnconsistency/internal/trace"
+	"cdnconsistency/internal/workload"
 )
 
-// goldenConfig is the fixed setup behind testdata/golden_bundle.json.
+// goldenTrace is a fixed full-day crawl the bundle tests infer from.
 func goldenTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	cfg := genConfig(24, 99)
 	return generate(t, cfg).Trace
 }
 
-// TestGoldenBundle pins the inferred bundle for a fixed seed byte-for-byte.
-// Any estimator change shows up as a readable JSON diff; refresh the file
-// with UPDATE_GOLDEN=1 go test ./internal/traceimport -run Golden.
+// smokeBundle is the committed import fixture plans/40-import-replay.json
+// replays.
+var smokeBundle = filepath.Join("..", "..", "plans", "bundles", "smoke.json")
+
+// TestGoldenBundle pins smokeBundle byte-for-byte: it is the bundle inferred
+// from the crawl `tracegen -short -servers 24 -days 1 -users 20 -seed 99`
+// writes, whether inferred in memory, from the JSONL rendering or from the
+// access-log rendering. Any estimator or generator change shows up as a
+// readable JSON diff; refresh the fixture with
+// UPDATE_GOLDEN=1 go test ./internal/traceimport -run TestGoldenBundle.
 func TestGoldenBundle(t *testing.T) {
-	b, err := Infer(goldenTrace(t))
+	cfg := genConfig(24, 99)
+	cfg.Game = workload.ShortGame()
+	tr := generate(t, cfg).Trace
+	marshal := func(b *Bundle) []byte {
+		t.Helper()
+		out, err := b.Marshal()
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		return append(out, '\n')
+	}
+	b, err := Infer(tr)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
-	got, err := b.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	got = append(got, '\n')
-	path := filepath.Join("testdata", "golden_bundle.json")
+	got := marshal(b)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+		if err := os.WriteFile(smokeBundle, got, 0o644); err != nil {
 			t.Fatalf("update golden: %v", err)
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
+	want, err := os.ReadFile(smokeBundle)
 	if err != nil {
-		t.Fatalf("read golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+		t.Fatalf("read golden: %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("inferred bundle deviates from golden file:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Fatalf("inferred bundle deviates from %s (refresh it with UPDATE_GOLDEN=1 go test ./internal/traceimport -run TestGoldenBundle):\n--- got ---\n%s\n--- want ---\n%s",
+			smokeBundle, got, want)
 	}
 	// The committed golden must itself parse and validate.
 	if _, err := ParseBundle(bytes.TrimSuffix(want, []byte("\n"))); err != nil {
 		t.Fatalf("golden bundle does not re-parse: %v", err)
+	}
+
+	// Both on-disk renderings infer the identical bytes (format
+	// convergence). The access log is written in time order, as tracegen
+	// writes it.
+	var jsonl, accessLog bytes.Buffer
+	if err := trace.Write(&jsonl, tr); err != nil {
+		t.Fatal(err)
+	}
+	tr.SortRecords()
+	if err := trace.WriteAccessLog(&accessLog, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct {
+		format string
+		data   []byte
+	}{{FormatJSONL, jsonl.Bytes()}, {FormatAccessLog, accessLog.Bytes()}} {
+		b, format, err := ImportAny(in.data)
+		if err != nil || format != in.format {
+			t.Fatalf("ImportAny(%s): format %q, err %v", in.format, format, err)
+		}
+		if got := marshal(b); !bytes.Equal(got, want) {
+			t.Errorf("%s rendering infers a bundle that deviates from %s:\n%s", in.format, smokeBundle, got)
+		}
 	}
 }
 

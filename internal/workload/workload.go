@@ -59,6 +59,21 @@ func DefaultGame() GameConfig {
 	}
 }
 
+// ShortGame is a 12-minute event day: two 5-minute play phases with a mean
+// gap of 15 s around a 2-minute break. It keeps crawl fixtures small
+// (tracegen -short) while still showing the play/break update pattern.
+func ShortGame() GameConfig {
+	return GameConfig{
+		Phases: []Phase{
+			{Name: "play1", Duration: 5 * time.Minute, MeanGap: 15 * time.Second},
+			{Name: "break", Duration: 2 * time.Minute},
+			{Name: "play2", Duration: 5 * time.Minute, MeanGap: 15 * time.Second},
+		},
+		SizeKB: 1,
+		MinGap: time.Second,
+	}
+}
+
 // Duration returns the total event length.
 func (c GameConfig) Duration() time.Duration {
 	var total time.Duration
