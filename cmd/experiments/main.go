@@ -107,7 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		shards    = fs.Int("shards", 0, "run the ext-scale sweep on the sharded multi-core engine with this many workers (0 = serial engine; any value >= 1 yields identical tables)")
 		fedFlag   = fs.String("federation", "", "multi-CDN federation for the federation-* figures: a provider count or @file.json spec (default: 3 real-city providers; serial-only)")
 		audit     = fs.Bool("audit", false, "run every simulation under the runtime invariant auditor (fails fast on a violated conservation property; metrics are unchanged)")
-		auditCad  = fs.Duration("audit-cadence", 0, "auditor sweep cadence in simulated time (0 = auditor default)")
+		auditCad  = fs.Duration("audit-cadence", 0, "auditor sweep cadence in simulated time (0 = auditor default; requires -audit)")
 		ckDirFlag = fs.String("checkpoint", "", "journal finished figures into this directory (atomic; survives SIGKILL)")
 		resumeDir = fs.String("resume", "", "resume an interrupted sweep from this checkpoint directory, re-emitting recorded figures verbatim")
 		timeout   = fs.Duration("timeout", 0, "per-figure deadline; a figure exceeding it aborts the sweep (0 = none)")
@@ -142,6 +142,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	}
 	if *timeout < 0 || *stuck < 0 || *auditCad < 0 {
 		return fmt.Errorf("-timeout, -stuck and -audit-cadence must be >= 0")
+	}
+	if !*audit && *auditCad != 0 {
+		return fmt.Errorf("-audit-cadence requires -audit")
 	}
 
 	sw := sweep{

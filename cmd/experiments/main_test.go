@@ -86,6 +86,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-federation", "0"},
 		{"-federation", "x"},
 		{"-federation", "@no-such-file.json"},
+		{"-scale", "small", "-only", "fig16", "-audit-cadence", "5s"},
 	}
 	for _, args := range cases {
 		if _, _, err := runCLI(t, args...); err == nil {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	traceanalyze -in trace.jsonl          # analyze a stored trace
+//	traceanalyze -in trace.jsonl          # analyze a stored trace (JSONL or #cdnlog)
 //	traceanalyze -synthetic -servers 300  # generate-and-analyze in one step
 package main
 
@@ -15,7 +15,7 @@ import (
 
 	"cdnconsistency/internal/analysis"
 	"cdnconsistency/internal/figures"
-	"cdnconsistency/internal/trace"
+	"cdnconsistency/internal/traceimport"
 )
 
 func main() {
@@ -28,7 +28,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("traceanalyze", flag.ContinueOnError)
 	var (
-		in        = fs.String("in", "", "trace file to analyze (JSONL)")
+		in        = fs.String("in", "", "trace file to analyze: the JSONL schema or a #cdnlog access log (sniffed)")
 		synthetic = fs.Bool("synthetic", false, "generate a synthetic trace instead of reading one")
 		servers   = fs.Int("servers", 300, "synthetic: number of servers")
 		days      = fs.Int("days", 3, "synthetic: number of days")
@@ -72,12 +72,7 @@ func run(args []string) error {
 func buildEnv(in string, synthetic bool, servers, days, users int, seed int64) (*figures.TraceEnv, error) {
 	switch {
 	case in != "":
-		f, err := os.Open(in)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		tr, err := trace.Read(f)
+		tr, _, err := traceimport.LoadTrace(in)
 		if err != nil {
 			return nil, err
 		}

@@ -34,7 +34,7 @@ func captureStdout(t *testing.T, f func() error) (string, error) {
 	return buf.String(), runErr
 }
 
-func writeTestTrace(t *testing.T) string {
+func testTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	res, err := tracegen.Generate(tracegen.Config{
 		Topology: topology.Config{Servers: 30, Seed: 2},
@@ -45,16 +45,26 @@ func writeTestTrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
+	return res.Trace
+}
+
+// storeTrace encodes tr with write into a fresh file named name.
+func storeTrace(t *testing.T, name string, tr *trace.Trace, write func(io.Writer, *trace.Trace) error) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if err := trace.Write(f, res.Trace); err != nil {
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+func writeTestTrace(t *testing.T) string {
+	t.Helper()
+	return storeTrace(t, "trace.jsonl", testTrace(t), trace.Write)
 }
 
 func TestRunOnStoredTrace(t *testing.T) {
@@ -67,6 +77,28 @@ func TestRunOnStoredTrace(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %s", want)
 		}
+	}
+}
+
+// TestStoredTraceFormatsAgree runs -in on one crawl stored as JSONL and as
+// a #cdnlog access log: the report must not depend on the encoding.
+func TestStoredTraceFormatsAgree(t *testing.T) {
+	tr := testTrace(t)
+	tr.SortRecords() // an access log carries its records in time order
+	var outs []string
+	for _, enc := range []struct {
+		name  string
+		write func(io.Writer, *trace.Trace) error
+	}{{"trace.jsonl", trace.Write}, {"trace.log", trace.WriteAccessLog}} {
+		path := storeTrace(t, enc.name, tr, enc.write)
+		out, err := captureStdout(t, func() error { return run([]string{"-in", path}) })
+		if err != nil {
+			t.Fatalf("run -in %s: %v", enc.name, err)
+		}
+		outs = append(outs, out)
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("access-log report differs from JSONL report:\n--- jsonl\n%s\n--- access log\n%s", outs[0], outs[1])
 	}
 }
 

@@ -42,7 +42,7 @@ func TestRunFileToFile(t *testing.T) {
 	if err := run([]string{"-in", inPath, "-out", outPath}, strings.NewReader(""), &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	b, err := traceimport.LoadBundle(outPath)
+	b, _, err := traceimport.LoadAny(outPath)
 	if err != nil {
 		t.Fatalf("output bundle does not load: %v", err)
 	}

@@ -140,15 +140,6 @@ func NewDataset(tr *trace.Trace) (*Dataset, error) {
 // Days returns the number of crawl days.
 func (d *Dataset) Days() int { return d.Trace.Meta.Days }
 
-// ServerRecords returns one day's content-server poll records (sorted).
-func (d *Dataset) ServerRecords(day int) []trace.PollRecord { return d.serverRecs[day] }
-
-// ProviderRecords returns one day's provider poll records (sorted).
-func (d *Dataset) ProviderRecords(day int) []trace.PollRecord { return d.providerRecs[day] }
-
-// UserRecords returns one day's user-view poll records (sorted).
-func (d *Dataset) UserRecords(day int) []trace.PollRecord { return d.userRecs[day] }
-
 // computeAlphas maps each snapshot to its first appearance time in records.
 // Absent records never carry snapshots, so they are skipped implicitly by
 // the Snapshot > 0 check.

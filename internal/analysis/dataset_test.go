@@ -167,7 +167,7 @@ func TestScopedInconsistencies(t *testing.T) {
 // scope's records, and run the episode measure per member server.
 func scopedByFiltering(d *Dataset, day int, servers, alphaScope map[string]bool) RequestInconsistency {
 	var scopeRecs, memberRecs []trace.PollRecord
-	for _, r := range d.ServerRecords(day) {
+	for _, r := range d.serverRecs[day] {
 		if alphaScope[r.Server] {
 			scopeRecs = append(scopeRecs, r)
 		}
@@ -233,7 +233,7 @@ func TestScopedInconsistenciesMatchesFiltering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := collectInconsistencies(d.ServerRecords(day), d.alphas[day], d.alphaOrder[day]); !reflect.DeepEqual(got, want) {
+		if want := collectInconsistencies(d.serverRecs[day], d.alphas[day], d.alphaOrder[day]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("day %d: RequestInconsistencies %+v, want %+v", day, got, want)
 		}
 	}
@@ -349,14 +349,14 @@ func TestDatasetAccessors(t *testing.T) {
 	if d.Days() != 1 {
 		t.Errorf("Days = %d", d.Days())
 	}
-	if len(d.ServerRecords(0)) != 7 {
-		t.Errorf("ServerRecords = %d", len(d.ServerRecords(0)))
+	if len(d.serverRecs[0]) != 7 {
+		t.Errorf("serverRecs = %d", len(d.serverRecs[0]))
 	}
-	if len(d.ProviderRecords(0)) != 0 {
-		t.Errorf("ProviderRecords = %d", len(d.ProviderRecords(0)))
+	if len(d.providerRecs[0]) != 0 {
+		t.Errorf("providerRecs = %d", len(d.providerRecs[0]))
 	}
-	if len(d.UserRecords(0)) != 0 {
-		t.Errorf("UserRecords = %d", len(d.UserRecords(0)))
+	if len(d.userRecs[0]) != 0 {
+		t.Errorf("userRecs = %d", len(d.userRecs[0]))
 	}
 }
 

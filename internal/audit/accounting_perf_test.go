@@ -13,10 +13,7 @@ import (
 // ledgerWith returns a Network whose per-sender ledger tracks n endpoints.
 func ledgerWith(tb testing.TB, senders int) *netmodel.Network {
 	tb.Helper()
-	net, err := netmodel.New(netmodel.Config{}, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	net := netmodel.New(netmodel.Config{})
 	sink := netmodel.Endpoint{ID: "origin", Loc: geo.Point{Lat: 40, Lon: -74}, ISP: 1}
 	for i := 0; i < senders; i++ {
 		ep := netmodel.Endpoint{

@@ -138,10 +138,7 @@ func TestScalarPredicates(t *testing.T) {
 }
 
 func TestCheckAccountingAgainstRealNetwork(t *testing.T) {
-	net, err := netmodel.New(netmodel.Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := netmodel.New(netmodel.Config{})
 	a := netmodel.Endpoint{ID: "a"}
 	b := netmodel.Endpoint{ID: "b", Loc: geo.Point{Lat: 10, Lon: 20}}
 	for i := 0; i < 7; i++ {
@@ -154,10 +151,7 @@ func TestCheckAccountingAgainstRealNetwork(t *testing.T) {
 }
 
 func TestCheckAccountingCatchesLedgerDrift(t *testing.T) {
-	net, err := netmodel.New(netmodel.Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := netmodel.New(netmodel.Config{})
 	a, b := netmodel.Endpoint{ID: "a"}, netmodel.Endpoint{ID: "b"}
 	net.Send(a, b, 2, netmodel.ClassUpdate, 0)
 	acct := net.Accounting()

@@ -73,7 +73,7 @@ type auditor struct {
 	violation *audit.Violation
 
 	// delayBound caps each recorded server catch-up delay. Zero means only
-	// non-negativity is enforced: under faults, loss, or visit-driven pull
+	// non-negativity is enforced: under faults or visit-driven pull
 	// methods there is no sound a-priori bound short of the horizon.
 	delayBound time.Duration
 
@@ -108,16 +108,16 @@ func newAuditor(s *simulation) *auditor {
 
 // regimeMaxDelay computes the sound upper bound on one server catch-up delay,
 // or 0 when no such bound exists. A strict bound holds only in the fault-free
-// regime (no injected faults, no crash-stops, no message loss — every one of
-// those legitimately stretches staleness to the outage length) and only for
-// methods whose pull is periodic by construction: TTL, AdaptiveTTL (whose
-// poll period is capped at 4x ServerTTL), and Push (immediate relay). The
+// regime (no injected faults, no crash-stops — each of those legitimately
+// stretches staleness to the outage length) and only for methods whose pull
+// is periodic by construction: TTL, AdaptiveTTL (whose poll period is capped
+// at 4x ServerTTL), and Push (immediate relay). The
 // visit-driven methods (Invalidation, Self-adaptive, Lease, Regime) refresh a
 // replica only when traffic arrives, so a rarely-visited server can lag
 // arbitrarily long without any invariant being broken.
 func (s *simulation) regimeMaxDelay() time.Duration {
 	cfg := s.cfg
-	if (cfg.Faults != nil && !cfg.Faults.Empty()) || cfg.Net.LossProb > 0 {
+	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		return 0
 	}
 	if cfg.Federation != nil {
@@ -136,13 +136,11 @@ func (s *simulation) regimeMaxDelay() time.Duration {
 	}
 	// Per-hop worst case: the longest poll period (AdaptiveTTL caps at
 	// 4x ServerTTL), plus a delivery allowance covering antipodal
-	// propagation, inter-ISP penalty, jitter, and uplink queuing of a full
-	// fanout of update payloads behind one transmission.
+	// propagation, inter-ISP penalty, and uplink queuing of a full fanout of
+	// update payloads behind one transmission.
 	netCfg := s.cells[0].net.Config()
 	const antipodalKm = 20038.0
-	prop := time.Duration(antipodalKm / netCfg.PropagationKmPerSec * float64(time.Second))
-	prop += time.Duration(float64(prop) * netCfg.JitterFrac)
-	prop += netCfg.BaseDelay + netCfg.InterISPDelay
+	prop := netmodel.PropagationBound(antipodalKm)
 	// An uplink backlog is bounded by everything ever enqueued, not one
 	// fanout: when updates arrive faster than the link drains (the
 	// Figure-19 saturation regime), waves pile up behind each other.

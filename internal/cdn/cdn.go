@@ -43,16 +43,12 @@ type Config struct {
 	UserTTL   time.Duration
 
 	// UpdateSizeKB is the update payload (1 KB in Section 4, swept to
-	// 500 KB in Figure 19); LightSizeKB the control-message size (1 KB).
+	// 500 KB in Figure 19).
 	UpdateSizeKB float64
-	LightSizeKB  float64
 
 	// Updates is the publication schedule (defaults to a DefaultGame
-	// draw). StartDelay offsets the first publication (60 s in the
-	// paper); UserStartMax bounds the random user start offsets (50 s).
-	Updates      []workload.Update
-	StartDelay   time.Duration
-	UserStartMax time.Duration
+	// draw), offset by startDelay.
+	Updates []workload.Update
 
 	// HorizonSlack extends the simulation beyond the last update so
 	// in-flight catch-ups complete.
@@ -98,10 +94,6 @@ type Config struct {
 	UseDNSRouting bool
 	// ResolverTTL is the local DNS cache lifetime; default 30 s.
 	ResolverTTL time.Duration
-
-	// LeaseDuration is the cooperative-lease lifetime for MethodLease;
-	// default 60 s.
-	LeaseDuration time.Duration
 
 	// RepairTree re-attaches a crashed node's orphaned children to the
 	// nearest live node (multicast only). Without it the failed node's
@@ -181,13 +173,6 @@ type Config struct {
 	// part of the simulation's identity — changing it changes results —
 	// so invariance suites fix ShardCells and vary Shards. Default 8.
 	ShardCells int
-	// ShardStaticWindows disables adaptive windowing for sharded runs,
-	// pinning the fixed-lookahead barrier. Like ShardCells it is part of
-	// the simulation's identity: window fusion changes which cross-cell
-	// sends share a barrier batch, which can reorder same-timestamp
-	// arrivals — results are worker-count-invariant in either mode, but the
-	// modes are distinct simulations. Default off (adaptive windows).
-	ShardStaticWindows bool
 
 	Net  netmodel.Config
 	Seed int64
@@ -199,6 +184,14 @@ const (
 	DefaultUserTTL      = 10 * time.Second
 	DefaultUpdateSizeKB = 1
 	DefaultClusters     = 20
+)
+
+// Fixed run parameters of the paper's Section 4 setup.
+const (
+	lightSizeKB   = 1                // control-message size
+	startDelay    = 60 * time.Second // offset of the first publication
+	userStartMax  = 50 * time.Second // bound on the random user start offsets
+	leaseDuration = 60 * time.Second // cooperative-lease lifetime (MethodLease)
 )
 
 // Validate checks the configuration's field rules — valid method and
@@ -231,7 +224,7 @@ func (c Config) Validate() error {
 		name string
 		d    time.Duration
 	}{
-		{"server TTL", c.ServerTTL}, {"user TTL", c.UserTTL}, {"StartDelay", c.StartDelay},
+		{"server TTL", c.ServerTTL}, {"user TTL", c.UserTTL},
 	} {
 		if f.d < 0 {
 			return fmt.Errorf("cdn: negative %s %v", f.name, f.d)
@@ -339,23 +332,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.UpdateSizeKB == 0 {
 		c.UpdateSizeKB = DefaultUpdateSizeKB
 	}
-	if c.LightSizeKB <= 0 {
-		c.LightSizeKB = 1
-	}
-	if c.StartDelay == 0 {
-		c.StartDelay = 60 * time.Second
-	}
-	if c.UserStartMax <= 0 {
-		c.UserStartMax = 50 * time.Second
-	}
 	if c.HorizonSlack <= 0 {
 		c.HorizonSlack = 5 * time.Minute
 	}
 	if c.ResolverTTL <= 0 {
 		c.ResolverTTL = 30 * time.Second
-	}
-	if c.LeaseDuration <= 0 {
-		c.LeaseDuration = 60 * time.Second
 	}
 	if c.UserModel == "" {
 		c.UserModel = UserModelExplicit

@@ -132,16 +132,6 @@ func (f *fedState) nearestAlive(s *simulation, i int) int {
 	return f.nearestProvider(s.locs[i], func(k int) bool { return !f.prov[k].down })
 }
 
-// allDown reports an all-providers-down blackout.
-func (f *fedState) allDown() bool {
-	for _, p := range f.prov {
-		if !p.down {
-			return false
-		}
-	}
-	return true
-}
-
 // fedTTL is node i's poll period: its home provider's TTL override, or the
 // configured ServerTTL. With federation off it is exactly Config.ServerTTL.
 func (s *simulation) fedTTL(i int) time.Duration {
@@ -282,7 +272,7 @@ func (s *simulation) fedDeliver(k, to int, sizeKB float64, class netmodel.Class,
 // requester's own timeout takes over, exactly like the classic outage path.
 func (s *simulation) fedOriginExchange(i int, respKB float64, respClass netmodel.Class, onAnswer func(v, k int)) {
 	k := s.fedRoute(i)
-	s.fedDeliverUp(i, k, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+	s.fedDeliverUp(i, k, lightSizeKB, netmodel.ClassLight, func() {
 		p := s.fed.prov[k]
 		if p.down {
 			return
@@ -390,7 +380,7 @@ func (s *simulation) fedInvalidateRoots(k int) {
 		if s.cfg.Infra == consistency.InfraHybrid && s.nodes[child].isSupernode {
 			continue
 		}
-		s.fedDeliver(k, child, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+		s.fedDeliver(k, child, lightSizeKB, netmodel.ClassLight, func() {
 			nd := s.nodes[child]
 			if nd.down {
 				return
@@ -413,7 +403,7 @@ func (s *simulation) fedNotifySubscribers(k int) {
 		}
 		src.subscribers[sub] = true
 		child := sub
-		s.fedDeliver(k, child, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+		s.fedDeliver(k, child, lightSizeKB, netmodel.ClassLight, func() {
 			nd := s.nodes[child]
 			if nd.down {
 				return

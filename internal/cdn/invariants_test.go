@@ -211,20 +211,3 @@ func TestRegimeWithUserSwitching(t *testing.T) {
 		t.Fatal("no observations")
 	}
 }
-
-// Cross-feature: lossy network with every method still converges.
-func TestLossyNetworkAllMethods(t *testing.T) {
-	for _, m := range []consistency.Method{
-		consistency.MethodTTL, consistency.MethodPush, consistency.MethodInvalidation,
-		consistency.MethodSelfAdaptive,
-	} {
-		cfg := baseConfig(t, m, consistency.InfraUnicast)
-		cfg.Net = netmodel.Config{LossProb: 0.1, RetransmitTimeout: 500 * time.Millisecond}
-		cfg.HorizonSlack = 10 * time.Minute
-		res := mustRun(t, cfg)
-		frac := float64(res.LiveServersAtFinalVersion) / float64(res.LiveServers)
-		if frac < 0.95 {
-			t.Errorf("%v under loss: converged %.2f", m, frac)
-		}
-	}
-}

@@ -18,7 +18,7 @@ import (
 func (s *simulation) scheduleLeaseLoops() {
 	for _, nd := range s.nodes[1:] {
 		i := nd.idx
-		offset := time.Duration(s.rng(i).Int63n(int64(s.cfg.LeaseDuration)))
+		offset := time.Duration(s.rng(i).Int63n(int64(leaseDuration)))
 		s.at(i, offset, func() { s.renewLease(i, nil) })
 	}
 }
@@ -40,12 +40,12 @@ func (s *simulation) renewLease(i int, onDone func()) {
 	nd.leaseRenewing = true
 	nd.leaseSeq++
 	seq, gen := nd.leaseSeq, nd.gen
-	s.deliver(i, 0, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+	s.deliver(i, 0, lightSizeKB, netmodel.ClassLight, func() {
 		if s.providerDown {
 			return // outage: no grant; the renewal timeout serves stale
 		}
 		provider := s.nodes[0]
-		expiry := s.now(0) + s.cfg.LeaseDuration
+		expiry := s.now(0) + leaseDuration
 		if provider.leases == nil {
 			provider.leases = make(map[int]time.Duration)
 		}
@@ -68,7 +68,7 @@ func (s *simulation) renewLease(i int, onDone func()) {
 			}
 		})
 	})
-	s.at(i, s.now(i)+s.cfg.LeaseDuration, func() {
+	s.at(i, s.now(i)+leaseDuration, func() {
 		if nd.gen != gen || nd.leaseSeq != seq || !nd.leaseRenewing {
 			return
 		}

@@ -2,7 +2,6 @@ package cdn
 
 import (
 	"testing"
-	"time"
 
 	"cdnconsistency/internal/consistency"
 )
@@ -27,7 +26,6 @@ func TestBroadcastRequiresPush(t *testing.T) {
 
 func TestLeaseRuns(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodLease, consistency.InfraUnicast)
-	cfg.LeaseDuration = 60 * time.Second
 	res := mustRun(t, cfg)
 	if len(res.ServerAvgInconsistency) != 80 {
 		t.Fatalf("server stats = %d", len(res.ServerAvgInconsistency))
@@ -57,7 +55,6 @@ func TestLeaseSavesMessagesWhenIdle(t *testing.T) {
 	mk := func(m consistency.Method) Config {
 		cfg := baseConfig(t, m, consistency.InfraUnicast)
 		cfg.Topology.UsersPerServer = 0
-		cfg.LeaseDuration = 30 * time.Second
 		return cfg
 	}
 	lease := mustRun(t, mk(consistency.MethodLease))

@@ -50,7 +50,7 @@ func (s *simulation) regimeEpoch(i int) {
 		nd.regime = next
 		// Register the new regime with the provider. A dark provider loses
 		// the registration and keeps serving the last regime it heard.
-		s.deliver(i, 0, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+		s.deliver(i, 0, lightSizeKB, netmodel.ClassLight, func() {
 			if s.providerDown {
 				return
 			}

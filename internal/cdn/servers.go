@@ -81,7 +81,7 @@ func (s *simulation) pollAttempt(i, attempt int) {
 			s.onPollResponse(i, p, v)
 		})
 	} else {
-		s.deliver(i, p, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+		s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() {
 			if s.nodes[p].down || (p == 0 && s.providerDown) {
 				return // no answer; the poller's timeout takes over
 			}
@@ -216,7 +216,7 @@ func (s *simulation) armWatchdog(i int) {
 			s.at(i, s.now(i)+2*s.cfg.ServerTTL, tick)
 		}
 		if p == 0 && s.fed != nil {
-			s.fedOriginExchange(i, s.cfg.LightSizeKB, netmodel.ClassLight, func(v, _ int) {
+			s.fedOriginExchange(i, lightSizeKB, netmodel.ClassLight, func(v, _ int) {
 				if answered || nd.down || nd.gen != gen {
 					return
 				}
@@ -224,12 +224,12 @@ func (s *simulation) armWatchdog(i int) {
 				heartbeat(v)
 			})
 		} else {
-			s.deliver(i, p, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+			s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() {
 				if s.nodes[p].down || (p == 0 && s.providerDown) {
 					return // no answer; the heartbeat timeout concludes
 				}
 				v := s.nodes[p].version
-				s.deliver(p, i, s.cfg.LightSizeKB, netmodel.ClassLight, func() { heartbeat(v) })
+				s.deliver(p, i, lightSizeKB, netmodel.ClassLight, func() { heartbeat(v) })
 			})
 		}
 		s.at(i, s.now(i)+s.cfg.ServerTTL, func() {
@@ -293,7 +293,7 @@ func (s *simulation) onPollResponse(i, p, v int) {
 				// peering) provider; a provider dark at arrival loses the
 				// registration, and the watchdog recovers the node.
 				k := s.fedRoute(i)
-				s.fedDeliverUp(i, k, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+				s.fedDeliverUp(i, k, lightSizeKB, netmodel.ClassLight, func() {
 					if s.fed.prov[k].down {
 						return
 					}
@@ -301,7 +301,7 @@ func (s *simulation) onPollResponse(i, p, v int) {
 				})
 				return
 			}
-			s.deliver(i, p, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+			s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() {
 				if s.nodes[p].down || (p == 0 && s.providerDown) {
 					return // subscription lost; the watchdog (or the
 					// next visit poll) recovers the node
@@ -394,7 +394,7 @@ func (s *simulation) triggerFetch(i int, cb func()) {
 			s.completeFetch(i, v)
 		})
 	} else {
-		s.deliver(i, p, s.cfg.LightSizeKB, netmodel.ClassLight, func() { s.serveFetch(p, i) })
+		s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() { s.serveFetch(p, i) })
 	}
 	s.at(i, s.now(i)+s.cfg.ServerTTL, func() {
 		if nd.down || nd.gen != gen || nd.fetchSeq != seq || !nd.fetchInFlight {
@@ -507,7 +507,7 @@ func (s *simulation) selfAdaptiveVisitPoll(i int, onDone func()) {
 			nd.valid = true
 			// Notify the switch back (Algorithm 1 line 12) via the provider
 			// that answered; the registry lives on the logical origin.
-			s.fedDeliverUp(i, k, s.cfg.LightSizeKB, netmodel.ClassLight, func() { delete(s.nodes[p].subscribers, i) })
+			s.fedDeliverUp(i, k, lightSizeKB, netmodel.ClassLight, func() { delete(s.nodes[p].subscribers, i) })
 			resume()
 		})
 		s.at(i, s.now(i)+s.cfg.ServerTTL, func() {
@@ -520,7 +520,7 @@ func (s *simulation) selfAdaptiveVisitPoll(i int, onDone func()) {
 		})
 		return
 	}
-	s.deliver(i, p, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+	s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() {
 		// This closure runs at the parent. The serial fast path may read the
 		// requester's abort state directly; a sharded run must not (another
 		// cell's state mid-window) and relies on the response-side and
@@ -549,7 +549,7 @@ func (s *simulation) selfAdaptiveVisitPoll(i int, onDone func()) {
 			s.setVersion(nd, v)
 			nd.valid = true
 			// Notify the switch back (Algorithm 1 line 12).
-			s.deliver(i, p, s.cfg.LightSizeKB, netmodel.ClassLight, func() { delete(s.nodes[p].subscribers, i) })
+			s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() { delete(s.nodes[p].subscribers, i) })
 			resume()
 		})
 	})

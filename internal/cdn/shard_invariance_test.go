@@ -163,44 +163,6 @@ func TestShardedSerialOracle(t *testing.T) {
 	}
 }
 
-// TestShardedStaticWindowInvariance pins the ShardStaticWindows escape hatch:
-// with adaptive windowing disabled, sharded runs must still be a pure function
-// of (seed, partition) at any worker count. The flag is part of the
-// simulation's identity — it selects a different (equally valid) simulation
-// than the adaptive default, so the suite checks invariance within the mode,
-// never equality across modes.
-func TestShardedStaticWindowInvariance(t *testing.T) {
-	const seed = 3
-	pop := equivPopulation(t, 12, 110, seed)
-	for _, sys := range shardSystems {
-		for _, scenario := range []string{"", "crash", "mixed"} {
-			name := sys.name + "/none"
-			if scenario != "" {
-				name = sys.name + "/" + scenario
-			}
-			sys, scenario := sys, scenario
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				var base *Result
-				for _, shards := range []int{1, 4} {
-					cfg := shardConfig(t, sys.method, sys.infra, seed, pop, scenario, shards, 8)
-					cfg.UserModel = UserModelCohort
-					cfg.ShardStaticWindows = true
-					res := mustRun(t, cfg)
-					if base == nil {
-						base = res
-						continue
-					}
-					if !reflect.DeepEqual(base, res) {
-						t.Errorf("static windows, shards=%d diverged from shards=1:\n  1 workers: %+v\n  %d workers: %+v",
-							shards, base, shards, res)
-					}
-				}
-			})
-		}
-	}
-}
-
 // TestShardedConfigGates pins the serial-only feature gates: options whose
 // correctness depends on cross-cell state being readable mid-event must be
 // rejected up front, not silently miscomputed.

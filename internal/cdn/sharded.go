@@ -35,8 +35,8 @@ import (
 const maxEventsPerCell = 200_000_000
 
 // cellState is one partition cell's execution state: its engine, its own
-// view of the network (jitter/loss draws come from the cell's RNG; each
-// message is booked in its sender's cell), and the run counters its nodes
+// view of the network (output-port queues and traffic ledgers; each message
+// is booked in its sender's cell), and the run counters its nodes
 // accumulate. Counters are merged in cell order when the run ends.
 type cellState struct {
 	eng *sim.Engine
@@ -124,11 +124,7 @@ func (s *simulation) initCells() error {
 	if s.cfg.Shards <= 0 {
 		eng := sim.NewEngine(s.cfg.Seed)
 		eng.SetMaxEvents(maxEventsPerCell)
-		net, err := netmodel.New(s.cfg.Net, eng.Rand())
-		if err != nil {
-			return fmt.Errorf("cdn: %w", err)
-		}
-		s.cells = []*cellState{{eng: eng, net: net}}
+		s.cells = []*cellState{{eng: eng, net: netmodel.New(s.cfg.Net)}}
 		s.cellOf = make([]int, len(s.nodes))
 		return nil
 	}
@@ -142,7 +138,6 @@ func (s *simulation) initCells() error {
 		Lookahead:        lookahead,
 		Workers:          s.cfg.Shards,
 		MaxEventsPerCell: maxEventsPerCell,
-		AdaptiveWindow:   !s.cfg.ShardStaticWindows,
 	})
 	if err != nil {
 		return fmt.Errorf("cdn: %w", err)
@@ -150,11 +145,7 @@ func (s *simulation) initCells() error {
 	s.shEng = sh
 	s.cellOf = cellOf
 	for i := 0; i < n; i++ {
-		net, err := netmodel.New(s.cfg.Net, sh.Cell(i).Rand())
-		if err != nil {
-			return fmt.Errorf("cdn: %w", err)
-		}
-		s.cells = append(s.cells, &cellState{eng: sh.Cell(i), net: net})
+		s.cells = append(s.cells, &cellState{eng: sh.Cell(i), net: netmodel.New(s.cfg.Net)})
 	}
 	return nil
 }
@@ -233,13 +224,10 @@ func (s *simulation) partitionCells() ([]int, int, time.Duration, error) {
 	// The lookahead is the minimum propagation delay over every cross-cell
 	// node pair — not just pairs that exchange protocol messages — so its
 	// safety needs no per-method reasoning. netmodel guarantees every
-	// arrival is at least PropagationDelay after the send (queuing, jitter,
-	// overload, and loss only add), and BaseDelay keeps the bound positive
-	// even for co-located endpoints.
-	probe, err := netmodel.New(s.cfg.Net, nil)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("cdn: %w", err)
-	}
+	// arrival is at least PropagationDelay after the send (queuing and
+	// overload only add), and its fixed per-message overhead keeps the bound
+	// positive even for co-located endpoints.
+	probe := netmodel.New(s.cfg.Net)
 	var lookahead time.Duration
 	for i := 0; i < len(s.nodes); i++ {
 		for j := i + 1; j < len(s.nodes); j++ {

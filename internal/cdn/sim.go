@@ -211,10 +211,10 @@ func newSimulation(cfg Config) (*simulation, error) {
 		if u.Snapshot <= 0 || u.Snapshot >= len(s.publishAt) {
 			return nil, fmt.Errorf("cdn: update snapshot %d outside 1..%d", u.Snapshot, len(cfg.Updates))
 		}
-		s.publishAt[u.Snapshot] = cfg.StartDelay + u.At
+		s.publishAt[u.Snapshot] = startDelay + u.At
 	}
 	last := cfg.Updates[len(cfg.Updates)-1].At
-	s.horizon = cfg.StartDelay + last + cfg.HorizonSlack
+	s.horizon = startDelay + last + cfg.HorizonSlack
 
 	if cfg.Population != nil && len(cfg.Population.Servers) != len(topo.Servers) {
 		return nil, fmt.Errorf("cdn: population spans %d servers, topology has %d",
@@ -351,7 +351,7 @@ func (s *simulation) buildHybridTree() error {
 
 // send wraps netmodel.Send with the message counters the figures need and
 // returns the arrival time. The message is booked in the sender's cell: its
-// network view draws the jitter/loss randomness and its counters take the
+// network view queues it on the sender's uplink and its counters take the
 // tally, so per-cell ledgers partition the run's traffic exactly.
 func (s *simulation) send(from, to int, sizeKB float64, class netmodel.Class) time.Duration {
 	c := s.cell(from)
@@ -433,22 +433,6 @@ func (s *simulation) setVersion(nd *node, v int) {
 		c.recoveries++
 		c.recoverySeconds = append(c.recoverySeconds, (now - nd.recoverAt).Seconds())
 	}
-}
-
-// pushMethod reports whether nd receives pushed updates: everything under
-// MethodPush, and supernodes under the hybrid infrastructure regardless of
-// the cluster-internal method (Section 5.2 pushes to supernodes).
-func (s *simulation) pushedTo(nd *node) bool {
-	if s.cfg.Method == consistency.MethodPush {
-		return true
-	}
-	return s.cfg.Infra == consistency.InfraHybrid && nd.isSupernode
-}
-
-// invalidatedTo reports whether nd receives invalidation notices on every
-// update (plain Invalidation method; supernodes relay within clusters).
-func (s *simulation) invalidatedTo() bool {
-	return s.cfg.Method == consistency.MethodInvalidation
 }
 
 func (s *simulation) run() (*Result, error) {
@@ -910,7 +894,7 @@ func (s *simulation) invalidateChildren(from int) {
 		if s.cfg.Infra == consistency.InfraHybrid && s.nodes[child].isSupernode {
 			continue // supernodes receive pushed content instead
 		}
-		s.deliver(from, child, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+		s.deliver(from, child, lightSizeKB, netmodel.ClassLight, func() {
 			nd := s.nodes[child]
 			if nd.down {
 				return
@@ -932,7 +916,7 @@ func (s *simulation) notifySubscribers(src *node) {
 		}
 		src.subscribers[sub] = true
 		child := sub
-		s.deliver(src.idx, child, s.cfg.LightSizeKB, netmodel.ClassLight, func() {
+		s.deliver(src.idx, child, lightSizeKB, netmodel.ClassLight, func() {
 			nd := s.nodes[child]
 			if nd.down {
 				return

@@ -116,6 +116,6 @@ func (s *simulation) accountVisits(nd *node, weight int) {
 		return
 	}
 	c := s.cell(nd.idx)
-	c.net.Account(nd.ep, s.cfg.LightSizeKB, netmodel.ClassContent, weight)
+	c.net.Account(nd.ep, lightSizeKB, netmodel.ClassContent, weight)
 	c.visitsAccounted += weight
 }

@@ -36,7 +36,7 @@ type explicitUsers struct {
 
 // schedule creates the end-users attached to each server and their periodic
 // visit loops. Without a Population, users come from the topology and start
-// at random offsets in [0, UserStartMax] as in the paper's Section 4 setup
+// at random offsets in [0, userStartMax] as in the paper's Section 4 setup
 // (this path draws engine randomness exactly as it always has). With a
 // Population, users are expanded one per cohort member with the cohort's
 // deterministic offset and period, drawing no randomness — the same
@@ -85,7 +85,7 @@ func (m *explicitUsers) schedule() error {
 				}
 			}
 			m.users = append(m.users, u)
-			offset := time.Duration(s.rng(u.homeSrv).Int63n(int64(s.cfg.UserStartMax)))
+			offset := time.Duration(s.rng(u.homeSrv).Int63n(int64(userStartMax)))
 			s.cell(u.homeSrv).eng.ScheduleAfterFunc(offset, visitEvent, m, int64(u.idx))
 		}
 	}

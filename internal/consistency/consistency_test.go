@@ -58,8 +58,8 @@ func TestSelfAdaptiveFullCycle(t *testing.T) {
 			t.Fatalf("poll with update: notify=%v err=%v", notify, err)
 		}
 	}
-	if s.Switches() != 0 {
-		t.Fatalf("switches = %d", s.Switches())
+	if s.switches != 0 {
+		t.Fatalf("switches = %d", s.switches)
 	}
 
 	// Silence: switch to Invalidation and notify the provider.
@@ -87,8 +87,8 @@ func TestSelfAdaptiveFullCycle(t *testing.T) {
 	if s.Mode() != ModeTTL {
 		t.Fatalf("mode = %v, want ttl", s.Mode())
 	}
-	if s.Switches() != 2 {
-		t.Errorf("switches = %d, want 2", s.Switches())
+	if s.switches != 2 {
+		t.Errorf("switches = %d, want 2", s.switches)
 	}
 }
 

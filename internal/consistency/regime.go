@@ -114,12 +114,6 @@ func NewRegimeController(cfg RegimeConfig) (*RegimeController, error) {
 // Regime returns the current choice.
 func (rc *RegimeController) Regime() Regime { return rc.regime }
 
-// Switches counts regime changes so far.
-func (rc *RegimeController) Switches() int { return rc.switches }
-
-// VisitRate returns the current visits-per-second estimate.
-func (rc *RegimeController) VisitRate() float64 { return rc.visitEWMA }
-
 // UpdateRate returns the current updates-per-second estimate.
 func (rc *RegimeController) UpdateRate() float64 { return rc.updateEWMA }
 

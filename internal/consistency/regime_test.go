@@ -135,8 +135,8 @@ func TestRegimeTracksWorkloadShift(t *testing.T) {
 	if rc.Regime() != RegimeInvalidation {
 		t.Errorf("cold phase regime = %v, want invalidation", rc.Regime())
 	}
-	if rc.Switches() != 2 {
-		t.Errorf("switches = %d, want 2", rc.Switches())
+	if rc.switches != 2 {
+		t.Errorf("switches = %d, want 2", rc.switches)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestRegimeString(t *testing.T) {
 func TestRegimeRatesExposed(t *testing.T) {
 	rc := newRC(t)
 	feed(rc, 10*time.Second, 20*time.Second, 10*time.Minute)
-	if v := rc.VisitRate(); v < 0.05 || v > 0.2 {
+	if v := rc.visitEWMA; v < 0.05 || v > 0.2 {
 		t.Errorf("visit rate = %v, want ~0.1/s", v)
 	}
 	if u := rc.UpdateRate(); u < 0.025 || u > 0.1 {

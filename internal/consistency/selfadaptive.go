@@ -49,9 +49,6 @@ func NewSelfAdaptive() *SelfAdaptive {
 // Mode returns the current regime.
 func (s *SelfAdaptive) Mode() Mode { return s.mode }
 
-// Switches returns how many regime changes have occurred.
-func (s *SelfAdaptive) Switches() int { return s.switches }
-
 // OnPollResult reports a TTL poll outcome. When the poll found no update
 // (Algorithm 1 line 7-8) the automaton switches to Invalidation and the
 // caller must notify the provider; the return value requests that

@@ -214,11 +214,6 @@ func WithTreeRepair() Option {
 	return func(c *cdn.Config) { c.RepairTree = true }
 }
 
-// WithLeaseDuration sets the cooperative-lease lifetime for MethodLease.
-func WithLeaseDuration(d time.Duration) Option {
-	return func(c *cdn.Config) { c.LeaseDuration = d }
-}
-
 // WithFaults injects a declarative fault scenario (crash-stop,
 // crash-recovery, provider outages, ISP partitions, overload, regional
 // failures) compiled deterministically against the run's topology. See
@@ -349,44 +344,4 @@ func Run(sys System, opts ...Option) (*cdn.Result, error) {
 // RunHAT runs the paper's proposed system.
 func RunHAT(opts ...Option) (*cdn.Result, error) {
 	return Run(SystemHAT, opts...)
-}
-
-// Comparison holds one system's result in a matrix run.
-type Comparison struct {
-	System System
-	Result *cdn.Result
-}
-
-// RunAll executes every Section 5.3 system over a shared topology and
-// update schedule so the results are directly comparable.
-func RunAll(opts ...Option) ([]Comparison, error) {
-	// Materialize the shared inputs once.
-	base := configure(SystemTTL, opts)
-	topo := base.Topo
-	if topo == nil {
-		var err error
-		topo, err = topology.Generate(base.Topology)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	updates := base.Updates
-	if len(updates) == 0 {
-		var err error
-		updates, err = workload.Schedule(workload.DefaultGame(), base.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-
-	out := make([]Comparison, 0, len(Systems()))
-	for _, sys := range Systems() {
-		res, err := Run(sys, append(append([]Option(nil), opts...),
-			WithTopology(topo), WithUpdates(updates))...)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Comparison{System: sys, Result: res})
-	}
-	return out, nil
 }

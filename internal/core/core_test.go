@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/netmodel"
@@ -120,8 +121,39 @@ func TestRunPropagatesErrors(t *testing.T) {
 	}
 }
 
+// comparison holds one system's result in a matrix run.
+type comparison struct {
+	System System
+	Result *cdn.Result
+}
+
+// runAll executes every Section 5.3 system over one shared topology and
+// update schedule so the results are directly comparable.
+func runAll(opts ...Option) ([]comparison, error) {
+	base := configure(SystemTTL, opts)
+	topo, err := topology.Generate(base.Topology)
+	if err != nil {
+		return nil, err
+	}
+	updates := base.Updates
+	if len(updates) == 0 {
+		if updates, err = workload.Schedule(workload.DefaultGame(), base.Seed); err != nil {
+			return nil, err
+		}
+	}
+	var out []comparison
+	for _, sys := range Systems() {
+		res, err := Run(sys, append(append([]Option(nil), opts...), WithTopology(topo), WithUpdates(updates))...)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, comparison{System: sys, Result: res})
+	}
+	return out, nil
+}
+
 func TestRunAllSharedInputs(t *testing.T) {
-	comps, err := RunAll(quickOpts()...)
+	comps, err := runAll(quickOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +167,7 @@ func TestRunAllSharedInputs(t *testing.T) {
 		}
 	}
 	// The headline orderings of Figures 22(a)/23 hold on the matrix.
-	byName := map[string]*Comparison{}
+	byName := map[string]*comparison{}
 	for i := range comps {
 		byName[comps[i].System.Name] = &comps[i]
 	}
@@ -150,22 +182,6 @@ func TestRunAllSharedInputs(t *testing.T) {
 	ttlKm := byName["TTL"].Result.Accounting.ByClass[netmodel.ClassUpdate].Km
 	if hatKm >= ttlKm {
 		t.Errorf("HAT update km %.0f not below TTL %.0f", hatKm, ttlKm)
-	}
-}
-
-func TestRunAllWithPrebuiltTopology(t *testing.T) {
-	topo, err := topology.Generate(topology.Config{Servers: 20, UsersPerServer: 1, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comps, err := RunAll(WithTopology(topo), WithGame(quickGame()), WithSeed(4), WithClusters(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range comps {
-		if len(c.Result.ServerAvgInconsistency) != 20 {
-			t.Errorf("%s used wrong topology: %d servers", c.System.Name, len(c.Result.ServerAvgInconsistency))
-		}
 	}
 }
 
@@ -189,7 +205,6 @@ func TestAllOptionsApply(t *testing.T) {
 		System{Name: "Lease", Method: consistency.MethodLease, Infra: consistency.InfraUnicast},
 		quickOpts(
 			WithUpdateSizeKB(4),
-			WithLeaseDuration(45*time.Second),
 			WithNetConfig(netmodel.Config{DefaultUplinkKBps: 5000}),
 		)...,
 	)

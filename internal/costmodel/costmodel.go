@@ -68,9 +68,6 @@ type Estimate struct {
 	LightMsgsPerSec float64
 }
 
-// TotalMsgsPerSec sums both message classes.
-func (e Estimate) TotalMsgsPerSec() float64 { return e.UpdateMsgsPerSec + e.LightMsgsPerSec }
-
 // KBPerSec is the bandwidth cost given the payload sizes. This is the
 // planner's objective: Invalidation beats Push precisely when update
 // payloads dwarf notifications and visits are rarer than updates — the

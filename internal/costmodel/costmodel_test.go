@@ -244,7 +244,7 @@ func TestModelMatchesSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		modeled[m] = obs{staleness: est.StalenessSec, msgRate: est.TotalMsgsPerSec()}
+		modeled[m] = obs{staleness: est.StalenessSec, msgRate: est.UpdateMsgsPerSec + est.LightMsgsPerSec}
 	}
 
 	within := func(a, b, factor float64) bool {

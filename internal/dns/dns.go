@@ -186,6 +186,3 @@ func (r *Resolver) Flush() {
 		r.hasEntry = false
 	}
 }
-
-// Stats reports lookup and miss counts.
-func (r *Resolver) Stats() (lookups, misses int) { return r.lookups, r.misses }

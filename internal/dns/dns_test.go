@@ -132,9 +132,8 @@ func TestResolverCachesUntilExpiry(t *testing.T) {
 	if !fresh {
 		t.Error("lookup at TTL did not refresh")
 	}
-	lookups, misses := r.Stats()
-	if lookups != 4 || misses != 2 {
-		t.Errorf("stats = %d lookups / %d misses, want 4/2", lookups, misses)
+	if r.lookups != 4 || r.misses != 2 {
+		t.Errorf("stats = %d lookups / %d misses, want 4/2", r.lookups, r.misses)
 	}
 }
 

@@ -108,8 +108,7 @@ func ExtLease(scale SimScale) (*Table, error) {
 	}
 	results, err := collectRuns(t, scale.Parallel, len(userCounts)*len(systems), func(i int) (*cdn.Result, error) {
 		res, err := core.Run(systems[i%len(systems)], scale.opts(
-			core.WithUsersPerServer(userCounts[i/len(systems)]),
-			core.WithLeaseDuration(60*time.Second))...)
+			core.WithUsersPerServer(userCounts[i/len(systems)]))...)
 		if err != nil {
 			return nil, fmt.Errorf("figures: ext-lease: %w", err)
 		}

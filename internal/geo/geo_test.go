@@ -122,9 +122,9 @@ func TestHilbertBijective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[uint64]bool, h.Side()*h.Side())
-	for x := uint32(0); x < h.Side(); x++ {
-		for y := uint32(0); y < h.Side(); y++ {
+	seen := make(map[uint64]bool, h.side*h.side)
+	for x := uint32(0); x < h.side; x++ {
+		for y := uint32(0); y < h.side; y++ {
 			d, err := h.Index(x, y)
 			if err != nil {
 				t.Fatal(err)
@@ -142,8 +142,8 @@ func TestHilbertBijective(t *testing.T) {
 			}
 		}
 	}
-	if len(seen) != int(h.Side())*int(h.Side()) {
-		t.Fatalf("curve covered %d cells, want %d", len(seen), h.Side()*h.Side())
+	if len(seen) != int(h.side)*int(h.side) {
+		t.Fatalf("curve covered %d cells, want %d", len(seen), h.side*h.side)
 	}
 }
 
@@ -154,7 +154,7 @@ func TestPropertyHilbertContinuity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	max := uint64(h.Side()) * uint64(h.Side())
+	max := uint64(h.side) * uint64(h.side)
 	px, py, err := h.Cell(0)
 	if err != nil {
 		t.Fatal(err)
@@ -184,10 +184,10 @@ func TestHilbertBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Index(h.Side(), 0); err == nil {
+	if _, err := h.Index(h.side, 0); err == nil {
 		t.Error("Index out of grid succeeded")
 	}
-	if _, _, err := h.Cell(uint64(h.Side()) * uint64(h.Side())); err == nil {
+	if _, _, err := h.Cell(uint64(h.side) * uint64(h.side)); err == nil {
 		t.Error("Cell out of range succeeded")
 	}
 }
@@ -198,8 +198,8 @@ func TestPropertyHilbertRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(x, y uint32) bool {
-		x %= h.Side()
-		y %= h.Side()
+		x %= h.side
+		y %= h.side
 		d, err := h.Index(x, y)
 		if err != nil {
 			return false
@@ -223,14 +223,14 @@ func TestHilbertLocality(t *testing.T) {
 	var nearSum, farSum float64
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		x := r.Uint32() % (h.Side() - 1)
-		y := r.Uint32() % (h.Side() - 1)
+		x := r.Uint32() % (h.side - 1)
+		y := r.Uint32() % (h.side - 1)
 		d0, _ := h.Index(x, y)
 		d1, _ := h.Index(x+1, y)
 		nearSum += absDiff(d0, d1)
 
-		x2 := r.Uint32() % h.Side()
-		y2 := r.Uint32() % h.Side()
+		x2 := r.Uint32() % h.side
+		y2 := r.Uint32() % h.side
 		d2, _ := h.Index(x2, y2)
 		farSum += absDiff(d0, d2)
 	}

@@ -20,9 +20,6 @@ func NewHilbert(order uint) (*Hilbert, error) {
 	return &Hilbert{order: order, side: 1 << order}, nil
 }
 
-// Side returns the grid side length 2^order.
-func (h *Hilbert) Side() uint32 { return h.side }
-
 // Index returns the distance along the curve of grid cell (x, y).
 // Coordinates outside the grid are an error.
 func (h *Hilbert) Index(x, y uint32) (uint64, error) {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAccountBatchesBothLedgers(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	n.Account(atlanta, 1, ClassContent, 1000)
 	n.Account(atlanta, 0.5, ClassContent, 4)
 	n.Account(london, 1, ClassContent, 1)
@@ -42,8 +42,8 @@ func TestAccountBatchesBothLedgers(t *testing.T) {
 func TestAccountMatchesRepeatedSendsOnCounts(t *testing.T) {
 	// Message and KB totals must be the same whether a sender books one
 	// batch of k or k individual zero-distance accounts.
-	a := mustNew(Config{}, nil)
-	b := mustNew(Config{}, nil)
+	a := New(Config{})
+	b := New(Config{})
 	a.Account(atlanta, 2, ClassContent, 7)
 	for i := 0; i < 7; i++ {
 		b.Account(atlanta, 2, ClassContent, 1)
@@ -55,7 +55,7 @@ func TestAccountMatchesRepeatedSendsOnCounts(t *testing.T) {
 }
 
 func TestAccountIgnoresDegenerateInput(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	n.Account(atlanta, 1, ClassContent, 0)
 	n.Account(atlanta, 1, ClassContent, -5)
 	if got := n.Accounting().Total().Messages; got != 0 {
@@ -70,8 +70,8 @@ func TestAccountIgnoresDegenerateInput(t *testing.T) {
 func TestAccountDoesNotTouchQueueState(t *testing.T) {
 	// Accounted traffic must not delay real sends: the uplink queue is
 	// reserved for modeled transmissions.
-	plain := mustNew(Config{}, nil)
-	mixed := mustNew(Config{}, nil)
+	plain := New(Config{})
+	mixed := New(Config{})
 	mixed.Account(atlanta, 1e6, ClassContent, 1000)
 	if plain.Send(atlanta, london, 100, ClassUpdate, 0) != mixed.Send(atlanta, london, 100, ClassUpdate, 0) {
 		t.Error("Account changed a later Send's arrival time")

@@ -13,7 +13,6 @@ package netmodel
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -53,64 +52,34 @@ type Endpoint struct {
 	UplinkKBps float64 // output-port capacity; <=0 means the network default
 }
 
+// The fixed terms of the delay model.
+const (
+	// propagationKmPerSec is the signal speed, roughly 2/3 c, typical for
+	// fiber.
+	propagationKmPerSec = 200000
+	// baseDelay is the fixed per-message overhead (processing, last-mile).
+	baseDelay = 2 * time.Millisecond
+	// interISPDelay is added when source and destination ISPs differ. It
+	// reproduces the paper's Section 3.4.3 finding that inter-ISP traffic
+	// inflates inconsistency.
+	interISPDelay = 15 * time.Millisecond
+)
+
 // Config tunes the delay model. Zero fields take the documented defaults.
 type Config struct {
-	// PropagationKmPerSec is the signal speed; default 200000 km/s
-	// (roughly 2/3 c, typical for fiber).
-	PropagationKmPerSec float64
-	// BaseDelay is fixed per-message overhead (processing, last-mile);
-	// default 2 ms.
-	BaseDelay time.Duration
-	// InterISPDelay is added when source and destination ISPs differ;
-	// default 15 ms. This reproduces the paper's Section 3.4.3 finding
-	// that inter-ISP traffic inflates inconsistency. A negative value is
-	// the explicit-zero sentinel: "no inter-ISP penalty", as opposed to
-	// the zero value which means "use the default".
-	InterISPDelay time.Duration
 	// DefaultUplinkKBps is used when an endpoint does not set its own;
 	// default 12500 KB/s (100 Mbit/s).
 	DefaultUplinkKBps float64
-	// JitterFrac adds uniform random jitter in [0, JitterFrac] of the
-	// propagation delay; default 0 (deterministic).
-	JitterFrac float64
-	// LossProb is the per-transmission loss probability; a lost
-	// transmission is retried after RetransmitTimeout (geometric number
-	// of retries), modeling reliable delivery over a lossy path. Default
-	// 0 (lossless). Requires a non-nil rng.
-	LossProb float64
-	// RetransmitTimeout is the added delay per lost transmission;
-	// default 1 s.
-	RetransmitTimeout time.Duration
 	// DisableQueuing turns off output-port serialization. Used only by
 	// the ablation benchmarks; the realistic model keeps it on.
 	DisableQueuing bool
 }
 
-func (c Config) withDefaults() (Config, error) {
-	if c.LossProb < 0 {
-		return c, fmt.Errorf("netmodel: negative LossProb %v", c.LossProb)
-	}
-	if c.LossProb >= 1 {
-		return c, fmt.Errorf("netmodel: LossProb %v would never deliver; must be < 1", c.LossProb)
-	}
-	if c.PropagationKmPerSec <= 0 {
-		c.PropagationKmPerSec = 200000
-	}
-	if c.BaseDelay <= 0 {
-		c.BaseDelay = 2 * time.Millisecond
-	}
-	if c.InterISPDelay == 0 {
-		c.InterISPDelay = 15 * time.Millisecond
-	} else if c.InterISPDelay < 0 {
-		c.InterISPDelay = 0 // explicit "no penalty"
-	}
+func (c Config) withDefaults() Config {
 	if c.DefaultUplinkKBps <= 0 {
 		c.DefaultUplinkKBps = 12500
 	}
-	if c.RetransmitTimeout <= 0 {
-		c.RetransmitTimeout = time.Second
-	}
-	return c, nil
+	return c
 }
 
 // Network computes delivery delays and accumulates traffic accounting.
@@ -125,7 +94,6 @@ func (c Config) withDefaults() (Config, error) {
 // nondeterminism into any output.
 type Network struct {
 	cfg Config
-	rng *rand.Rand
 
 	// senderIdx interns endpoint IDs; ids is the inverse mapping. The
 	// busyUntil, overload, and bySender columns are all indexed by the
@@ -154,21 +122,14 @@ type Network struct {
 // classMax pre-sizes the per-class ledger for the known message classes.
 const classMax = int(ClassContent) + 1
 
-// New returns a Network with the given configuration, or an error when the
-// configuration is invalid (e.g. LossProb outside [0, 1)). rng may be nil
-// for a fully deterministic model (no jitter even if JitterFrac is set).
-func New(cfg Config, rng *rand.Rand) (*Network, error) {
-	eff, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
+// New returns a Network with the given configuration.
+func New(cfg Config) *Network {
 	return &Network{
-		cfg:       eff,
-		rng:       rng,
+		cfg:       cfg.withDefaults(),
 		senderIdx: make(map[string]int),
 		byClass:   make([]ClassTotals, classMax),
 		distKm:    make(map[uint64]float64),
-	}, nil
+	}
 }
 
 // distance returns the cached great-circle km between two interned
@@ -258,12 +219,18 @@ func (n *Network) PropagationDelay(from, to Endpoint) time.Duration {
 // so Send computes (or cache-loads) the great-circle distance exactly once
 // per message for both delay and accounting.
 func (n *Network) propagationFromKm(km float64, from, to Endpoint) time.Duration {
-	d := time.Duration(km / n.cfg.PropagationKmPerSec * float64(time.Second))
-	d += n.cfg.BaseDelay
+	d := time.Duration(km/propagationKmPerSec*float64(time.Second)) + baseDelay
 	if from.ISP != to.ISP {
-		d += n.cfg.InterISPDelay
+		d += interISPDelay
 	}
 	return d
+}
+
+// PropagationBound returns the longest propagation component a message
+// carried km can have: the PropagationDelay of a path of that length
+// between two different ISPs.
+func PropagationBound(km float64) time.Duration {
+	return time.Duration(km/propagationKmPerSec*float64(time.Second)) + baseDelay + interISPDelay
 }
 
 // transmissionDelay is size/bandwidth on the sender's uplink.
@@ -291,7 +258,7 @@ func (n *Network) Send(from, to Endpoint, sizeKB float64, class Class, now time.
 	if factor := n.overload[si]; factor > 1 {
 		// An overloaded sender serializes slower and adds processing lag.
 		tx = time.Duration(float64(tx) * factor)
-		slowdown = time.Duration(float64(n.cfg.BaseDelay) * (factor - 1))
+		slowdown = time.Duration(float64(baseDelay) * (factor - 1))
 	}
 	start := now
 	if !n.cfg.DisableQueuing {
@@ -300,24 +267,8 @@ func (n *Network) Send(from, to Endpoint, sizeKB float64, class Class, now time.
 		}
 		n.busyUntil[si] = start + tx
 	}
-	prop := n.propagationFromKm(km, from, to)
-	if n.cfg.JitterFrac > 0 && n.rng != nil {
-		prop += time.Duration(n.rng.Float64() * n.cfg.JitterFrac * float64(prop))
-	}
-	arrival := start + tx + prop + slowdown
-
 	n.record(class, si, km, sizeKB)
-
-	// Lossy path: each lost transmission costs a retransmission timeout
-	// and is re-sent (and re-accounted — the bytes really crossed the
-	// wire again).
-	if n.cfg.LossProb > 0 && n.rng != nil {
-		for n.rng.Float64() < n.cfg.LossProb {
-			arrival += n.cfg.RetransmitTimeout + tx
-			n.record(class, si, km, sizeKB)
-		}
-	}
-	return arrival
+	return start + tx + n.propagationFromKm(km, from, to) + slowdown
 }
 
 // Account books count identical messages of sizeKB from ep into both ledgers
@@ -390,16 +341,6 @@ func (n *Network) Accounting() Accounting {
 // View returns a copy-free read-only view over the live ledgers. The view
 // observes subsequent sends; it must not be read concurrently with them.
 func (n *Network) View() AccountingView { return AccountingView{n: n} }
-
-// ResetAccounting zeroes the traffic accounting (queue state is preserved).
-func (n *Network) ResetAccounting() {
-	for i := range n.byClass {
-		n.byClass[i] = ClassTotals{}
-	}
-	for i := range n.bySender {
-		n.bySender[i] = ClassTotals{}
-	}
-}
 
 // AccountingView is a read-only window onto a Network's live traffic
 // ledgers. Unlike Accounting it copies nothing: Total and Class sum in

@@ -14,7 +14,7 @@ import (
 // busy-port, overload, distance, and both ledger updates are all dense
 // slice operations.
 func TestSendRecycledPathAllocFree(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	now := time.Duration(0)
 	// First sends intern the endpoints, grow the ledgers, and warm the
 	// distance cache.
@@ -32,7 +32,7 @@ func TestSendRecycledPathAllocFree(t *testing.T) {
 // through the View must not materialize anything, regardless of how many
 // senders the ledger tracks.
 func TestViewAllocFree(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	for i := 0; i < 500; i++ {
 		ep := Endpoint{ID: fmt.Sprintf("srv%d", i), Loc: geo.Point{Lat: float64(i % 90), Lon: float64(i % 180)}, ISP: i % 7}
 		n.Send(ep, atlanta, 1, ClassLight, 0)
@@ -53,7 +53,7 @@ func TestViewAllocFree(t *testing.T) {
 // BenchmarkNetworkSendSteadyState measures the recycled Send path the
 // simulation pays millions of times per figure. The CI bench gate tracks it.
 func BenchmarkNetworkSendSteadyState(b *testing.B) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	now := time.Duration(0)
 	now += n.Send(atlanta, london, 1, ClassUpdate, now)
 	b.ReportAllocs()
@@ -67,7 +67,7 @@ func BenchmarkNetworkSendSteadyState(b *testing.B) {
 // introduces a new endpoint pair, paying interning, ledger growth, and the
 // haversine. It bounds what topology setup costs.
 func BenchmarkNetworkSendFirstContact(b *testing.B) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

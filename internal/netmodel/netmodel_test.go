@@ -2,7 +2,6 @@ package netmodel
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,16 +15,8 @@ var (
 	tokyo   = Endpoint{ID: "tyo", Loc: geo.Point{Lat: 35.6762, Lon: 139.6503}, ISP: 2}
 )
 
-func mustNew(cfg Config, rng *rand.Rand) *Network {
-	n, err := New(cfg, rng)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 func TestPropagationDelayGrowsWithDistance(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	near := n.PropagationDelay(atlanta, atlanta)
 	mid := n.PropagationDelay(atlanta, london)
 	if mid <= near {
@@ -39,34 +30,20 @@ func TestPropagationDelayGrowsWithDistance(t *testing.T) {
 }
 
 func TestInterISPPenalty(t *testing.T) {
-	n := mustNew(Config{InterISPDelay: 15 * time.Millisecond}, nil)
+	n := New(Config{})
 	sameISP := Endpoint{ID: "x", Loc: tokyo.Loc, ISP: atlanta.ISP}
 	intra := n.PropagationDelay(atlanta, sameISP)
 	inter := n.PropagationDelay(atlanta, tokyo)
 	if inter-intra != 15*time.Millisecond {
 		t.Errorf("inter-ISP penalty = %v, want 15ms", inter-intra)
 	}
-}
-
-func TestInterISPPenaltyExplicitlyDisabled(t *testing.T) {
-	// A negative InterISPDelay is the explicit-zero sentinel: no penalty,
-	// instead of the 15 ms default that plain zero selects.
-	n := mustNew(Config{InterISPDelay: -1}, nil)
-	if got := n.Config().InterISPDelay; got != 0 {
-		t.Errorf("sentinel InterISPDelay resolved to %v, want 0", got)
-	}
-	inter := n.PropagationDelay(atlanta, tokyo)
-	intra := n.PropagationDelay(atlanta, Endpoint{ID: "x", Loc: tokyo.Loc, ISP: atlanta.ISP})
-	if inter != intra {
-		t.Errorf("disabled penalty still applied: inter %v intra %v", inter, intra)
-	}
-	if def := mustNew(Config{}, nil).Config().InterISPDelay; def != 15*time.Millisecond {
-		t.Errorf("zero InterISPDelay default = %v, want 15ms", def)
+	if b := PropagationBound(geo.DistanceKm(atlanta.Loc, tokyo.Loc)); b != inter {
+		t.Errorf("PropagationBound = %v, want the inter-ISP delay %v", b, inter)
 	}
 }
 
 func TestOutputPortQueuing(t *testing.T) {
-	n := mustNew(Config{DefaultUplinkKBps: 100}, nil) // 100 KB/s: 100 KB takes 1 s
+	n := New(Config{DefaultUplinkKBps: 100}) // 100 KB/s: 100 KB takes 1 s
 	const size = 100.0
 	a1 := n.Send(atlanta, london, size, ClassUpdate, 0)
 	a2 := n.Send(atlanta, london, size, ClassUpdate, 0)
@@ -81,7 +58,7 @@ func TestOutputPortQueuing(t *testing.T) {
 }
 
 func TestQueueDrains(t *testing.T) {
-	n := mustNew(Config{DefaultUplinkKBps: 100}, nil)
+	n := New(Config{DefaultUplinkKBps: 100})
 	n.Send(atlanta, london, 100, ClassUpdate, 0)
 	// After the uplink frees (1s), a later send is not queued.
 	a := n.Send(atlanta, london, 100, ClassUpdate, 5*time.Second)
@@ -96,7 +73,7 @@ func TestQueueDrains(t *testing.T) {
 }
 
 func TestDisableQueuing(t *testing.T) {
-	n := mustNew(Config{DefaultUplinkKBps: 100, DisableQueuing: true}, nil)
+	n := New(Config{DefaultUplinkKBps: 100, DisableQueuing: true})
 	a1 := n.Send(atlanta, london, 100, ClassUpdate, 0)
 	a2 := n.Send(atlanta, london, 100, ClassUpdate, 0)
 	if a1 != a2 {
@@ -105,7 +82,7 @@ func TestDisableQueuing(t *testing.T) {
 }
 
 func TestQueuingSeparatePerSender(t *testing.T) {
-	n := mustNew(Config{DefaultUplinkKBps: 100}, nil)
+	n := New(Config{DefaultUplinkKBps: 100})
 	n.Send(atlanta, london, 1000, ClassUpdate, 0) // 10s on atlanta's uplink
 	// tokyo's uplink is independent.
 	a := n.Send(tokyo, london, 100, ClassUpdate, 0)
@@ -116,7 +93,7 @@ func TestQueuingSeparatePerSender(t *testing.T) {
 }
 
 func TestEndpointUplinkOverride(t *testing.T) {
-	n := mustNew(Config{DefaultUplinkKBps: 100}, nil)
+	n := New(Config{DefaultUplinkKBps: 100})
 	fast := atlanta
 	fast.ID = "fast"
 	fast.UplinkKBps = 10000
@@ -128,7 +105,7 @@ func TestEndpointUplinkOverride(t *testing.T) {
 }
 
 func TestAccounting(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	n.Send(atlanta, london, 2, ClassUpdate, 0)
 	n.Send(atlanta, london, 1, ClassLight, 0)
 	n.Send(atlanta, london, 1, ClassLight, 0)
@@ -148,14 +125,10 @@ func TestAccounting(t *testing.T) {
 		t.Errorf("total = %+v", tot)
 	}
 
-	n.ResetAccounting()
-	if n.Accounting().Total().Messages != 0 {
-		t.Error("ResetAccounting did not clear totals")
-	}
 }
 
 func TestAccountingSnapshotIsolated(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	n.Send(atlanta, london, 1, ClassUpdate, 0)
 	snap := n.Accounting()
 	n.Send(atlanta, london, 1, ClassUpdate, 0)
@@ -165,7 +138,7 @@ func TestAccountingSnapshotIsolated(t *testing.T) {
 }
 
 func TestClassesSortedAndString(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	n.Send(atlanta, london, 1, ClassContent, 0)
 	n.Send(atlanta, london, 1, ClassUpdate, 0)
 	got := n.Accounting().Classes()
@@ -178,30 +151,8 @@ func TestClassesSortedAndString(t *testing.T) {
 	}
 }
 
-func TestJitterBoundedAndDeterministicWithSeed(t *testing.T) {
-	mk := func() *Network {
-		return mustNew(Config{JitterFrac: 0.2}, rand.New(rand.NewSource(5)))
-	}
-	n1, n2 := mk(), mk()
-	base := mustNew(Config{}, nil).PropagationDelay(atlanta, london)
-	for i := 0; i < 100; i++ {
-		a1 := n1.Send(atlanta, london, 1, ClassLight, time.Duration(i)*time.Second)
-		a2 := n2.Send(atlanta, london, 1, ClassLight, time.Duration(i)*time.Second)
-		if a1 != a2 {
-			t.Fatalf("jittered sends diverge with same seed: %v vs %v", a1, a2)
-		}
-		prop := a1 - time.Duration(i)*time.Second
-		if prop < base {
-			t.Fatalf("jitter reduced delay below base: %v < %v", prop, base)
-		}
-		if prop > base+time.Duration(0.25*float64(base)) {
-			t.Fatalf("jitter exceeded bound: %v vs base %v", prop, base)
-		}
-	}
-}
-
 func TestNegativeSizeClamped(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	a := n.Send(atlanta, london, -5, ClassLight, 0)
 	if a < 0 {
 		t.Errorf("negative-size send arrived at %v", a)
@@ -215,7 +166,7 @@ func TestNegativeSizeClamped(t *testing.T) {
 // same sender arrive in FIFO order per destination when sizes are equal.
 func TestPropertySendCausalAndMonotone(t *testing.T) {
 	f := func(sizes []uint8) bool {
-		n := mustNew(Config{DefaultUplinkKBps: 50}, nil)
+		n := New(Config{DefaultUplinkKBps: 50})
 		var prev time.Duration
 		for i, s := range sizes {
 			now := time.Duration(i) * time.Millisecond
@@ -236,62 +187,15 @@ func TestPropertySendCausalAndMonotone(t *testing.T) {
 }
 
 func BenchmarkSend(b *testing.B) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n.Send(atlanta, london, 1, ClassUpdate, time.Duration(i)*time.Microsecond)
 	}
 }
 
-func TestLossyPathRetransmits(t *testing.T) {
-	lossless := mustNew(Config{}, nil)
-	lossy := mustNew(Config{LossProb: 0.5, RetransmitTimeout: time.Second}, rand.New(rand.NewSource(7)))
-
-	var slower, n int
-	base := lossless.Send(atlanta, london, 1, ClassUpdate, 0)
-	for i := 0; i < 200; i++ {
-		now := time.Duration(i) * 10 * time.Second
-		a := lossy.Send(atlanta, london, 1, ClassUpdate, now) - now
-		n++
-		if a > base {
-			slower++
-		}
-		if a < base {
-			t.Fatalf("lossy delivery %v faster than lossless %v", a, base)
-		}
-	}
-	// With p=0.5, about half the sends should see at least one retry.
-	if frac := float64(slower) / float64(n); frac < 0.3 || frac > 0.7 {
-		t.Errorf("retry fraction = %.2f, want ~0.5", frac)
-	}
-	// Retransmissions are accounted: more than one message per Send.
-	msgs := lossy.Accounting().Total().Messages
-	if msgs <= n {
-		t.Errorf("accounted %d messages for %d sends, want more (retries)", msgs, n)
-	}
-}
-
-func TestLossProbOutOfRangeRejected(t *testing.T) {
-	for _, p := range []float64{1, 1.5, 5, -0.1, -1} {
-		if _, err := New(Config{LossProb: p}, rand.New(rand.NewSource(8))); err == nil {
-			t.Errorf("LossProb %v accepted", p)
-		}
-	}
-	if _, err := New(Config{LossProb: 0.99}, rand.New(rand.NewSource(8))); err != nil {
-		t.Errorf("LossProb 0.99 rejected: %v", err)
-	}
-}
-
-func TestLossWithoutRngIsLossless(t *testing.T) {
-	n := mustNew(Config{LossProb: 0.9}, nil)
-	base := mustNew(Config{}, nil)
-	if n.Send(atlanta, london, 1, ClassLight, 0) != base.Send(atlanta, london, 1, ClassLight, 0) {
-		t.Error("loss applied without an rng")
-	}
-}
-
 func TestPartitionGroupsCutAndHeal(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	if !n.Reachable(atlanta, tokyo) {
 		t.Fatal("unpartitioned endpoints unreachable")
 	}
@@ -313,7 +217,7 @@ func TestPartitionGroupsCutAndHeal(t *testing.T) {
 }
 
 func TestPartitionGroupsCompose(t *testing.T) {
-	n := mustNew(Config{}, nil)
+	n := New(Config{})
 	n.SetPartitionGroup(1, []int{atlanta.ISP})
 	n.SetPartitionGroup(2, []int{tokyo.ISP})
 	if n.Reachable(atlanta, tokyo) {
@@ -329,7 +233,7 @@ func TestPartitionGroupsCompose(t *testing.T) {
 }
 
 func TestOverloadInflatesServiceDelay(t *testing.T) {
-	mk := func() *Network { return mustNew(Config{DefaultUplinkKBps: 100}, nil) }
+	mk := func() *Network { return New(Config{DefaultUplinkKBps: 100}) }
 	base := mk().Send(atlanta, london, 100, ClassUpdate, 0) // 1 s tx
 
 	n := mk()
@@ -352,10 +256,10 @@ func TestOverloadInflatesServiceDelay(t *testing.T) {
 }
 
 func TestOverloadIgnoresBadFactor(t *testing.T) {
-	n := mustNew(Config{DefaultUplinkKBps: 100}, nil)
+	n := New(Config{DefaultUplinkKBps: 100})
 	n.SetOverload(atlanta.ID, 1)
 	n.SetOverload(atlanta.ID, 0.5)
-	base := mustNew(Config{DefaultUplinkKBps: 100}, nil).Send(atlanta, london, 100, ClassUpdate, 0)
+	base := New(Config{DefaultUplinkKBps: 100}).Send(atlanta, london, 100, ClassUpdate, 0)
 	if got := n.Send(atlanta, london, 100, ClassUpdate, 0); got != base {
 		t.Errorf("factor <= 1 changed delay: %v vs %v", got, base)
 	}

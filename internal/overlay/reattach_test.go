@@ -30,8 +30,8 @@ func TestReattachRejoinsNearestLive(t *testing.T) {
 	if p == NoParent || !alive[p] {
 		t.Errorf("reattached under %d (alive=%v)", p, p != NoParent && alive[p])
 	}
-	if tree.Depth(7) != tree.Depth(p)+1 {
-		t.Errorf("depth %d, parent depth %d", tree.Depth(7), tree.Depth(p))
+	if tree.depth[7] != tree.depth[p]+1 {
+		t.Errorf("depth %d, parent depth %d", tree.depth[7], tree.depth[p])
 	}
 	if err := tree.Validate(2, alive); err != nil {
 		t.Errorf("Validate after reattach: %v", err)

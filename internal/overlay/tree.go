@@ -34,9 +34,6 @@ func (t *Tree) Parent(i int) int { return t.parent[i] }
 // the tree; callers must not mutate it.
 func (t *Tree) Children(i int) []int { return t.children[i] }
 
-// Depth returns a node's distance from the root (root = 0).
-func (t *Tree) Depth(i int) int { return t.depth[i] }
-
 // MaxDepth returns the largest node depth.
 func (t *Tree) MaxDepth() int {
 	max := 0

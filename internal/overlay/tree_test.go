@@ -32,8 +32,8 @@ func TestUnicastStar(t *testing.T) {
 		t.Errorf("root children = %d", len(tree.Children(0)))
 	}
 	for i := 1; i <= 5; i++ {
-		if tree.Parent(i) != 0 || tree.Depth(i) != 1 {
-			t.Errorf("node %d parent/depth = %d/%d", i, tree.Parent(i), tree.Depth(i))
+		if tree.Parent(i) != 0 || tree.depth[i] != 1 {
+			t.Errorf("node %d parent/depth = %d/%d", i, tree.Parent(i), tree.depth[i])
 		}
 	}
 	if tree.MaxDepth() != 1 {
@@ -277,8 +277,8 @@ func TestNewTreeFromParents(t *testing.T) {
 	if err := tree.Validate(0, nil); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if tree.Depth(4) != 2 || tree.Depth(2) != 1 {
-		t.Errorf("depths wrong: %d %d", tree.Depth(4), tree.Depth(2))
+	if tree.depth[4] != 2 || tree.depth[2] != 1 {
+		t.Errorf("depths wrong: %d %d", tree.depth[4], tree.depth[2])
 	}
 	if got := len(tree.Children(1)); got != 2 {
 		t.Errorf("children(1) = %d", got)

@@ -31,11 +31,6 @@ type Config struct {
 	Trace      string // runtime execution trace for `go tool trace`
 }
 
-// Enabled reports whether any collector is configured.
-func (c Config) Enabled() bool {
-	return c.CPUProfile != "" || c.MemProfile != "" || c.Trace != ""
-}
-
 // Start begins the configured collectors and returns a stop function that
 // flushes and closes them. The stop function must be called exactly once;
 // it returns the first error encountered while finalizing any profile.

@@ -75,8 +75,8 @@ type Engine struct {
 	slotGen   []uint32
 	payloads  []payload
 	freeSlots []uint32
-	// live counts scheduled-but-not-yet-fired-or-cancelled events (Pending
-	// stays O(1)); dead counts tombstones still sitting in the heap.
+	// live counts scheduled-but-not-yet-fired-or-cancelled events; dead
+	// counts tombstones still sitting in the heap.
 	dead    int
 	live    int
 	rng     *rand.Rand
@@ -329,9 +329,6 @@ func (e *Engine) maybeCompact() {
 // lost. Each Run (or RunUntil) consumes the pending stop on return, so a
 // stopped engine can be resumed by calling Run again.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Pending reports the number of live (not cancelled) scheduled events.
-func (e *Engine) Pending() int { return e.live }
 
 // queueLen reports the heap's physical size including tombstones; tests use
 // it to assert that cancel churn stays bounded.

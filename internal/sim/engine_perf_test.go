@@ -75,8 +75,8 @@ func TestCancelChurnBoundsQueue(t *testing.T) {
 			maxQ = q
 		}
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after cancelling everything, want 0", e.Pending())
+	if e.live != 0 {
+		t.Fatalf("live = %d after cancelling everything, want 0", e.live)
 	}
 	// Live events never exceed batch; the physical queue may additionally
 	// hold up to ~compactMinQueue+batch tombstones between compactions.

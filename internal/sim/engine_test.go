@@ -301,8 +301,8 @@ func TestEventLimitStateConsistent(t *testing.T) {
 	if got := e.Now(); got != 3*time.Second {
 		t.Errorf("Now = %v, want 3s (last event that actually ran)", got)
 	}
-	if got := e.Pending(); got != 2 {
-		t.Errorf("Pending = %d, want 2 (the limiting event must stay queued)", got)
+	if got := e.live; got != 2 {
+		t.Errorf("live = %d, want 2 (the limiting event must stay queued)", got)
 	}
 	// The post-limit state is resumable: lifting the cap runs the rest.
 	e.SetMaxEvents(0)
@@ -335,8 +335,8 @@ func TestStopBeforeRun(t *testing.T) {
 	if fired != 0 {
 		t.Fatalf("fired = %d, want 0: pre-armed Stop was ignored", fired)
 	}
-	if got := e.Pending(); got != 1 {
-		t.Errorf("Pending = %d, want 1", got)
+	if got := e.live; got != 1 {
+		t.Errorf("live = %d, want 1", got)
 	}
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
@@ -381,8 +381,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 2*time.Second {
 		t.Errorf("Now = %v, want 2s (clock advances to the window end)", e.Now())
 	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
+	if e.live != 2 {
+		t.Errorf("live = %d, want 2", e.live)
 	}
 	// Going backwards is a causality error.
 	if err := e.RunUntil(time.Second); err == nil {

@@ -17,13 +17,13 @@
 //     lazily (deliveries carry their own timestamps; the final horizon pass
 //     catches the clock up), so a sparse window costs O(active cells).
 //
-//   - Adaptive windowing (opt-in via ShardedConfig.AdaptiveWindow): the
-//     boundary for cell j is the tightest bound derivable from the pending
-//     event times alone, B_j = min(min_{k≠j} t_k, t_j+L) + L, which fuses up
-//     to two static windows into one when the earliest cell runs ahead of
-//     the rest. The bound is a pure function of the per-cell event streams
-//     observed at the barrier — never of worker scheduling — so results
-//     remain bit-identical at any worker count.
+//   - Adaptive windowing: the boundary for cell j is the tightest bound
+//     derivable from the pending event times alone,
+//     B_j = min(min_{k≠j} t_k, t_j+L) + L, which fuses up to two static
+//     windows into one when the earliest cell runs ahead of the rest. The
+//     bound is a pure function of the per-cell event streams observed at
+//     the barrier — never of worker scheduling — so results remain
+//     bit-identical at any worker count.
 //
 //   - Zero-alloc barriers: the merge buffer, active list, and per-cell bound
 //     slices persist across windows, the (at, src, seq) sort is skipped when
@@ -36,8 +36,7 @@
 // RNG, and its outbox), and the buffered cross-cell sends are merged in a
 // total order — (timestamp, source cell, per-source sequence) — by a single
 // goroutine at the barrier. Results are a pure function of
-// (seed, partition, windowing mode); the worker count only changes wall-clock
-// time.
+// (seed, partition); the worker count only changes wall-clock time.
 package sim
 
 import (
@@ -69,13 +68,6 @@ type ShardedConfig struct {
 	Workers int
 	// MaxEventsPerCell caps each cell's executed events (0 = no cap).
 	MaxEventsPerCell uint64
-	// AdaptiveWindow fuses windows using per-cell boundaries computed from
-	// the pending event times (see the package comment). Results stay
-	// invariant across worker counts in either mode, but the two modes are
-	// distinct simulations: window fusion changes which cross-cell sends
-	// share a barrier batch, which can reorder same-timestamp arrivals from
-	// different source cells. Pick a mode per run, not per worker count.
-	AdaptiveWindow bool
 }
 
 // ErrLookaheadViolation reports a cross-cell send scheduled to arrive before
@@ -122,7 +114,6 @@ type Sharded struct {
 	cells     []*Engine
 	lookahead time.Duration
 	workers   int
-	adaptive  bool
 
 	// Per-source-cell outboxes and sequence counters. During a window each
 	// is touched only by the goroutine running that cell, so no locking is
@@ -192,7 +183,6 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		cells:     make([]*Engine, cfg.Cells),
 		lookahead: cfg.Lookahead,
 		workers:   workers,
-		adaptive:  cfg.AdaptiveWindow,
 		outbox:    make([][]crossEvent, cfg.Cells),
 		outSeq:    make([]uint64, cfg.Cells),
 		sendErr:   make([]error, cfg.Cells),
@@ -322,10 +312,10 @@ func (sh *Sharded) flush() error {
 // globally earliest pending event). ok is false when no cell holds an event
 // at or before the horizon, i.e. the run is complete.
 //
-// The static boundary is m+L for every cell, where m is the window start and
-// L the lookahead: an event executing at u >= m can only produce a
-// cross-cell arrival at u+L >= m+L. In adaptive mode the boundary for cell j
-// is instead the tightest bound derivable from the peeks alone,
+// The static boundary m+L, where m is the window start and L the lookahead,
+// holds for every cell: an event executing at u >= m can only produce a
+// cross-cell arrival at u+L >= m+L. The boundary for cell j is the tightest
+// bound derivable from the peeks alone, never earlier than the static one,
 //
 //	B_j = min( min_{k!=j} t_k, t_j + L ) + L
 //
@@ -361,22 +351,20 @@ func (sh *Sharded) planWindow(horizon time.Duration) (start time.Duration, ok bo
 	sh.active = sh.active[:0]
 	for i := range sh.cells {
 		end := base
-		if sh.adaptive {
-			// min over the other cells' peeks: m unless i is the argmin.
-			other := m
-			if i == mIdx {
-				other = m2
+		// min over the other cells' peeks: m unless i is the argmin.
+		other := m
+		if i == mIdx {
+			other = m2
+		}
+		if sh.peek[i] < infTime {
+			if own := sh.peek[i] + sh.lookahead; own < other {
+				other = own
 			}
-			if sh.peek[i] < infTime {
-				if own := sh.peek[i] + sh.lookahead; own < other {
-					other = own
-				}
-			}
-			if other > m { // strictly later than the static bound's base
-				end = other + sh.lookahead
-				if horizon > 0 && end > horizon {
-					end = horizon + 1
-				}
+		}
+		if other > m { // strictly later than the static bound's base
+			end = other + sh.lookahead
+			if horizon > 0 && end > horizon {
+				end = horizon + 1
 			}
 		}
 		sh.cellEnd[i] = end

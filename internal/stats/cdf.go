@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // CDF is an empirical cumulative distribution function over float64 samples.
 type CDF struct {
@@ -33,22 +29,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// Quantile returns the smallest sample value v with P(X <= v) >= q, for
-// q in (0, 1].
-func (c *CDF) Quantile(q float64) (float64, error) {
-	if q <= 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %v out of (0,1]", q)
-	}
-	idx := int(q*float64(len(c.sorted))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(c.sorted) {
-		idx = len(c.sorted) - 1
-	}
-	return c.sorted[idx], nil
-}
-
 // Min returns the smallest sample.
 func (c *CDF) Min() float64 { return c.sorted[0] }
 
@@ -75,13 +55,4 @@ func (c *CDF) Points(n int) []CDFPoint {
 type CDFPoint struct {
 	X float64 // sample value
 	P float64 // cumulative probability P(X <= x)
-}
-
-// FormatPoints renders points as "x\tp" lines for harness output.
-func FormatPoints(pts []CDFPoint) string {
-	var b strings.Builder
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%.3f\t%.4f\n", p.X, p.P)
-	}
-	return b.String()
 }

@@ -12,11 +12,10 @@ func ExampleCDF() {
 		panic(err)
 	}
 	fmt.Printf("P(X<=10) = %.1f\n", cdf.At(10))
-	median, _ := cdf.Quantile(0.5)
-	fmt.Printf("median   = %.0f\n", median)
+	fmt.Printf("range    = [%.0f, %.0f]\n", cdf.Min(), cdf.Max())
 	// Output:
 	// P(X<=10) = 0.6
-	// median   = 10
+	// range    = [5, 40]
 }
 
 func ExampleSummarize() {

@@ -186,33 +186,6 @@ func TestCDFBasics(t *testing.T) {
 	}
 }
 
-func TestCDFQuantile(t *testing.T) {
-	c, err := NewCDF([]float64{10, 20, 30, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0.25, 10}, {0.5, 20}, {1, 40}, {0.1, 10},
-	}
-	for _, tt := range tests {
-		got, err := c.Quantile(tt.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tt.want {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	for _, q := range []float64{0, -0.1, 1.1} {
-		if _, err := c.Quantile(q); err == nil {
-			t.Errorf("Quantile(%v) succeeded", q)
-		}
-	}
-}
-
 // Property: a CDF is monotone non-decreasing and reaches 1 at its max.
 func TestPropertyCDFMonotone(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -239,14 +212,6 @@ func TestPropertyCDFMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFormatPoints(t *testing.T) {
-	s := FormatPoints([]CDFPoint{{X: 1.5, P: 0.25}})
-	want := "1.500\t0.2500\n"
-	if s != want {
-		t.Errorf("FormatPoints = %q, want %q", s, want)
 	}
 }
 

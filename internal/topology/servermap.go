@@ -1,8 +1,6 @@
 package topology
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"cdnconsistency/internal/geo"
@@ -81,31 +79,6 @@ func (m *ServerMap) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ParseServerMap parses and validates a JSON server map. Parsing is strict:
-// unknown fields, trailing data, and structurally invalid maps are errors,
-// never panics.
-func ParseServerMap(data []byte) (*ServerMap, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var m ServerMap
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("topology: parse server map: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("topology: parse server map: trailing data after spec")
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// Marshal serializes the map as indented JSON, the inverse of
-// ParseServerMap: Parse(Marshal(m)) reproduces m exactly.
-func (m *ServerMap) Marshal() ([]byte, error) {
-	return json.MarshalIndent(m, "", "  ")
 }
 
 // Topology materializes the map as a simulation topology: servers in

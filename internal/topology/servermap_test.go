@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -15,31 +16,10 @@ func sampleServerMap() *ServerMap {
 	}
 }
 
-func TestServerMapRoundTrip(t *testing.T) {
-	m := sampleServerMap()
-	data, err := m.Marshal()
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	got, err := ParseServerMap(data)
-	if err != nil {
-		t.Fatalf("ParseServerMap: %v", err)
-	}
-	again, err := got.Marshal()
-	if err != nil {
-		t.Fatalf("second Marshal: %v", err)
-	}
-	if string(data) != string(again) {
-		t.Fatalf("round trip changed bytes:\n%s\nvs\n%s", data, again)
-	}
-}
-
-func TestServerMapStrictParse(t *testing.T) {
+func TestServerMapValidate(t *testing.T) {
 	cases := []struct {
 		name, input, wantErr string
 	}{
-		{"unknown field", `{"provider":{"lat":0,"lon":0},"sites":[{"lat":0,"lon":0,"isp":0,"servers":["a"]}],"extra":1}`, "unknown field"},
-		{"trailing data", `{"provider":{"lat":0,"lon":0},"sites":[{"lat":0,"lon":0,"isp":0,"servers":["a"]}]} {}`, "trailing data"},
 		{"no sites", `{"provider":{"lat":0,"lon":0},"sites":[]}`, "no sites"},
 		{"empty site", `{"provider":{"lat":0,"lon":0},"sites":[{"lat":0,"lon":0,"isp":0,"servers":[]}]}`, "no servers"},
 		{"dup server", `{"provider":{"lat":0,"lon":0},"sites":[{"lat":0,"lon":0,"isp":0,"servers":["a","a"]}]}`, "duplicate server"},
@@ -48,9 +28,13 @@ func TestServerMapStrictParse(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseServerMap([]byte(tc.input))
+			var m ServerMap
+			if err := json.Unmarshal([]byte(tc.input), &m); err != nil {
+				t.Fatal(err)
+			}
+			err := m.Validate()
 			if err == nil {
-				t.Fatal("parse accepted invalid map")
+				t.Fatal("Validate accepted invalid map")
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)

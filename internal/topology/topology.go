@@ -224,11 +224,6 @@ func (t *Topology) LocationClusters() []Cluster {
 	return t.clusterBy(func(n Node) string { return fmt.Sprintf("city-%d", n.City) })
 }
 
-// ISPClusters groups servers by ISP (Section 3.4.3).
-func (t *Topology) ISPClusters() []Cluster {
-	return t.clusterBy(func(n Node) string { return fmt.Sprintf("isp-%d", n.ISP) })
-}
-
 func (t *Topology) clusterBy(key func(Node) string) []Cluster {
 	byKey := make(map[string][]int)
 	for i, s := range t.Servers {

@@ -142,24 +142,6 @@ func TestLocationClusters(t *testing.T) {
 	}
 }
 
-func TestISPClusters(t *testing.T) {
-	topo := mustGen(t, Config{Servers: 500, Seed: 3})
-	clusters := topo.ISPClusters()
-	total := 0
-	for _, c := range clusters {
-		isp := topo.Servers[c.Members[0]].ISP
-		for _, m := range c.Members {
-			if topo.Servers[m].ISP != isp {
-				t.Fatalf("cluster %q mixes ISPs", c.Key)
-			}
-		}
-		total += len(c.Members)
-	}
-	if total != 500 {
-		t.Errorf("clusters cover %d servers, want 500", total)
-	}
-}
-
 func TestHilbertClusters(t *testing.T) {
 	topo := mustGen(t, Config{Servers: 400, Seed: 9})
 	clusters, err := topo.HilbertClusters(20)

@@ -129,31 +129,3 @@ func FuzzParseAccessLog(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadCSV exercises the CSV record reader the same way.
-func FuzzReadCSV(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteCSV(&seed, sampleTrace()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.String())
-	f.Add("day,server\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, input string) {
-		recs, err := ReadCSVRecords(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, &Trace{Records: recs}); err != nil {
-			t.Fatalf("WriteCSV after successful read: %v", err)
-		}
-		again, err := ReadCSVRecords(&buf)
-		if err != nil {
-			t.Fatalf("ReadCSVRecords of own output: %v", err)
-		}
-		if len(again) != len(recs) {
-			t.Fatalf("round trip changed count: %d vs %d", len(recs), len(again))
-		}
-	})
-}

@@ -1,7 +1,6 @@
 // Package trace defines the crawl-trace schema shared by the synthetic
-// trace generator and the Section-3 analysis pipeline, plus JSONL
-// serialization and the clock-skew correction the paper applies before
-// computing inconsistency (Section 3.1).
+// trace generator and the Section-3 analysis pipeline, plus its two
+// encodings: JSONL and the #cdnlog access-log line format.
 package trace
 
 import (
@@ -28,8 +27,8 @@ type PollRecord struct {
 	Day    int    `json:"day"`
 	Server string `json:"server"`
 	Poller string `json:"poller"`
-	// At is the poll time relative to the day's crawl start, already
-	// skew-corrected (the generator applies CorrectSkew before storing).
+	// At is the poll time relative to the day's crawl start, on the
+	// crawler's reference clock.
 	At time.Duration `json:"at"`
 	// Snapshot is the content version observed; 0 means no content yet.
 	Snapshot int `json:"snapshot"`
@@ -104,27 +103,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// ServerByID returns the ServerInfo for id.
-func (t *Trace) ServerByID(id string) (ServerInfo, bool) {
-	for _, s := range t.Servers {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return ServerInfo{}, false
-}
-
-// DayRecords returns the records of one day, preserving order.
-func (t *Trace) DayRecords(day int) []PollRecord {
-	var out []PollRecord
-	for _, r := range t.Records {
-		if r.Day == day {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // SortRecords orders records by (day, time, server, poller) in place, the
 // canonical order the analyses assume.
 func (t *Trace) SortRecords() {
@@ -178,21 +156,4 @@ func Merge(traces ...*Trace) (*Trace, error) {
 	}
 	out.SortRecords()
 	return out, out.Validate()
-}
-
-// EstimateSkew implements the paper's offset estimate for server s against
-// reference vantage node n:
-//
-//	epsilon(n,s) = tG_s - tG_n - RTT/2
-//
-// where tG_n is the node's GMT when it started the query, tG_s the server's
-// GMT upon receiving it, and RTT the measured round trip (Section 3.1).
-func EstimateSkew(nodeStart, serverRecv, rtt time.Duration) time.Duration {
-	return serverRecv - nodeStart - rtt/2
-}
-
-// CorrectSkew subtracts a server's estimated offset from a raw server
-// timestamp, mapping it onto the reference node's clock.
-func CorrectSkew(serverTimestamp, skew time.Duration) time.Duration {
-	return serverTimestamp - skew
 }

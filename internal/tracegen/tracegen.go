@@ -47,21 +47,25 @@ type Config struct {
 	// Users is the number of user-perspective pollers (the paper used
 	// 200). 0 disables the user-view part of the trace.
 	Users int
-	// RedirectProb is the chance a user's visit lands on a different
-	// server; default 0.15 (the paper observed 13-17%).
-	RedirectProb float64
-	// ProviderPollers is the number of vantage points polling the
-	// provider's origin servers; default 10.
-	ProviderPollers int
-	// ProviderLagMean is the provider's own mean staleness; default 3.4 s.
-	ProviderLagMean time.Duration
-	// ISPLagMax bounds the per-ISP daily fetch-lag bias; default 8 s.
-	ISPLagMax time.Duration
 	// AbsencesPerServerDay is the expected number of absence intervals a
 	// server suffers per day; default 0.4.
 	AbsencesPerServerDay float64
 	Seed                 int64
 }
+
+// Fixed parameters of the generated crawl.
+const (
+	// redirectProb is the chance a user's visit lands on a different
+	// server (the paper observed 13-17%).
+	redirectProb = 0.15
+	// providerPollers is the number of vantage points polling the
+	// provider's origin servers.
+	providerPollers = 10
+	// providerLagMean is the provider's own mean staleness.
+	providerLagMean = 3400 * time.Millisecond
+	// ispLagMax bounds the per-ISP daily fetch-lag bias.
+	ispLagMax = 8 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Game.Duration() == 0 {
@@ -75,21 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ServerTTL <= 0 {
 		c.ServerTTL = 60 * time.Second
-	}
-	if c.RedirectProb < 0 {
-		c.RedirectProb = 0
-	}
-	if c.RedirectProb == 0 {
-		c.RedirectProb = 0.15
-	}
-	if c.ProviderPollers <= 0 {
-		c.ProviderPollers = 10
-	}
-	if c.ProviderLagMean <= 0 {
-		c.ProviderLagMean = 3400 * time.Millisecond
-	}
-	if c.ISPLagMax <= 0 {
-		c.ISPLagMax = 8 * time.Second
 	}
 	if c.AbsencesPerServerDay <= 0 {
 		c.AbsencesPerServerDay = 0.4
@@ -186,7 +175,7 @@ func genDay(cfg Config, topo *topology.Topology, tr *trace.Trace, rng *rand.Rand
 		if l, ok := ispLag[isp]; ok {
 			return l
 		}
-		l := time.Duration(rng.Float64() * float64(cfg.ISPLagMax))
+		l := time.Duration(rng.Float64() * float64(ispLagMax))
 		ispLag[isp] = l
 		return l
 	}
@@ -210,7 +199,7 @@ func genDay(cfg Config, topo *topology.Topology, tr *trace.Trace, rng *rand.Rand
 					time.Duration(rng.Float64()*float64(cfg.PollInterval))
 				continue
 			}
-			lag := responseTime(rng) + lagFor(s.ISP) + providerStaleness(rng, cfg.ProviderLagMean)
+			lag := responseTime(rng) + lagFor(s.ISP) + providerStaleness(rng, providerLagMean)
 			snap := workload.SnapshotAt(updates, r-lag)
 			sd.refreshAt = append(sd.refreshAt, r)
 			sd.snapshot = append(sd.snapshot, snap)
@@ -238,11 +227,11 @@ func genDay(cfg Config, topo *topology.Topology, tr *trace.Trace, rng *rand.Rand
 	}
 
 	// Provider records (Section 3.4.2/3.4.4): near-fresh, fast answers.
-	for p := 0; p < cfg.ProviderPollers; p++ {
+	for p := 0; p < providerPollers; p++ {
 		poller := fmt.Sprintf("plprov-%02d", p)
 		offset := time.Duration(rng.Int63n(int64(cfg.PollInterval)))
 		for t := offset; t <= dayLen; t += cfg.PollInterval {
-			lag := providerStaleness(rng, cfg.ProviderLagMean)
+			lag := providerStaleness(rng, providerLagMean)
 			tr.Records = append(tr.Records, trace.PollRecord{
 				Day: day, Server: "origin", Poller: poller, At: t,
 				Snapshot: workload.SnapshotAt(updates, t-lag),
@@ -253,14 +242,14 @@ func genDay(cfg Config, topo *topology.Topology, tr *trace.Trace, rng *rand.Rand
 	}
 
 	// User-view records (Section 3.3): users poll the URL; DNS redirects
-	// ~RedirectProb of visits to another server.
+	// ~redirectProb of visits to another server.
 	if cfg.Users > 0 && len(topo.Servers) > 0 {
 		for u := 0; u < cfg.Users; u++ {
 			poller := fmt.Sprintf("user-%03d", u)
 			cur := rng.Intn(len(topo.Servers))
 			offset := time.Duration(rng.Int63n(int64(cfg.PollInterval)))
 			for t := offset; t <= dayLen; t += cfg.PollInterval {
-				if rng.Float64() < cfg.RedirectProb {
+				if rng.Float64() < redirectProb {
 					cur = rng.Intn(len(topo.Servers))
 				}
 				sd := &days[cur]

@@ -169,7 +169,7 @@ func TestUserRedirectionRate(t *testing.T) {
 		t.Fatal("no user-view transitions")
 	}
 	rate := float64(redirected) / float64(total)
-	// RedirectProb 0.15, but a redirect can land on the same server.
+	// redirectProb is 0.15, but a redirect can land on the same server.
 	if rate < 0.08 || rate > 0.25 {
 		t.Errorf("redirect rate = %.3f, want ~0.15", rate)
 	}

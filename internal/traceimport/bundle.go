@@ -162,15 +162,6 @@ func (b *Bundle) Marshal() ([]byte, error) {
 	return json.MarshalIndent(b, "", "  ")
 }
 
-// LoadBundle reads and parses a bundle file.
-func LoadBundle(path string) (*Bundle, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("traceimport: %w", err)
-	}
-	return ParseBundle(data)
-}
-
 // CrashWindows returns the inferred crash-recovery windows (empty when the
 // trace showed no day-0 absence runs).
 func (b *Bundle) CrashWindows() []fault.Crash {
@@ -237,6 +228,11 @@ func ReadTrace(r io.Reader) (*trace.Trace, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("traceimport: read trace: %w", err)
 	}
+	return parseTrace(data)
+}
+
+// parseTrace is ReadTrace over bytes already in memory.
+func parseTrace(data []byte) (*trace.Trace, string, error) {
 	if strings.HasPrefix(string(data), "#cdnlog") {
 		tr, err := trace.ParseAccessLog(bytes.NewReader(data))
 		if err != nil {
@@ -262,28 +258,17 @@ func LoadTrace(path string) (*trace.Trace, string, error) {
 }
 
 // ImportAny resolves importable bytes of any supported kind into a bundle,
-// returning the kind that matched: an access-log trace (the "#cdnlog"
-// header), an already-inferred bundle (a JSON object the strict bundle
-// parser accepts — a JSONL trace's first line carries a "type" field the
-// bundle schema rejects, and an indented bundle's first line is a lone "{"
-// the JSONL parser rejects, so the formats cannot be confused), or a JSONL
-// trace. Traces are run through Infer.
+// returning the kind that matched: an already-inferred bundle (a JSON object
+// the strict bundle parser accepts — an access log starts with "#", a JSONL
+// trace's first line carries a "type" field the bundle schema rejects, and
+// an indented bundle's first line is a lone "{" the JSONL parser rejects, so
+// the formats cannot be confused), or a trace in either flavor ReadTrace
+// recognizes. Traces are run through Infer.
 func ImportAny(data []byte) (*Bundle, string, error) {
-	if strings.HasPrefix(string(data), "#cdnlog") {
-		tr, err := trace.ParseAccessLog(bytes.NewReader(data))
-		if err != nil {
-			return nil, "", err
-		}
-		b, err := Infer(tr)
-		if err != nil {
-			return nil, "", err
-		}
-		return b, FormatAccessLog, nil
-	}
 	if b, err := ParseBundle(data); err == nil {
 		return b, FormatBundle, nil
 	}
-	tr, err := trace.Read(bytes.NewReader(data))
+	tr, format, err := parseTrace(data)
 	if err != nil {
 		return nil, "", fmt.Errorf("traceimport: input is neither a bundle nor a trace: %w", err)
 	}
@@ -291,7 +276,7 @@ func ImportAny(data []byte) (*Bundle, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	return b, FormatJSONL, nil
+	return b, format, nil
 }
 
 // LoadAny loads an importable file of any kind ImportAny recognizes.

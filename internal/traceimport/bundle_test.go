@@ -205,11 +205,11 @@ func TestLoadBundleAndTraceFiles(t *testing.T) {
 	if err := os.WriteFile(bundlePath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBundle(bundlePath); err != nil {
-		t.Errorf("LoadBundle: %v", err)
+	if _, format, err := LoadAny(bundlePath); err != nil || format != FormatBundle {
+		t.Errorf("LoadAny(bundle): format %q err %v", format, err)
 	}
-	if _, err := LoadBundle(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("LoadBundle accepted a missing file")
+	if _, _, err := LoadAny(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("LoadAny accepted a missing file")
 	}
 	tracePath := filepath.Join(dir, "trace.jsonl")
 	var jsonl bytes.Buffer

@@ -140,61 +140,3 @@ func SnapshotAt(updates []Update, t time.Duration) int {
 	}
 	return updates[lo-1].Snapshot
 }
-
-// VisitPattern generates end-user request times.
-type VisitPattern struct {
-	// Period is the end-user polling interval (the paper's end-user TTL,
-	// 10 s in the trace).
-	Period time.Duration
-	// Start offsets the first visit; the paper randomizes it in [0, 50s].
-	Start time.Duration
-}
-
-// Visits returns all visit times in [Start, horizon].
-func (v VisitPattern) Visits(horizon time.Duration) ([]time.Duration, error) {
-	if v.Period <= 0 {
-		return nil, fmt.Errorf("workload: visit period must be positive, got %v", v.Period)
-	}
-	if v.Start < 0 {
-		return nil, fmt.Errorf("workload: negative start %v", v.Start)
-	}
-	var out []time.Duration
-	for t := v.Start; t <= horizon; t += v.Period {
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// PoissonVisits draws visit times as a Poisson process with the given mean
-// inter-arrival time over [0, horizon]. The paper's users poll strictly
-// periodically; Poisson arrivals model organic traffic for workloads beyond
-// the trace (e.g. the online-social-network pattern of Section 5).
-func PoissonVisits(mean, horizon time.Duration, seed int64) ([]time.Duration, error) {
-	if mean <= 0 {
-		return nil, fmt.Errorf("workload: non-positive mean inter-arrival %v", mean)
-	}
-	if horizon < 0 {
-		return nil, fmt.Errorf("workload: negative horizon %v", horizon)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var out []time.Duration
-	t := time.Duration(rng.ExpFloat64() * float64(mean))
-	for t <= horizon {
-		out = append(out, t)
-		t += time.Duration(rng.ExpFloat64() * float64(mean))
-	}
-	return out, nil
-}
-
-// RandomStarts draws n start offsets uniformly in [0, max), as the paper does
-// for end-user request arrival (Section 4: "randomly chosen from [0s,50s]").
-func RandomStarts(n int, max time.Duration, seed int64) []time.Duration {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]time.Duration, n)
-	for i := range out {
-		if max > 0 {
-			out[i] = time.Duration(rng.Int63n(int64(max)))
-		}
-	}
-	return out
-}

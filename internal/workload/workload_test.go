@@ -132,98 +132,3 @@ func TestPropertySnapshotAtMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestVisits(t *testing.T) {
-	v := VisitPattern{Period: 10 * time.Second, Start: 3 * time.Second}
-	got, err := v.Visits(35 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []time.Duration{3 * time.Second, 13 * time.Second, 23 * time.Second, 33 * time.Second}
-	if len(got) != len(want) {
-		t.Fatalf("visits = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("visit %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestVisitsValidation(t *testing.T) {
-	if _, err := (VisitPattern{Period: 0}).Visits(time.Minute); err == nil {
-		t.Error("zero period accepted")
-	}
-	if _, err := (VisitPattern{Period: time.Second, Start: -1}).Visits(time.Minute); err == nil {
-		t.Error("negative start accepted")
-	}
-}
-
-func TestRandomStarts(t *testing.T) {
-	starts := RandomStarts(100, 50*time.Second, 1)
-	if len(starts) != 100 {
-		t.Fatalf("len = %d", len(starts))
-	}
-	for _, s := range starts {
-		if s < 0 || s >= 50*time.Second {
-			t.Fatalf("start %v outside [0,50s)", s)
-		}
-	}
-	again := RandomStarts(100, 50*time.Second, 1)
-	for i := range starts {
-		if starts[i] != again[i] {
-			t.Fatal("RandomStarts not deterministic for same seed")
-		}
-	}
-	zero := RandomStarts(5, 0, 1)
-	for _, s := range zero {
-		if s != 0 {
-			t.Errorf("max=0 produced %v", s)
-		}
-	}
-}
-
-func TestPoissonVisits(t *testing.T) {
-	visits, err := PoissonVisits(10*time.Second, time.Hour, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expected ~360 arrivals.
-	if len(visits) < 280 || len(visits) > 440 {
-		t.Errorf("arrivals = %d, want ~360", len(visits))
-	}
-	for i, v := range visits {
-		if v < 0 || v > time.Hour {
-			t.Fatalf("visit %d at %v outside horizon", i, v)
-		}
-		if i > 0 && v < visits[i-1] {
-			t.Fatalf("visits not sorted at %d", i)
-		}
-	}
-	again, err := PoissonVisits(10*time.Second, time.Hour, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != len(visits) {
-		t.Error("PoissonVisits not deterministic")
-	}
-}
-
-func TestPoissonVisitsValidation(t *testing.T) {
-	if _, err := PoissonVisits(0, time.Hour, 1); err == nil {
-		t.Error("zero mean accepted")
-	}
-	if _, err := PoissonVisits(time.Second, -time.Hour, 1); err == nil {
-		t.Error("negative horizon accepted")
-	}
-}
-
-func TestPoissonVisitsZeroHorizon(t *testing.T) {
-	visits, err := PoissonVisits(time.Second, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(visits) != 0 {
-		t.Errorf("visits = %v, want none", visits)
-	}
-}
