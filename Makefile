@@ -62,9 +62,10 @@ experiments:
 # Short fuzz smoke over the tree fail/recover repair, the fault-scenario
 # compiler, the population-spec, federation-spec and scenario-plan parsers,
 # the JSONL reader and its canonical poll-line scanner (differentially
-# against encoding/json), the access-log parser, and the whole trace-import
-# path (one -fuzz pattern per package run, as go test requires; patterns
-# are anchored where a package holds several fuzz targets).
+# against encoding/json), the access-log parser and its canonical poll-line
+# scanner (differentially against its tokenizing path), and the whole
+# trace-import path (one -fuzz pattern per package run, as go test requires;
+# patterns are anchored where a package holds several fuzz targets).
 fuzz:
 	$(GO) test ./internal/overlay -run '^$$' -fuzz FuzzTreeFailRecover -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzCompile -fuzztime 10s
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzReadPollLine$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzParseAccessLog$$' -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzScanLogPollLine$$' -fuzztime 10s
 	$(GO) test ./internal/traceimport -run '^$$' -fuzz 'FuzzImportTrace$$' -fuzztime 10s
 
 # Coverage ratchet: per-package line-coverage floors on the packages the

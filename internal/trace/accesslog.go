@@ -27,11 +27,16 @@ import (
 // time.Duration syntax, so WriteAccessLog -> ParseAccessLog reproduces the
 // representable part of a trace exactly.
 //
-// The parser works on the reader's buffer in place: lines are split into
-// byte tokens with bytes.Fields, each line kind's keys are matched with a
-// switch, and server and poller ids are interned per call. Values are
-// decoded by strconv and time.ParseDuration, so the accepted inputs and the
-// error texts are theirs.
+// The parser works on the reader's buffer in place, and interns server and
+// poller ids per call. A poll line that is byte-for-byte in the form
+// WriteAccessLog emits is decoded by a hand-written scanner
+// (scanLogPollLine) with integer arithmetic. Every other line — the header,
+// #server lines, and any poll line spelled another way — is split into byte
+// tokens with bytes.Fields, its keys are matched with one switch per line
+// kind, and its values are decoded by strconv and time.ParseDuration. The
+// scanner accepts only lines that path decodes to the very same record
+// (FuzzScanLogPollLine checks this), so the accepted inputs and the error
+// texts are those of strconv and time.ParseDuration alone.
 
 const accessLogHeader = "#cdnlog v1"
 
@@ -103,43 +108,49 @@ func ParseAccessLog(r io.Reader) (*Trace, error) {
 		}
 		lineNo++
 		line = line[:len(line)-1]
-		tokens := bytes.Fields(line)
-		if len(tokens) == 0 {
-			return nil, fmt.Errorf("trace: access log line %d: blank line", lineNo)
+		rec, ok := PollRecord{}, false
+		if sawHeader {
+			rec, ok = scanLogPollLine(line, ids)
 		}
-		if !sawHeader {
-			if !bytes.HasPrefix(line, []byte(accessLogHeader+" ")) {
-				return nil, fmt.Errorf("trace: access log line %d: missing %q header", lineNo, accessLogHeader)
+		if !ok {
+			tokens := bytes.Fields(line)
+			if len(tokens) == 0 {
+				return nil, fmt.Errorf("trace: access log line %d: blank line", lineNo)
 			}
-			meta, err := parseLogHeader(bytes.Fields(line[len(accessLogHeader)+1:]))
-			if err != nil {
-				return nil, fmt.Errorf("trace: access log line %d: %w", lineNo, err)
+			if !sawHeader {
+				if !bytes.HasPrefix(line, []byte(accessLogHeader+" ")) {
+					return nil, fmt.Errorf("trace: access log line %d: missing %q header", lineNo, accessLogHeader)
+				}
+				meta, err := parseLogHeader(bytes.Fields(line[len(accessLogHeader)+1:]))
+				if err != nil {
+					return nil, fmt.Errorf("trace: access log line %d: %w", lineNo, err)
+				}
+				t.Meta = meta
+				sawHeader = true
+				continue
 			}
-			t.Meta = meta
-			sawHeader = true
-			continue
+			switch string(tokens[0]) {
+			case "#server":
+				s, err := parseLogServer(tokens[1:], ids)
+				if err != nil {
+					return nil, fmt.Errorf("trace: access log line %d: %w", lineNo, err)
+				}
+				t.Servers = append(t.Servers, s)
+				continue
+			case "poll":
+				if rec, err = parseLogPoll(tokens[1:], ids); err != nil {
+					return nil, fmt.Errorf("trace: access log line %d: %w", lineNo, err)
+				}
+			default:
+				return nil, fmt.Errorf("trace: access log line %d: unknown line kind %q", lineNo, tokens[0])
+			}
 		}
-		switch string(tokens[0]) {
-		case "#server":
-			s, err := parseLogServer(tokens[1:], ids)
-			if err != nil {
-				return nil, fmt.Errorf("trace: access log line %d: %w", lineNo, err)
-			}
-			t.Servers = append(t.Servers, s)
-		case "poll":
-			rec, err := parseLogPoll(tokens[1:], ids)
-			if err != nil {
-				return nil, fmt.Errorf("trace: access log line %d: %w", lineNo, err)
-			}
-			if rec.Day < lastDay || (rec.Day == lastDay && rec.At < lastAt) {
-				return nil, fmt.Errorf("trace: access log line %d: out-of-order timestamp (day %d at %v after day %d at %v)",
-					lineNo, rec.Day, rec.At, lastDay, lastAt)
-			}
-			lastDay, lastAt = rec.Day, rec.At
-			t.Records = append(t.Records, rec)
-		default:
-			return nil, fmt.Errorf("trace: access log line %d: unknown line kind %q", lineNo, tokens[0])
+		if rec.Day < lastDay || (rec.Day == lastDay && rec.At < lastAt) {
+			return nil, fmt.Errorf("trace: access log line %d: out-of-order timestamp (day %d at %v after day %d at %v)",
+				lineNo, rec.Day, rec.At, lastDay, lastAt)
 		}
+		lastDay, lastAt = rec.Day, rec.At
+		t.Records = append(t.Records, rec)
 	}
 	if !sawHeader {
 		return nil, fmt.Errorf("trace: access log: missing %q header", accessLogHeader)
@@ -390,4 +401,169 @@ func parseLogPoll(tokens [][]byte, ids interner) (PollRecord, error) {
 		return PollRecord{}, fmt.Errorf("absent poll carries snapshot %d", rec.Snapshot)
 	}
 	return rec, nil
+}
+
+// scanLogPollLine decodes line (without its '\n') if it is a poll line in
+// exactly the form WriteAccessLog emits:
+//
+//	poll day=D at=A srv=S via=P rtt=R snap=N[ absent][ provider][ user]
+//
+// with plain decimal integers in range, ids of printable ASCII without '=',
+// and A and R in time.Duration.String form. An absent poll with a snapshot
+// is not in that form. Anything else reports false and is left to the
+// tokenizing path, which turns the same line into the same record or an
+// error.
+func scanLogPollLine(line []byte, ids interner) (PollRecord, bool) {
+	sc := pollScanner{b: line}
+	var r PollRecord
+	var server, poller []byte
+	var day, snap int64
+	ok := sc.lit("poll day=") && sc.int(&day, strconv.IntSize) &&
+		sc.lit(" at=") && sc.duration(&r.At) &&
+		sc.lit(" srv=") && sc.id(&server) &&
+		sc.lit(" via=") && sc.id(&poller) &&
+		sc.lit(" rtt=") && sc.duration(&r.RTT) &&
+		sc.lit(" snap=") && sc.int(&snap, strconv.IntSize)
+	if !ok {
+		return PollRecord{}, false
+	}
+	r.Absent = sc.lit(" absent")
+	r.Provider = sc.lit(" provider")
+	r.UserView = sc.lit(" user")
+	if sc.i != len(sc.b) || (r.Absent && snap != 0) {
+		return PollRecord{}, false
+	}
+	r.Day, r.Snapshot = int(day), int(snap)
+	r.Server, r.Poller = ids.bytes(server), ids.bytes(poller)
+	return r, true
+}
+
+// id reads a non-empty run of the bytes '!' through '~' other than '=':
+// printable ASCII that neither bytes.Fields nor bytes.Cut would split.
+func (sc *pollScanner) id(v *[]byte) bool {
+	j := sc.i
+	for j < len(sc.b) && sc.b[j] > ' ' && sc.b[j] <= '~' && sc.b[j] != '=' {
+		j++
+	}
+	if j == sc.i {
+		return false
+	}
+	*v = sc.b[sc.i:j]
+	sc.i = j
+	return true
+}
+
+// durationUnits are the units time.Duration.String writes, each with the
+// most fraction digits it writes after that unit (none after h, m and ns).
+// "ms" precedes "m" so the longer name matches first.
+var durationUnits = [...]struct {
+	name string
+	unit uint64
+	prec int
+}{
+	{"h", uint64(time.Hour), 0},
+	{"ms", uint64(time.Millisecond), 6},
+	{"m", uint64(time.Minute), 0},
+	{"s", uint64(time.Second), 9},
+	{"µs", uint64(time.Microsecond), 3},
+	{"ns", uint64(time.Nanosecond), 0},
+}
+
+// unitAt returns the index in durationUnits of the unit b starts with, or
+// -1.
+func unitAt(b []byte) int {
+	for u, unit := range durationUnits {
+		if len(b) > 0 && b[0] == unit.name[0] && hasPrefix(b, unit.name) {
+			return u
+		}
+	}
+	return -1
+}
+
+// duration reads a time.Duration in the form Duration.String writes —
+// "0s", "850ns", "1.5µs", "81.234567ms", "-2h3m4.05s": an optional '-',
+// then components of a decimal integer without leading zeros and a unit,
+// in strictly decreasing units, the last one optionally with a fraction of
+// at most its unit's digits. It sets v to what time.ParseDuration returns
+// for the same text. ParseDuration scales a fraction in floating point by
+// unit/10^digits; within these digits that is the exact power of ten
+// 10^(prec-digits), so the fraction padded to prec digits is the
+// nanosecond count it computes. The overflow checks are ParseDuration's.
+func (sc *pollScanner) duration(v *time.Duration) bool {
+	j := sc.i
+	neg := j < len(sc.b) && sc.b[j] == '-'
+	if neg {
+		j++
+	}
+	var d uint64
+	prev := uint64(1<<64 - 1)
+	for {
+		start := j
+		var x uint64
+		for ; j < len(sc.b) && '0' <= sc.b[j] && sc.b[j] <= '9'; j++ {
+			if x > 1<<63/10 {
+				return false
+			}
+			x = x*10 + uint64(sc.b[j]-'0')
+			if x > 1<<63 {
+				return false
+			}
+		}
+		if j == start || (sc.b[start] == '0' && j-start > 1) {
+			return false
+		}
+		var frac uint64
+		digits := 0
+		if j < len(sc.b) && sc.b[j] == '.' {
+			j++
+			for ; j < len(sc.b) && '0' <= sc.b[j] && sc.b[j] <= '9'; j++ {
+				frac = frac*10 + uint64(sc.b[j]-'0')
+				if digits++; digits > 9 {
+					return false
+				}
+			}
+			if digits == 0 {
+				return false
+			}
+		}
+		u := unitAt(sc.b[j:])
+		if u < 0 {
+			return false
+		}
+		unit := durationUnits[u]
+		if unit.unit >= prev || digits > unit.prec {
+			return false
+		}
+		j += len(unit.name)
+		prev = unit.unit
+		if x > 1<<63/unit.unit {
+			return false
+		}
+		x *= unit.unit
+		fraction := digits > 0
+		if fraction {
+			for ; digits < unit.prec; digits++ {
+				frac *= 10
+			}
+			if x += frac; x > 1<<63 {
+				return false
+			}
+		}
+		if d += x; d > 1<<63 {
+			return false
+		}
+		// A fraction ends the duration; so does anything but a digit.
+		if fraction || j == len(sc.b) || sc.b[j] < '0' || sc.b[j] > '9' {
+			break
+		}
+	}
+	if !neg && d > 1<<63-1 {
+		return false
+	}
+	*v = time.Duration(d)
+	if neg {
+		*v = -*v // 1<<63 negates to itself, which is its value
+	}
+	sc.i = j
+	return true
 }

@@ -63,6 +63,35 @@ func TestCrawlPollLinesTakeFastPath(t *testing.T) {
 	}
 }
 
+// TestCrawlLogLinesTakeFastPath is the #cdnlog twin: every poll line
+// WriteAccessLog emits for a generated crawl must be decoded by the
+// canonical scanner, not by the tokenizing path, and ParseAccessLog must
+// return the crawl's servers and records unchanged.
+func TestCrawlLogLinesTakeFastPath(t *testing.T) {
+	want, _, accesslog := crawl(t, 8, 1, 4)
+	var scanned []trace.PollRecord
+	for _, line := range bytes.Split(bytes.TrimSuffix(accesslog, []byte("\n")), []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte("poll ")) {
+			continue
+		}
+		rec, ok := trace.ScanLogPollLine(line)
+		if !ok {
+			t.Fatalf("poll line fell back to the tokenizing path: %s", line)
+		}
+		scanned = append(scanned, rec)
+	}
+	if !reflect.DeepEqual(scanned, want.Records) {
+		t.Fatal("scanned poll records differ from the generated crawl")
+	}
+	got, err := trace.ParseAccessLog(bytes.NewReader(accesslog))
+	if err != nil {
+		t.Fatalf("ParseAccessLog: %v", err)
+	}
+	if !reflect.DeepEqual(got.Servers, want.Servers) || !reflect.DeepEqual(got.Records, want.Records) {
+		t.Fatal("ParseAccessLog did not reproduce the generated crawl")
+	}
+}
+
 // benchSink keeps the decoded traces alive so the calls are not elided.
 var benchSink *trace.Trace
 

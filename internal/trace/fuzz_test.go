@@ -89,6 +89,70 @@ func FuzzReadPollLine(f *testing.F) {
 	})
 }
 
+// FuzzScanLogPollLine is the differential check on ParseAccessLog's
+// canonical poll-line scanner: whatever single line it accepts, the
+// tokenizing path (bytes.Fields, then parseLogPoll) must decode to the very
+// same record. The seeds sit on the edges of the canonical form; the
+// scanner must turn each of them down or agree.
+func FuzzScanLogPollLine(f *testing.F) {
+	const canon = "poll day=1 at=3h25m12.345678901s srv=s001 via=p01 rtt=81.234567ms snap=5"
+	field := func(old, new string) string { return strings.Replace(canon, old, new, 1) }
+	f.Add(canon)
+	f.Add(canon + " absent provider user")
+	f.Add(field("rtt=81.234567ms", "rtt=999.5µs"))
+	f.Add(field("rtt=81.234567ms", "rtt=850ns"))
+	f.Add(field("rtt=81.234567ms", "rtt=0s"))
+	f.Add(field("at=3h25m12.345678901s", "at=0s"))
+	f.Add(field("at=3h25m12.345678901s", "at=1.000000001s"))
+	f.Add(field("at=3h25m12.345678901s", "at=1.0000000001s"))
+	f.Add(field("at=3h25m12.345678901s", "at=2562047h47m16.854775807s"))
+	f.Add(field("at=3h25m12.345678901s", "at=2562047h47m16.854775808s"))
+	f.Add(field("at=3h25m12.345678901s", "at=-2562047h47m16.854775808s"))
+	f.Add(field("at=3h25m12.345678901s", "at=-2562047h47m16.854775809s"))
+	f.Add(field("at=3h25m12.345678901s", "at=01s"))
+	f.Add(field("at=3h25m12.345678901s", "at=.5s"))
+	f.Add(field("at=3h25m12.345678901s", "at=1.s"))
+	f.Add(field("at=3h25m12.345678901s", "at=-1s"))
+	f.Add(field("at=3h25m12.345678901s", "at=1.5h"))
+	f.Add(field("at=3h25m12.345678901s", "at=1s1h"))
+	f.Add(field("at=3h25m12.345678901s", "at=1m1ms"))
+	f.Add(field("at=3h25m12.345678901s", "at=1us"))
+	f.Add(field("at=3h25m12.345678901s", "at=1μs"))
+	f.Add(field("at=3h25m12.345678901s", "at=0"))
+	f.Add(field("day=1", "day=-0"))
+	f.Add(field("day=1", "day=+1"))
+	f.Add(field("day=1", "day=9223372036854775808"))
+	f.Add(field(" srv=", "\tsrv="))
+	f.Add(canon + " ")
+	f.Add(canon + "\r")
+	f.Add(canon + " provider absent")
+	f.Add(canon + " user user")
+	f.Add(canon + " users")
+	f.Add(field("srv=s001", "srv=a=b"))
+	f.Add(field("srv=s001", "srv=s\xc3\xa9001"))
+	f.Add(field("srv=s001", "srv=s\u00a0001"))
+	f.Add(field("srv=s001", "srv="))
+	f.Add(field("snap=5", "snap=3") + " absent")
+	f.Add(field("snap=5", "snap=0") + " absent")
+	f.Fuzz(func(t *testing.T, line string) {
+		got, ok := scanLogPollLine([]byte(line), interner{})
+		if !ok {
+			return
+		}
+		tokens := bytes.Fields([]byte(line))
+		if len(tokens) == 0 || string(tokens[0]) != "poll" {
+			t.Fatalf("scanner accepted a line that is not a poll line: %q", line)
+		}
+		want, err := parseLogPoll(tokens[1:], interner{})
+		if err != nil {
+			t.Fatalf("scanner accepted a line the tokenizing path rejects (%v): %q", err, line)
+		}
+		if got != want {
+			t.Fatalf("scanner decoded %+v, tokenizing path %+v: %q", got, want, line)
+		}
+	})
+}
+
 // FuzzParseAccessLog exercises the access-log parser against arbitrary
 // input: it must never panic, and anything it accepts must round-trip
 // through WriteAccessLog byte-exactly (the accepted trace is sorted and

@@ -178,19 +178,23 @@ func scanPollLine(line []byte, ids interner) (PollRecord, bool) {
 	return r, true
 }
 
-// pollScanner walks one line for scanPollLine; a failed step does not
-// advance it.
+// pollScanner walks one line for scanPollLine and scanLogPollLine; a
+// failed step does not advance it.
 type pollScanner struct {
 	b []byte
 	i int
 }
 
 func (sc *pollScanner) lit(s string) bool {
-	if len(sc.b)-sc.i < len(s) || string(sc.b[sc.i:sc.i+len(s)]) != s {
+	if !hasPrefix(sc.b[sc.i:], s) {
 		return false
 	}
 	sc.i += len(s)
 	return true
+}
+
+func hasPrefix(b []byte, s string) bool {
+	return len(b) >= len(s) && string(b[:len(s)]) == s
 }
 
 // int reads a JSON integer (optional '-', digits without leading zeros)
