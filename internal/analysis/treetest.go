@@ -26,7 +26,13 @@ type ClusterDaily struct {
 
 // ClusterDailyInconsistency computes, for each cluster of servers, the
 // average request inconsistency per day (Figures 11(a) and 11(b)). clusters
-// maps cluster key to member server ids.
+// maps cluster key to member server ids; a server may sit in several
+// clusters, and a repeated member counts once.
+//
+// Each day is one pass over its records: a record's inconsistency is
+// computed once and added to every cluster holding its server, in record
+// order, so each cluster sums the same terms in the same order as a scan of
+// the day's records per cluster would.
 func (d *Dataset) ClusterDailyInconsistency(clusters map[string][]string) ([]ClusterDaily, error) {
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("analysis: no clusters")
@@ -36,33 +42,46 @@ func (d *Dataset) ClusterDailyInconsistency(clusters map[string][]string) ([]Clu
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-
-	out := make([]ClusterDaily, 0, len(keys))
-	for _, k := range keys {
-		members := make(map[string]bool, len(clusters[k]))
+	// holders[id] lists the clusters holding server id, ascending, each once.
+	holders := make(map[string][]int)
+	for c, k := range keys {
 		for _, id := range clusters[k] {
-			members[id] = true
+			if h := holders[id]; len(h) == 0 || h[len(h)-1] != c {
+				holders[id] = append(h, c)
+			}
 		}
-		cd := ClusterDaily{Key: k}
-		for day := 0; day < d.Days(); day++ {
-			var sum float64
-			var n int
-			for _, r := range d.serverRecs[day] {
-				if !members[r.Server] {
-					continue
-				}
-				l, ok := inconsistencyOf(r, d.alphas[day], d.alphaOrder[day])
-				if !ok {
-					continue
-				}
-				sum += l
-				n++
+	}
+
+	out := make([]ClusterDaily, len(keys))
+	for c, k := range keys {
+		out[c] = ClusterDaily{Key: k, ByDay: make([]float64, d.Days())}
+	}
+	sums := make([]float64, len(keys))
+	counts := make([]int, len(keys))
+	for day := 0; day < d.Days(); day++ {
+		clear(sums)
+		clear(counts)
+		for _, r := range d.serverRecs[day] {
+			h := holders[r.Server]
+			if len(h) == 0 {
+				continue
 			}
+			l, ok := inconsistencyOf(r, d.alphas[day], d.alphaOrder[day])
+			if !ok {
+				continue
+			}
+			for _, c := range h {
+				sums[c] += l
+				counts[c]++
+			}
+		}
+		for c := range out {
+			cd := &out[c]
 			avg := 0.0
-			if n > 0 {
-				avg = sum / float64(n)
+			if counts[c] > 0 {
+				avg = sums[c] / float64(counts[c])
 			}
-			cd.ByDay = append(cd.ByDay, avg)
+			cd.ByDay[day] = avg
 			if day == 0 || avg < cd.Min {
 				cd.Min = avg
 			}
@@ -70,7 +89,6 @@ func (d *Dataset) ClusterDailyInconsistency(clusters map[string][]string) ([]Clu
 				cd.Max = avg
 			}
 		}
-		out = append(out, cd)
 	}
 	return out, nil
 }
@@ -222,22 +240,20 @@ func (d *Dataset) MaxInconsistencyTest(day int, ttl time.Duration) (MaxInconsist
 	if ttl <= 0 {
 		return MaxInconsistencyResult{}, fmt.Errorf("analysis: ttl unknown")
 	}
-	// Exclude servers with any absence that day (Section 3.5.2 removes
-	// them to eliminate tree-dynamism effects).
-	absent := make(map[string]bool)
-	for _, r := range d.Trace.Records {
-		if r.Day == day && r.Absent && !r.Provider && !r.UserView {
-			absent[r.Server] = true
-		}
-	}
 	per, err := d.PerServerInconsistency(day)
 	if err != nil {
 		return MaxInconsistencyResult{}, err
 	}
-	// Only servers that actually responded that day participate.
+	// Only servers that actually responded that day participate, and
+	// servers with any absence that day are excluded (Section 3.5.2
+	// removes them to eliminate tree-dynamism effects).
+	absent := make(map[string]bool)
 	responded := make(map[string]bool)
 	for _, r := range d.serverRecs[day] {
-		if !r.Absent && r.Snapshot > 0 {
+		switch {
+		case r.Absent:
+			absent[r.Server] = true
+		case r.Snapshot > 0:
 			responded[r.Server] = true
 		}
 	}

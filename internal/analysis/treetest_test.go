@@ -3,10 +3,13 @@ package analysis
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"cdnconsistency/internal/topology"
 	"cdnconsistency/internal/trace"
+	"cdnconsistency/internal/tracegen"
 )
 
 // churnTrace builds a 3-day trace over 4 servers where the inconsistency
@@ -98,6 +101,124 @@ func TestClusterDailyInconsistency(t *testing.T) {
 	}
 	if _, err := d.ClusterDailyInconsistency(nil); err == nil {
 		t.Error("empty clusters accepted")
+	}
+}
+
+// clusterDailyByScan is the direct definition ClusterDailyInconsistency
+// replaced: each cluster rescans every record of each day and averages the
+// inconsistency of its members' records.
+func clusterDailyByScan(d *Dataset, clusters map[string][]string) []ClusterDaily {
+	keys := make([]string, 0, len(clusters))
+	for k := range clusters {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var out []ClusterDaily
+	for _, k := range keys {
+		members := make(map[string]bool, len(clusters[k]))
+		for _, id := range clusters[k] {
+			members[id] = true
+		}
+		cd := ClusterDaily{Key: k}
+		for day := 0; day < d.Days(); day++ {
+			var sum float64
+			var n int
+			for _, r := range d.serverRecs[day] {
+				if !members[r.Server] {
+					continue
+				}
+				l, ok := inconsistencyOf(r, d.alphas[day], d.alphaOrder[day])
+				if !ok {
+					continue
+				}
+				sum += l
+				n++
+			}
+			avg := 0.0
+			if n > 0 {
+				avg = sum / float64(n)
+			}
+			cd.ByDay = append(cd.ByDay, avg)
+			if day == 0 || avg < cd.Min {
+				cd.Min = avg
+			}
+			if day == 0 || avg > cd.Max {
+				cd.Max = avg
+			}
+		}
+		out = append(out, cd)
+	}
+	return out
+}
+
+// TestClusterDailyMatchesPerClusterScan checks the one-pass cluster tables
+// against the per-cluster scan on a generated crawl: city and ISP clusters
+// (which overlap), a cluster with a repeated member, a member with no
+// records and an empty cluster. Every average must be bit-identical.
+func TestClusterDailyMatchesPerClusterScan(t *testing.T) {
+	d, _ := crawlScopes(t)
+	clusters := map[string][]string{}
+	for _, s := range d.Trace.Servers {
+		for _, key := range []string{fmt.Sprintf("isp-%d", s.ISP), fmt.Sprintf("city-%d", s.City)} {
+			clusters[key] = append(clusters[key], s.ID)
+		}
+	}
+	first, last := d.Trace.Servers[0].ID, d.Trace.Servers[len(d.Trace.Servers)-1].ID
+	clusters["dup"] = []string{first, last, first}
+	clusters["ghost"] = []string{"no-such-server", last}
+	clusters["empty"] = nil
+	got, err := d.ClusterDailyInconsistency(clusters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clusterDailyByScan(d, clusters)
+	if len(got) != len(want) {
+		t.Fatalf("clusters = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Key != w.Key || g.Min != w.Min || g.Max != w.Max || len(g.ByDay) != len(w.ByDay) {
+			t.Fatalf("cluster %d: one pass %+v, per-cluster scan %+v", i, g, w)
+		}
+		for day := range w.ByDay {
+			if g.ByDay[day] != w.ByDay[day] {
+				t.Fatalf("cluster %s day %d: one pass %v, per-cluster scan %v", w.Key, day, g.ByDay[day], w.ByDay[day])
+			}
+		}
+	}
+	if got[0].Max == 0 {
+		t.Fatal("crawl too small: the first cluster never saw inconsistency")
+	}
+}
+
+// BenchmarkClusterDailyInconsistency times the Fig. 11 cluster tables on a
+// generated crawl's city clusters, at the crawl-replay size and at 200
+// servers.
+func BenchmarkClusterDailyInconsistency(b *testing.B) {
+	for _, servers := range []int{32, 200} {
+		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
+			res, err := tracegen.Generate(tracegen.Config{
+				Topology: topology.Config{Servers: servers, Seed: 1},
+				Days:     2,
+				Users:    12,
+				Seed:     1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := NewDataset(res.Trace)
+			if err != nil {
+				b.Fatal(err)
+			}
+			clusters := clustersOf(d.Trace)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.ClusterDailyInconsistency(clusters); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
