@@ -243,6 +243,24 @@ func TestBootstrapMeanCI(t *testing.T) {
 	}
 }
 
+// TestIntnMatchesRandIntn pins the bootstrap's draw sequence to
+// rand.New(rand.NewSource(seed)).Intn(n) for powers of two (1, 2, 2^20)
+// and other sizes (7, 2^20+3, and 2^30+1, which rejects about half its
+// draws).
+func TestIntnMatchesRandIntn(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 1 << 20, 1<<20 + 3, 1<<30 + 1} {
+		for _, seed := range []int64{0, 1, 9, -5} {
+			rng := rand.New(rand.NewSource(seed))
+			draw := intn(rand.NewSource(seed), n)
+			for i := 0; i < 2000; i++ {
+				if got, want := draw(), rng.Intn(n); got != want {
+					t.Fatalf("n=%d seed=%d draw %d: got %d, rand.Intn %d", n, seed, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBootstrapMeanCIValidation(t *testing.T) {
 	if _, err := BootstrapMeanCI(nil, 100, 0.95, 1); err != ErrEmpty {
 		t.Error("empty accepted")
