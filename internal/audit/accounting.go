@@ -18,9 +18,10 @@ const relTol = 1e-9
 type AccountingReader interface {
 	// Total sums the per-class ledger.
 	Total() netmodel.ClassTotals
-	// EachSender visits every endpoint with at least one sent message, in a
-	// deterministic order.
-	EachSender(fn func(id string, t netmodel.ClassTotals))
+	// SenderRows returns the per-sender ledger as parallel id and totals
+	// slices in a deterministic order. Rows with no messages may appear;
+	// the predicates skip them.
+	SenderRows() (ids []string, totals []netmodel.ClassTotals)
 }
 
 // CheckAccounting verifies the traffic accounting's conservation properties:
@@ -30,32 +31,31 @@ type AccountingReader interface {
 // A mismatch means a message was recorded in one ledger but not the other:
 // exactly the silent corruption that would skew the km·KB figures.
 //
-// CheckAccounting itself allocates nothing when given a copy-free reader, so
-// per-sweep audit cost no longer grows a garbage ledger clone per sweep.
+// CheckAccounting allocates nothing when it passes on a copy-free reader, so
+// a sweep neither clones the ledger nor builds a label per sender.
 func CheckAccounting(a AccountingReader) *Violation {
 	classTotal := a.Total()
 	if v := checkTotals("class aggregate", classTotal); v != nil {
 		return v
 	}
 	var senderTotal netmodel.ClassTotals
-	var badSender *Violation
 	senders := 0
-	a.EachSender(func(id string, t netmodel.ClassTotals) {
+	ids, rows := a.SenderRows()
+	for i, t := range rows {
+		if t.Messages == 0 {
+			continue
+		}
 		senders++
 		// Fast numeric check first: the violation label concatenation must
 		// only be paid on the failure path, or the sweep allocates one
 		// string per sender per cadence.
-		if badSender == nil && !totalsOK(t) {
-			badSender = checkTotals("sender "+id, t)
-			return
+		if !totalsOK(t) {
+			return checkTotals("sender "+ids[i], t)
 		}
 		senderTotal.Messages += t.Messages
 		senderTotal.KB += t.KB
 		senderTotal.Km += t.Km
 		senderTotal.KmKB += t.KmKB
-	})
-	if badSender != nil {
-		return badSender
 	}
 	if senders == 0 && classTotal.Messages == 0 {
 		return nil // nothing sent yet

@@ -20,6 +20,7 @@ package audit
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -61,19 +62,33 @@ func violationf(property, format string, args ...any) *Violation {
 	return &Violation{Property: property, Server: -1, Detail: fmt.Sprintf(format, args...)}
 }
 
+// Label names the quantity a predicate checks: a format string with at most
+// one %d verb, and the index that fills it. Building a Label formats
+// nothing; the name is rendered only when the check fails, so a sweep that
+// checks thousands of users or nodes and finds them healthy pays nothing for
+// their names. A Format without a verb is the name verbatim.
+type Label struct {
+	Format string
+	Index  int
+}
+
+// String renders the label.
+func (l Label) String() string {
+	if strings.IndexByte(l.Format, '%') < 0 {
+		return l.Format
+	}
+	return fmt.Sprintf(l.Format, l.Index)
+}
+
 // CheckSeries verifies a metric series is physically meaningful: every value
 // finite and non-negative. Inconsistency lengths, catch-up sums, and recovery
 // durations are all durations — a negative or NaN entry means accounting
-// corrupted somewhere upstream.
-func CheckSeries(name string, xs []float64) *Violation {
+// corrupted somewhere upstream. The violation names the offending entry's
+// index as its Server, which is right when the series is per server; callers
+// holding any other series overwrite it.
+func CheckSeries(l Label, xs []float64) *Violation {
 	for i, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			v := violationf("series-finite", "%s[%d] = %v is not finite", name, i, x)
-			v.Server = i
-			return v
-		}
-		if x < 0 {
-			v := violationf("series-nonnegative", "%s[%d] = %v is negative", name, i, x)
+		if v := CheckSeriesEntry(l, i, x); v != nil {
 			v.Server = i
 			return v
 		}
@@ -81,14 +96,28 @@ func CheckSeries(name string, xs []float64) *Violation {
 	return nil
 }
 
+// CheckSeriesEntry is CheckSeries for the single entry x at index i, for
+// callers that hold one value of a series per item and must not build a
+// slice to check it. The violation is global (Server -1) and reads exactly as
+// CheckSeries would render that entry.
+func CheckSeriesEntry(l Label, i int, x float64) *Violation {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return violationf("series-finite", "%s[%d] = %v is not finite", l, i, x)
+	}
+	if x < 0 {
+		return violationf("series-nonnegative", "%s[%d] = %v is negative", l, i, x)
+	}
+	return nil
+}
+
 // CheckCount verifies a sub-count never exceeds its total and neither is
 // negative (e.g. inconsistent observations vs. all observations).
-func CheckCount(name string, part, total int) *Violation {
+func CheckCount(l Label, part, total int) *Violation {
 	if part < 0 || total < 0 {
-		return violationf("count-nonnegative", "%s: part=%d total=%d", name, part, total)
+		return violationf("count-nonnegative", "%s: part=%d total=%d", l, part, total)
 	}
 	if part > total {
-		return violationf("count-bounded", "%s: part %d exceeds total %d", name, part, total)
+		return violationf("count-bounded", "%s: part %d exceeds total %d", l, part, total)
 	}
 	return nil
 }
@@ -114,12 +143,12 @@ func CheckMonotonicCount(name string, prev, cur int) *Violation {
 // theoretical maximum (TTL plus propagation, scaled by relay depth — computed
 // by the caller, which knows the regime). bound <= 0 means only the
 // non-negativity half applies.
-func CheckBoundedDelay(name string, delay, bound time.Duration) *Violation {
+func CheckBoundedDelay(l Label, delay, bound time.Duration) *Violation {
 	if delay < 0 {
-		return violationf("delay-nonnegative", "%s = %v is negative", name, delay)
+		return violationf("delay-nonnegative", "%s = %v is negative", l, delay)
 	}
 	if bound > 0 && delay > bound {
-		return violationf("delay-bounded", "%s = %v exceeds the regime max %v", name, delay, bound)
+		return violationf("delay-bounded", "%s = %v exceeds the regime max %v", l, delay, bound)
 	}
 	return nil
 }

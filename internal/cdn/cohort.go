@@ -1,7 +1,6 @@
 package cdn
 
 import (
-	"fmt"
 	"time"
 
 	"cdnconsistency/internal/audit"
@@ -229,17 +228,20 @@ func (m *cohortUsers) audit() *audit.Violation {
 				"cohort %d homed at invalid node %d", c.idx, c.home)
 		}
 		total += c.count
-		if v := audit.CheckCount(fmt.Sprintf("cohort %d leader inconsistent observations", c.idx),
+		if v := audit.CheckCount(audit.Label{Format: "cohort %d leader inconsistent observations", Index: c.idx},
 			c.leader.inconsistent, c.leader.observations); v != nil {
 			return v
 		}
-		if v := audit.CheckCount(fmt.Sprintf("cohort %d follower inconsistent observations", c.idx),
+		if v := audit.CheckCount(audit.Label{Format: "cohort %d follower inconsistent observations", Index: c.idx},
 			c.follow.inconsistent, c.follow.observations); v != nil {
 			return v
 		}
-		if v := audit.CheckSeries(fmt.Sprintf("cohort %d catchupSum", c.idx),
-			[]float64{c.leader.catchupSum, c.follow.catchupSum}); v != nil {
-			v.Server = -1
+		// The two strata read as one two-entry series: leader [0], follower [1].
+		sum := audit.Label{Format: "cohort %d catchupSum", Index: c.idx}
+		if v := audit.CheckSeriesEntry(sum, 0, c.leader.catchupSum); v != nil {
+			return v
+		}
+		if v := audit.CheckSeriesEntry(sum, 1, c.follow.catchupSum); v != nil {
 			return v
 		}
 	}

@@ -61,13 +61,13 @@ func TestPropertyRunInvariants(t *testing.T) {
 			"UserAvgInconsistency":   res.UserAvgInconsistency,
 			"RecoverySeconds":        res.RecoverySeconds,
 		} {
-			if v := audit.CheckSeries(name, series); v != nil {
+			if v := audit.CheckSeries(audit.Label{Format: name}, series); v != nil {
 				t.Logf("%v/%v seed %d: %v", m, inf, seed, v)
 				return false
 			}
 		}
 		for name, v := range map[string]*audit.Violation{
-			"observations": audit.CheckCount("inconsistent observations",
+			"observations": audit.CheckCount(audit.Label{Format: "inconsistent observations"},
 				res.UserInconsistentObservations, res.UserObservations),
 			"frac":       audit.CheckFraction("InconsistentObservationFrac", res.InconsistentObservationFrac()),
 			"stale-frac": audit.CheckFraction("StaleServeFrac", res.StaleServeFrac()),

@@ -1,7 +1,6 @@
 package cdn
 
 import (
-	"fmt"
 	"time"
 
 	"cdnconsistency/internal/audit"
@@ -223,12 +222,11 @@ func (m *explicitUsers) totalUsers() int { return len(m.users) }
 
 func (m *explicitUsers) audit() *audit.Violation {
 	for _, u := range m.users {
-		if v := audit.CheckCount(fmt.Sprintf("user %d inconsistent observations", u.idx),
+		if v := audit.CheckCount(audit.Label{Format: "user %d inconsistent observations", Index: u.idx},
 			u.agg.inconsistent, u.agg.observations); v != nil {
 			return v
 		}
-		if v := audit.CheckSeries(fmt.Sprintf("user %d catchupSum", u.idx), []float64{u.agg.catchupSum}); v != nil {
-			v.Server = -1
+		if v := audit.CheckSeriesEntry(audit.Label{Format: "user %d catchupSum", Index: u.idx}, 0, u.agg.catchupSum); v != nil {
 			return v
 		}
 	}
