@@ -84,13 +84,15 @@ func newFedState(s *simulation, spec *federation.Spec) *fedState {
 		f.brokerMinDwell = spec.Broker.MinDwell.D()
 	}
 	for k, p := range spec.Providers {
-		id := "provider"
+		// Provider 0 is node 0 on the network: the same ID and Key, so one
+		// ledger row and one uplink. The others take keys after the nodes'.
+		id, key := "provider", s.nodes[0].ep.Key
 		if k > 0 {
-			id = "provider" + strconv.Itoa(k)
+			id, key = "provider"+strconv.Itoa(k), len(s.nodes)+k
 		}
 		loc := geo.Point{Lat: p.Lat, Lon: p.Lon}
 		f.prov = append(f.prov, &fedProvider{
-			ep:          netmodel.Endpoint{ID: id, Loc: loc, ISP: s.nodes[0].ep.ISP},
+			ep:          netmodel.Endpoint{ID: id, Key: key, Loc: loc, ISP: s.nodes[0].ep.ISP},
 			loc:         loc,
 			ttl:         p.TTL.D(),
 			propagation: p.Propagation.D(),

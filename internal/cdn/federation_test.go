@@ -193,6 +193,45 @@ func TestFederationQuiescentAuditClean(t *testing.T) {
 	}
 }
 
+// Federated provider 0 shares node 0's network Key as well as its ID, so
+// the origin's traffic — whether sent as node 0 or as provider 0 — is booked
+// in one ledger row under "provider", and every other provider gets a row
+// of its own.
+func TestFederationProviderZeroSharesNodeZeroSender(t *testing.T) {
+	spec := federation.DefaultSpec(3)
+	cfg, err := fedTestConfig(t, consistency.MethodTTL, consistency.InfraUnicast, spec, "").withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.fed.prov[0].ep.Key != s.nodes[0].ep.Key {
+		t.Errorf("provider 0 has Key %d, node 0 has %d", s.fed.prov[0].ep.Key, s.nodes[0].ep.Key)
+	}
+	rows := map[string]int{}
+	ids, totals := s.cells[0].net.View().SenderRows()
+	for i, id := range ids {
+		rows[id]++
+		if id == "provider" && totals[i].Messages != res.Accounting.BySender["provider"].Messages {
+			t.Errorf("provider row holds %d messages, the result %d", totals[i].Messages, res.Accounting.BySender["provider"].Messages)
+		}
+	}
+	for _, id := range []string{"provider", "provider1", "provider2"} {
+		if rows[id] != 1 {
+			t.Errorf("sender %q has %d ledger rows, want 1", id, rows[id])
+		}
+		if res.Accounting.BySender[id].Messages == 0 {
+			t.Errorf("sender %q sent nothing", id)
+		}
+	}
+}
+
 // The cohort user model must remain exactly equivalent to the explicit model
 // under federation: serve-stale denials, deferred visit-polls routed to
 // federated providers, and failover re-homing all batch without drift. This

@@ -157,13 +157,13 @@ func newSimulation(cfg Config) (*simulation, error) {
 	// Node 0 is the provider.
 	s.nodes = append(s.nodes, &node{
 		idx:   0,
-		ep:    endpoint("provider", topo.Provider.Loc, topo.Provider.ISP),
+		ep:    endpoint(0, "provider", topo.Provider.Loc, topo.Provider.ISP),
 		valid: true,
 	})
 	for i, srv := range topo.Servers {
 		s.nodes = append(s.nodes, &node{
 			idx:   i + 1,
-			ep:    endpoint(srv.ID, srv.Loc, srv.ISP),
+			ep:    endpoint(i+1, srv.ID, srv.Loc, srv.ISP),
 			valid: true,
 		})
 	}
@@ -253,8 +253,10 @@ func newSimulation(cfg Config) (*simulation, error) {
 	return s, nil
 }
 
-func endpoint(id string, loc geo.Point, isp int) netmodel.Endpoint {
-	return netmodel.Endpoint{ID: id, Loc: loc, ISP: isp}
+// endpoint is node idx's network endpoint. Its network Key is idx + 1:
+// dense over the nodes, and positive as netmodel requires.
+func endpoint(idx int, id string, loc geo.Point, isp int) netmodel.Endpoint {
+	return netmodel.Endpoint{ID: id, Key: idx + 1, Loc: loc, ISP: isp}
 }
 
 // buildTree constructs the update infrastructure over node indices.
@@ -588,9 +590,9 @@ func (s *simulation) scheduleFaults() {
 		case fault.OpPartitionEnd:
 			s.eachNet(e.At, func(n *netmodel.Network) { n.ClearPartitionGroup(e.Group) })
 		case fault.OpOverloadStart:
-			s.eachNet(e.At, func(n *netmodel.Network) { n.SetOverload(s.nodes[e.Server+1].ep.ID, e.Factor) })
+			s.eachNet(e.At, func(n *netmodel.Network) { n.SetOverload(s.nodes[e.Server+1].ep, e.Factor) })
 		case fault.OpOverloadEnd:
-			s.eachNet(e.At, func(n *netmodel.Network) { n.ClearOverload(s.nodes[e.Server+1].ep.ID) })
+			s.eachNet(e.At, func(n *netmodel.Network) { n.ClearOverload(s.nodes[e.Server+1].ep) })
 		}
 	}
 }
