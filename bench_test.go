@@ -198,4 +198,4 @@ func BenchmarkAblationQueue(b *testing.B)     { benchSimFig(b, figures.AblationQ
 func BenchmarkAblationProximity(b *testing.B) { benchSimFig(b, figures.AblationProximity) }
 func BenchmarkAblationAdaptive(b *testing.B)  { benchSimFig(b, figures.AblationAdaptive) }
 func BenchmarkAblationHilbert(b *testing.B)   { benchSimFig(b, figures.AblationHilbert) }
-func BenchmarkAblationDepth(b *testing.B)     { benchSimFig(b, figures.AblationFailure) }
+func BenchmarkAblationDepth(b *testing.B)     { benchSimFig(b, figures.AblationDepth) }

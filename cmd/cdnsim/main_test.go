@@ -80,6 +80,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-federation", "x"},
 		{"-federation", "@no-such-file.json"},
 		{"-federation", "3", "-shards", "2"},
+		{"-updatekb", "NaN"},
+		{"-updatekb", "Inf"},
 	}
 	for _, args := range cases {
 		if _, err := runCLI(t, args); err == nil {

@@ -194,8 +194,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	default:
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
-	// Figures fan their own simulation grids through the same budget.
+	// Figures fan their own simulation grids through the same budget, and
+	// share one run table: a run two figures ask for is simulated once.
 	simScale.Parallel = *parallel
+	simScale.Runs = figures.NewRunTable()
 	simScale.Audit = *audit
 	simScale.AuditCadence = *auditCad
 	if *shards < 0 {
@@ -301,7 +303,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		simJob("ablation-proximity", figures.AblationProximity),
 		simJob("ablation-adaptive", figures.AblationAdaptive),
 		simJob("ablation-hilbert", figures.AblationHilbert),
-		simJob("ablation-depth", figures.AblationFailure),
+		simJob("ablation-depth", figures.AblationDepth),
 	}
 	if importBundle != nil {
 		jobs = []job{simJob("import-replay", func(s figures.SimScale) (*figures.Table, error) {

@@ -113,6 +113,32 @@ func TestRunParallelOutputMatchesSerial(t *testing.T) {
 	}
 }
 
+// Figures that ask for the same runs share them within one invocation, and
+// sharing never changes a table: the sweep's stdout, serial or parallel,
+// is the concatenation of each figure run alone (figs is in sweep order).
+func TestRunSharedRunsMatchFiguresAlone(t *testing.T) {
+	figs := []string{"fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig22", "fig23",
+		"ext-broadcast", "ext-lease", "ablation-queue", "ablation-adaptive"}
+	var alone strings.Builder
+	for _, fig := range figs {
+		out, _, err := runCLI(t, "-scale", "small", "-parallel", "4", "-only", fig)
+		if err != nil {
+			t.Fatalf("%s alone: %v", fig, err)
+		}
+		alone.WriteString(out)
+	}
+	for _, workers := range []string{"1", "4"} {
+		out, _, err := runCLI(t, "-scale", "small", "-parallel", workers, "-only", strings.Join(figs, ","))
+		if err != nil {
+			t.Fatalf("-parallel %s: %v", workers, err)
+		}
+		if out != alone.String() {
+			t.Errorf("-parallel %s: shared sweep differs from the figures run alone:\n--- alone ---\n%s--- shared ---\n%s",
+				workers, alone.String(), out)
+		}
+	}
+}
+
 // The invariant auditor observes without perturbing: an audited sweep's
 // stdout is byte-identical to an unaudited one.
 func TestRunAuditedOutputMatchesPlain(t *testing.T) {

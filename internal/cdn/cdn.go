@@ -8,7 +8,10 @@ package cdn
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -34,8 +37,9 @@ type Config struct {
 
 	// Topology sizes the CDN (ignored if Topo is set).
 	Topology topology.Config
-	// Topo optionally supplies a prebuilt topology shared across runs.
-	Topo *topology.Topology
+	// Topo optionally supplies a prebuilt topology shared across runs. A
+	// run with a prebuilt topology has no Key.
+	Topo *topology.Topology `json:"-"`
 
 	// ServerTTL is the content servers' poll period (60 s in the paper);
 	// UserTTL the end-users' visit period (10 s).
@@ -143,7 +147,7 @@ type Config struct {
 	// Ctx, when set, is polled at a fixed event stride inside the event
 	// loop; cancelling it aborts the run promptly with the context's error.
 	// Nil means the run cannot be cancelled.
-	Ctx context.Context
+	Ctx context.Context `json:"-"`
 
 	// OnTick, when set, is invoked at the same event stride with the
 	// current virtual time and processed-event count. It backs external
@@ -152,7 +156,7 @@ type Config struct {
 	// cell 0's clock and event count and may be called from a worker
 	// goroutine, so it must also be safe to call concurrently with the
 	// caller's own goroutine.
-	OnTick func(now time.Duration, events uint64)
+	OnTick func(now time.Duration, events uint64) `json:"-"`
 
 	// Shards selects the execution engine. Zero (the default) runs the
 	// classic serial engine. A value >= 1 runs the sharded engine: the
@@ -232,6 +236,9 @@ func (c Config) Validate() error {
 	}
 	if c.UpdateSizeKB < 0 {
 		return fmt.Errorf("cdn: negative update size %v KB", c.UpdateSizeKB)
+	}
+	if math.IsNaN(c.UpdateSizeKB) || math.IsInf(c.UpdateSizeKB, 0) {
+		return fmt.Errorf("cdn: update size %v KB is not finite", c.UpdateSizeKB)
 	}
 	if c.Method == consistency.MethodLease && c.Infra != consistency.InfraUnicast {
 		return fmt.Errorf("cdn: MethodLease requires InfraUnicast (leaseholders are provider-direct)")
@@ -357,6 +364,28 @@ func (c Config) withDefaults() (Config, error) {
 		}
 	}
 	return c, nil
+}
+
+// Key identifies the run c describes: two configs with equal keys simulate
+// the same run and return identical Results. It is built from the defaulted
+// config, so an unset field and its explicit default agree, and it leaves
+// out what cannot change a Result: Ctx, OnTick and the worker count of a
+// sharded run. A config with a prebuilt Topo has no key (the topology's
+// JSON form drops its tables), nor has one that fails Validate.
+func (c Config) Key() (string, error) {
+	if c.Topo != nil {
+		return "", fmt.Errorf("cdn: a run with a prebuilt topology has no key")
+	}
+	d, err := c.withDefaults()
+	if err != nil {
+		return "", err
+	}
+	d.Shards = min(d.Shards, 1)
+	b, err := json.Marshal(d)
+	if err != nil {
+		return "", fmt.Errorf("cdn: key: %w", err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b)), nil
 }
 
 // Result aggregates one run's outcomes.

@@ -332,6 +332,12 @@ func Validate(sys System, opts ...Option) error {
 	return nil
 }
 
+// Key identifies the run sys and opts describe (cdn.Config.Key): equal keys
+// mean the same simulation and identical Results.
+func Key(sys System, opts ...Option) (string, error) {
+	return configure(sys, opts).Key()
+}
+
 // Run executes one system with the given options.
 func Run(sys System, opts ...Option) (*cdn.Result, error) {
 	res, err := cdn.Run(configure(sys, opts))

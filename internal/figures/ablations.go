@@ -1,10 +1,8 @@
 package figures
 
 import (
-	"fmt"
 	"time"
 
-	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/geo"
@@ -25,24 +23,16 @@ func AblationQueue(scale SimScale) (*Table, error) {
 		Header: []string{"queuing", "push_mean_s"},
 	}
 	toggles := []bool{false, true}
-	results, err := collectRuns(t, scale.Parallel, len(toggles), func(i int) (*cdn.Result, error) {
-		res, err := core.Run(core.SystemPush, scale.opts(
+	results, err := scale.run(t, len(toggles), func(i int) cell {
+		return cell{sys: core.SystemPush, opts: scale.opts(
 			core.WithUpdateSizeKB(500),
-			core.WithNetConfig(netmodel.Config{DefaultUplinkKBps: 2000, DisableQueuing: toggles[i]}))...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ablation-queue: %w", err)
-		}
-		return res, nil
+			core.WithNetConfig(netmodel.Config{DefaultUplinkKBps: 2000, DisableQueuing: toggles[i]}))}
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, disable := range toggles {
-		label := "on"
-		if disable {
-			label = "off"
-		}
-		t.AddRow(label, f3(results[i].MeanServerInconsistency()))
+		t.AddRow(onOff(!disable), f3(results[i].MeanServerInconsistency()))
 	}
 	return t, nil
 }
@@ -89,14 +79,8 @@ func AblationAdaptive(scale SimScale) (*Table, error) {
 		Header: []string{"method", "update_msgs", "server_mean_s"},
 	}
 	methods := []consistency.Method{consistency.MethodSelfAdaptive, consistency.MethodAdaptiveTTL, consistency.MethodTTL}
-	results, err := collectRuns(t, scale.Parallel, len(methods), func(i int) (*cdn.Result, error) {
-		m := methods[i]
-		res, err := core.Run(core.System{Name: m.String(), Method: m, Infra: consistency.InfraUnicast},
-			scale.opts(core.WithServerTTL(60*time.Second))...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ablation-adaptive: %w", err)
-		}
-		return res, nil
+	results, err := scale.run(t, len(methods), func(i int) cell {
+		return cell{sys: system(methods[i], consistency.InfraUnicast), opts: scale.opts(core.WithServerTTL(60 * time.Second))}
 	})
 	if err != nil {
 		return nil, err
@@ -155,10 +139,10 @@ func AblationHilbert(scale SimScale) (*Table, error) {
 	return t, nil
 }
 
-// AblationFailure injects supernode behaviour under the plain multicast
-// tree with Push at two packet sizes, demonstrating that the tree keeps the
-// provider uplink off the critical path (complement to Figure 19).
-func AblationFailure(scale SimScale) (*Table, error) {
+// AblationDepth sweeps the multicast tree's arity under the TTL method: a
+// larger degree gives a shallower tree and so less of the depth-driven TTL
+// amplification the paper remarks on for d-ary trees (Section 4).
+func AblationDepth(scale SimScale) (*Table, error) {
 	t := &Table{
 		ID:     "ablation-depth",
 		Title:  "multicast arity vs inconsistency and depth (TTL method)",
@@ -166,20 +150,17 @@ func AblationFailure(scale SimScale) (*Table, error) {
 		Header: []string{"degree", "depth", "ttl_mean_s"},
 	}
 	degrees := []int{2, 4, 8}
-	results, err := collectRuns(t, scale.Parallel, len(degrees), func(i int) (*cdn.Result, error) {
-		res, err := runWith(scale, cdn.Config{
-			Method:   consistency.MethodTTL,
-			Infra:    consistency.InfraMulticast,
-			Topology: topologyConfig(scale),
-			// Updates default to a DefaultGame draw with this seed.
-			TreeDegree: degrees[i],
-			ServerTTL:  scale.ServerTTL,
-			Seed:       scale.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("figures: ablation-depth: %w", err)
-		}
-		return res, nil
+	results, err := scale.run(t, len(degrees), func(i int) cell {
+		// The scale's topology and server TTL without its game or cluster
+		// count: updates default to a DefaultGame draw with this seed.
+		return cell{sys: core.System{Name: "TTL/Multicast", Method: consistency.MethodTTL, Infra: consistency.InfraMulticast},
+			opts: []core.Option{
+				core.WithServers(scale.Servers),
+				core.WithUsersPerServer(scale.UsersPerServer),
+				core.WithSeed(scale.Seed),
+				core.WithServerTTL(scale.ServerTTL),
+				core.WithTreeDegree(degrees[i]),
+			}}
 	})
 	if err != nil {
 		return nil, err

@@ -73,10 +73,6 @@ func ExtScale(scale SimScale) (*Table, error) {
 		pops[i] = p
 	}
 
-	type perf struct {
-		wall   time.Duration
-		visits int
-	}
 	extra := []core.Option{
 		core.WithUserModel(cdn.UserModelCohort),
 		core.WithVisitAccounting(),
@@ -88,18 +84,13 @@ func ExtScale(scale SimScale) (*Table, error) {
 		// draw from different per-cell RNG streams.
 		extra = append(extra, core.WithShards(scale.Shards))
 	}
-	perfs := make([]perf, len(totals)*len(extScaleSystems))
-	results, err := collectRuns(t, scale.Parallel, len(perfs), func(i int) (*cdn.Result, error) {
-		pi, si := i/len(extScaleSystems), i%len(extScaleSystems)
-		start := time.Now()
-		res, err := core.Run(extScaleSystems[si], s5.opts(append(
-			[]core.Option{core.WithPopulation(pops[pi])}, extra...)...)...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ext-scale: %s at %d users: %w",
-				extScaleSystems[si].Name, totals[pi], err)
+	walls := make([]time.Duration, len(totals)*len(extScaleSystems))
+	results, err := s5.run(t, len(walls), func(i int) cell {
+		return cell{
+			sys:  extScaleSystems[i%len(extScaleSystems)],
+			opts: s5.opts(append([]core.Option{core.WithPopulation(pops[i/len(extScaleSystems)])}, extra...)...),
+			ran:  func(wall time.Duration) { walls[i] = wall },
 		}
-		perfs[i] = perf{wall: time.Since(start), visits: res.UserObservations + res.FailedVisits}
-		return res, nil
 	})
 	if err != nil {
 		return nil, err
@@ -117,16 +108,14 @@ func ExtScale(scale SimScale) (*Table, error) {
 
 	// Throughput and memory are machine-dependent, so they must not enter
 	// the (serial-vs-parallel byte-identical) table; report them on stderr.
-	for pi, total := range totals {
-		for si, sys := range extScaleSystems {
-			p := perfs[pi*len(extScaleSystems)+si]
-			if p.wall <= 0 {
-				continue
-			}
-			fmt.Fprintf(ExtScalePerfOutput, "ext-scale: %-12s users=%-8d wall=%-8s users/sec=%.3g visits/sec=%.3g\n",
-				sys.Name, total, p.wall.Round(time.Millisecond),
-				float64(total)/p.wall.Seconds(), float64(p.visits)/p.wall.Seconds())
+	for i, wall := range walls {
+		if wall <= 0 {
+			continue
 		}
+		total, visits := totals[i/len(extScaleSystems)], results[i].UserObservations+results[i].FailedVisits
+		fmt.Fprintf(ExtScalePerfOutput, "ext-scale: %-12s users=%-8d wall=%-8s users/sec=%.3g visits/sec=%.3g\n",
+			extScaleSystems[i%len(extScaleSystems)].Name, total, wall.Round(time.Millisecond),
+			float64(total)/wall.Seconds(), float64(visits)/wall.Seconds())
 	}
 	if rss, ok := peakRSSKB(); ok {
 		fmt.Fprintf(ExtScalePerfOutput, "ext-scale: peak RSS %.1f MB\n", float64(rss)/1024)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cdnconsistency/internal/catalog"
-	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
@@ -31,12 +30,8 @@ func ExtBroadcast(scale SimScale) (*Table, error) {
 		core.SystemPush,
 		{Name: "Broadcast", Method: consistency.MethodPush, Infra: consistency.InfraBroadcast},
 	}
-	results, err := collectRuns(t, scale.Parallel, len(systems), func(i int) (*cdn.Result, error) {
-		res, err := core.Run(systems[i], scale.opts()...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ext-broadcast: %w", err)
-		}
-		return res, nil
+	results, err := scale.run(t, len(systems), func(i int) cell {
+		return cell{sys: systems[i], opts: scale.opts()}
 	})
 	if err != nil {
 		return nil, err
@@ -59,34 +54,20 @@ func ExtTreeFailure(scale SimScale) (*Table, error) {
 	}
 	crashes := core.WithFaults(fault.Spec{RandomCrashes: &fault.RandomCrashes{Count: scale.Servers / 8}})
 	repairs := []bool{false, true}
-	results, err := collectRuns(t, scale.Parallel, len(repairs), func(i int) (*cdn.Result, error) {
+	results, err := scale.run(t, len(repairs), func(i int) cell {
 		opts := scale.opts(crashes)
 		if repairs[i] {
 			opts = append(opts, core.WithTreeRepair())
 		}
-		res, err := core.Run(core.System{
-			Name: "Push", Method: consistency.MethodPush, Infra: consistency.InfraMulticast,
-		}, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ext-tree-failure: %w", err)
-		}
-		return res, nil
+		return cell{sys: system(consistency.MethodPush, consistency.InfraMulticast), opts: opts}
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, repair := range repairs {
 		res := results[i]
-		label := "off"
-		if repair {
-			label = "on"
-		}
-		frac := 0.0
-		if res.LiveServers > 0 {
-			frac = float64(res.LiveServersAtFinalVersion) / float64(res.LiveServers)
-		}
-		t.AddRow(label, d0(res.FailedServers), d0(res.LiveServersAtFinalVersion),
-			d0(res.LiveServers), f3(frac))
+		t.AddRow(onOff(repair), d0(res.FailedServers), d0(res.LiveServersAtFinalVersion),
+			d0(res.LiveServers), f3(finalFrac(res)))
 	}
 	return t, nil
 }
@@ -106,13 +87,9 @@ func ExtLease(scale SimScale) (*Table, error) {
 		core.SystemPush,
 		core.SystemTTL,
 	}
-	results, err := collectRuns(t, scale.Parallel, len(userCounts)*len(systems), func(i int) (*cdn.Result, error) {
-		res, err := core.Run(systems[i%len(systems)], scale.opts(
-			core.WithUsersPerServer(userCounts[i/len(systems)]))...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ext-lease: %w", err)
-		}
-		return res, nil
+	results, err := scale.run(t, len(userCounts)*len(systems), func(i int) cell {
+		return cell{sys: systems[i%len(systems)], opts: scale.opts(
+			core.WithUsersPerServer(userCounts[i/len(systems)]))}
 	})
 	if err != nil {
 		return nil, err
@@ -151,19 +128,13 @@ func ExtRegime(scale SimScale) (*Table, error) {
 		consistency.MethodRegime, consistency.MethodPush,
 		consistency.MethodInvalidation, consistency.MethodTTL,
 	}
-	results, err := collectRuns(t, scale.Parallel, len(scenarios)*len(methods), func(i int) (*cdn.Result, error) {
+	results, err := scale.run(t, len(scenarios)*len(methods), func(i int) cell {
 		sc := scenarios[i/len(methods)]
-		m := methods[i%len(methods)]
-		game := workloadSingle(30*time.Minute, sc.meanGap)
-		res, err := core.Run(core.System{Name: m.String(), Method: m, Infra: consistency.InfraUnicast},
-			scale.opts(
+		return cell{sys: system(methods[i%len(methods)], consistency.InfraUnicast),
+			opts: scale.opts(
 				core.WithUsersPerServer(sc.users),
 				core.WithUserTTL(sc.userTTL),
-				core.WithGame(game))...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ext-regime: %w", err)
-		}
-		return res, nil
+				core.WithGame(workloadSingle(30*time.Minute, sc.meanGap)))}
 	})
 	if err != nil {
 		return nil, err
@@ -241,14 +212,10 @@ func ExtDNS(scale SimScale) (*Table, error) {
 		Header: []string{"method", "redirect_rate", "user_inconsistent_frac"},
 	}
 	systems := []core.System{core.SystemPush, core.SystemInvalidation, core.SystemTTL, core.SystemHAT}
-	results, err := collectRuns(t, scale.Parallel, len(systems), func(i int) (*cdn.Result, error) {
-		res, err := core.Run(systems[i], scale.opts(
+	results, err := scale.run(t, len(systems), func(i int) cell {
+		return cell{sys: systems[i], opts: scale.opts(
 			core.WithDNSRouting(20*time.Second),
-			core.WithServerTTL(60*time.Second))...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ext-dns: %w", err)
-		}
-		return res, nil
+			core.WithServerTTL(60*time.Second))}
 	})
 	if err != nil {
 		return nil, err

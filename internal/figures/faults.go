@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
@@ -27,17 +26,13 @@ func ExtFaults(scale SimScale) (*Table, error) {
 	}
 	fracs := []float64{0.1, 0.2, 0.4}
 	systems := []core.System{core.SystemPush, core.SystemInvalidation, core.SystemTTL}
-	results, err := collectRuns(t, scale.Parallel, len(fracs)*len(systems), func(i int) (*cdn.Result, error) {
+	results, err := scale.run(t, len(fracs)*len(systems), func(i int) cell {
 		spec := fault.Spec{RandomCrashes: &fault.RandomCrashes{
 			Frac:         fracs[i/len(systems)],
 			RecoverAfter: fault.Duration(3 * time.Minute),
 		}}
-		res, err := core.Run(systems[i%len(systems)], scale.opts(
-			core.WithFaults(spec), core.WithFailover())...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ext-faults: %w", err)
-		}
-		return res, nil
+		return cell{sys: systems[i%len(systems)], opts: scale.opts(
+			core.WithFaults(spec), core.WithFailover())}
 	})
 	if err != nil {
 		return nil, err
@@ -85,33 +80,21 @@ func ExtFailover(scale SimScale) (*Table, error) {
 	}
 	modes := []bool{false, true}
 	spec := extFailoverSpec()
-	results, err := collectRuns(t, scale.Parallel, len(modes)*len(systems), func(i int) (*cdn.Result, error) {
-		opts := []core.Option{core.WithFaults(spec)}
+	results, err := scale.run(t, len(modes)*len(systems), func(i int) cell {
+		opts := scale.opts(core.WithFaults(spec))
 		if modes[i/len(systems)] {
 			opts = append(opts, core.WithFailover())
 		}
-		res, err := core.Run(systems[i%len(systems)], scale.opts(opts...)...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ext-failover: %w", err)
-		}
-		return res, nil
+		return cell{sys: systems[i%len(systems)], opts: opts}
 	})
 	if err != nil {
 		return nil, err
 	}
 	for mi, mode := range modes {
-		label := "off"
-		if mode {
-			label = "on"
-		}
 		for si, sys := range systems {
 			res := results[mi*len(systems)+si]
-			frac := 0.0
-			if res.LiveServers > 0 {
-				frac = float64(res.LiveServersAtFinalVersion) / float64(res.LiveServers)
-			}
-			t.AddRow(sys.Name, label, f3(res.MeanUserInconsistency()),
-				f4(res.StaleServeFrac()), f4(res.FailedVisitFrac()), f3(frac),
+			t.AddRow(sys.Name, onOff(mode), f3(res.MeanUserInconsistency()),
+				f4(res.StaleServeFrac()), f4(res.FailedVisitFrac()), f3(finalFrac(res)),
 				d0(res.UserFailovers), d0(res.ServerReparents), d0(res.TTLFallbacks))
 		}
 	}
@@ -134,13 +117,8 @@ func FaultScenario(scale SimScale, name string) (*Table, error) {
 		Header: []string{"system", "crashes", "recovered", "user_mean_s", "stale_frac", "failed_visit_frac", "mean_recovery_s", "reparents", "ttl_fallbacks"},
 	}
 	systems := core.Systems()
-	results, err := collectRuns(t, scale.Parallel, len(systems), func(i int) (*cdn.Result, error) {
-		res, err := core.Run(systems[i], scale.opts(
-			core.WithFaults(spec), core.WithFailover())...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: fault-%s: %w", name, err)
-		}
-		return res, nil
+	results, err := scale.run(t, len(systems), func(i int) cell {
+		return cell{sys: systems[i], opts: scale.opts(core.WithFaults(spec), core.WithFailover())}
 	})
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/federation"
@@ -47,13 +46,9 @@ func FederationStorm(scale SimScale, spec federation.Spec) (*Table, error) {
 		return nil, fmt.Errorf("figures: federation-storm: %w", err)
 	}
 	systems := core.Systems()
-	results, err := collectRuns(t, scale.Parallel, len(systems), func(i int) (*cdn.Result, error) {
-		res, err := core.Run(systems[i], scale.opts(
-			core.WithFederation(spec), core.WithFaults(storm), core.WithFailover())...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: federation-storm: %w", err)
-		}
-		return res, nil
+	results, err := scale.run(t, len(systems), func(i int) cell {
+		return cell{sys: systems[i], opts: scale.opts(
+			core.WithFederation(spec), core.WithFaults(storm), core.WithFailover())}
 	})
 	if err != nil {
 		return nil, err
@@ -100,16 +95,12 @@ func FederationFlap(scale SimScale, spec federation.Spec) (*Table, error) {
 		}},
 	}
 	systems := core.Systems()
-	results, err := collectRuns(t, scale.Parallel, len(brokers)*len(systems), func(i int) (*cdn.Result, error) {
+	results, err := scale.run(t, len(brokers)*len(systems), func(i int) cell {
 		s := spec
 		b := brokers[i/len(systems)].b
 		s.Broker = &b
-		res, err := core.Run(systems[i%len(systems)], scale.opts(
-			core.WithFederation(s), core.WithFaults(flap), core.WithFailover())...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: federation-flap: %w", err)
-		}
-		return res, nil
+		return cell{sys: systems[i%len(systems)], opts: scale.opts(
+			core.WithFederation(s), core.WithFaults(flap), core.WithFailover())}
 	})
 	if err != nil {
 		return nil, err

@@ -127,7 +127,7 @@ func TestSimFigures(t *testing.T) {
 		{"ablation-proximity", AblationProximity},
 		{"ablation-adaptive", AblationAdaptive},
 		{"ablation-hilbert", AblationHilbert},
-		{"ablation-depth", AblationFailure},
+		{"ablation-depth", AblationDepth},
 	}
 	for _, c := range cases {
 		c := c

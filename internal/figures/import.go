@@ -3,9 +3,7 @@ package figures
 import (
 	"fmt"
 
-	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/core"
-	"cdnconsistency/internal/stats"
 	"cdnconsistency/internal/traceimport"
 )
 
@@ -28,48 +26,26 @@ func ImportReplay(scale SimScale, b *traceimport.Bundle) (*Table, error) {
 		Header: []string{"system", "server_mean_s", "server_p5/med/p95", "user_mean_s", "user_p5/med/p95", "msgs_to_servers", "crashes"},
 	}
 	systems := core.Systems()
-	results, err := collectRuns(t, scale.Parallel, len(systems), func(i int) (*cdn.Result, error) {
-		// Options are materialized per run: the bundle's topology must not
-		// be shared across concurrently running simulations.
+	// Each run gets its own materialized options: the bundle's topology
+	// must not be shared across concurrently running simulations.
+	opts := make([][]core.Option, len(systems))
+	for i := range opts {
 		bopts, err := b.Options()
 		if err != nil {
 			return nil, fmt.Errorf("figures: import-replay: %w", err)
 		}
-		opts := []core.Option{
-			core.WithClusters(scale.Clusters),
-			core.WithSeed(scale.Seed),
-		}
-		opts = append(opts, bopts...)
-		opts = append(opts, core.WithFailover())
-		if scale.Ctx != nil {
-			opts = append(opts, core.WithContext(scale.Ctx))
-		}
-		if scale.Audit {
-			opts = append(opts, core.WithAudit(scale.AuditCadence))
-		}
-		if scale.Probe != nil {
-			opts = append(opts, core.WithTick(scale.Probe))
-		}
-		res, err := core.Run(systems[i], opts...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: import-replay: %s: %w", systems[i].Name, err)
-		}
-		return res, nil
+		opts[i] = append([]core.Option{core.WithClusters(scale.Clusters), core.WithSeed(scale.Seed)},
+			append(bopts, core.WithFailover())...)
+	}
+	results, err := scale.run(t, len(systems), func(i int) cell {
+		return cell{sys: systems[i], opts: opts[i]}
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, sys := range systems {
-		res := results[i]
-		ss, _ := stats.Summarize(res.ServerAvgInconsistency)
-		us, _ := stats.Summarize(res.UserAvgInconsistency)
-		t.AddRow(sys.Name,
-			f3(res.MeanServerInconsistency()),
-			fmt.Sprintf("%.2f/%.2f/%.2f", ss.P5, ss.Median, ss.P95),
-			f3(res.MeanUserInconsistency()),
-			fmt.Sprintf("%.2f/%.2f/%.2f", us.P5, us.Median, us.P95),
-			fmt.Sprintf("%d", res.UpdateMsgsToServers),
-			fmt.Sprintf("%d", res.Crashes))
+		row := append([]string{sys.Name}, inconsistencyCells(results[i])...)
+		t.AddRow(append(row, d0(results[i].UpdateMsgsToServers), d0(results[i].Crashes))...)
 	}
 	return t, nil
 }

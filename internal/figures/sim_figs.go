@@ -52,6 +52,10 @@ type SimScale struct {
 	// It backs stuck-job watchdogs; it may be called from whichever
 	// goroutine runs the simulation.
 	Probe func(now time.Duration, events uint64)
+	// Runs, when non-nil, shares runs across the figures that use it: each
+	// distinct run is simulated once (see RunTable). Nil simulates every
+	// run a figure asks for.
+	Runs *RunTable
 }
 
 // DefaultSimScale reproduces the paper's deployment: 170 nodes, 5 users
@@ -86,35 +90,24 @@ func SmallSimScale() SimScale {
 	}
 }
 
+// opts describes a run at this scale, with extra applied last.
 func (s SimScale) opts(extra ...core.Option) []core.Option {
-	base := []core.Option{
+	return append([]core.Option{
 		core.WithServers(s.Servers),
 		core.WithUsersPerServer(s.UsersPerServer),
 		core.WithClusters(s.Clusters),
 		core.WithSeed(s.Seed),
 		core.WithGame(s.Game),
 		core.WithServerTTL(s.ServerTTL),
-	}
-	if s.Ctx != nil {
-		base = append(base, core.WithContext(s.Ctx))
-	}
-	if s.Audit {
-		base = append(base, core.WithAudit(s.AuditCadence))
-	}
-	if s.Probe != nil {
-		base = append(base, core.WithTick(s.Probe))
-	}
-	return append(base, extra...)
+	}, extra...)
 }
 
-// section4Systems are the three methods Figure 14/15 compare.
-var section4Systems = []struct {
-	name   string
-	method consistency.Method
-}{
-	{"Push", consistency.MethodPush},
-	{"Invalidation", consistency.MethodInvalidation},
-	{"TTL", consistency.MethodTTL},
+// section4Methods are the three methods the Section 4 figures compare.
+var section4Methods = []consistency.Method{consistency.MethodPush, consistency.MethodInvalidation, consistency.MethodTTL}
+
+// system names method m on infra after the method.
+func system(m consistency.Method, infra consistency.Infra) core.System {
+	return core.System{Name: m.String(), Method: m, Infra: infra}
 }
 
 func methodInfraTable(id, title, note string, scale SimScale, infra consistency.Infra) (*Table, error) {
@@ -122,28 +115,35 @@ func methodInfraTable(id, title, note string, scale SimScale, infra consistency.
 		ID: id, Title: title, Note: note,
 		Header: []string{"method", "server_mean_s", "server_p5/med/p95", "user_mean_s", "user_p5/med/p95"},
 	}
-	results, err := collectRuns(t, scale.Parallel, len(section4Systems), func(i int) (*cdn.Result, error) {
-		sys := section4Systems[i]
-		res, err := core.Run(core.System{Name: sys.name, Method: sys.method, Infra: infra}, scale.opts()...)
-		if err != nil {
-			return nil, fmt.Errorf("figures: %s: %w", id, err)
-		}
-		return res, nil
+	results, err := scale.run(t, len(section4Methods), func(i int) cell {
+		return cell{sys: system(section4Methods[i], infra), opts: scale.opts()}
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, sys := range section4Systems {
-		res := results[i]
-		ss, _ := stats.Summarize(res.ServerAvgInconsistency)
-		us, _ := stats.Summarize(res.UserAvgInconsistency)
-		t.AddRow(sys.name,
-			f3(res.MeanServerInconsistency()),
-			fmt.Sprintf("%.2f/%.2f/%.2f", ss.P5, ss.Median, ss.P95),
-			f3(res.MeanUserInconsistency()),
-			fmt.Sprintf("%.2f/%.2f/%.2f", us.P5, us.Median, us.P95))
+	for i, m := range section4Methods {
+		t.AddRow(append([]string{m.String()}, inconsistencyCells(results[i])...)...)
 	}
 	return t, nil
+}
+
+// inconsistencyCells renders a run's server and user inconsistency: the
+// mean and the p5/median/p95 of the per-server, then the per-user, means.
+func inconsistencyCells(res *cdn.Result) []string {
+	ss, _ := stats.Summarize(res.ServerAvgInconsistency)
+	us, _ := stats.Summarize(res.UserAvgInconsistency)
+	return []string{
+		f3(res.MeanServerInconsistency()), fmt.Sprintf("%.2f/%.2f/%.2f", ss.P5, ss.Median, ss.P95),
+		f3(res.MeanUserInconsistency()), fmt.Sprintf("%.2f/%.2f/%.2f", us.P5, us.Median, us.P95),
+	}
+}
+
+// finalFrac is the share of live servers holding the final snapshot.
+func finalFrac(res *cdn.Result) float64 {
+	if res.LiveServers == 0 {
+		return 0
+	}
+	return float64(res.LiveServersAtFinalVersion) / float64(res.LiveServers)
 }
 
 // bothInfras is the unicast/multicast sweep axis several figures share.
@@ -176,17 +176,16 @@ func Fig16(scale SimScale) (*Table, error) {
 		Note:   "multicast saves >= 2.8e7 km*KB over unicast for every method; Push < Invalidation < TTL",
 		Header: []string{"method", "unicast_kmKB", "multicast_kmKB", "saving_kmKB"},
 	}
-	results, err := collectRuns(t, scale.Parallel, len(section4Systems)*len(bothInfras), func(i int) (*cdn.Result, error) {
-		sys := section4Systems[i/len(bothInfras)]
-		return core.Run(core.System{Name: sys.name, Method: sys.method, Infra: bothInfras[i%len(bothInfras)]}, scale.opts()...)
+	results, err := scale.run(t, len(section4Methods)*len(bothInfras), func(i int) cell {
+		return cell{sys: system(section4Methods[i/len(bothInfras)], bothInfras[i%len(bothInfras)]), opts: scale.opts()}
 	})
 	if err != nil {
 		return nil, err
 	}
-	for si, sys := range section4Systems {
-		u := results[si*2].Accounting.Total().KmKB
-		m := results[si*2+1].Accounting.Total().KmKB
-		t.AddRow(sys.name, e2(u), e2(m), e2(u-m))
+	for mi := range section4Methods {
+		u := results[mi*2].Accounting.Total().KmKB
+		m := results[mi*2+1].Accounting.Total().KmKB
+		t.AddRow(section4Methods[mi].String(), e2(u), e2(m), e2(u-m))
 	}
 	return t, nil
 }
@@ -200,10 +199,10 @@ func Fig17(scale SimScale) (*Table, error) {
 		Header: []string{"ttl_s", "unicast_kmKB", "multicast_kmKB"},
 	}
 	ttls := []int{10, 20, 30, 40, 50, 60}
-	results, err := collectRuns(t, scale.Parallel, len(ttls)*len(bothInfras), func(i int) (*cdn.Result, error) {
+	results, err := scale.run(t, len(ttls)*len(bothInfras), func(i int) cell {
 		ttl := ttls[i/len(bothInfras)]
-		return core.Run(core.System{Name: "TTL", Method: consistency.MethodTTL, Infra: bothInfras[i%len(bothInfras)]},
-			scale.opts(core.WithServerTTL(time.Duration(ttl)*time.Second))...)
+		return cell{sys: system(consistency.MethodTTL, bothInfras[i%len(bothInfras)]),
+			opts: scale.opts(core.WithServerTTL(time.Duration(ttl) * time.Second))}
 	})
 	if err != nil {
 		return nil, err
@@ -227,10 +226,10 @@ func Fig18(scale SimScale) (*Table, error) {
 		Header: []string{"user_ttl_s", "infra", "server_p5/med/p95_s", "kmKB"},
 	}
 	userTTLs := []int{10, 30, 60, 90, 120}
-	results, err := collectRuns(t, scale.Parallel, len(userTTLs)*len(bothInfras), func(i int) (*cdn.Result, error) {
+	results, err := scale.run(t, len(userTTLs)*len(bothInfras), func(i int) cell {
 		userTTL := userTTLs[i/len(bothInfras)]
-		return core.Run(core.System{Name: "Invalidation", Method: consistency.MethodInvalidation, Infra: bothInfras[i%len(bothInfras)]},
-			scale.opts(core.WithUserTTL(time.Duration(userTTL)*time.Second))...)
+		return cell{sys: system(consistency.MethodInvalidation, bothInfras[i%len(bothInfras)]),
+			opts: scale.opts(core.WithUserTTL(time.Duration(userTTL) * time.Second))}
 	})
 	if err != nil {
 		return nil, err
@@ -253,30 +252,9 @@ func Fig19(scale SimScale) (*Table, error) {
 		Note:   "growth rate Push > Invalidation > TTL in unicast; multicast grows far slower",
 		Header: []string{"size_kb", "infra", "push_s", "invalidation_s", "ttl_s"},
 	}
-	net := netmodel.Config{DefaultUplinkKBps: 2000}
 	sizes := []float64{1, 100, 500}
-	methods := []consistency.Method{consistency.MethodPush, consistency.MethodInvalidation, consistency.MethodTTL}
-	perSize := len(bothInfras) * len(methods)
-	results, err := collectRuns(t, scale.Parallel, len(sizes)*perSize, func(i int) (*cdn.Result, error) {
-		size := sizes[i/perSize]
-		infra := bothInfras[(i/len(methods))%len(bothInfras)]
-		m := methods[i%len(methods)]
-		return core.Run(core.System{Name: m.String(), Method: m, Infra: infra},
-			scale.opts(core.WithUpdateSizeKB(size), core.WithNetConfig(net))...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for si, size := range sizes {
-		for ii, infra := range bothInfras {
-			row := []string{f1(size), infra.String()}
-			for mi := range methods {
-				row = append(row, f3(results[si*perSize+ii*len(methods)+mi].MeanServerInconsistency()))
-			}
-			t.AddRow(row...)
-		}
-	}
-	return t, nil
+	return scalabilityTable(t, scale, []string{f1(sizes[0]), f1(sizes[1]), f1(sizes[2])},
+		func(x int) core.Option { return core.WithUpdateSizeKB(sizes[x]) })
 }
 
 // Fig20 regenerates Figure 20: scalability vs network size.
@@ -287,26 +265,33 @@ func Fig20(scale SimScale) (*Table, error) {
 		Note:   "in unicast TTL stays flat while Push/Invalidation grow; in multicast TTL grows fastest (tree depth)",
 		Header: []string{"servers", "infra", "push_s", "invalidation_s", "ttl_s"},
 	}
-	base := scale.Servers
-	sizesN := []int{base, base * 2, base * 3, base * 4, base * 5}
-	methods := []consistency.Method{consistency.MethodPush, consistency.MethodInvalidation, consistency.MethodTTL}
-	perSize := len(bothInfras) * len(methods)
-	results, err := collectRuns(t, scale.Parallel, len(sizesN)*perSize, func(i int) (*cdn.Result, error) {
-		n := sizesN[i/perSize]
-		infra := bothInfras[(i/len(methods))%len(bothInfras)]
-		m := methods[i%len(methods)]
-		return core.Run(core.System{Name: m.String(), Method: m, Infra: infra},
-			scale.opts(core.WithServers(n),
-				core.WithNetConfig(netmodel.Config{DefaultUplinkKBps: 2000}))...)
+	var xs []string
+	for k := 1; k <= 5; k++ {
+		xs = append(xs, d0(k*scale.Servers))
+	}
+	return scalabilityTable(t, scale, xs,
+		func(x int) core.Option { return core.WithServers((x + 1) * scale.Servers) })
+}
+
+// scalabilityTable runs Push, Invalidation and TTL on both infrastructures
+// behind a 2000 KB/s uplink at each point of a scalability sweep (point x
+// labelled xs[x], set by at(x)) and tabulates mean server inconsistency
+// per (point, infrastructure) row.
+func scalabilityTable(t *Table, scale SimScale, xs []string, at func(x int) core.Option) (*Table, error) {
+	methods := section4Methods
+	perX := len(bothInfras) * len(methods)
+	results, err := scale.run(t, len(xs)*perX, func(i int) cell {
+		return cell{sys: system(methods[i%len(methods)], bothInfras[(i/len(methods))%len(bothInfras)]),
+			opts: scale.opts(at(i/perX), core.WithNetConfig(netmodel.Config{DefaultUplinkKBps: 2000}))}
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ni, n := range sizesN {
+	for xi, x := range xs {
 		for ii, infra := range bothInfras {
-			row := []string{d0(n), infra.String()}
+			row := []string{x, infra.String()}
 			for mi := range methods {
-				row = append(row, f3(results[ni*perSize+ii*len(methods)+mi].MeanServerInconsistency()))
+				row = append(row, f3(results[xi*perX+ii*len(methods)+mi].MeanServerInconsistency()))
 			}
 			t.AddRow(row...)
 		}
@@ -326,12 +311,6 @@ func (s SimScale) section5() SimScale {
 	return out
 }
 
-// section5Opts applies the Section 5.3 defaults.
-func (s SimScale) section5Opts(extra ...core.Option) []core.Option {
-	s5 := s.section5()
-	return append(s5.opts(), extra...)
-}
-
 // Fig22 regenerates Figure 22: update-message counts across the six
 // systems, (a) to servers vs end-user TTL, (b) from the provider vs
 // content-server TTL.
@@ -348,14 +327,15 @@ func Fig22(scale SimScale) (*Table, error) {
 	// One grid over both panels: indices < len(userTTLs)*len(systems)
 	// sweep the end-user TTL (22a), the rest the content-server TTL (22b).
 	aJobs := len(userTTLs) * len(systems)
-	results, err := collectRuns(t, scale.Parallel, aJobs+len(srvTTLs)*len(systems), func(i int) (*cdn.Result, error) {
+	s5 := scale.section5()
+	results, err := s5.run(t, aJobs+len(srvTTLs)*len(systems), func(i int) cell {
 		if i < aJobs {
 			userTTL := userTTLs[i/len(systems)]
-			return core.Run(systems[i%len(systems)], scale.section5Opts(core.WithUserTTL(time.Duration(userTTL)*time.Second))...)
+			return cell{sys: systems[i%len(systems)], opts: s5.opts(core.WithUserTTL(time.Duration(userTTL) * time.Second))}
 		}
 		j := i - aJobs
 		srvTTL := srvTTLs[j/len(systems)]
-		return core.Run(systems[j%len(systems)], scale.section5Opts(core.WithServerTTL(time.Duration(srvTTL)*time.Second))...)
+		return cell{sys: systems[j%len(systems)], opts: s5.opts(core.WithServerTTL(time.Duration(srvTTL) * time.Second))}
 	})
 	if err != nil {
 		return nil, err
@@ -387,8 +367,9 @@ func Fig23(scale SimScale) (*Table, error) {
 		Header: []string{"system", "update_km", "light_km", "total_km"},
 	}
 	systems := core.Systems()
-	results, err := collectRuns(t, scale.Parallel, len(systems), func(i int) (*cdn.Result, error) {
-		return core.Run(systems[i], scale.section5Opts()...)
+	s5 := scale.section5()
+	results, err := s5.run(t, len(systems), func(i int) cell {
+		return cell{sys: systems[i], opts: s5.opts()}
 	})
 	if err != nil {
 		return nil, err
@@ -412,11 +393,12 @@ func Fig24(scale SimScale) (*Table, error) {
 	}
 	systems := core.Systems()
 	userTTLs := []int{10, 30, 60}
-	results, err := collectRuns(t, scale.Parallel, len(userTTLs)*len(systems), func(i int) (*cdn.Result, error) {
+	s5 := scale.section5()
+	results, err := s5.run(t, len(userTTLs)*len(systems), func(i int) cell {
 		userTTL := userTTLs[i/len(systems)]
-		return core.Run(systems[i%len(systems)], scale.section5Opts(
+		return cell{sys: systems[i%len(systems)], opts: s5.opts(
 			core.WithUserTTL(time.Duration(userTTL)*time.Second),
-			core.WithUserSwitching())...)
+			core.WithUserSwitching())}
 	})
 	if err != nil {
 		return nil, err
@@ -441,31 +423,10 @@ func sharedTopology(scale SimScale) (*topology.Topology, error) {
 	})
 }
 
-// runWith is a convenience for the cdn-level ablations; it applies the
-// scale's cross-cutting run controls (context, auditor, probe) to a
-// hand-built config so ablations honor them like every option-built run.
-func runWith(scale SimScale, cfg cdn.Config) (*cdn.Result, error) {
-	cfg.Ctx = scale.Ctx
-	if scale.Audit {
-		cfg.Audit = &cdn.AuditOptions{Cadence: scale.AuditCadence}
-	}
-	cfg.OnTick = scale.Probe
-	return cdn.Run(cfg)
-}
-
 // workloadSingle builds a single-phase update schedule config.
 func workloadSingle(duration, meanGap time.Duration) workload.GameConfig {
 	return workload.GameConfig{
 		Phases: []workload.Phase{{Name: "live", Duration: duration, MeanGap: meanGap}},
 		SizeKB: 1,
-	}
-}
-
-// topologyConfig translates a SimScale into a topology.Config.
-func topologyConfig(scale SimScale) topology.Config {
-	return topology.Config{
-		Servers:        scale.Servers,
-		UsersPerServer: scale.UsersPerServer,
-		Seed:           scale.Seed,
 	}
 }

@@ -54,3 +54,10 @@ func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 func d0(v int) string     { return fmt.Sprintf("%d", v) }
 func e2(v float64) string { return fmt.Sprintf("%.2e", v) }
+
+func onOff(on bool) string {
+	if on {
+		return "on"
+	}
+	return "off"
+}

@@ -79,7 +79,7 @@ type Config struct {
 	// default 12500 KB/s (100 Mbit/s).
 	DefaultUplinkKBps float64
 	// DisableQueuing turns off output-port serialization. Used only by
-	// the ablation benchmarks; the realistic model keeps it on.
+	// the ablation-queue figure; the realistic model keeps it on.
 	DisableQueuing bool
 }
 
