@@ -32,7 +32,7 @@ bench:
 # compared strictly (>20% ns/op or allocs/op fails) against the newest
 # committed BENCH_<n>.json.
 bench-smoke:
-	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|ShardedExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|AuditSweep|PartitionCells|NetworkAccount' \
+	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|ShardedExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|EngineHold|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|AuditSweep|PartitionCells|NetworkAccount' \
 	BENCH_TIME=2x BENCH_COUNT=3 BENCH_STRICT=1 \
 	BENCH_GUARD='Fig19,Fig20,ExtScale,ShardedExtScale' \
 	./scripts/bench.sh $(CURDIR)/.bench-smoke.json
@@ -59,14 +59,16 @@ profile:
 experiments:
 	$(GO) run ./cmd/experiments -scale small -metrics
 
-# Short fuzz smoke over the tree fail/recover repair, the fault-scenario
-# compiler, the population-spec, federation-spec and scenario-plan parsers,
-# the JSONL reader and its canonical poll-line scanner (differentially
-# against encoding/json), the access-log parser and its canonical poll-line
-# scanner (differentially against its tokenizing path), and the whole
-# trace-import path (one -fuzz pattern per package run, as go test requires;
-# patterns are anchored where a package holds several fuzz targets).
+# Short fuzz smoke over the engine's event order (lanes declared against
+# heap-only), the tree fail/recover repair, the fault-scenario compiler, the
+# population-spec, federation-spec and scenario-plan parsers, the JSONL
+# reader and its canonical poll-line scanner (differentially against
+# encoding/json), the access-log parser and its canonical poll-line scanner
+# (differentially against its tokenizing path), and the whole trace-import
+# path (one -fuzz pattern per package run, as go test requires; patterns are
+# anchored where a package holds several fuzz targets).
 fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s
 	$(GO) test ./internal/overlay -run '^$$' -fuzz FuzzTreeFailRecover -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzCompile -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParsePopulation -fuzztime 10s

@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -90,6 +91,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		parts := strings.Split(*compare, ",")
 		if len(parts) != 2 {
 			return fmt.Errorf("-compare wants baseline.json,candidate.json, got %q", *compare)
+		}
+		// NaN fails every comparison, so a NaN budget would pass any
+		// regression; an infinite or negative one is no budget either.
+		if math.IsNaN(*maxRegress) || math.IsInf(*maxRegress, 0) || *maxRegress < 0 {
+			return fmt.Errorf("-max-regress wants a finite fraction >= 0, got %v", *maxRegress)
 		}
 		return compareFiles(stdout, parts[0], parts[1], *maxRegress, *guard)
 	case *gobench != "":

@@ -125,6 +125,21 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestCompareRejectsBadBudget pins the budget check: a NaN budget used to
+// pass any regression (every comparison against NaN is false), and an
+// infinite or negative one is no budget at all.
+func TestCompareRejectsBadBudget(t *testing.T) {
+	base := writeBenchFile(t, "base.json", File{Benchmarks: []Benchmark{{Name: "Fig19", NsPerOp: 100, AllocsPerOp: 1000}}})
+	worse := writeBenchFile(t, "worse.json", File{Benchmarks: []Benchmark{{Name: "Fig19", NsPerOp: 1000, AllocsPerOp: 1000}}})
+	for _, budget := range []string{"NaN", "Inf", "+Inf", "-Inf", "-0.1"} {
+		var out bytes.Buffer
+		err := run([]string{"-compare", base + "," + worse, "-max-regress", budget}, nil, &out, &out)
+		if err == nil || !strings.Contains(err.Error(), "-max-regress") {
+			t.Errorf("-max-regress %s: err = %v, want an error naming -max-regress", budget, err)
+		}
+	}
+}
+
 func TestGobenchRoundTrip(t *testing.T) {
 	f := parseSample(t, sampleBench)
 	path := writeBenchFile(t, "b.json", f)

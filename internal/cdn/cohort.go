@@ -70,6 +70,7 @@ func (m *cohortUsers) schedule() error {
 			m.initialUsers += spec.Count
 			// The cohort lives in its home server's cell; failover re-homes
 			// within the cell, so the loop never migrates.
+			s.cell(c.home).eng.Periodic(period)
 			s.cell(c.home).eng.ScheduleAfterFunc(spec.Offset(), cohortVisitEvent, m, int64(c.idx))
 		}
 	}

@@ -124,7 +124,7 @@ func (s *simulation) initCells() error {
 	if s.cfg.Shards <= 0 {
 		eng := sim.NewEngine(s.cfg.Seed)
 		eng.SetMaxEvents(maxEventsPerCell)
-		s.cells = []*cellState{{eng: eng, net: netmodel.New(s.cfg.Net)}}
+		s.cells = []*cellState{s.newCell(eng)}
 		s.cellOf = make([]int, len(s.nodes))
 		return nil
 	}
@@ -145,9 +145,17 @@ func (s *simulation) initCells() error {
 	s.shEng = sh
 	s.cellOf = cellOf
 	for i := 0; i < n; i++ {
-		s.cells = append(s.cells, &cellState{eng: sh.Cell(i), net: netmodel.New(s.cfg.Net)})
+		s.cells = append(s.cells, s.newCell(sh.Cell(i)))
 	}
 	return nil
+}
+
+// newCell wraps a cell engine. It declares the FIFO lanes of the two
+// re-arm delays that carry most events, the user visit and the server poll.
+func (s *simulation) newCell(eng *sim.Engine) *cellState {
+	eng.Periodic(s.cfg.UserTTL)
+	eng.Periodic(s.cfg.ServerTTL)
+	return &cellState{eng: eng, net: netmodel.New(s.cfg.Net)}
 }
 
 // partitionAtoms returns the indivisible node groups of the partition, each

@@ -51,6 +51,7 @@ func (m *explicitUsers) schedule() error {
 				if period <= 0 {
 					period = s.cfg.UserTTL
 				}
+				s.cell(si + 1).eng.Periodic(period)
 				for k := 0; k < spec.Count; k++ {
 					u := &user{
 						idx:        len(m.users),

@@ -11,9 +11,13 @@
 // boxing), cancellation is lazy through per-slot generation counters instead
 // of a live-event map, and the closure-free scheduling variants
 // (ScheduleAtFunc, ScheduleAtCall) let periodic loops run with zero
-// allocations per cycle. None of this changes observable behavior: events
-// fire in exactly the same (timestamp, scheduling-order) sequence as the
-// naive implementation, so pooling cannot perturb a deterministic run.
+// allocations per cycle. Delays declared with Periodic get a FIFO lane next
+// to the heap: an event scheduled exactly that delay after the current time
+// is appended to the lane in O(1) instead of sifted into the heap, which is
+// where the simulator's visit and poll re-arms go. None of this changes
+// observable behavior: events fire in exactly the same (timestamp,
+// scheduling-order) sequence as the naive implementation, so pooling and
+// lanes cannot perturb a deterministic run.
 package sim
 
 import (
@@ -60,8 +64,15 @@ type Engine struct {
 	now time.Duration
 	// queue is a binary min-heap of (at, seq, slot) keys ordered by
 	// (at, seq), managed manually so pushes and pops never box events into
-	// interfaces.
+	// interfaces. Together with lanes it holds every scheduled event: the
+	// next event is the (at, seq) minimum of the heap top and the lane
+	// fronts.
 	queue []heapItem
+	// lanes are the FIFO lanes of the delays declared with Periodic. Each is
+	// sorted by (at, seq) as it is built: the clock never decreases and seq
+	// always increases, and an append that would break the order goes to
+	// the heap instead.
+	lanes []lane
 	// seq is the single monotonic counter: it orders same-timestamp events
 	// FIFO and makes the heap comparator a total order (so the pop sequence
 	// is independent of internal heap layout, including after compaction).
@@ -76,11 +87,19 @@ type Engine struct {
 	payloads  []payload
 	freeSlots []uint32
 	// live counts scheduled-but-not-yet-fired-or-cancelled events; dead
-	// counts tombstones still sitting in the heap.
+	// counts tombstones still sitting in the heap or a lane.
 	dead    int
 	live    int
 	rng     *rand.Rand
 	stopped bool
+
+	// peekAt and peekOK cache PeekTime's answer while peekKnown: the
+	// sharded barrier peeks every cell each window, and most cells sit idle
+	// through most windows. Scheduling keeps the cache current; firing or
+	// cancelling an event (retire) drops it.
+	peekAt    time.Duration
+	peekOK    bool
+	peekKnown bool
 
 	// lastAt is the timestamp of the last event actually executed — unlike
 	// now, it never moves forward on an empty run to a horizon, so ClampNow
@@ -106,7 +125,7 @@ type Engine struct {
 // wall time) while the hot loop pays one counter comparison per event.
 const defaultTickStride = 4096
 
-// SetTick installs fn to run every stride processed events (stride <= 0
+// SetTick installs fn to run every stride processed events (stride 0
 // selects the default). A non-nil error from fn aborts Run with that error.
 // The tick observes the engine (Now, Processed) but must not mutate it;
 // cancellation checks and progress probes are the intended uses. A nil fn
@@ -155,13 +174,88 @@ func makeTimer(slot, gen uint32) Timer {
 	return Timer(uint64(slot)<<32 | uint64(gen))
 }
 
-// less orders the heap by (at, seq); seq is unique, so this is a total order.
-func (e *Engine) less(i, j int) bool {
-	if e.queue[i].at != e.queue[j].at {
-		return e.queue[i].at < e.queue[j].at
-	}
-	return e.queue[i].seq < e.queue[j].seq
+// lane is the FIFO of one declared delay, held in a power-of-two ring of
+// heap keys, so its memory is bounded by its peak length (a slice with a
+// moving head would keep growing by its appends).
+type lane struct {
+	delay time.Duration
+	buf   []heapItem // len is zero or a power of two
+	head  int
+	n     int
 }
+
+// maxLanes caps the declared delays: the loop compares every lane front on
+// each pop, so a population with many distinct periods keeps the rest on
+// the heap.
+const maxLanes = 8
+
+func (l *lane) front() *heapItem { return &l.buf[l.head] }
+
+func (l *lane) tail() *heapItem { return &l.buf[(l.head+l.n-1)&(len(l.buf)-1)] }
+
+func (l *lane) pop() {
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}
+
+func (l *lane) push(it heapItem) {
+	if l.n == len(l.buf) {
+		buf := make([]heapItem, max(2*len(l.buf), 16))
+		k := copy(buf, l.buf[l.head:])
+		copy(buf[k:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = it
+	l.n++
+}
+
+// Periodic declares a FIFO lane for delay d: from now on, an event
+// scheduled exactly d after the current time is appended to the lane
+// instead of sifted into the heap. Declaring changes no firing order, only
+// its cost; it pays off for delays that most events are re-armed with. A
+// non-positive or already-declared d is a no-op, as is any declaration
+// beyond the first eight (maxLanes).
+func (e *Engine) Periodic(d time.Duration) {
+	if d <= 0 || len(e.lanes) == maxLanes {
+		return
+	}
+	for i := range e.lanes {
+		if e.lanes[i].delay == d {
+			return
+		}
+	}
+	e.lanes = append(e.lanes, lane{delay: d})
+}
+
+// toLane appends it to the lane of its delay, unless no lane has that delay
+// or it would land before the lane's tail (after ClampNow rewound the
+// clock); false sends it to the heap.
+func (e *Engine) toLane(it heapItem) bool {
+	d := it.at - e.now
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.delay == d {
+			if l.n > 0 && l.tail().at > it.at {
+				return false
+			}
+			l.push(it)
+			return true
+		}
+	}
+	return false
+}
+
+// before orders events by (at, seq); seq is unique, so this is a total
+// order.
+func before(a, b *heapItem) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// less orders the heap by (at, seq).
+func (e *Engine) less(i, j int) bool { return before(&e.queue[i], &e.queue[j]) }
 
 func (e *Engine) siftUp(i int) {
 	for i > 0 {
@@ -204,7 +298,7 @@ func (e *Engine) popTop() {
 }
 
 // schedule parks p in a recycled slot and inserts its (at, seq, slot) key
-// into the heap.
+// into a lane or the heap.
 func (e *Engine) schedule(at time.Duration, p payload) (Timer, error) {
 	if at < e.now {
 		return 0, fmt.Errorf("sim: schedule at %v before now %v", at, e.now)
@@ -221,8 +315,14 @@ func (e *Engine) schedule(at time.Duration, p payload) (Timer, error) {
 		e.payloads = append(e.payloads, payload{})
 	}
 	e.payloads[slot] = p
-	e.queue = append(e.queue, heapItem{at: at, seq: e.seq, slot: slot, gen: e.slotGen[slot]})
-	e.siftUp(len(e.queue) - 1)
+	it := heapItem{at: at, seq: e.seq, slot: slot, gen: e.slotGen[slot]}
+	if len(e.lanes) == 0 || !e.toLane(it) {
+		e.queue = append(e.queue, it)
+		e.siftUp(len(e.queue) - 1)
+	}
+	if e.peekKnown && (!e.peekOK || at < e.peekAt) {
+		e.peekAt, e.peekOK = at, true
+	}
 	e.live++
 	return makeTimer(slot, e.slotGen[slot]), nil
 }
@@ -232,6 +332,7 @@ func (e *Engine) schedule(at time.Duration, p payload) (Timer, error) {
 func (e *Engine) retire(slot uint32) {
 	e.slotGen[slot]++
 	e.payloads[slot] = payload{}
+	e.peekKnown = false
 	e.freeSlots = append(e.freeSlots, slot)
 	e.live--
 }
@@ -284,8 +385,8 @@ func (e *Engine) ScheduleAtCall(at time.Duration, f func()) (Timer, error) {
 
 // Cancel prevents a scheduled event from firing. Cancelling an event that
 // already fired (or was already cancelled) is a no-op and reports false.
-// The cancelled event stays in the heap as a tombstone and is skipped (or
-// compacted away) lazily, so Cancel is O(1).
+// The cancelled event stays in the heap or its lane as a tombstone and is
+// skipped (or compacted away) lazily, so Cancel is O(1).
 func (e *Engine) Cancel(t Timer) bool {
 	slot := uint32(uint64(t) >> 32)
 	gen := uint32(uint64(t))
@@ -301,13 +402,14 @@ func (e *Engine) Cancel(t Timer) bool {
 // compactMinQueue is the heap size below which compaction is never worth it.
 const compactMinQueue = 64
 
-// maybeCompact rebuilds the heap without its tombstones once they make up
-// more than half of it, so unbounded cancel/reschedule churn (a long-horizon
-// Every loop being cancelled and re-armed repeatedly) cannot grow memory
-// without bound. The comparator is a total order, so rebuilding cannot
-// change the pop sequence.
+// maybeCompact rebuilds the heap and the lanes without their tombstones
+// once they make up more than half of all entries, so unbounded
+// cancel/reschedule churn (a long-horizon Every loop being cancelled and
+// re-armed repeatedly) cannot grow memory without bound. The comparator is
+// a total order and a lane keeps its order, so rebuilding cannot change the
+// pop sequence.
 func (e *Engine) maybeCompact() {
-	if len(e.queue) < compactMinQueue || e.dead*2 <= len(e.queue) {
+	if n := e.queueLen(); n < compactMinQueue || e.dead*2 <= n {
 		return
 	}
 	kept := e.queue[:0]
@@ -317,10 +419,22 @@ func (e *Engine) maybeCompact() {
 		}
 	}
 	e.queue = kept
-	e.dead = 0
 	for i := len(e.queue)/2 - 1; i >= 0; i-- {
 		e.siftDown(i)
 	}
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		mask := len(l.buf) - 1
+		k := 0
+		for j := 0; j < l.n; j++ {
+			if it := l.buf[(l.head+j)&mask]; e.slotGen[it.slot] == it.gen {
+				l.buf[(l.head+k)&mask] = it
+				k++
+			}
+		}
+		l.n = k
+	}
+	e.dead = 0
 }
 
 // Stop makes the current Run return after the current handler completes.
@@ -330,24 +444,59 @@ func (e *Engine) maybeCompact() {
 // stopped engine can be resumed by calling Run again.
 func (e *Engine) Stop() { e.stopped = true }
 
-// queueLen reports the heap's physical size including tombstones; tests use
-// it to assert that cancel churn stays bounded.
-func (e *Engine) queueLen() int { return len(e.queue) }
+// queueLen reports the physical size of the heap and the lanes including
+// tombstones; it sizes compaction, and tests use it to assert that cancel
+// churn stays bounded.
+func (e *Engine) queueLen() int {
+	n := len(e.queue)
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
+}
 
-// PeekTime reports the timestamp of the earliest live scheduled event,
-// skimming any cancellation tombstones off the top of the heap on the way.
-// ok is false when no live events remain. The windowed (sharded) executor
-// uses it to pick the next synchronization window's start.
-func (e *Engine) PeekTime() (at time.Duration, ok bool) {
-	for len(e.queue) > 0 {
-		top := &e.queue[0]
-		if e.slotGen[top.slot] == top.gen {
-			return top.at, true
+// front returns the earliest live event and where it sits (-1 for the heap,
+// else its lane's index), or nil when no live events remain. A cancellation
+// tombstone is discarded only once it is the earliest entry, so a pop reads
+// one slot generation, not one per lane.
+func (e *Engine) front() (*heapItem, int) {
+	for {
+		var top *heapItem
+		src := -1
+		if len(e.queue) > 0 {
+			top = &e.queue[0]
 		}
-		e.popTop()
+		for i := range e.lanes {
+			if l := &e.lanes[i]; l.n > 0 {
+				if f := l.front(); top == nil || before(f, top) {
+					top, src = f, i
+				}
+			}
+		}
+		if top == nil || e.slotGen[top.slot] == top.gen {
+			return top, src
+		}
+		if src < 0 {
+			e.popTop()
+		} else {
+			e.lanes[src].pop()
+		}
 		e.dead--
 	}
-	return 0, false
+}
+
+// PeekTime reports the timestamp of the earliest live scheduled event. ok
+// is false when no live events remain. The windowed (sharded) executor uses
+// it to pick the next synchronization window's start.
+func (e *Engine) PeekTime() (at time.Duration, ok bool) {
+	if !e.peekKnown {
+		e.peekAt, e.peekOK = 0, false
+		if top, _ := e.front(); top != nil {
+			e.peekAt, e.peekOK = top.at, true
+		}
+		e.peekKnown = true
+	}
+	return e.peekAt, e.peekOK
 }
 
 // ClampNow lowers the engine's clock to t after a run overshot it. It exists
@@ -408,13 +557,23 @@ func (e *Engine) run(limit time.Duration, bound runBound) error {
 	// A pre-armed Stop (called before Run) halts immediately; any stop is
 	// consumed when the run returns so a later Run can resume.
 	defer func() { e.stopped = false }()
-	for len(e.queue) > 0 && !e.stopped {
-		top := &e.queue[0]
-		if e.slotGen[top.slot] != top.gen {
-			// Tombstone of a cancelled event: discard and move on.
-			e.popTop()
-			e.dead--
-			continue
+	for !e.stopped {
+		var top *heapItem
+		src := -1
+		if len(e.lanes) == 0 {
+			// Heap-only engine: the loop it always had.
+			if len(e.queue) == 0 {
+				break
+			}
+			top = &e.queue[0]
+			if e.slotGen[top.slot] != top.gen {
+				// Tombstone of a cancelled event: discard and move on.
+				e.popTop()
+				e.dead--
+				continue
+			}
+		} else if top, src = e.front(); top == nil {
+			break
 		}
 		if bound == runInclusive {
 			if limit > 0 && top.at > limit {
@@ -433,7 +592,11 @@ func (e *Engine) run(limit time.Duration, bound runBound) error {
 		}
 		it := *top // copy out: the handler may grow or reorder the heap
 		p := e.payloads[it.slot]
-		e.popTop()
+		if src < 0 {
+			e.popTop()
+		} else {
+			e.lanes[src].pop()
+		}
 		e.retire(it.slot)
 		e.now = it.at
 		e.lastAt = it.at

@@ -8,29 +8,48 @@ import (
 // nopEvent is a static FuncHandler; scheduling it must not allocate.
 func nopEvent(*Engine, any, int64) {}
 
+// queueModes name the two places an event can wait: the heap, or the FIFO
+// lane of a delay declared with Periodic.
+var queueModes = []struct {
+	name  string
+	laned bool
+}{{"heap", false}, {"lane", true}}
+
 // TestSteadyStateScheduleRunAllocFree pins the engine's core guarantee: once
-// the slot table and heap have warmed up, a schedule+fire cycle allocates
-// nothing — for both the Handler form (with a pre-built func value) and the
-// closure-free FuncHandler form.
+// the slot table and heap (or lane ring) have warmed up, a schedule+fire
+// cycle allocates nothing — for both the Handler form (with a pre-built func
+// value) and the closure-free FuncHandler form.
 func TestSteadyStateScheduleRunAllocFree(t *testing.T) {
-	e := NewEngine(1)
-	var h Handler = func(*Engine) {}
-	// Warm up: grow the heap, slot table, and free list to steady state.
-	for i := 0; i < 128; i++ {
-		e.ScheduleAfter(time.Duration(i), h)
-	}
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		e.ScheduleAfter(time.Microsecond, h)
-		e.ScheduleAfterFunc(time.Microsecond, nopEvent, e, 7)
-		if err := e.Run(0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state schedule+run costs %v allocs/op, want 0", avg)
+	for _, m := range queueModes {
+		t.Run(m.name, func(t *testing.T) {
+			e := NewEngine(1)
+			if m.laned {
+				e.Periodic(time.Microsecond)
+			}
+			var h Handler = func(*Engine) {}
+			// Warm up: grow the heap or ring, slot table, and free list to
+			// steady state.
+			for i := 0; i < 128; i++ {
+				e.ScheduleAfter(time.Duration(i), h)
+				e.ScheduleAfter(time.Microsecond, h)
+			}
+			if err := e.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(200, func() {
+				e.ScheduleAfter(time.Microsecond, h)
+				e.ScheduleAfterFunc(time.Microsecond, nopEvent, e, 7)
+				if err := e.Run(0); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state schedule+run costs %v allocs/op, want 0", avg)
+			}
+			if m.laned && cap(e.queue) > 128 {
+				t.Fatalf("heap grew to cap %d: the lane delay's events took the heap", cap(e.queue))
+			}
+		})
 	}
 }
 
@@ -86,49 +105,72 @@ func TestCancelChurnBoundsQueue(t *testing.T) {
 }
 
 // TestEveryCancelChurnBoundsQueue exercises the same property through the
-// public periodic API: a driver loop that stops its Every ticker and starts
-// a fresh one on each firing, thousands of times, must keep the heap small.
+// public periodic API: a drive loop that stops its Every ticker and starts
+// a fresh one on each firing, thousands of times, must keep the queue small.
+// In the lane variant both periods are declared, so the tombstones sit in
+// a lane, where queueLen counts them and compaction must strip them.
 func TestEveryCancelChurnBoundsQueue(t *testing.T) {
-	e := NewEngine(1)
-	const cycles = 5000
-	var (
-		stop  func()
-		fired int
-		maxQ  int
-	)
-	rearm := func(en *Engine) {
-		fired++
-		stop()
-		if q := en.queueLen(); q > maxQ {
-			maxQ = q
-		}
-		var err error
-		stop, err = en.Every(time.Hour, func(*Engine) {}) // never fires within the horizon
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	var err error
-	stop, err = e.Every(time.Hour, func(*Engine) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var drive Handler
-	drive = func(en *Engine) {
-		rearm(en)
-		if fired < cycles {
-			en.ScheduleAfter(time.Second, drive)
-		}
-	}
-	e.ScheduleAfter(time.Second, drive)
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if fired != cycles {
-		t.Fatalf("driver fired %d times, want %d", fired, cycles)
-	}
-	if limit := 2 * compactMinQueue; maxQ > limit {
-		t.Fatalf("queue grew to %d under Every+Cancel churn (limit %d)", maxQ, limit)
+	for _, m := range queueModes {
+		t.Run(m.name, func(t *testing.T) {
+			e := NewEngine(1)
+			if m.laned {
+				e.Periodic(time.Hour)
+				e.Periodic(time.Second)
+			}
+			const cycles = 5000
+			var (
+				stop        func()
+				fired       int
+				maxQ, maxLn int
+			)
+			rearm := func(en *Engine) {
+				fired++
+				stop()
+				if q := en.queueLen(); q > maxQ {
+					maxQ = q
+				}
+				for _, l := range en.lanes {
+					maxLn = max(maxLn, l.n)
+				}
+				var err error
+				stop, err = en.Every(time.Hour, func(*Engine) {}) // never fires within the horizon
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// A standing event ahead of the churn: in a lane it keeps the
+			// front live, so the tombstones behind it pile up until
+			// compaction strips them.
+			e.ScheduleAfter(time.Hour, func(*Engine) {})
+			var err error
+			stop, err = e.Every(time.Hour, func(*Engine) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var drive Handler
+			drive = func(en *Engine) {
+				rearm(en)
+				if fired < cycles {
+					en.ScheduleAfter(time.Second, drive)
+				}
+			}
+			e.ScheduleAfter(time.Second, drive)
+			if err := e.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			if fired != cycles {
+				t.Fatalf("drive fired %d times, want %d", fired, cycles)
+			}
+			if limit := 2 * compactMinQueue; maxQ > limit {
+				t.Fatalf("queue grew to %d under Every+Cancel churn (limit %d)", maxQ, limit)
+			}
+			if m.laned && (maxLn < compactMinQueue/2 || len(e.queue) != 0) {
+				t.Fatalf("lanes peaked at %d entries with %d on the heap: the churn did not pile up in a lane", maxLn, len(e.queue))
+			}
+			if err := e.checkQueue(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -167,5 +209,36 @@ func BenchmarkEngineEveryCancelChurn(b *testing.B) {
 	}
 	if n == 0 {
 		b.Fatal("ticker never fired")
+	}
+}
+
+// holdEvent re-arms itself one period later, the shape of the simulator's
+// visit and poll loops; arg is the period.
+func holdEvent(e *Engine, _ any, arg int64) {
+	e.ScheduleAfterFunc(time.Duration(arg), holdEvent, nil, arg)
+}
+
+// BenchmarkEngineHold measures the classic hold model: 16,000 periodic
+// events stand in the queue, and one op is one fire plus its re-arm. The
+// heap variant sifts every re-arm through a 16,000-entry heap; the lane
+// variant declares the period, so the re-arm is a ring append.
+func BenchmarkEngineHold(b *testing.B) {
+	const standing, period = 16000, 10 * time.Second
+	for _, m := range queueModes {
+		b.Run(m.name, func(b *testing.B) {
+			e := NewEngine(1)
+			if m.laned {
+				e.Periodic(period)
+			}
+			for i := 0; i < standing; i++ {
+				e.ScheduleAfterFunc(time.Duration(e.Rand().Int63n(int64(period))), holdEvent, nil, int64(period))
+			}
+			e.SetMaxEvents(uint64(b.N))
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(0); err != ErrEventLimit {
+				b.Fatalf("Run = %v, want the event limit", err)
+			}
+		})
 	}
 }
