@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke profile experiments fuzz cover shard-equiv fmt
+.PHONY: check build vet test race bench bench-smoke profile experiments fuzz cover shard-equiv fmt perfbench-check
 
 check: fmt build vet race
 
@@ -37,6 +37,12 @@ bench-smoke:
 	BENCH_GUARD='Fig19,Fig20,ExtScale,ShardedExtScale' \
 	./scripts/bench.sh $(CURDIR)/.bench-smoke.json
 	rm -f $(CURDIR)/.bench-smoke.json
+
+# The repository benchmark lives in its own module (perfbench/), which the
+# root `go build/vet/test ./...` skip: vet and test it against the current
+# internal/ packages so an API change cannot break it unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Shard-count invariance under the race detector: the sharded engine must
 # produce bit-identical results at any worker count, reproduce the

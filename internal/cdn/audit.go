@@ -559,13 +559,14 @@ func (a *auditor) checkFederation() *audit.Violation {
 		return violationAt("handoff-ledger", -1,
 			"peerHandoffs counter %d != federation ledger %d", c.peerHandoffs, f.ledgerHandoffs)
 	}
-	for i := 1; i < len(f.home); i++ {
-		if f.home[i] < 0 || f.home[i] >= len(f.prov) {
-			return violationAt("home-bounds", i,
-				"node %d homed at invalid provider %d of %d", i, f.home[i], len(f.prov))
+	s := a.s
+	for _, nd := range s.nodes[1:] {
+		if nd.prov < 0 || nd.prov >= len(s.prov) {
+			return violationAt("home-bounds", nd.idx,
+				"node %d homed at invalid provider %d of %d", nd.idx, nd.prov, len(s.prov))
 		}
 	}
-	for k, p := range f.prov {
+	for k, p := range s.prov {
 		if p.version < 0 || p.version > c.published {
 			return violationAt("provider-version-bounds", -1,
 				"provider %d serves version %d outside [0, %d]", k, p.version, c.published)

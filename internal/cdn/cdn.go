@@ -114,7 +114,9 @@ type Config struct {
 	// meta-CDN broker that durably re-homes servers with hysteresis, and
 	// graceful serve-stale degradation (bounded by StaleCap) when every
 	// provider is unreachable. Serial-only, and incompatible with the
-	// provider-direct methods (Lease, Regime) and InfraBroadcast.
+	// provider-direct methods (Lease, Regime) and InfraBroadcast. Nil runs
+	// the classic single origin: the one-provider case of the same origin
+	// code, on node 0's endpoint, with no propagation lag and ServerTTL.
 	Federation *federation.Spec
 
 	// Faults optionally injects a declarative fault scenario — crash-stop,

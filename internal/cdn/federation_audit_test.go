@@ -49,12 +49,12 @@ func TestAuditorCatchesFederationCorruption(t *testing.T) {
 		},
 		{
 			name:     "server homed at a phantom provider",
-			corrupt:  func(s *simulation) { s.fed.home[1] = 99 },
+			corrupt:  func(s *simulation) { s.nodes[1].prov = 99 },
 			property: "home-bounds",
 		},
 		{
 			name:     "provider ahead of the ground truth",
-			corrupt:  func(s *simulation) { s.fed.prov[0].version = 1 << 20 },
+			corrupt:  func(s *simulation) { s.prov[0].version = 1 << 20 },
 			property: "provider-version-bounds",
 		},
 	}

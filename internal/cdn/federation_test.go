@@ -211,8 +211,8 @@ func TestFederationProviderZeroSharesNodeZeroSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.fed.prov[0].ep.Key != s.nodes[0].ep.Key {
-		t.Errorf("provider 0 has Key %d, node 0 has %d", s.fed.prov[0].ep.Key, s.nodes[0].ep.Key)
+	if s.prov[0].ep.Key != s.nodes[0].ep.Key {
+		t.Errorf("provider 0 has Key %d, node 0 has %d", s.prov[0].ep.Key, s.nodes[0].ep.Key)
 	}
 	rows := map[string]int{}
 	ids, totals := s.cells[0].net.View().SenderRows()

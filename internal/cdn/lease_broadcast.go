@@ -41,7 +41,7 @@ func (s *simulation) renewLease(i int, onDone func()) {
 	nd.leaseSeq++
 	seq, gen := nd.leaseSeq, nd.gen
 	s.deliver(i, 0, lightSizeKB, netmodel.ClassLight, func() {
-		if s.providerDown {
+		if s.prov[0].down {
 			return // outage: no grant; the renewal timeout serves stale
 		}
 		provider := s.nodes[0]
@@ -50,7 +50,7 @@ func (s *simulation) renewLease(i int, onDone func()) {
 			provider.leases = make(map[int]time.Duration)
 		}
 		provider.leases[i] = expiry
-		v := provider.version
+		v := s.prov[0].version
 		s.deliver(0, i, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
 			if nd.gen != gen || nd.leaseSeq != seq || !nd.leaseRenewing {
 				return
@@ -87,7 +87,7 @@ func (s *simulation) renewLease(i int, onDone func()) {
 // whose lease is still valid, dropping expired entries.
 func (s *simulation) pushToLeaseholders() {
 	provider := s.nodes[0]
-	v := provider.version
+	v := s.prov[0].version
 	now := s.now(0)
 	for i := 1; i < len(s.nodes); i++ {
 		expiry, ok := provider.leases[i]
@@ -139,7 +139,7 @@ func (s *simulation) buildBroadcastClusters() error {
 // it to all their cluster peers (duplicates are received and dropped — the
 // redundant-message cost the paper charges this class with).
 func (s *simulation) broadcastUpdate() {
-	v := s.nodes[0].version
+	v := s.prov[0].version
 	for ci := range s.clusterMembers {
 		if len(s.clusterMembers[ci]) == 0 {
 			continue

@@ -51,7 +51,7 @@ func (s *simulation) regimeEpoch(i int) {
 		// Register the new regime with the provider. A dark provider loses
 		// the registration and keeps serving the last regime it heard.
 		s.deliver(i, 0, lightSizeKB, netmodel.ClassLight, func() {
-			if s.providerDown {
+			if s.prov[0].down {
 				return
 			}
 			s.applyRegime(i, next)
@@ -101,7 +101,7 @@ func (s *simulation) applyRegime(i int, r consistency.Regime) {
 // servers. TTL-regime servers find it on their next poll.
 func (s *simulation) regimePublish() {
 	provider := s.nodes[0]
-	v := provider.version
+	v := s.prov[0].version
 	for _, sub := range sortedKeys(provider.pushSubs) {
 		child := sub
 		s.deliver(0, child, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
@@ -115,5 +115,5 @@ func (s *simulation) regimePublish() {
 			}
 		})
 	}
-	s.notifySubscribers(provider)
+	s.notifySubscribers(0, 0)
 }

@@ -69,32 +69,23 @@ func (s *simulation) pollAttempt(i, attempt int) {
 		return // orphaned by a failed repair: nothing to poll
 	}
 	answered := false
-	if p == 0 && s.fed != nil {
-		// Federated origin poll: route to the home provider (or a peering
-		// hand-off), answer with that provider's version from its endpoint.
-		s.fedOriginExchange(i, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func(v, _ int) {
+	k := s.route(i, p)
+	s.deliverVia(i, p, k, lightSizeKB, netmodel.ClassLight, func() {
+		if s.dark(p, k) {
+			return // no answer; the poller's timeout takes over
+		}
+		v := s.served(p, k)
+		s.deliverVia(p, i, k, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
 			if answered || nd.down || nd.gen != gen {
 				return
 			}
 			answered = true
-			s.fedExitDegraded(i)
+			if p == 0 {
+				s.fedExitDegraded(i)
+			}
 			s.onPollResponse(i, p, v)
 		})
-	} else {
-		s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() {
-			if s.nodes[p].down || (p == 0 && s.providerDown) {
-				return // no answer; the poller's timeout takes over
-			}
-			v := s.nodes[p].version
-			s.deliver(p, i, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
-				if answered || nd.down || nd.gen != gen {
-					return
-				}
-				answered = true
-				s.onPollResponse(i, p, v)
-			})
-		})
-	}
+	})
 	s.at(i, s.now(i)+s.cfg.ServerTTL, func() {
 		if answered || nd.down || nd.gen != gen {
 			return
@@ -111,25 +102,14 @@ func (s *simulation) pollAttempt(i, attempt int) {
 func (s *simulation) pollRetry(i, p, attempt int) {
 	nd := s.nodes[i]
 	if s.cfg.Failover && attempt >= pollMaxAttempts {
-		if p == 0 && s.fed != nil {
-			// The origin stopped answering through a whole retry cycle:
-			// durably re-home to the nearest alive provider (the anycast
-			// analogue of reparenting off a dead relay). During a full
-			// blackout there is nowhere to go — serve-stale rides it out.
-			if h := s.fed.home[i]; s.fed.prov[h].down {
-				if k := s.fed.nearestAlive(s, i); k >= 0 && k != h {
-					s.fedRehome(i, k)
-				}
+		if p == 0 {
+			s.fedRehomeOffDark(i)
+		} else if s.nodes[p].down && s.cfg.Infra == consistency.InfraMulticast && s.tree.Parent(i) == p {
+			if err := s.tree.Remove(p, s.locs, s.cfg.TreeDegree, s.alive); err == nil {
+				s.cell(i).serverReparents++
 			}
-		} else {
-			pn := s.nodes[p]
-			if pn.down && p != 0 && s.cfg.Infra == consistency.InfraMulticast && s.tree.Parent(i) == p {
-				if err := s.tree.Remove(p, s.locs, s.cfg.TreeDegree, s.alive); err == nil {
-					s.cell(i).serverReparents++
-				}
-				if s.aud != nil {
-					s.aud.onTreeMutation(i, fmt.Sprintf("pollRetry reparent of %d off dead relay %d", i, p))
-				}
+			if s.aud != nil {
+				s.aud.onTreeMutation(i, fmt.Sprintf("pollRetry reparent of %d off dead relay %d", i, p))
 			}
 		}
 		attempt = 0 // fresh cycle against the (possibly new) parent
@@ -203,6 +183,9 @@ func (s *simulation) armWatchdog(i int) {
 				return
 			}
 			answered = true
+			if p == 0 {
+				s.fedExitDegraded(i)
+			}
 			if !nd.pollStopped {
 				nd.watchdogArmed = false
 				return
@@ -215,23 +198,14 @@ func (s *simulation) armWatchdog(i int) {
 			}
 			s.at(i, s.now(i)+2*s.cfg.ServerTTL, tick)
 		}
-		if p == 0 && s.fed != nil {
-			s.fedOriginExchange(i, lightSizeKB, netmodel.ClassLight, func(v, _ int) {
-				if answered || nd.down || nd.gen != gen {
-					return
-				}
-				s.fedExitDegraded(i)
-				heartbeat(v)
-			})
-		} else {
-			s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() {
-				if s.nodes[p].down || (p == 0 && s.providerDown) {
-					return // no answer; the heartbeat timeout concludes
-				}
-				v := s.nodes[p].version
-				s.deliver(p, i, lightSizeKB, netmodel.ClassLight, func() { heartbeat(v) })
-			})
-		}
+		k := s.route(i, p)
+		s.deliverVia(i, p, k, lightSizeKB, netmodel.ClassLight, func() {
+			if s.dark(p, k) {
+				return // no answer; the heartbeat timeout concludes
+			}
+			v := s.served(p, k)
+			s.deliverVia(p, i, k, lightSizeKB, netmodel.ClassLight, func() { heartbeat(v) })
+		})
 		s.at(i, s.now(i)+s.cfg.ServerTTL, func() {
 			if answered || nd.down || nd.gen != gen {
 				return
@@ -288,21 +262,9 @@ func (s *simulation) onPollResponse(i, p, v int) {
 			nd.pollStopped = true
 			s.armWatchdog(i)
 			childV := nd.version
-			if p == 0 && s.fed != nil {
-				// Register with the logical origin via the current home (or
-				// peering) provider; a provider dark at arrival loses the
-				// registration, and the watchdog recovers the node.
-				k := s.fedRoute(i)
-				s.fedDeliverUp(i, k, lightSizeKB, netmodel.ClassLight, func() {
-					if s.fed.prov[k].down {
-						return
-					}
-					s.subscribe(p, i, s.nodes[i].version)
-				})
-				return
-			}
-			s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() {
-				if s.nodes[p].down || (p == 0 && s.providerDown) {
+			k := s.route(i, p)
+			s.deliverVia(i, p, k, lightSizeKB, netmodel.ClassLight, func() {
+				if s.dark(p, k) {
 					return // subscription lost; the watchdog (or the
 					// next visit poll) recovers the node
 				}
@@ -314,7 +276,7 @@ func (s *simulation) onPollResponse(i, p, v int) {
 			})
 			return
 		}
-		s.pollAfter(i, s.fedTTL(i))
+		s.pollAfter(i, s.pollTTL(i))
 	case consistency.MethodAdaptiveTTL:
 		now := s.now(i)
 		if hadUpdate {
@@ -332,34 +294,27 @@ func (s *simulation) onPollResponse(i, p, v int) {
 			s.pollAfter(i, s.cfg.ServerTTL)
 		}
 	default: // plain TTL
-		s.pollAfter(i, s.fedTTL(i))
+		s.pollAfter(i, s.pollTTL(i))
 	}
 }
 
 // subscribe registers child as an Invalidation-mode subscriber at a source
-// node (provider or supernode). childV is the child's version as known to
-// the registration (read at arrival in serial runs, carried on the message
-// in sharded ones).
+// node (the origin or a supernode). childV is the child's version as known
+// to the registration (read at arrival in serial runs, carried on the
+// message in sharded ones).
 func (s *simulation) subscribe(src, child, childV int) {
 	nd := s.nodes[src]
 	if nd.subscribers == nil {
 		nd.subscribers = make(map[int]bool)
 	}
+	nd.subscribers[child] = false
 	// If the source already has newer content than the child could have
 	// seen, notify immediately rather than waiting for the next publish —
-	// handles an update racing the subscription.
-	nd.subscribers[child] = false
-	if src == 0 && s.fed != nil {
-		// The relevant "already newer" comparison is against the child's
-		// home provider, whose servable version trails the ground truth by
-		// its propagation delay.
-		if k := s.fed.home[child]; !s.fed.prov[k].down && s.fed.prov[k].version > childV {
-			s.fedNotifySubscribers(k)
-		}
-		return
-	}
-	if nd.version > childV {
-		s.notifySubscribers(nd)
+	// handles an update racing the subscription. At the origin the
+	// comparison is against the child's home provider, whose servable
+	// version may trail the ground truth.
+	if k := s.nodes[child].prov; !s.dark(src, k) && s.served(src, k) > childV {
+		s.notifySubscribers(src, k)
 	}
 }
 
@@ -382,17 +337,9 @@ func (s *simulation) triggerFetch(i int, cb func()) {
 	}
 	nd.fetchSeq++
 	seq, gen := nd.fetchSeq, nd.gen
-	if p == 0 && s.fed != nil {
-		// Federated origin fetch: the answering provider serves its own
-		// (propagation-delayed) version; an unanswered fetch times out below
-		// and serves the stale local content.
-		s.fedOriginExchange(i, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func(v, _ int) {
-			if nd.down || nd.gen != gen || nd.fetchSeq != seq || !nd.fetchInFlight {
-				return
-			}
-			s.fedExitDegraded(i)
-			s.completeFetch(i, v)
-		})
+	if p == 0 {
+		k := s.route(i, p)
+		s.deliverVia(i, p, k, lightSizeKB, netmodel.ClassLight, func() { s.answerFetch(k, i) })
 	} else {
 		s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() { s.serveFetch(p, i) })
 	}
@@ -406,27 +353,38 @@ func (s *simulation) triggerFetch(i int, cb func()) {
 	})
 }
 
-// serveFetch answers child's fetch at node p. An invalid intermediate node
-// first refreshes itself from its own parent (chained fetch along the
-// multicast tree). A dead parent never answers: the child's fetch fails and
-// its callbacks observe the stale content it still holds.
+// answerFetch answers child's fetch at the origin: provider k serves its
+// version. A dark provider never answers: the child's fetch timeout serves
+// its stale content.
+func (s *simulation) answerFetch(k, child int) {
+	if s.prov[k].down {
+		return
+	}
+	if s.cfg.Method == consistency.MethodRegime {
+		// Re-arm the aggregated invalidation for this subscriber.
+		subs := s.nodes[0].subscribers
+		if _, ok := subs[child]; ok {
+			subs[child] = false
+		}
+	}
+	v := s.prov[k].version
+	s.deliverVia(0, child, k, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
+		s.fedExitDegraded(child)
+		s.completeFetch(child, v)
+	})
+}
+
+// serveFetch answers child's fetch at relay p. An invalid relay first
+// refreshes itself from its own parent (chained fetch along the multicast
+// tree). A dead relay never answers: the child's fetch fails and its
+// callbacks observe the stale content it still holds.
 func (s *simulation) serveFetch(p, child int) {
 	pn := s.nodes[p]
 	if pn.down {
 		s.failFetch(child)
 		return
 	}
-	if p == 0 && s.providerDown {
-		return // origin outage: no answer; the child's fetch timeout
-		// serves its stale content
-	}
-	if p == 0 || pn.valid {
-		if p == 0 && s.cfg.Method == consistency.MethodRegime {
-			// Re-arm the aggregated invalidation for this subscriber.
-			if _, ok := pn.subscribers[child]; ok {
-				pn.subscribers[child] = false
-			}
-		}
+	if pn.valid {
 		v := pn.version
 		s.deliver(p, child, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() { s.completeFetch(child, v) })
 		return
@@ -486,7 +444,7 @@ func (s *simulation) selfAdaptiveVisitPoll(i int, onDone func()) {
 	resume := func() {
 		if nd.pollStopped {
 			nd.pollStopped = false
-			s.pollAfter(i, s.fedTTL(i))
+			s.pollAfter(i, s.pollTTL(i))
 		}
 		if onDone != nil {
 			onDone()
@@ -496,40 +454,20 @@ func (s *simulation) selfAdaptiveVisitPoll(i int, onDone func()) {
 		resume()
 		return
 	}
-	if p == 0 && s.fed != nil {
-		s.fedOriginExchange(i, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func(v, k int) {
-			if answered || nd.down || nd.gen != gen {
-				return
-			}
-			answered = true
-			s.fedExitDegraded(i)
-			s.setVersion(nd, v)
-			nd.valid = true
-			// Notify the switch back (Algorithm 1 line 12) via the provider
-			// that answered; the registry lives on the logical origin.
-			s.fedDeliverUp(i, k, lightSizeKB, netmodel.ClassLight, func() { delete(s.nodes[p].subscribers, i) })
-			resume()
-		})
-		s.at(i, s.now(i)+s.cfg.ServerTTL, func() {
-			if answered || nd.down || nd.gen != gen {
-				return
-			}
-			// Blackout or in-flight failure: serve stale, resume.
-			answered = true
-			resume()
-		})
-		return
-	}
-	s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() {
-		// This closure runs at the parent. The serial fast path may read the
-		// requester's abort state directly; a sharded run must not (another
-		// cell's state mid-window) and relies on the response-side and
-		// timeout guards at i instead.
-		if !s.sharded() && (answered || nd.down || nd.gen != gen) {
+	k := s.route(i, p)
+	// The serial fast path reads the requester's state at the parent. A
+	// sharded run must not (another cell's state mid-window), and a request
+	// that reaches a dark federated origin — a blackout, or a provider lost in
+	// flight — is left to the requester's timeout, where serve-stale
+	// degradation takes over. Both rely on the response-side and timeout
+	// guards at i instead.
+	fast := !s.sharded() && !s.fedHoldsDark(p)
+	s.deliverVia(i, p, k, lightSizeKB, netmodel.ClassLight, func() {
+		if fast && (answered || nd.down || nd.gen != gen) {
 			return
 		}
-		if s.nodes[p].down || (p == 0 && s.providerDown) {
-			if s.sharded() {
+		if s.dark(p, k) {
+			if !fast {
 				// No answer crosses back; the timeout at i serves the
 				// stale content and resumes the loop.
 				return
@@ -540,16 +478,21 @@ func (s *simulation) selfAdaptiveVisitPoll(i int, onDone func()) {
 			resume()
 			return
 		}
-		v := s.nodes[p].version
-		s.deliver(p, i, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
+		v := s.served(p, k)
+		s.deliverVia(p, i, k, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
 			if answered || nd.down || nd.gen != gen {
 				return
 			}
 			answered = true
+			if p == 0 {
+				s.fedExitDegraded(i)
+			}
 			s.setVersion(nd, v)
 			nd.valid = true
-			// Notify the switch back (Algorithm 1 line 12).
-			s.deliver(i, p, lightSizeKB, netmodel.ClassLight, func() { delete(s.nodes[p].subscribers, i) })
+			// Notify the switch back (Algorithm 1 line 12); the registry
+			// lives on the parent (node 0 for the origin), the provider that
+			// answered carries the notice.
+			s.deliverVia(i, p, k, lightSizeKB, netmodel.ClassLight, func() { delete(s.nodes[p].subscribers, i) })
 			resume()
 		})
 	})

@@ -75,12 +75,38 @@ type node struct {
 	recoverAt  time.Duration
 	// watchdogArmed guards the single TTL-fallback watchdog per node.
 	watchdogArmed bool
+	// prov is the node's home provider, an index into the provider table:
+	// 0 for every node in a classic run; under federation the anycast
+	// nearest at setup, durably re-homed by retry exhaustion and the broker.
+	prov int
 
 	// Cooperative-lease state: on servers, the local lease expiry and a
 	// renewal-in-flight flag; on the provider, the leaseholder registry.
 	leaseExpiry   time.Duration
 	leaseRenewing bool
 	leases        map[int]time.Duration
+}
+
+// provider is one origin in the provider table. A classic run holds exactly
+// one: provider 0, on node 0's endpoint, with no propagation lag and the
+// configured ServerTTL. A federated run holds one per federation.Spec entry;
+// provider 0 shares node 0's endpoint ID and Key, the others take their own
+// (see newFedState). Its outage and version state is only ever touched from
+// node 0's cell; senders elsewhere read only the fixed endpoint and TTL.
+type provider struct {
+	ep netmodel.Endpoint
+	// down marks an unreachable provider (fault-driven); version is the
+	// newest snapshot it serves, which under federation trails the ground
+	// truth by its propagation delay.
+	down    bool
+	version int
+	// pendingDissem defers this provider's dissemination while it is down;
+	// released by its own provider-up event.
+	pendingDissem bool
+	// ttl overrides Config.ServerTTL for servers homed here (0 = inherit);
+	// propagation is the publication-to-servable delay at this provider.
+	ttl         time.Duration
+	propagation time.Duration
 }
 
 type simulation struct {
@@ -116,16 +142,18 @@ type simulation struct {
 	publishAt []time.Duration
 	horizon   time.Duration
 
-	// Fault-injection state: the compiled schedule and the provider-outage
-	// flag with its deferred dissemination. Provider state is only ever
-	// touched from the provider's cell (cell 0), so these need no sharding.
-	faultEvents   []fault.Event
-	providerDown  bool
-	pendingDissem bool
+	// faultEvents is the compiled fault schedule.
+	faultEvents []fault.Event
+
+	// prov is the provider table, the only origin state: one provider per
+	// federated origin, or a classic run's one provider, which lives in
+	// origin so that the table costs the run no allocation.
+	prov   []provider
+	origin [1]provider
 
 	// fed is the multi-CDN federation runtime, nil unless cfg.Federation is
-	// set (serial-only; withDefaults rejects Federation under sharding).
-	// With fed == nil every classic code path runs unchanged.
+	// set (serial-only; withDefaults rejects Federation under sharding). It
+	// holds what only a federated run does: routing, degradation, the broker.
 	fed *fedState
 
 	// aud is the runtime invariant auditor, nil unless cfg.Audit is set.
@@ -157,7 +185,7 @@ func newSimulation(cfg Config) (*simulation, error) {
 	// Node 0 is the provider.
 	s.nodes = append(s.nodes, &node{
 		idx:   0,
-		ep:    endpoint(0, "provider", topo.Provider.Loc, topo.Provider.ISP),
+		ep:    endpoint(0, ProviderSender(0), topo.Provider.Loc, topo.Provider.ISP),
 		valid: true,
 	})
 	for i, srv := range topo.Servers {
@@ -187,6 +215,8 @@ func newSimulation(cfg Config) (*simulation, error) {
 		return nil, err
 	}
 
+	s.origin[0].ep = s.nodes[0].ep
+	s.prov = s.origin[:]
 	if cfg.Federation != nil {
 		// The federation runtime draws no randomness (anycast homing is a
 		// pure function of locations), so the engine RNG stream below is
@@ -234,16 +264,12 @@ func newSimulation(cfg Config) (*simulation, error) {
 		// A dedicated RNG stream (not the engine's) keeps topology and user
 		// schedules identical between runs with and without faults.
 		frng := rand.New(rand.NewSource(cfg.Seed + 0x0fa17))
-		providers := 0
-		if cfg.Federation != nil {
-			providers = len(cfg.Federation.Providers)
-		}
 		events, err := fault.Compile(*cfg.Faults, fault.Env{
 			Servers:   len(topo.Servers),
 			Locs:      s.locs[1:],
 			ISPs:      isps,
 			Horizon:   s.horizon,
-			Providers: providers,
+			Providers: len(s.prov),
 		}, frng)
 		if err != nil {
 			return nil, fmt.Errorf("cdn: %w", err)
@@ -351,13 +377,40 @@ func (s *simulation) buildHybridTree() error {
 	return nil
 }
 
-// send wraps netmodel.Send with the message counters the figures need and
-// returns the arrival time. The message is booked in the sender's cell: its
-// network view queues it on the sender's uplink and its counters take the
-// tally, so per-cell ledgers partition the run's traffic exactly.
-func (s *simulation) send(from, to int, sizeKB float64, class netmodel.Class) time.Duration {
+// deliver sends a message from node `from` to node `to` and schedules
+// onArrival at the arrival time, in the receiver's cell. It is deliverVia
+// with provider 0 carrying node 0's end: the classic origin, or federated
+// provider 0 on node 0's endpoint.
+func (s *simulation) deliver(from, to int, sizeKB float64, class netmodel.Class, onArrival func()) {
+	s.deliverVia(from, to, 0, sizeKB, class, onArrival)
+}
+
+// deliverVia sends a message between two nodes; when one end is node 0, the
+// origin, provider k's endpoint sends or receives it. The message is booked
+// in the sender's cell: its network view queues it on the sender's uplink
+// and its counters take the tally, so per-cell ledgers partition the run's
+// traffic exactly. onArrival runs at the arrival time in the receiver's cell.
+// A cross-cell arrival goes through the sharded engine's barrier exchange;
+// netmodel guarantees it lands at least one propagation delay after the
+// send, so it never violates the conservative window. When an active
+// partition separates the endpoints, the message is dropped on the floor — it
+// never enters the network, is not accounted, and the sender only learns
+// about it through its own timeout.
+func (s *simulation) deliverVia(from, to, k int, sizeKB float64, class netmodel.Class, onArrival func()) {
+	src, dst := &s.nodes[from].ep, &s.nodes[to].ep
+	if from == 0 {
+		src = &s.prov[k].ep
+	} else if to == 0 {
+		dst = &s.prov[k].ep
+	}
 	c := s.cell(from)
-	arrival := c.net.Send(s.nodes[from].ep, s.nodes[to].ep, sizeKB, class, c.eng.Now())
+	c.deliverAttempts++
+	if !c.net.Reachable(*src, *dst) {
+		s.dropDelivery(from, "partition")
+		return
+	}
+	c.deliverSends++
+	arrival := c.net.Send(*src, *dst, sizeKB, class, c.eng.Now())
 	switch class {
 	case netmodel.ClassUpdate:
 		if to != 0 {
@@ -369,25 +422,6 @@ func (s *simulation) send(from, to int, sizeKB float64, class netmodel.Class) ti
 	case netmodel.ClassLight:
 		c.lightMsgs++
 	}
-	return arrival
-}
-
-// deliver sends a message and schedules onArrival at the arrival time, in
-// the receiver's cell. A cross-cell arrival goes through the sharded
-// engine's barrier exchange; netmodel guarantees it lands at least one
-// propagation delay after the send, so it never violates the conservative
-// window. When an active partition separates the endpoints, the message is
-// dropped on the floor — it never enters the network, is not accounted, and
-// the sender only learns about it through its own timeout.
-func (s *simulation) deliver(from, to int, sizeKB float64, class netmodel.Class, onArrival func()) {
-	c := s.cell(from)
-	c.deliverAttempts++
-	if !c.net.Reachable(s.nodes[from].ep, s.nodes[to].ep) {
-		s.dropDelivery(from, "partition")
-		return
-	}
-	c.deliverSends++
-	arrival := s.send(from, to, sizeKB, class)
 	if s.sharded() {
 		// A lookahead violation is recorded per source cell and aborts Run
 		// at the next barrier, so the error need not propagate from here.
@@ -395,6 +429,36 @@ func (s *simulation) deliver(from, to int, sizeKB float64, class netmodel.Class,
 		return
 	}
 	s.at(to, arrival, onArrival)
+}
+
+// dark reports whether parent p cannot answer: a crashed relay or, when p is
+// the origin, provider k down. Throughout, a contact with parent p carries a
+// provider index k (see route): when p is node 0, provider k sends and
+// answers for it; a relay answers for itself and ignores k, so relay steps
+// pass 0.
+func (s *simulation) dark(p, k int) bool {
+	if p == 0 {
+		return s.prov[k].down
+	}
+	return s.nodes[p].down
+}
+
+// served is the version parent p answers with: provider k's when p is the
+// origin, the relay's own otherwise.
+func (s *simulation) served(p, k int) int {
+	if p == 0 {
+		return s.prov[k].version
+	}
+	return s.nodes[p].version
+}
+
+// pollTTL is node i's poll period: its home provider's TTL override, or the
+// configured ServerTTL (always, in a classic run).
+func (s *simulation) pollTTL(i int) time.Duration {
+	if t := s.prov[s.nodes[i].prov].ttl; t > 0 {
+		return t
+	}
+	return s.cfg.ServerTTL
 }
 
 // dropDelivery records a dropped delivery attempt under its cause in the
@@ -571,18 +635,12 @@ func (s *simulation) scheduleFaults() {
 			s.at(e.Server+1, e.At, func() { s.failServer(e.Server + 1) })
 		case fault.OpServerUp:
 			s.at(e.Server+1, e.At, func() { s.recoverServer(e.Server + 1) })
+		// Provider-scoped faults execute in node 0's cell, which owns the
+		// provider table; a classic run's outages name provider 0.
 		case fault.OpProviderDown:
-			if s.fed != nil {
-				s.at(0, e.At, func() { s.fedProviderDown(e.Provider) })
-			} else {
-				s.at(0, e.At, func() { s.providerDown = true })
-			}
+			s.at(0, e.At, func() { s.prov[e.Provider].down = true })
 		case fault.OpProviderUp:
-			if s.fed != nil {
-				s.at(0, e.At, func() { s.fedProviderUp(e.Provider) })
-			} else {
-				s.at(0, e.At, func() { s.providerUp() })
-			}
+			s.at(0, e.At, func() { s.recoverProvider(e.Provider) })
 		// Network-scoped faults apply to every cell's network view at the
 		// fault instant, so all senders see them (serial: the one cell).
 		case fault.OpPartitionStart:
@@ -756,51 +814,43 @@ func (s *simulation) resyncFetch(i int) {
 	})
 }
 
-// providerUp ends a provider outage, releasing any dissemination that was
-// deferred while the origin was dark.
-func (s *simulation) providerUp() {
-	if !s.providerDown {
+// recoverProvider ends provider k's outage, releasing any dissemination
+// deferred while it was dark.
+func (s *simulation) recoverProvider(k int) {
+	p := &s.prov[k]
+	if !p.down {
 		return
 	}
-	s.providerDown = false
-	if s.pendingDissem {
-		s.pendingDissem = false
-		s.disseminate()
+	p.down = false
+	if p.pendingDissem {
+		p.pendingDissem = false
+		s.disseminate(k)
 	}
 }
 
-// schedulePublications sets the provider's version at each publication time
-// and triggers method-specific dissemination. The publication schedule is
-// static, so every non-provider cell advances its own published copy with a
-// local marker event at the same instant — zero cross-cell traffic.
+// schedulePublications advances the ground truth (node 0's version) at each
+// publication time and hands the snapshot to the providers. A classic
+// provider takes it in the publication event itself; a federated one after
+// its own propagation delay, the only place a provider lags the ground
+// truth. The publication schedule is static, so every non-provider cell
+// advances its own published copy with a local marker event at the same
+// instant — zero cross-cell traffic.
 func (s *simulation) schedulePublications() {
 	for _, u := range s.cfg.Updates {
 		v := u.Snapshot
 		at := s.publishAt[v]
 		s.cells[0].eng.ScheduleAt(at, func(*sim.Engine) { //nolint:errcheck // at >= 0 by construction
-			provider := s.nodes[0]
-			s.setVersion(provider, v)
+			s.setVersion(s.nodes[0], v)
 			s.cells[0].published = v
-			if s.fed != nil {
-				// Federated origins: each provider takes (and disseminates)
-				// the snapshot after its own propagation delay; a down
-				// provider defers dissemination until its recovery.
-				now := s.now(0)
-				for k := range s.fed.prov {
-					k := k
-					s.at(0, now+s.fed.prov[k].propagation, func() { s.fedAdvance(k, v) })
-				}
+			if s.fed == nil {
+				s.advance(0, v)
 				return
 			}
-			if s.providerDown {
-				// Origin outage: the content exists (ground truth
-				// advances) but cannot be disseminated until the
-				// provider returns; updates aggregate into one deferred
-				// dissemination.
-				s.pendingDissem = true
-				return
+			now := s.now(0)
+			for k := range s.prov {
+				k := k
+				s.at(0, now+s.prov[k].propagation, func() { s.advance(k, v) })
 			}
-			s.disseminate()
 		})
 		for _, c := range s.cells[1:] {
 			c := c
@@ -809,10 +859,25 @@ func (s *simulation) schedulePublications() {
 	}
 }
 
-// disseminate runs the configured method's reaction to the provider's
-// current content.
-func (s *simulation) disseminate() {
-	provider := s.nodes[0]
+// advance moves provider k's servable version to v and disseminates it. A
+// down provider still takes the content — the ground truth advances, its
+// backend replicated it — but defers dissemination until its own recovery;
+// updates published meanwhile aggregate into one deferred dissemination.
+func (s *simulation) advance(k, v int) {
+	p := &s.prov[k]
+	if v > p.version {
+		p.version = v
+	}
+	if p.down {
+		p.pendingDissem = true
+		return
+	}
+	s.disseminate(k)
+}
+
+// disseminate runs the configured method's reaction to provider k's current
+// content, for the root-level servers homed at k.
+func (s *simulation) disseminate(k int) {
 	switch {
 	case s.cfg.Infra == consistency.InfraBroadcast:
 		s.broadcastUpdate()
@@ -821,68 +886,72 @@ func (s *simulation) disseminate() {
 	case s.cfg.Method == consistency.MethodRegime:
 		s.regimePublish()
 	case s.cfg.Method == consistency.MethodPush:
-		s.pushToChildren(0)
+		s.pushToChildren(0, k)
 	case s.cfg.Infra == consistency.InfraHybrid:
 		// Push to supernode children; cluster-internal dissemination is
 		// the configured method, driven by each supernode when its
 		// content arrives.
-		s.pushToSupernodeChildren(0)
-		s.afterSourceUpdate(provider)
+		s.pushToSupernodeChildren(0, k)
+		s.afterSourceUpdate(0, k)
 	case s.cfg.Method == consistency.MethodInvalidation:
-		s.invalidateChildren(0)
+		s.invalidateChildren(0, k)
 	case s.cfg.Method == consistency.MethodSelfAdaptive:
-		s.notifySubscribers(provider)
+		s.notifySubscribers(0, k)
 	}
 }
 
 // afterSourceUpdate handles method-specific follow-ups when an update source
-// (provider in unicast, supernode in hybrid) takes a new version.
-func (s *simulation) afterSourceUpdate(nd *node) {
+// (provider k in unicast, supernode in hybrid) takes a new version.
+func (s *simulation) afterSourceUpdate(src, k int) {
 	switch s.cfg.Method {
 	case consistency.MethodInvalidation:
-		s.invalidateChildren(nd.idx)
+		s.invalidateChildren(src, k)
 	case consistency.MethodSelfAdaptive:
-		s.notifySubscribers(nd)
+		s.notifySubscribers(src, k)
 	}
 }
 
 // pushToChildren forwards the sender's current version to all tree children
 // as update messages; receivers forward recursively (multicast) or are
-// leaves (unicast).
-func (s *simulation) pushToChildren(from int) {
-	v := s.nodes[from].version
+// leaves (unicast). At the origin, provider k pushes to the children homed
+// at it.
+func (s *simulation) pushToChildren(from, k int) {
+	v := s.served(from, k)
 	for _, c := range s.tree.Children(from) {
 		child := c
-		s.deliver(from, child, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
+		if from == 0 && s.nodes[child].prov != k {
+			continue
+		}
+		s.deliverVia(from, child, k, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
 			nd := s.nodes[child]
 			if nd.down || v <= nd.version {
 				return
 			}
 			s.setVersion(nd, v)
-			s.pushToChildren(child)
+			s.pushToChildren(child, 0)
 		})
 	}
 }
 
 // pushToSupernodeChildren pushes only to children that are supernodes (the
 // hybrid provider/supernode relay path).
-func (s *simulation) pushToSupernodeChildren(from int) {
-	v := s.nodes[from].version
+func (s *simulation) pushToSupernodeChildren(from, k int) {
+	v := s.served(from, k)
 	for _, c := range s.tree.Children(from) {
 		child := c
-		if !s.nodes[child].isSupernode {
+		if !s.nodes[child].isSupernode || (from == 0 && s.nodes[child].prov != k) {
 			continue
 		}
-		s.deliver(from, child, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
+		s.deliverVia(from, child, k, s.cfg.UpdateSizeKB, netmodel.ClassUpdate, func() {
 			nd := s.nodes[child]
 			if nd.down || v <= nd.version {
 				return
 			}
 			s.setVersion(nd, v)
-			s.pushToSupernodeChildren(child)
+			s.pushToSupernodeChildren(child, 0)
 			// The supernode is the cluster's update source: run the
 			// cluster-internal method's reaction.
-			s.afterSourceUpdate(nd)
+			s.afterSourceUpdate(child, 0)
 		})
 	}
 }
@@ -890,35 +959,41 @@ func (s *simulation) pushToSupernodeChildren(from int) {
 // invalidateChildren sends invalidation notices down the tree (light
 // messages); an invalid node answers its children's fetches by first
 // fetching from its own parent.
-func (s *simulation) invalidateChildren(from int) {
+func (s *simulation) invalidateChildren(from, k int) {
 	for _, c := range s.tree.Children(from) {
 		child := c
 		if s.cfg.Infra == consistency.InfraHybrid && s.nodes[child].isSupernode {
 			continue // supernodes receive pushed content instead
 		}
-		s.deliver(from, child, lightSizeKB, netmodel.ClassLight, func() {
+		if from == 0 && s.nodes[child].prov != k {
+			continue
+		}
+		s.deliverVia(from, child, k, lightSizeKB, netmodel.ClassLight, func() {
 			nd := s.nodes[child]
 			if nd.down {
 				return
 			}
 			nd.valid = false
-			s.invalidateChildren(child)
+			s.invalidateChildren(child, 0)
 		})
 	}
 }
 
 // notifySubscribers sends one aggregated invalidation notice to each
-// self-adaptive subscriber that has not been notified since its switch.
-// Iteration is in sorted order: send order feeds the uplink queue, so map
-// order would leak nondeterminism into arrival times.
-func (s *simulation) notifySubscribers(src *node) {
-	for _, sub := range sortedKeys(src.subscribers) {
-		if src.subscribers[sub] {
+// self-adaptive subscriber that has not been notified since its switch; at
+// the origin, provider k notifies the subscribers homed at it. The registry
+// stays on the source node (node 0 for the origin). Iteration is in sorted
+// order: send order feeds the uplink queue, so map order would leak
+// nondeterminism into arrival times.
+func (s *simulation) notifySubscribers(src, k int) {
+	sn := s.nodes[src]
+	for _, sub := range sortedKeys(sn.subscribers) {
+		if sn.subscribers[sub] || (src == 0 && s.nodes[sub].prov != k) {
 			continue
 		}
-		src.subscribers[sub] = true
+		sn.subscribers[sub] = true
 		child := sub
-		s.deliver(src.idx, child, lightSizeKB, netmodel.ClassLight, func() {
+		s.deliverVia(src, child, k, lightSizeKB, netmodel.ClassLight, func() {
 			nd := s.nodes[child]
 			if nd.down {
 				return

@@ -7,6 +7,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -94,52 +95,78 @@ func ParseSystem(name string) (System, error) {
 }
 
 // Option customizes an experiment run.
-type Option func(*cdn.Config)
+type Option func(*config)
+
+// config is the run configuration the options build, plus the first error an
+// option hit: an option that cannot apply fails the run rather than leaving
+// the default it was meant to replace in place.
+type config struct {
+	cdn.Config
+	err error
+}
 
 // WithServers sets the content-server count (paper Section 4: 170).
 func WithServers(n int) Option {
-	return func(c *cdn.Config) { c.Topology.Servers = n }
+	return func(c *config) { c.Topology.Servers = n }
 }
 
 // WithUsersPerServer sets the simulated end-users per server (paper: 5).
 func WithUsersPerServer(n int) Option {
-	return func(c *cdn.Config) { c.Topology.UsersPerServer = n }
+	return func(c *config) { c.Topology.UsersPerServer = n }
 }
 
 // WithServerTTL sets the content servers' poll period.
 func WithServerTTL(d time.Duration) Option {
-	return func(c *cdn.Config) { c.ServerTTL = d }
+	return func(c *config) { c.ServerTTL = d }
 }
 
 // WithUserTTL sets the end-users' visit period.
 func WithUserTTL(d time.Duration) Option {
-	return func(c *cdn.Config) { c.UserTTL = d }
+	return func(c *config) { c.UserTTL = d }
 }
 
 // WithUpdateSizeKB sets the update payload size.
 func WithUpdateSizeKB(kb float64) Option {
-	return func(c *cdn.Config) { c.UpdateSizeKB = kb }
+	return func(c *config) { c.UpdateSizeKB = kb }
 }
 
 // WithUpdates replaces the publication schedule.
 func WithUpdates(updates []workload.Update) Option {
-	return func(c *cdn.Config) { c.Updates = updates }
+	return func(c *config) { c.Updates = updates }
 }
 
 // WithGame draws the publication schedule from a game config using the
-// run's seed.
+// run's seed. A game that cannot be drawn, or whose draw publishes nothing
+// (no phases, or only silent breaks), fails the run: an empty schedule would
+// otherwise fall back to the paper's default day.
 func WithGame(game workload.GameConfig) Option {
-	return func(c *cdn.Config) {
+	return func(c *config) {
 		updates, err := workload.Schedule(game, c.Seed)
-		if err == nil {
-			c.Updates = updates
+		if err == nil && len(updates) == 0 {
+			err = errors.New("draws no updates")
 		}
+		if err != nil {
+			if c.err == nil {
+				c.err = fmt.Errorf("game %s: %w", gameName(game), err)
+			}
+			return
+		}
+		c.Updates = updates
 	}
+}
+
+// gameName names a game by its phases, e.g. "[half1 break half2]".
+func gameName(game workload.GameConfig) string {
+	names := make([]string, len(game.Phases))
+	for i, p := range game.Phases {
+		names[i] = p.Name
+	}
+	return "[" + strings.Join(names, " ") + "]"
 }
 
 // WithSeed sets the deterministic seed.
 func WithSeed(seed int64) Option {
-	return func(c *cdn.Config) {
+	return func(c *config) {
 		c.Seed = seed
 		c.Topology.Seed = seed
 	}
@@ -147,27 +174,27 @@ func WithSeed(seed int64) Option {
 
 // WithClusters sets the hybrid cluster count (paper: 20).
 func WithClusters(n int) Option {
-	return func(c *cdn.Config) { c.Clusters = n }
+	return func(c *config) { c.Clusters = n }
 }
 
 // WithTreeDegree sets the multicast arity (paper: 2).
 func WithTreeDegree(d int) Option {
-	return func(c *cdn.Config) { c.TreeDegree = d }
+	return func(c *config) { c.TreeDegree = d }
 }
 
 // WithSupernodeDegree sets the hybrid supernode tree arity (paper: 4).
 func WithSupernodeDegree(d int) Option {
-	return func(c *cdn.Config) { c.SupernodeDegree = d }
+	return func(c *config) { c.SupernodeDegree = d }
 }
 
 // WithNetConfig overrides the network model.
 func WithNetConfig(nc netmodel.Config) Option {
-	return func(c *cdn.Config) { c.Net = nc }
+	return func(c *config) { c.Net = nc }
 }
 
 // WithUserSwitching makes every visit hit a random server (Figure 24).
 func WithUserSwitching() Option {
-	return func(c *cdn.Config) { c.UserSwitchEveryVisit = true }
+	return func(c *config) { c.UserSwitchEveryVisit = true }
 }
 
 // WithUserModel selects the end-user simulation model:
@@ -175,33 +202,33 @@ func WithUserSwitching() Option {
 // cdn.UserModelCohort (weighted per-server cohorts with exact aggregate
 // accounting; requires WithPopulation).
 func WithUserModel(model string) Option {
-	return func(c *cdn.Config) { c.UserModel = model }
+	return func(c *config) { c.UserModel = model }
 }
 
 // WithPopulation pins the user population to weighted per-server cohorts
 // (counts, start offsets, periods). Both user models honor it: explicit
 // expands it to individual actors, cohort simulates it in aggregate.
 func WithPopulation(p *workload.Population) Option {
-	return func(c *cdn.Config) { c.Population = p }
+	return func(c *config) { c.Population = p }
 }
 
 // WithVisitAccounting books every end-user request into the traffic ledger
 // as a zero-distance content-class message (batched under the cohort model).
 func WithVisitAccounting() Option {
-	return func(c *cdn.Config) { c.AccountVisits = true }
+	return func(c *config) { c.AccountVisits = true }
 }
 
 // WithTopology supplies a prebuilt topology shared across runs, keeping the
 // comparison matrix apples-to-apples.
 func WithTopology(t *topology.Topology) Option {
-	return func(c *cdn.Config) { c.Topo = t }
+	return func(c *config) { c.Topo = t }
 }
 
 // WithDNSRouting routes visits through the modeled DNS plane (local
 // resolver caches + authoritative nearest-k load balancing) with the given
 // resolver cache TTL.
 func WithDNSRouting(resolverTTL time.Duration) Option {
-	return func(c *cdn.Config) {
+	return func(c *config) {
 		c.UseDNSRouting = true
 		c.ResolverTTL = resolverTTL
 	}
@@ -211,7 +238,7 @@ func WithDNSRouting(resolverTTL time.Duration) Option {
 // by a crashed relay to the nearest live node (the oracle repair; crashes
 // come from WithFaults). Without it a dead relay strands its subtree.
 func WithTreeRepair() Option {
-	return func(c *cdn.Config) { c.RepairTree = true }
+	return func(c *config) { c.RepairTree = true }
 }
 
 // WithFaults injects a declarative fault scenario (crash-stop,
@@ -220,7 +247,7 @@ func WithTreeRepair() Option {
 // internal/fault for the spec language and fault.Scenario for the built-in
 // named scenarios.
 func WithFaults(spec fault.Spec) Option {
-	return func(c *cdn.Config) {
+	return func(c *config) {
 		s := spec
 		c.Faults = &s
 	}
@@ -233,7 +260,7 @@ func WithFaults(spec fault.Spec) Option {
 // graceful serve-stale degradation when every provider is unreachable. See
 // internal/federation for the spec language; serial-only.
 func WithFederation(spec federation.Spec) Option {
-	return func(c *cdn.Config) {
+	return func(c *config) {
 		s := spec
 		c.Federation = &s
 	}
@@ -244,13 +271,13 @@ func WithFederation(spec federation.Spec) Option {
 // re-resolution/re-homing after failed visits, TTL fallback during provider
 // outages, and persistent re-sync of crash-recovered servers.
 func WithFailover() Option {
-	return func(c *cdn.Config) { c.Failover = true }
+	return func(c *config) { c.Failover = true }
 }
 
 // WithContext makes the run cancellable: the event loop polls ctx at a fixed
 // stride and aborts promptly with the context's error once cancelled.
 func WithContext(ctx context.Context) Option {
-	return func(c *cdn.Config) { c.Ctx = ctx }
+	return func(c *config) { c.Ctx = ctx }
 }
 
 // WithAudit enables the runtime invariant auditor at the given sweep cadence
@@ -258,14 +285,14 @@ func WithContext(ctx context.Context) Option {
 // the run as its error; metrics are unchanged by auditing. Composes with
 // WithShards: a sharded run sweeps at its window barriers.
 func WithAudit(cadence time.Duration) Option {
-	return func(c *cdn.Config) { c.Audit = &cdn.AuditOptions{Cadence: cadence} }
+	return func(c *config) { c.Audit = &cdn.AuditOptions{Cadence: cadence} }
 }
 
 // WithAuditSelfTest arms a named deliberate corruption (after WithAudit) so a
 // run proves the auditor tripwire fires end-to-end; the run must then fail
 // with the matching property. Valid names: cdn.AuditSelfTestNames.
 func WithAuditSelfTest(name string) Option {
-	return func(c *cdn.Config) {
+	return func(c *config) {
 		if c.Audit == nil {
 			c.Audit = &cdn.AuditOptions{}
 		}
@@ -282,7 +309,7 @@ func WithAuditSelfTest(name string) Option {
 // are rejected under sharding; the runtime auditor composes (its sweeps run
 // at window barriers).
 func WithShards(n int) Option {
-	return func(c *cdn.Config) { c.Shards = n }
+	return func(c *config) { c.Shards = n }
 }
 
 // WithShardCells fixes the partition granularity for WithShards: the server
@@ -290,14 +317,14 @@ func WithShards(n int) Option {
 // the worker count — is part of the simulation's identity: changing it
 // changes the partition and therefore the (still deterministic) results.
 func WithShardCells(n int) Option {
-	return func(c *cdn.Config) { c.ShardCells = n }
+	return func(c *config) { c.ShardCells = n }
 }
 
 // WithTick installs a progress probe invoked from the event loop at a fixed
 // event stride with the current virtual time and processed-event count; it
 // backs stuck-job watchdogs and must not touch simulation state.
 func WithTick(fn func(now time.Duration, events uint64)) Option {
-	return func(c *cdn.Config) { c.OnTick = fn }
+	return func(c *config) { c.OnTick = fn }
 }
 
 // The paper's Section 4 topology: 170 content servers with 5 end-users
@@ -309,24 +336,32 @@ const (
 
 // configure mirrors the paper's Section 4 setup — DefaultServers servers,
 // DefaultUsersPerServer users each, provider in Atlanta, 1 KB packets,
-// end-users polling every 10 s — and applies opts over it.
-func configure(sys System, opts []Option) cdn.Config {
-	cfg := cdn.Config{
+// end-users polling every 10 s — and applies opts over it. It fails with
+// the first option that could not apply.
+func configure(sys System, opts []Option) (cdn.Config, error) {
+	c := config{Config: cdn.Config{
 		Method:   sys.Method,
 		Infra:    sys.Infra,
 		Topology: topology.Config{Servers: DefaultServers, UsersPerServer: DefaultUsersPerServer, Seed: 1},
 		Seed:     1,
-	}
+	}}
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(&c)
 	}
-	return cfg
+	if c.err != nil {
+		return c.Config, fmt.Errorf("core: %s: %w", sys.Name, c.err)
+	}
+	return c.Config, nil
 }
 
 // Validate checks the configuration sys and opts describe against the cdn
 // rules (cdn.Config.Validate) without running it.
 func Validate(sys System, opts ...Option) error {
-	if err := configure(sys, opts).Validate(); err != nil {
+	cfg, err := configure(sys, opts)
+	if err != nil {
+		return err
+	}
+	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("core: %s: %w", sys.Name, err)
 	}
 	return nil
@@ -335,12 +370,20 @@ func Validate(sys System, opts ...Option) error {
 // Key identifies the run sys and opts describe (cdn.Config.Key): equal keys
 // mean the same simulation and identical Results.
 func Key(sys System, opts ...Option) (string, error) {
-	return configure(sys, opts).Key()
+	cfg, err := configure(sys, opts)
+	if err != nil {
+		return "", err
+	}
+	return cfg.Key()
 }
 
 // Run executes one system with the given options.
 func Run(sys System, opts ...Option) (*cdn.Result, error) {
-	res, err := cdn.Run(configure(sys, opts))
+	cfg, err := configure(sys, opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := cdn.Run(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", sys.Name, err)
 	}

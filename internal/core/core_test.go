@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -121,6 +122,31 @@ func TestRunPropagatesErrors(t *testing.T) {
 	}
 }
 
+// A game that publishes nothing must fail the run by name. Left empty, the
+// schedule would fall back to the paper's default day and the run would
+// report that day's numbers as the game's.
+func TestWithGameRejectsEmptyDraw(t *testing.T) {
+	games := map[string]workload.GameConfig{
+		"phase-less": {},
+		"silent":     {Phases: []workload.Phase{{Name: "quiet", Duration: 10 * time.Minute}}},
+	}
+	for name, game := range games {
+		opts := []Option{WithServers(10), WithUsersPerServer(1), WithGame(game)}
+		_, runErr := Run(SystemTTL, opts...)
+		_, keyErr := Key(SystemTTL, opts...)
+		for what, err := range map[string]error{
+			"Run": runErr, "Validate": Validate(SystemTTL, opts...), "Key": keyErr,
+		} {
+			if err == nil || !strings.Contains(err.Error(), "game [") {
+				t.Errorf("%s game: %s error %v, want one naming the game", name, what, err)
+			}
+		}
+	}
+	if _, err := Run(SystemTTL, quickOpts()...); err != nil {
+		t.Errorf("a game that publishes: %v", err)
+	}
+}
+
 // comparison holds one system's result in a matrix run.
 type comparison struct {
 	System System
@@ -130,7 +156,10 @@ type comparison struct {
 // runAll executes every Section 5.3 system over one shared topology and
 // update schedule so the results are directly comparable.
 func runAll(opts ...Option) ([]comparison, error) {
-	base := configure(SystemTTL, opts)
+	base, err := configure(SystemTTL, opts)
+	if err != nil {
+		return nil, err
+	}
 	topo, err := topology.Generate(base.Topology)
 	if err != nil {
 		return nil, err

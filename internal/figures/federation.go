@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/federation"
@@ -14,14 +15,6 @@ import (
 // inconsistency, and switch/hand-off/degradation counts per system under a
 // rolling provider storm and a flapping-provider broker scenario — the
 // robustness axis the paper's single-origin evaluation could not exercise.
-
-// providerSender maps provider index k to its traffic-ledger sender ID.
-func providerSender(k int) string {
-	if k == 0 {
-		return "provider"
-	}
-	return fmt.Sprintf("provider%d", k)
-}
 
 // FederationStorm runs every Section 5.3 system through a rolling
 // provider-storm over a federated origin (failover on, unlimited
@@ -59,7 +52,7 @@ func FederationStorm(scale SimScale, spec federation.Spec) (*Table, error) {
 			f4(res.FailedVisitFrac()), f1(res.DegradedSeconds),
 			d0(res.PeerHandoffs), d0(res.ProviderSwitches), d0(res.StrandedUsers)}
 		for k := range spec.Providers {
-			row = append(row, f1(res.Accounting.BySender[providerSender(k)].KB))
+			row = append(row, f1(res.Accounting.BySender[cdn.ProviderSender(k)].KB))
 		}
 		t.AddRow(row...)
 	}

@@ -17,6 +17,7 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add([]byte(`{"name":"f","systems":["TTL"],"faults":{"random_crashes":{"frac":0.5,"recover_after":30}},"assert":[{"metric":"crashes","op":">","value":0}]}`))
 	f.Add([]byte(comparePlanJSON))
 	f.Add([]byte(`{"name":"fed","systems":["TTL","Push"],"federation":{"providers":[{"name":"a","lat":1,"lon":2},{"name":"b","lat":3,"lon":4}],"broker":{"period":"20s","hysteresis":0.2,"min_dwell":"1m"},"stale_cap":"30s"},"fault_scenario":"provider-storm","failover":true,"assert":[{"metric":"stranded_users","op":"==","value":0}],"compare":[{"metric":"degraded_seconds","left":"Push","right":"TTL","op":"<=","factor":0}]}`))
+	f.Add([]byte(`{"name":"empty","systems":["TTL"],"seeds":[],"equivalence":[],"compare":[],"assert":[{"metric":"users","op":"!="}]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`[1, 2]`))
 	f.Add([]byte(`{"name":"x","systems":["TTL"],"server_ttl":"-5s"}`))

@@ -67,9 +67,9 @@ var metricDefs = []struct {
 	{"update_km_kb", func(r *cdn.Result) float64 { return r.Accounting.ByClass[netmodel.ClassUpdate].KmKB }},
 	{"light_km_kb", func(r *cdn.Result) float64 { return r.Accounting.ByClass[netmodel.ClassLight].KmKB }},
 	{"content_km_kb", func(r *cdn.Result) float64 { return r.Accounting.ByClass[netmodel.ClassContent].KmKB }},
-	{"provider_msgs", func(r *cdn.Result) float64 { return float64(r.Accounting.BySender["provider"].Messages) }},
-	{"provider_kb", func(r *cdn.Result) float64 { return r.Accounting.BySender["provider"].KB }},
-	{"provider_km_kb", func(r *cdn.Result) float64 { return r.Accounting.BySender["provider"].KmKB }},
+	{"provider_msgs", func(r *cdn.Result) float64 { return float64(r.Accounting.BySender[cdn.ProviderSender(0)].Messages) }},
+	{"provider_kb", func(r *cdn.Result) float64 { return r.Accounting.BySender[cdn.ProviderSender(0)].KB }},
+	{"provider_km_kb", func(r *cdn.Result) float64 { return r.Accounting.BySender[cdn.ProviderSender(0)].KmKB }},
 
 	// Structure and bookkeeping.
 	{"tree_depth", func(r *cdn.Result) float64 { return float64(r.TreeDepth) }},

@@ -168,6 +168,17 @@ func ParsePlan(data []byte) (*Plan, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("plan: parse: trailing data after plan")
 	}
+	// An empty optional list means the same as an absent one; keep it nil so
+	// that Marshal, which omits it, round-trips the plan exactly.
+	if len(p.Seeds) == 0 {
+		p.Seeds = nil
+	}
+	if len(p.Equivalence) == 0 {
+		p.Equivalence = nil
+	}
+	if len(p.Compare) == 0 {
+		p.Compare = nil
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -69,6 +69,34 @@ func TestRunCellPassingAssertions(t *testing.T) {
 	}
 }
 
+// A plan whose game never publishes fails its cell with an error naming the
+// game, rather than passing on the numbers of the default day an empty
+// schedule used to fall back to.
+func TestRunCellSilentGameFails(t *testing.T) {
+	p, err := ParsePlan([]byte(`{
+	  "name": "silent",
+	  "systems": ["TTL"],
+	  "servers": 10,
+	  "users_per_server": 1,
+	  "game": {"phases": [{"name": "quiet", "duration": "10m"}]},
+	  "assert": [{"metric": "events", "op": ">=", "value": 0}]
+	}`))
+	if err != nil {
+		t.Fatalf("ParsePlan: %v", err)
+	}
+	cells, err := p.Cells()
+	if err != nil {
+		t.Fatalf("Cells: %v", err)
+	}
+	r, err := RunCell(cells[0], RunOptions{})
+	if err != nil {
+		t.Fatalf("RunCell: %v", err)
+	}
+	if !r.Failed() || !strings.Contains(r.Err, "game [quiet]: draws no updates") {
+		t.Errorf("silent game: failed=%v err=%q, want a failure naming the game", r.Failed(), r.Err)
+	}
+}
+
 func TestRunCellFailingAssertionShowsGotValue(t *testing.T) {
 	p := tinyPlan(t, `"assert": [{"metric": "user_observations", "op": "==", "value": -1}]`)
 	r := runOne(t, p)
