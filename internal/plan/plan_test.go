@@ -116,6 +116,18 @@ func TestParsePlanRejects(t *testing.T) {
 	}
 }
 
+// A game whose phases are all silent breaks can never publish: the plan is
+// rejected at load with an error naming the game, not cell by cell at run
+// time.
+func TestParsePlanRejectsSilentGame(t *testing.T) {
+	_, err := ParsePlan([]byte(`{"name":"x","systems":["TTL"],
+	  "game":{"phases":[{"name":"warmup","duration":"5m"},{"name":"break","duration":"10m","mean_gap":"0s"}]},
+	  "assert":[{"metric":"crashes","op":"==","value":0}]}`))
+	if err == nil || !strings.Contains(err.Error(), "game [warmup break] never publishes") {
+		t.Fatalf("ParsePlan = %v, want a load error naming game [warmup break]", err)
+	}
+}
+
 // Plan systems name the paper's six systems or explicit "Method/Infra"
 // pairs; cells carry the resolved system under the name the plan used.
 func TestResolveSystemPairs(t *testing.T) {

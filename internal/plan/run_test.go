@@ -69,16 +69,18 @@ func TestRunCellPassingAssertions(t *testing.T) {
 	}
 }
 
-// A plan whose game never publishes fails its cell with an error naming the
-// game, rather than passing on the numbers of the default day an empty
-// schedule used to fall back to.
+// A plan whose game draws no publication fails its cell with an error naming
+// the game, rather than passing on the numbers of the default day an empty
+// schedule used to fall back to. A game with no publishing phase is rejected
+// at load (TestParsePlanRejectsSilentGame); this one publishes on paper but
+// its only phase is shorter than the 1 s minimum gap, so the draw is empty.
 func TestRunCellSilentGameFails(t *testing.T) {
 	p, err := ParsePlan([]byte(`{
 	  "name": "silent",
 	  "systems": ["TTL"],
 	  "servers": 10,
 	  "users_per_server": 1,
-	  "game": {"phases": [{"name": "quiet", "duration": "10m"}]},
+	  "game": {"phases": [{"name": "quiet", "duration": "1s", "mean_gap": "1m"}]},
 	  "assert": [{"metric": "events", "op": ">=", "value": 0}]
 	}`))
 	if err != nil {

@@ -3,6 +3,7 @@ package plan
 import (
 	"cmp"
 	"fmt"
+	"strings"
 	"time"
 
 	"cdnconsistency/internal/cdn"
@@ -163,6 +164,8 @@ func (s *Scenario) Validate(systems ...core.System) error {
 		if len(s.Game.Phases) == 0 {
 			return fmt.Errorf("game has no phases")
 		}
+		publishes := false
+		names := make([]string, len(s.Game.Phases))
 		for i, ph := range s.Game.Phases {
 			if ph.Duration <= 0 {
 				return fmt.Errorf("game phase %d has non-positive duration", i)
@@ -170,9 +173,15 @@ func (s *Scenario) Validate(systems ...core.System) error {
 			if ph.MeanGap < 0 {
 				return fmt.Errorf("game phase %d has negative mean gap", i)
 			}
+			publishes = publishes || ph.MeanGap > 0
+			names[i] = ph.Name
 		}
 		if s.Game.SizeKB < 0 || s.Game.MinGap < 0 {
 			return fmt.Errorf("negative game size_kb or min_gap")
+		}
+		if !publishes {
+			// Every cell would fail at run time with "draws no updates".
+			return fmt.Errorf("game [%s] never publishes: every phase has mean_gap 0", strings.Join(names, " "))
 		}
 	}
 	if s.Population != nil && s.PopulationGen != nil {

@@ -378,3 +378,65 @@ func TestShardedProcessedConcurrent(t *testing.T) {
 		t.Errorf("Processed = %d after Run, want exact %d", got, want)
 	}
 }
+
+// burstTrace runs burstRing on 4 cells (windows of about 400 events, above
+// poolMinEvents) to 30 ms in runs equal horizon chunks, and returns each
+// cell's fired (id, time) sequence, the events processed, and how many
+// windows went to the worker pool.
+func burstTrace(t *testing.T, workers, runs int) ([][]string, uint64, uint64) {
+	t.Helper()
+	const cells = 4
+	sh, err := NewSharded(ShardedConfig{Seed: 11, Cells: cells, Lookahead: time.Millisecond, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := make([][]string, cells) // each written only by its own cell's events
+	step := burstRing(sh, 100, 0, 30*time.Millisecond/time.Duration(runs), func(cell int, id uint64) {
+		traces[cell] = append(traces[cell], fmt.Sprintf("%d@%v", id, sh.Cell(cell).Now()))
+	})
+	for i := 0; i < runs; i++ {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return traces, sh.Processed(), sh.dispatches
+}
+
+func TestShardedPoolDispatchInvariance(t *testing.T) {
+	// Windows above the gate go to the pool at Workers > 1, and the pool
+	// must fire the same events at the same times as the inline coordinator.
+	base, baseN, baseD := burstTrace(t, 1, 1)
+	if baseD != 0 {
+		t.Errorf("workers=1: %d windows dispatched to a pool, want 0", baseD)
+	}
+	for _, workers := range []int{2, 4} {
+		got, n, d := burstTrace(t, workers, 1)
+		if d == 0 {
+			t.Errorf("workers=%d: no window reached the pool", workers)
+		}
+		if n != baseN {
+			t.Errorf("workers=%d: processed %d events, want %d", workers, n, baseN)
+		}
+		if !reflect.DeepEqual(got, base) {
+			t.Errorf("workers=%d: fired sequences diverge from the single-worker run", workers)
+		}
+	}
+}
+
+func TestShardedRepeatedRunsJoinPool(t *testing.T) {
+	// Each Run starts a pool and must retire it before returning: a worker
+	// left over from one Run would join the next Run's pool, undercount its
+	// pending workers, and let the coordinator plan a window while a cell
+	// is still running (a data race under -race, a corrupted heap without).
+	base, baseN, _ := burstTrace(t, 1, 10)
+	got, n, d := burstTrace(t, 2, 10)
+	if d == 0 {
+		t.Fatal("no window reached the pool")
+	}
+	if n != baseN {
+		t.Errorf("processed %d events over 10 runs, want %d", n, baseN)
+	}
+	if !reflect.DeepEqual(got, base) {
+		t.Error("fired sequences over 10 runs diverge from the single-worker run")
+	}
+}
