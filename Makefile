@@ -68,7 +68,8 @@ experiments:
 	$(GO) run ./cmd/experiments -scale small -metrics
 
 # Short fuzz smoke over the engine's event order (lanes declared against
-# heap-only), the tree fail/recover repair, the fault-scenario compiler, the
+# heap-only), the sharded barrier's delivery order (against a sorted
+# (at, src, seq) merge), the tree fail/recover repair, the fault-scenario compiler, the
 # population-spec, federation-spec and scenario-plan parsers, the JSONL
 # reader and its canonical poll-line scanner (differentially against
 # encoding/json), the access-log parser and its canonical poll-line scanner
@@ -76,7 +77,8 @@ experiments:
 # path (one -fuzz pattern per package run, as go test requires; patterns are
 # anchored where a package holds several fuzz targets).
 fuzz:
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz 'FuzzEngineOrder$$' -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz 'FuzzShardedFlushOrder$$' -fuzztime 10s
 	$(GO) test ./internal/overlay -run '^$$' -fuzz FuzzTreeFailRecover -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzCompile -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParsePopulation -fuzztime 10s

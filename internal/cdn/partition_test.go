@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,8 +17,9 @@ import (
 
 // allPairsPartition is the reference partition: the atoms sorted by a
 // comparator that measures both provider distances on every comparison, and
-// the lookahead as the minimum propagation delay over every cross-cell node
-// pair. partitionCells must agree with it exactly.
+// the all-pairs lookahead, the minimum propagation delay over every
+// cross-cell node pair. partitionCells must give its cells exactly; the
+// all-pairs lookahead is a lower bound on partitionCells' own.
 func allPairsPartition(s *simulation) ([]int, int, time.Duration) {
 	atoms := s.partitionAtoms()
 	want := s.cfg.ShardCells
@@ -64,6 +66,30 @@ func allPairsPartition(s *simulation) ([]int, int, time.Duration) {
 	return cellOf, cellIdx + 1, lookahead
 }
 
+// originLookahead is the brute-force reference of partitionCells'
+// lookahead: the minimum propagation delay, in either direction, between
+// node 0 and every node outside node 0's cell — the only pairs that can
+// exchange a cross-cell message.
+func originLookahead(s *simulation, cellOf []int) time.Duration {
+	probe := netmodel.New(s.cfg.Net)
+	origin := s.nodes[0].ep
+	var lookahead time.Duration
+	for j, nd := range s.nodes {
+		if cellOf[j] == cellOf[0] {
+			continue
+		}
+		for _, d := range []time.Duration{probe.PropagationDelay(origin, nd.ep), probe.PropagationDelay(nd.ep, origin)} {
+			if lookahead == 0 || d < lookahead {
+				lookahead = d
+			}
+		}
+	}
+	if lookahead == 0 {
+		lookahead = probe.PropagationDelay(origin, origin)
+	}
+	return lookahead
+}
+
 // partitionSimulation builds, without running, a sharded Push simulation
 // of servers servers in cells cells over infra.
 func partitionSimulation(tb testing.TB, infra consistency.Infra, servers, cells int, seed int64) *simulation {
@@ -104,11 +130,14 @@ func straddles(s *simulation, cellOf []int) bool {
 	return false
 }
 
-// The site-folded lookahead and the precomputed atom distances must give
-// exactly the reference partition — the same cell of every node and the
-// same lookahead, to the nanosecond — for every infrastructure, fleet size,
-// cell count and seed, including partitions that split one city's servers
-// across a cell boundary.
+// partitionCells must give exactly the reference cells and, to the
+// nanosecond, the brute-force origin lookahead, for every infrastructure,
+// fleet size, cell count and seed. The lookahead is never below the
+// all-pairs one, and never below the zero-km delay between two ISPs: the
+// provider's ISP is -1, so every one of its messages pays the inter-ISP
+// penalty. Partitions that split one city's servers across a cell boundary,
+// which pin the all-pairs bound at the zero-km floor, must be among the
+// cases.
 func TestPartitionCellsMatchesAllPairs(t *testing.T) {
 	infras := []consistency.Infra{
 		consistency.InfraUnicast, consistency.InfraMulticast,
@@ -125,19 +154,27 @@ func TestPartitionCellsMatchesAllPairs(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					wantCellOf, wantN, wantLookahead := allPairsPartition(s)
+					wantCellOf, wantN, allPairs := allPairsPartition(s)
 					if n != wantN || !reflect.DeepEqual(cellOf, wantCellOf) {
 						t.Errorf("%s: partition differs from the reference (%d cells, want %d)", name, n, wantN)
 					}
-					if lookahead != wantLookahead {
-						t.Errorf("%s: lookahead %v, reference %v", name, lookahead, wantLookahead)
+					if want := originLookahead(s, wantCellOf); lookahead != want {
+						t.Errorf("%s: lookahead %v, brute-force reference %v", name, lookahead, want)
+					}
+					if lookahead < allPairs {
+						t.Errorf("%s: lookahead %v below the all-pairs bound %v", name, lookahead, allPairs)
+					}
+					if s.nodes[0].ep.ISP != -1 {
+						t.Errorf("%s: provider ISP %d, want -1", name, s.nodes[0].ep.ISP)
+					} else if n > 1 { // one cell exchanges nothing; any window length works
+						if floor := netmodel.PropagationBound(0); lookahead < floor {
+							t.Errorf("%s: lookahead %v below the inter-ISP floor %v", name, lookahead, floor)
+						}
 					}
 					if straddles(s, cellOf) {
 						straddled++
-						// A zero-km pair in one ISP is the floor of the delay model.
-						ep := s.nodes[1].ep
-						if floor := s.cells[0].net.PropagationDelay(ep, ep); lookahead != floor {
-							t.Errorf("%s: a city straddles a cell boundary but the lookahead is %v, not the zero-km %v", name, lookahead, floor)
+						if lookahead <= allPairs {
+							t.Errorf("%s: a city straddles a cell boundary and the lookahead %v is still the all-pairs %v", name, lookahead, allPairs)
 						}
 					}
 				}
@@ -147,6 +184,40 @@ func TestPartitionCellsMatchesAllPairs(t *testing.T) {
 	if straddled == 0 {
 		t.Error("no case split a city across cells; the zero-km cross-cell pair went untested")
 	}
+}
+
+// A cross-cell message without node 0 at one end is outside what the
+// lookahead bounds, so deliverVia must refuse it loudly: a hand-built
+// partition that moves a relay's child into another cell panics
+// at the relay's first push to that child, naming both nodes. The test uses
+// hybrid, whose partition has relays (supernodes) and, at this size, several
+// cells; a degree-2 multicast tree mostly packs into one cell.
+func TestDeliverViaPanicsOnCrossCellRelaySend(t *testing.T) {
+	s := partitionSimulation(t, consistency.InfraHybrid, 170, 8, 1)
+	if len(s.cells) < 2 {
+		t.Fatalf("partition has %d cell, want several", len(s.cells))
+	}
+	relay, child := -1, -1
+	for j := 1; j < len(s.nodes) && child < 0; j++ {
+		if p := s.tree.Parent(j); p > 0 {
+			relay, child = p, j
+		}
+	}
+	if child < 0 {
+		t.Fatal("no relay with a child in the hybrid tree")
+	}
+	moveToCell(s, child, (s.cellOf[relay]+1)%len(s.cells))
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("the relay's cross-cell send did not panic")
+		}
+		want := fmt.Sprintf(" %d (cell %d) -> %d (cell %d) ", relay, s.cellOf[relay], child, s.cellOf[child])
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Errorf("panic %q does not name%q", msg, want)
+		}
+	}()
+	s.run() //nolint:errcheck // the run must not return
 }
 
 // BenchmarkPartitionCells measures the sharded partition of an 850-server

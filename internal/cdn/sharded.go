@@ -24,9 +24,10 @@ import (
 // root (a single server under the unicast star, a relay subtree under
 // multicast, a supernode cluster under hybrid), or each flooding cluster
 // under broadcast. Atoms are sorted by distance from the provider and packed
-// into cells in distance bands, so cross-cell node pairs are geographically
-// separated and the conservative lookahead — the minimum network propagation
-// delay over all cross-cell pairs — stays as large as the partition allows.
+// into cells in distance bands, so the provider's nearest atoms share its cell
+// and the conservative lookahead — the minimum network propagation delay
+// from the provider to a node outside its cell — stays as large as the
+// partition allows.
 // User failover re-homes within the dead server's cell (the regional
 // catchment an anycast CDN would fail over inside), so a user's entire
 // lifetime stays in one cell.
@@ -237,48 +238,31 @@ func (s *simulation) partitionCells() ([]int, int, time.Duration, error) {
 	}
 	n := cellIdx + 1
 
-	// The lookahead is the minimum propagation delay over every cross-cell
-	// node pair — not just pairs that exchange protocol messages — so its
-	// safety needs no per-method reasoning. netmodel guarantees every
+	// The lookahead is the minimum propagation delay over the pairs that can
+	// exchange a cross-cell message: node 0 against every node outside node
+	// 0's cell. The atoms confine every other message to one cell, and
+	// deliverVia panics on a cross-cell send without node 0 at one end, so
+	// the bound never rests on this comment alone. netmodel guarantees every
 	// arrival is at least PropagationDelay after the send (queuing and
-	// overload only add), and its fixed per-message overhead keeps the bound
-	// positive even for co-located endpoints. The delay depends only on the
-	// two locations and whether the ISPs match, and servers share their
-	// city's location, so the minimum is taken over the distinct (location,
-	// ISP, cell) sites: the same value as over every node pair, for far
-	// fewer haversines. Two nodes of one city in different cells are two
-	// sites, so their zero-distance pair still bounds the lookahead.
-	type site struct {
-		loc  geo.Point
-		isp  int
-		cell int
-	}
-	var sites []site
-	seen := make(map[site]bool)
-	for i, nd := range s.nodes {
-		st := site{nd.ep.Loc, nd.ep.ISP, cellOf[i]}
-		if !seen[st] {
-			seen[st] = true
-			sites = append(sites, st)
-		}
-	}
+	// overload only add). A federated run would add every provider endpoint
+	// to the minimum; federation is serial-only, so node 0 is the only origin
+	// here.
+	origin := s.nodes[0].ep
 	probe := netmodel.New(s.cfg.Net)
 	var lookahead time.Duration
-	for i, a := range sites {
-		from := netmodel.Endpoint{Loc: a.loc, ISP: a.isp}
-		for _, b := range sites[i+1:] {
-			if a.cell == b.cell {
-				continue
-			}
-			if d := probe.PropagationDelay(from, netmodel.Endpoint{Loc: b.loc, ISP: b.isp}); lookahead == 0 || d < lookahead {
-				lookahead = d
-			}
+	for i, nd := range s.nodes {
+		if cellOf[i] == cellOf[0] {
+			continue
+		}
+		if d := probe.PropagationDelay(origin, nd.ep); lookahead == 0 || d < lookahead {
+			lookahead = d
 		}
 	}
 	if lookahead == 0 {
-		// Single-cell partition (tiny topology): the barrier never
-		// exchanges anything, any positive window length works.
-		lookahead = probe.PropagationDelay(s.nodes[0].ep, s.nodes[0].ep)
+		// Single-cell partition (a tiny topology, or a tree with few root
+		// subtrees): the barrier never exchanges anything, any positive
+		// window length works.
+		lookahead = probe.PropagationDelay(origin, origin)
 	}
 	return cellOf, n, lookahead, nil
 }

@@ -391,11 +391,12 @@ func (s *simulation) deliver(from, to int, sizeKB float64, class netmodel.Class,
 // and its counters take the tally, so per-cell ledgers partition the run's
 // traffic exactly. onArrival runs at the arrival time in the receiver's cell.
 // A cross-cell arrival goes through the sharded engine's barrier exchange;
-// netmodel guarantees it lands at least one propagation delay after the
-// send, so it never violates the conservative window. When an active
-// partition separates the endpoints, the message is dropped on the floor — it
-// never enters the network, is not accounted, and the sender only learns
-// about it through its own timeout.
+// only node 0 talks across cells, and netmodel guarantees the arrival lands
+// at least one propagation delay after the send, so it never violates the
+// conservative window. A cross-cell message between two other nodes panics.
+// When an active partition separates the endpoints, the message is dropped
+// on the floor — it never enters the network, is not accounted, and the
+// sender only learns about it through its own timeout.
 func (s *simulation) deliverVia(from, to, k int, sizeKB float64, class netmodel.Class, onArrival func()) {
 	src, dst := &s.nodes[from].ep, &s.nodes[to].ep
 	if from == 0 {
@@ -423,9 +424,16 @@ func (s *simulation) deliverVia(from, to, k int, sizeKB float64, class netmodel.
 		c.lightMsgs++
 	}
 	if s.sharded() {
+		fromCell, toCell := s.cellOf[from], s.cellOf[to]
+		if fromCell != toCell && from != 0 && to != 0 {
+			// The lookahead bounds only node 0's cross-cell traffic
+			// (partitionCells); any other cross-cell pair could arrive
+			// inside a window.
+			panic(fmt.Sprintf("cdn: cross-cell message %d (cell %d) -> %d (cell %d) without the origin at one end", from, fromCell, to, toCell))
+		}
 		// A lookahead violation is recorded per source cell and aborts Run
 		// at the next barrier, so the error need not propagate from here.
-		s.shEng.Send(s.cellOf[from], s.cellOf[to], arrival, onArrival) //nolint:errcheck
+		s.shEng.Send(fromCell, toCell, arrival, onArrival) //nolint:errcheck
 		return
 	}
 	s.at(to, arrival, onArrival)

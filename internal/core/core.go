@@ -103,6 +103,9 @@ type Option func(*config)
 type config struct {
 	cdn.Config
 	err error
+	// game is the game WithGame named, drawn by configure once every
+	// option has applied, so the draw uses the run's final seed.
+	game *workload.GameConfig
 }
 
 // WithServers sets the content-server count (paper Section 4: 170).
@@ -132,27 +135,39 @@ func WithUpdateSizeKB(kb float64) Option {
 
 // WithUpdates replaces the publication schedule.
 func WithUpdates(updates []workload.Update) Option {
-	return func(c *config) { c.Updates = updates }
+	return func(c *config) {
+		c.Updates = updates
+		c.game = nil
+	}
 }
 
-// WithGame draws the publication schedule from a game config using the
-// run's seed. A game that cannot be drawn, or whose draw publishes nothing
-// (no phases, or only silent breaks), fails the run: an empty schedule would
-// otherwise fall back to the paper's default day.
+// WithGame draws the publication schedule from a game config with the
+// run's final seed, wherever WithSeed sits among the options. Of WithGame
+// and WithUpdates, the later one wins. A game that cannot be drawn,
+// or whose draw publishes nothing (no phases, or only silent breaks), fails
+// the run: an empty schedule would otherwise fall back to the paper's
+// default day.
 func WithGame(game workload.GameConfig) Option {
-	return func(c *config) {
-		updates, err := workload.Schedule(game, c.Seed)
-		if err == nil && len(updates) == 0 {
-			err = errors.New("draws no updates")
-		}
-		if err != nil {
-			if c.err == nil {
-				c.err = fmt.Errorf("game %s: %w", gameName(game), err)
-			}
-			return
-		}
-		c.Updates = updates
+	return func(c *config) { c.game = &game }
+}
+
+// drawGame draws c's game, if one was named, into its schedule with c's
+// final seed.
+func (c *config) drawGame() {
+	if c.game == nil {
+		return
 	}
+	updates, err := workload.Schedule(*c.game, c.Seed)
+	if err == nil && len(updates) == 0 {
+		err = errors.New("draws no updates")
+	}
+	if err != nil {
+		if c.err == nil {
+			c.err = fmt.Errorf("game %s: %w", gameName(*c.game), err)
+		}
+		return
+	}
+	c.Updates = updates
 }
 
 // gameName names a game by its phases, e.g. "[half1 break half2]".
@@ -337,7 +352,8 @@ const (
 // configure mirrors the paper's Section 4 setup — DefaultServers servers,
 // DefaultUsersPerServer users each, provider in Atlanta, 1 KB packets,
 // end-users polling every 10 s — and applies opts over it. It fails with
-// the first option that could not apply.
+// the first option that could not apply. A game is drawn last, with the
+// seed every option has settled.
 func configure(sys System, opts []Option) (cdn.Config, error) {
 	c := config{Config: cdn.Config{
 		Method:   sys.Method,
@@ -348,6 +364,7 @@ func configure(sys System, opts []Option) (cdn.Config, error) {
 	for _, opt := range opts {
 		opt(&c)
 	}
+	c.drawGame()
 	if c.err != nil {
 		return c.Config, fmt.Errorf("core: %s: %w", sys.Name, c.err)
 	}

@@ -147,6 +147,35 @@ func TestWithGameRejectsEmptyDraw(t *testing.T) {
 	}
 }
 
+// WithGame draws with the run's final seed, so where it sits among the
+// options does not change the run: the game drawn before and after
+// WithSeed(7) is the seed-7 schedule, not the default seed's.
+func TestWithGameOptionOrder(t *testing.T) {
+	g := quickGame()
+	gameFirst, err := Key(SystemPush, WithGame(g), WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedFirst, err := Key(SystemPush, WithSeed(7), WithGame(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gameFirst != seedFirst {
+		t.Error("Key(WithGame, WithSeed(7)) != Key(WithSeed(7), WithGame)")
+	}
+	updates, err := workload.Schedule(g, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := Key(SystemPush, WithSeed(7), WithUpdates(updates))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gameFirst != explicit {
+		t.Error("WithGame before WithSeed(7) did not draw the seed-7 schedule")
+	}
+}
+
 // comparison holds one system's result in a matrix run.
 type comparison struct {
 	System System

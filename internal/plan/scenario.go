@@ -228,8 +228,6 @@ func (s *Scenario) Validate(systems ...core.System) error {
 // the imported deployment, the drawn schedule and population, then every
 // field Validate checks.
 func (s *Scenario) Options(seed int64) ([]core.Option, error) {
-	// Seed first: WithGame and the bundle's game draw their schedules from
-	// the seed in effect when they apply.
 	opts := []core.Option{core.WithSeed(seed)}
 	if s.Import != "" {
 		if s.bundle == nil {

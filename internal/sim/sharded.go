@@ -3,14 +3,16 @@
 //
 // The synchronizer is the classic conservative (CMB-style) scheme specialized
 // to a static lookahead: every cross-cell interaction has a known minimum
-// latency L (the minimum network propagation delay between endpoints in
-// different cells, computed at partition time), so an event executing at or
-// after time m can only schedule work in another cell at or after m+L. Each
-// round computes a per-cell window boundary from the cells' pending event
-// times, runs every cell that has work inside its boundary, and only then
-// exchanges the cross-cell sends buffered during the window.
+// latency L, computed by the model at partition time, so an event executing
+// at or after time m can only schedule work in another cell at or after m+L.
+// (The cdn model takes L from the traffic that can cross cells: the minimum
+// network propagation delay from the provider, the only node that talks to
+// more than one cell, to a node outside the provider's cell.) Each round
+// computes a per-cell window boundary from the cells' pending event times,
+// runs every cell that has work inside its boundary, and only then exchanges
+// the cross-cell sends buffered during the window.
 //
-// Three properties keep the barrier cheap without giving up determinism:
+// Four properties keep the barrier cheap without giving up determinism:
 //
 //   - Idle-cell skipping: a cell whose next event lies at or beyond its
 //     boundary is not dispatched at all — its clock lags and is advanced
@@ -25,34 +27,33 @@
 //     the barrier — never of worker scheduling — so results remain
 //     bit-identical at any worker count.
 //
-//   - Zero-alloc barriers: the merge buffer, active list, and per-cell bound
-//     slices persist across windows, and the (at, src, seq) sort is skipped
-//     when the concatenated outboxes are already ordered.
+//   - Sort-free, zero-alloc barriers: the exchange delivers the outboxes in
+//     source order; the engine's (at, seq) does the rest. The outboxes,
+//     active list and per-cell bound slices persist across windows.
 //
 //   - Gated hand-off: multi-worker runs park a persistent worker pool on an
 //     epoch counter, but a window goes to the pool only when the previous
-//     window executed at least poolMinEvents events. Most windows of a tight
-//     partition run a handful of events, far less work than waking the pool
-//     costs, so they run inline on the coordinator. No window of the cdn
-//     model's partition (2 ms lookahead) reaches the gate, so today the pool
-//     only runs under the shardequiv build tag (poolgate.go) and in
-//     synthetic benchmarks; it is kept for a partition with a larger
-//     lookahead, whose windows would clear the gate.
+//     window executed at least poolMinEvents events. A smaller window is
+//     less work than waking the pool costs, so it runs inline on the
+//     coordinator. Under the cdn model's lookahead (about 23 ms for 850
+//     servers in 8 cells) most windows run 8–63 events and fewer than one
+//     in 2,000 reaches the gate, so the pool rarely runs on a model
+//     workload; the shardequiv build tag (poolgate.go) and synthetic
+//     benchmarks exercise it.
 //
 // Determinism does not depend on how many worker goroutines execute the
 // window, nor on which goroutine runs which cell: cells never share mutable
-// state mid-window (each owns its heap, its RNG, and its outbox), and the
-// buffered cross-cell sends are merged in a total order — (timestamp, source
-// cell, per-source sequence) — by a single goroutine at the barrier. Results
-// are a pure function of (seed, partition); the worker count only changes
-// wall-clock time.
+// state mid-window (each owns its heap, its RNG, and its outbox), and a
+// single goroutine delivers the buffered cross-cell sends at the barrier in
+// a fixed order, so they fire as a (timestamp, source cell, per-source
+// sequence) merge would. Results are a pure function of (seed, partition);
+// the worker count only changes wall-clock time.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,33 +85,11 @@ type ShardedConfig struct {
 // latency (the configured Lookahead) was overstated.
 var ErrLookaheadViolation = errors.New("sim: cross-cell send inside the conservative window")
 
-// crossEvent is one buffered cross-cell send, keyed for the deterministic
-// barrier merge.
+// crossEvent is one buffered cross-cell send.
 type crossEvent struct {
 	at  time.Duration
-	src int
-	seq uint64
 	dst int
 	fn  func()
-}
-
-// compareCross orders buffered sends by (at, src, seq) — a total order, so
-// the merged delivery sequence is independent of outbox concatenation order.
-func compareCross(a, b crossEvent) int {
-	switch {
-	case a.at != b.at:
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	case a.src != b.src:
-		return a.src - b.src
-	case a.seq < b.seq:
-		return -1
-	case a.seq > b.seq:
-		return 1
-	}
-	return 0
 }
 
 // infTime marks "no pending event" in the per-cell peek table.
@@ -125,11 +104,10 @@ type Sharded struct {
 	lookahead time.Duration
 	workers   int
 
-	// Per-source-cell outboxes and sequence counters. During a window each
+	// Per-source-cell outboxes, each in send order. During a window each
 	// is touched only by the goroutine running that cell, so no locking is
 	// needed; the pool's epoch handshake provides the happens-before edges.
 	outbox  [][]crossEvent
-	outSeq  []uint64
 	sendErr []error
 
 	// Persistent per-window scratch, written by the coordinator between
@@ -137,11 +115,10 @@ type Sharded struct {
 	// event time (infTime when empty), cellEnd each cell's window boundary
 	// (read by Send for lookahead validation), active the indices of cells
 	// dispatched this window, errs each dispatched cell's RunUntil error.
-	peek     []time.Duration
-	cellEnd  []time.Duration
-	active   []int
-	errs     []error
-	mergeBuf []crossEvent
+	peek    []time.Duration
+	cellEnd []time.Duration
+	active  []int
+	errs    []error
 
 	// hook, when set, runs at every window barrier (see SetBarrierHook).
 	hook func(next time.Duration) error
@@ -204,7 +181,6 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 		lookahead: cfg.Lookahead,
 		workers:   workers,
 		outbox:    make([][]crossEvent, cfg.Cells),
-		outSeq:    make([]uint64, cfg.Cells),
 		sendErr:   make([]error, cfg.Cells),
 		peek:      make([]time.Duration, cfg.Cells),
 		cellEnd:   make([]time.Duration, cfg.Cells),
@@ -284,49 +260,30 @@ func (sh *Sharded) Send(src, dst int, at time.Duration, fn func()) error {
 		}
 		return err
 	}
-	sh.outSeq[src]++
-	sh.outbox[src] = append(sh.outbox[src], crossEvent{
-		at: at, src: src, seq: sh.outSeq[src], dst: dst, fn: fn,
-	})
+	sh.outbox[src] = append(sh.outbox[src], crossEvent{at: at, dst: dst, fn: fn})
 	return nil
 }
 
-// flush delivers every buffered cross-cell event in (at, src, seq) order.
-// Single-threaded: runs only between windows. Insertion order is total and
-// deterministic, so each destination engine assigns the same FIFO sequence
-// numbers regardless of worker count or goroutine interleaving. The merge
-// buffer persists across barriers and the sort is skipped when the
-// concatenated outboxes are already ordered (the common case: sources fill
-// their outboxes in timestamp order), so a steady-state flush allocates
-// nothing.
+// flush delivers the buffered cross-cell sends: the outboxes in source-cell
+// order, each in send order, straight into the destination engines. The
+// engine's (at, seq) order does the rest. One flush's inserts into a
+// destination take a contiguous block of its seq values, so only sends with
+// equal timestamps depend on insertion order, and for those the source
+// order gives exactly (source cell, per-source sequence): the same firing
+// order as a global (at, src, seq) merge, independent of worker count.
+// Single-threaded: runs only between windows. The outboxes keep their
+// spines, so a steady-state flush allocates nothing.
 func (sh *Sharded) flush() error {
-	n := 0
-	for _, box := range sh.outbox {
-		n += len(box)
-	}
-	if n == 0 {
-		return nil
-	}
-	all := sh.mergeBuf[:0]
-	for _, box := range sh.outbox {
-		all = append(all, box...)
-	}
-	for i := range sh.outbox {
-		sh.outbox[i] = sh.outbox[i][:0]
-	}
-	if !slices.IsSortedFunc(all, compareCross) {
-		slices.SortFunc(all, compareCross)
-	}
-	var err error
-	for _, ev := range all {
-		if _, serr := sh.cells[ev.dst].ScheduleAtCall(ev.at, ev.fn); serr != nil {
-			err = serr
-			break
+	for i, box := range sh.outbox {
+		for _, ev := range box {
+			if _, err := sh.cells[ev.dst].ScheduleAtCall(ev.at, ev.fn); err != nil {
+				return err
+			}
 		}
+		clear(box) // release the fn closures; the spine is reused next window
+		sh.outbox[i] = box[:0]
 	}
-	clear(all) // release the fn closures; the spine is reused next barrier
-	sh.mergeBuf = all[:0]
-	return err
+	return nil
 }
 
 // planWindow computes the next window from the cells' pending event times:

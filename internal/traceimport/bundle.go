@@ -189,9 +189,8 @@ func (b *Bundle) GameConfig() workload.GameConfig {
 
 // Options materializes the bundle as simulation options: the exact server
 // map as topology, the inferred TTLs, the replay game, the per-server user
-// population, and the detected fault windows. Apply core.WithSeed BEFORE
-// these options — WithGame draws its schedule from the seed in effect when
-// it is applied.
+// population, and the detected fault windows. The replay game is drawn
+// with the run's seed, wherever core.WithSeed sits among the options.
 func (b *Bundle) Options() ([]core.Option, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
