@@ -268,6 +268,8 @@ func (a *auditor) barrier(now time.Duration) error {
 		}
 	}
 	if now >= a.nextSweep {
+		// Every event before now ran; the ones at now have not.
+		a.s.um.settleAll(now, false)
 		a.checks++
 		if v := a.check(); v != nil {
 			v.Time = now
@@ -299,6 +301,7 @@ func (a *auditor) sweep() {
 	if a.violation != nil {
 		return
 	}
+	a.s.um.settleAll(a.s.cells[0].eng.Now(), true)
 	a.checks++
 	if v := a.check(); v != nil {
 		a.fail(v)

@@ -65,9 +65,10 @@ type Config struct {
 	// UserModel selects how end-users are simulated: UserModelExplicit
 	// (default) gives every user its own actor and visit loop, the paper's
 	// Section 4 setup; UserModelCohort simulates the population as weighted
-	// per-server cohorts — one visit event per cohort per period with exact
-	// aggregate accounting — so memory and event volume scale with cohorts,
-	// not users. The cohort model requires Population and is incompatible
+	// per-server cohorts — one batched visit per cohort per period with
+	// exact aggregate accounting, an engine event only while it can act —
+	// so memory scales with cohorts, not users, and event volume with the
+	// visits that act. The cohort model requires Population and is incompatible
 	// with the per-user routing scenarios (UseDNSRouting,
 	// UserSwitchEveryVisit), whose per-visit randomness is inherently
 	// per-user.

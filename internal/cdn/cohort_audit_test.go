@@ -48,6 +48,21 @@ func TestAuditorCatchesCohortCorruption(t *testing.T) {
 			property: "cohort-conservation",
 		},
 		{
+			name: "cohort parked on a crashed server",
+			corrupt: func(s *simulation) {
+				m := s.um.(*cohortUsers)
+				home := m.cohorts[0].home
+				s.failServer(home)
+				// The population's offsets are distinct, so the first
+				// visitor heads its instant's list.
+				c := m.firstVisitor(home)
+				m.unindex(c)
+				s.cell(home).eng.Cancel(c.timer)
+				c.armed = false
+			},
+			property: "cohort-parked-passive",
+		},
+		{
 			name:     "unledgered visit",
 			corrupt:  func(s *simulation) { s.cells[0].visitsAccounted++ },
 			property: "visit-traffic-conservation",
@@ -113,5 +128,20 @@ func TestCohortVisitSteadyStateZeroAlloc(t *testing.T) {
 	m.visit(c) // warm up: interns the endpoint, sizes the ledger
 	if avg := testing.AllocsPerRun(1000, func() { m.visit(c) }); avg != 0 {
 		t.Fatalf("cohort visit allocated %.2f times per run, want 0", avg)
+	}
+	// The fold books a parked cohort's visits in place: park every cohort
+	// and settle a few periods at a time across the publications.
+	for _, c := range m.cohorts {
+		c.armed = false
+	}
+	through := time.Duration(0)
+	if avg := testing.AllocsPerRun(1000, func() {
+		through += 3 * c.period
+		m.settleAll(through, true)
+	}); avg != 0 {
+		t.Fatalf("cohort fold allocated %.2f times per run, want 0", avg)
+	}
+	if c.leader.observations < 1000 {
+		t.Fatalf("the fold booked %d observations, want one per visit", c.leader.observations)
 	}
 }

@@ -487,6 +487,7 @@ func (s *simulation) setVersion(nd *node, v int) {
 	if v <= nd.version {
 		return
 	}
+	s.um.settle(nd.idx, false)
 	now := s.now(nd.idx)
 	for id := nd.version + 1; id <= v && id < len(s.publishAt); id++ {
 		if at := s.publishAt[id]; at > 0 && now >= at {
@@ -566,6 +567,10 @@ func (s *simulation) run() (*Result, error) {
 		runErr = s.shEng.Run(s.horizon)
 	} else {
 		runErr = s.cells[0].eng.Run(s.horizon)
+	}
+	if runErr == nil {
+		// Events at the horizon ran, so the visits parked through it happened.
+		s.um.settleAll(s.horizon, true)
 	}
 	if s.fed != nil {
 		// Close still-open degradation intervals at the drained clock so
@@ -673,8 +678,10 @@ func (s *simulation) failServer(v int) {
 	if s.aud != nil {
 		defer s.aud.onTreeMutation(v, fmt.Sprintf("failServer(%d)", v))
 	}
+	s.um.settle(v, true)
 	nd.down = true
 	nd.gen++
+	s.um.rearm(v)
 	s.cell(v).crashes++
 	if s.auth != nil && s.cfg.Failover {
 		// Health-check feedback into request routing: the authoritative
@@ -714,6 +721,8 @@ func (s *simulation) recoverServer(v int) {
 	if s.aud != nil {
 		defer s.aud.onTreeMutation(v, fmt.Sprintf("recoverServer(%d)", v))
 	}
+	s.um.settle(v, true)
+	defer s.um.rearm(v)
 	nd.down = false
 	nd.gen++
 	nd.version = 0
@@ -981,7 +990,9 @@ func (s *simulation) invalidateChildren(from, k int) {
 			if nd.down {
 				return
 			}
+			s.um.settle(child, false)
 			nd.valid = false
+			s.um.rearm(child)
 			s.invalidateChildren(child, 0)
 		})
 	}
@@ -1006,10 +1017,12 @@ func (s *simulation) notifySubscribers(src, k int) {
 			if nd.down {
 				return
 			}
+			s.um.settle(child, false)
 			nd.valid = false
 			if nd.auto != nil {
 				nd.auto.OnInvalidation()
 			}
+			s.um.rearm(child)
 		})
 	}
 }

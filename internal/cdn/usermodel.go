@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"fmt"
+	"time"
 
 	"cdnconsistency/internal/audit"
 	"cdnconsistency/internal/netmodel"
@@ -13,8 +14,10 @@ const (
 	// its own visit loop — the paper's Section 4 setup, and the default.
 	UserModelExplicit = "explicit"
 	// UserModelCohort simulates the user population attached to each server
-	// as weighted cohorts: one visit event per cohort per period, with all
-	// per-user accounting carried in aggregate. Requires Config.Population.
+	// as weighted cohorts, with all per-user accounting carried in aggregate.
+	// A cohort's visit is an engine event only while it can act; visits that
+	// only read the server's state are booked arithmetically when that state
+	// next changes (see cohort_fold.go). Requires Config.Population.
 	UserModelCohort = "cohort"
 )
 
@@ -32,6 +35,16 @@ type userModel interface {
 	audit() *audit.Violation
 	// totalUsers reports the modeled population size.
 	totalUsers() int
+	// settle books the visits parked at node i that come before the
+	// current event, ahead of a write to state a visit reads; fault tells a
+	// fault event (crash or recovery) from any other. rearm then arms node
+	// i's first next visit if the write made it act. settleAll books every
+	// parked visit up to through (inclusive or not) for a reader of the
+	// whole run's state: an audit sweep, a barrier, the horizon. The
+	// explicit model parks nothing, so all three are no-ops there.
+	settle(i int, fault bool)
+	rearm(i int)
+	settleAll(through time.Duration, inclusive bool)
 }
 
 // newUserModel instantiates the configured model. Config validation has
@@ -86,20 +99,27 @@ func (a *userAgg) avg() float64 {
 // and the stale counter.
 func (s *simulation) observeAgg(i int, a *userAgg, weight, v int) {
 	c := s.cell(i)
-	a.observations++
-	a.lastFailed = false
 	if v < c.published {
 		c.staleObservations += weight
 	}
+	s.observeRun(a, v, c.eng.Now(), 1)
+}
+
+// observeRun records n consecutive observations of version v into a, the
+// first at time first: what n observeAgg calls would book into a, with no
+// change to v in between. Only the first can see v as new, so only it adds
+// catch-up terms; each is inconsistent when v is older than what a saw.
+func (s *simulation) observeRun(a *userAgg, v int, first time.Duration, n int) {
+	a.observations += n
+	a.lastFailed = false
 	if v < a.maxSeen {
-		a.inconsistent++
+		a.inconsistent += n
 		return
 	}
 	if v > a.maxSeen {
-		now := c.eng.Now()
 		for id := a.maxSeen + 1; id <= v && id < len(s.publishAt); id++ {
-			if at := s.publishAt[id]; at > 0 && now >= at {
-				a.catchupSum += (now - at).Seconds()
+			if at := s.publishAt[id]; at > 0 && first >= at {
+				a.catchupSum += (first - at).Seconds()
 				a.catchupN++
 			}
 		}

@@ -221,6 +221,11 @@ func (m *explicitUsers) collect(res *Result) {
 
 func (m *explicitUsers) totalUsers() int { return len(m.users) }
 
+// Explicit users never park: every visit is its own event.
+func (m *explicitUsers) settle(int, bool)              {}
+func (m *explicitUsers) rearm(int)                     {}
+func (m *explicitUsers) settleAll(time.Duration, bool) {}
+
 func (m *explicitUsers) audit() *audit.Violation {
 	for _, u := range m.users {
 		if v := audit.CheckCount(audit.Label{Format: "user %d inconsistent observations", Index: u.idx},

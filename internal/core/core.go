@@ -213,9 +213,10 @@ func WithUserSwitching() Option {
 }
 
 // WithUserModel selects the end-user simulation model:
-// cdn.UserModelExplicit (one actor per user, the default) or
-// cdn.UserModelCohort (weighted per-server cohorts with exact aggregate
-// accounting; requires WithPopulation).
+// cdn.UserModelExplicit (one actor and one event per user visit, the
+// default) or cdn.UserModelCohort (weighted per-server cohorts with exact
+// aggregate accounting, whose visits are engine events only while they can
+// act; requires WithPopulation).
 func WithUserModel(model string) Option {
 	return func(c *config) { c.UserModel = model }
 }

@@ -31,9 +31,10 @@ var extScaleSystems = []core.System{
 // ExtScale sweeps the user population 10^4 -> 10^6 over the Section 5.3
 // deployment (Servers x 5 content servers, 850 at paper scale) under the
 // cohort user model, for TTL, Invalidation, Push, and HAT. Memory and event
-// volume stay fixed as users grow — state scales with cohorts, not users —
-// which is what moves the evaluation from the paper's 4,250 users to
-// production scale on one machine.
+// volume stay fixed as users grow — state scales with cohorts, not users,
+// and events with the cohort visits that can act (a parked cohort's visits
+// cost no event) — which is what moves the evaluation from the paper's
+// 4,250 users to production scale on one machine.
 //
 // The table reports only deterministic quantities (per-user inconsistency,
 // stale-serve fraction, batched request traffic), so output is byte-identical

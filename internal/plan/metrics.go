@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"cdnconsistency/internal/cdn"
@@ -23,13 +25,7 @@ var metricDefs = []struct {
 }{
 	// Inconsistency (seconds).
 	{"mean_server_inconsistency", func(r *cdn.Result) float64 { return r.MeanServerInconsistency() }},
-	{"p50_server_inconsistency", func(r *cdn.Result) float64 { return weightedPercentile(r.ServerAvgInconsistency, nil, 50) }},
-	{"p95_server_inconsistency", func(r *cdn.Result) float64 { return weightedPercentile(r.ServerAvgInconsistency, nil, 95) }},
-	{"p99_server_inconsistency", func(r *cdn.Result) float64 { return weightedPercentile(r.ServerAvgInconsistency, nil, 99) }},
 	{"mean_user_inconsistency", func(r *cdn.Result) float64 { return r.MeanUserInconsistency() }},
-	{"p50_user_inconsistency", func(r *cdn.Result) float64 { return weightedPercentile(r.UserAvgInconsistency, r.UserWeights, 50) }},
-	{"p95_user_inconsistency", func(r *cdn.Result) float64 { return weightedPercentile(r.UserAvgInconsistency, r.UserWeights, 95) }},
-	{"p99_user_inconsistency", func(r *cdn.Result) float64 { return weightedPercentile(r.UserAvgInconsistency, r.UserWeights, 99) }},
 
 	// User-observed consistency.
 	{"stale_serve_frac", func(r *cdn.Result) float64 { return r.StaleServeFrac() }},
@@ -81,6 +77,24 @@ var metricDefs = []struct {
 	{"audit_violations", func(*cdn.Result) float64 { return 0 }},
 }
 
+// percentileMetrics are the p50, p95 and p99 of two per-entry series, named
+// p<rank>_<series>; Metrics sorts each series once for all three.
+var percentileMetrics = []struct {
+	series string
+	of     func(*cdn.Result) ([]float64, []int)
+}{
+	{"server_inconsistency", func(r *cdn.Result) ([]float64, []int) { return r.ServerAvgInconsistency, nil }},
+	{"user_inconsistency", func(r *cdn.Result) ([]float64, []int) { return r.UserAvgInconsistency, r.UserWeights }},
+}
+
+// percentileRanks are the ranks of every percentile metric, ascending.
+var percentileRanks = []float64{50, 95, 99}
+
+// percentileName names the metric of series at rank.
+func percentileName(rank float64, series string) string {
+	return fmt.Sprintf("p%g_%s", rank, series)
+}
+
 // MetricAuditViolations is the metric set to 1 when the runtime auditor
 // aborts a cell's run with a violated invariant.
 const MetricAuditViolations = "audit_violations"
@@ -90,14 +104,19 @@ var metricSet = func() map[string]bool {
 	for _, d := range metricDefs {
 		m[d.name] = true
 	}
+	for _, pm := range percentileMetrics {
+		for _, rank := range percentileRanks {
+			m[percentileName(rank, pm.series)] = true
+		}
+	}
 	return m
 }()
 
 // MetricNames lists every assertable metric, sorted.
 func MetricNames() []string {
-	out := make([]string, 0, len(metricDefs))
-	for _, d := range metricDefs {
-		out = append(out, d.name)
+	out := make([]string, 0, len(metricSet))
+	for name := range metricSet {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
@@ -107,9 +126,15 @@ func knownMetric(name string) bool { return metricSet[name] }
 
 // Metrics extracts every assertable metric from a completed run.
 func Metrics(r *cdn.Result) map[string]float64 {
-	out := make(map[string]float64, len(metricDefs))
+	out := make(map[string]float64, len(metricSet))
 	for _, d := range metricDefs {
 		out[d.name] = d.fn(r)
+	}
+	for _, pm := range percentileMetrics {
+		xs, weights := pm.of(r)
+		for k, v := range weightedPercentiles(xs, weights, percentileRanks) {
+			out[percentileName(percentileRanks[k], pm.series)] = v
+		}
 	}
 	return out
 }
@@ -143,12 +168,14 @@ func liveFinalFrac(r *cdn.Result) float64 {
 	return float64(r.LiveServersAtFinalVersion) / float64(r.LiveServers)
 }
 
-// weightedPercentile returns the weighted nearest-rank p-th percentile of
-// xs: the smallest value whose cumulative weight reaches ceil(p/100 x total
-// weight). weights == nil means unit weights. Empty input returns 0.
-func weightedPercentile(xs []float64, weights []int, p float64) float64 {
+// weightedPercentiles returns the weighted nearest-rank percentile of xs at
+// each of ps (ascending): the smallest value whose cumulative weight reaches
+// ceil(p/100 x total weight). weights == nil means unit weights. Empty input,
+// or no weight, gives zeros. One sort and one cumulative pass serve every p.
+func weightedPercentiles(xs []float64, weights []int, ps []float64) []float64 {
+	out := make([]float64, len(ps))
 	if len(xs) == 0 {
-		return 0
+		return out
 	}
 	type wv struct {
 		v float64
@@ -165,26 +192,31 @@ func weightedPercentile(xs []float64, weights []int, p float64) float64 {
 		total += int64(w)
 	}
 	if total <= 0 {
-		return 0
+		return out
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
-	// Nearest rank: ceil(p/100 * total), clamped to [1, total].
-	rank := int64(float64(total) * p / 100)
-	if float64(rank) < float64(total)*p/100 {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum int64
-	for _, pr := range pairs {
-		cum += int64(pr.w)
-		if cum >= rank {
-			return pr.v
+	slices.SortFunc(pairs, func(a, b wv) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case b.v < a.v:
+			return 1
 		}
+		return 0
+	})
+	var cum int64
+	i := 0
+	for k, p := range ps {
+		// Nearest rank: ceil(p/100 * total), clamped to [1, total].
+		rank := int64(float64(total) * p / 100)
+		if float64(rank) < float64(total)*p/100 {
+			rank++
+		}
+		rank = min(max(rank, 1), total)
+		for i < len(pairs)-1 && cum+int64(pairs[i].w) < rank {
+			cum += int64(pairs[i].w)
+			i++
+		}
+		out[k] = pairs[i].v
 	}
-	return pairs[len(pairs)-1].v
+	return out
 }

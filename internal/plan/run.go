@@ -217,7 +217,8 @@ func (c Cell) runEquivalence(name string, primary map[string]float64, opt RunOpt
 		// counters and per-entry values match exactly, but aggregate
 		// means and traffic sums accumulate in a different order, so
 		// they are compared within relative float noise. Event counts
-		// differ by construction (one event per cohort, not per user).
+		// differ by construction (the cohort model spends events only on
+		// the batched visits that can act, not one per user visit).
 		sc.UserModel = cdn.UserModelExplicit
 		skip = map[string]bool{"events": true}
 		approx = map[string]bool{

@@ -298,12 +298,18 @@ func (e *Engine) popTop() {
 }
 
 // schedule parks p in a recycled slot and inserts its (at, seq, slot) key
-// into a lane or the heap.
-func (e *Engine) schedule(at time.Duration, p payload) (Timer, error) {
+// into a lane or the heap. seq 0 takes the next sequence number; any other
+// is one from Reserve, and its event goes to the heap (a lane holds its
+// events in sequence order as they are appended).
+func (e *Engine) schedule(at time.Duration, seq uint64, p payload) (Timer, error) {
 	if at < e.now {
 		return 0, fmt.Errorf("sim: schedule at %v before now %v", at, e.now)
 	}
-	e.seq++
+	next := seq == 0
+	if next {
+		e.seq++
+		seq = e.seq
+	}
 	var slot uint32
 	if n := len(e.freeSlots); n > 0 {
 		slot = e.freeSlots[n-1]
@@ -315,8 +321,8 @@ func (e *Engine) schedule(at time.Duration, p payload) (Timer, error) {
 		e.payloads = append(e.payloads, payload{})
 	}
 	e.payloads[slot] = p
-	it := heapItem{at: at, seq: e.seq, slot: slot, gen: e.slotGen[slot]}
-	if len(e.lanes) == 0 || !e.toLane(it) {
+	it := heapItem{at: at, seq: seq, slot: slot, gen: e.slotGen[slot]}
+	if !next || len(e.lanes) == 0 || !e.toLane(it) {
 		e.queue = append(e.queue, it)
 		e.siftUp(len(e.queue) - 1)
 	}
@@ -340,7 +346,7 @@ func (e *Engine) retire(slot uint32) {
 // ScheduleAt schedules h to run at absolute virtual time at. Scheduling in
 // the past (before Now) is an error that would break causality.
 func (e *Engine) ScheduleAt(at time.Duration, h Handler) (Timer, error) {
-	return e.schedule(at, payload{h: h})
+	return e.schedule(at, 0, payload{h: h})
 }
 
 // ScheduleAfter schedules h to run d after the current virtual time.
@@ -359,7 +365,25 @@ func (e *Engine) ScheduleAfter(d time.Duration, h Handler) Timer {
 // and arg packs any small integers the handler needs. When recv is a pointer
 // the call allocates nothing.
 func (e *Engine) ScheduleAtFunc(at time.Duration, fn FuncHandler, recv any, arg int64) (Timer, error) {
-	return e.schedule(at, payload{fn: fn, recv: recv, arg: arg})
+	return e.schedule(at, 0, payload{fn: fn, recv: recv, arg: arg})
+}
+
+// Reserve takes the next n sequence numbers and returns the first. An event
+// scheduled later with ScheduleAtFuncSeq and one of them fires, among the
+// events at its time, where it would have fired had it been scheduled at
+// the reservation: a model that arms an event later than the moment it
+// logically scheduled it keeps its place.
+func (e *Engine) Reserve(n int) uint64 {
+	first := e.seq + 1
+	e.seq += uint64(n)
+	return first
+}
+
+// ScheduleAtFuncSeq is ScheduleAtFunc with seq, a sequence number from
+// Reserve, in place of the next one. Each reserved number must be scheduled
+// at most once at a time, so that the (time, seq) order stays total.
+func (e *Engine) ScheduleAtFuncSeq(at time.Duration, seq uint64, fn FuncHandler, recv any, arg int64) (Timer, error) {
+	return e.schedule(at, seq, payload{fn: fn, recv: recv, arg: arg})
 }
 
 // ScheduleAfterFunc schedules fn(e, recv, arg) to run d after the current
@@ -380,7 +404,7 @@ func callThunk(_ *Engine, recv any, _ int64) { recv.(func())() }
 // wrapper-closure allocation ScheduleAt(at, func(*Engine){ f() }) would pay.
 // f itself may of course be a closure; only the engine side is free.
 func (e *Engine) ScheduleAtCall(at time.Duration, f func()) (Timer, error) {
-	return e.schedule(at, payload{fn: callThunk, recv: f})
+	return e.schedule(at, 0, payload{fn: callThunk, recv: f})
 }
 
 // Cancel prevents a scheduled event from firing. Cancelling an event that

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -49,6 +50,31 @@ func TestFIFOForEqualTimestamps(t *testing.T) {
 		if v != i {
 			t.Fatalf("position %d: got %d, want %d (FIFO violated)", i, v, i)
 		}
+	}
+}
+
+// An event armed late with a reserved sequence number fires, among the
+// events at its time, where one scheduled at the reservation would have:
+// before events scheduled after the reservation, lane events included.
+func TestReservedSequenceKeepsItsPlace(t *testing.T) {
+	e := NewEngine(1)
+	e.Periodic(5 * time.Second)
+	first := e.Reserve(2)
+	var order []int64
+	record := func(_ *Engine, _ any, arg int64) { order = append(order, arg) }
+	e.ScheduleAtFunc(5*time.Second, record, nil, 3) // the lane
+	e.ScheduleAtFunc(5*time.Second, record, nil, 4) // the lane
+	if _, err := e.ScheduleAtFuncSeq(5*time.Second, first+1, record, nil, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ScheduleAtFuncSeq(5*time.Second, first, record, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{1, 2, 3, 4}; !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // sharing a visit phase (all start OffsetNS into the run) and a poll period.
 // Members of a cohort are interchangeable by construction — same server, same
 // phase, same period — which is what lets the cohort user model simulate them
-// with one event per period instead of Count.
+// with one batched visit per period instead of Count.
 type CohortSpec struct {
 	// Count is the number of users in the cohort; must be >= 1.
 	Count int `json:"count"`

@@ -24,7 +24,7 @@ PACKAGES=(
 )
 
 # The cohort user-model code paths, held to a tighter floor (measured 93+).
-COHORT_FILES='internal/cdn/cohort\.go|internal/cdn/usermodel\.go|internal/cdn/users\.go|internal/workload/population\.go'
+COHORT_FILES='internal/cdn/cohort\.go|internal/cdn/cohort_fold\.go|internal/cdn/usermodel\.go|internal/cdn/users\.go|internal/workload/population\.go'
 COHORT_FLOOR=90.0
 
 TMP=$(mktemp -d)
