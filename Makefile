@@ -45,14 +45,14 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Shard-count invariance under the race detector: the sharded engine must
-# produce bit-identical results at any worker count, reproduce the
+# produce bit-identical results at any -shards value >= 1, reproduce the
 # cohort==explicit equivalence, and match the serial oracle on
 # schedule-driven counters — across the headline systems and every fault
-# scenario. The shardequiv tag hands every multi-cell window to the worker
-# pool (internal/sim/poolgate.go), so cells really run on separate
-# goroutines under the race detector.
+# scenario. Each run is single-goroutine, but the suites run many sharded
+# simulations in parallel subtests, so -race catches any state two
+# concurrent runs share.
 shard-equiv:
-	$(GO) test -race -tags shardequiv -run 'ShardCountInvariance|ShardedCohortEquivalence|ShardedSerialOracle|ShardedConfigGates|ExtScaleShardInvariance|Sharded' ./internal/cdn ./internal/figures ./internal/sim
+	$(GO) test -race -run 'ShardCountInvariance|ShardedCohortEquivalence|ShardedSerialOracle|ShardedConfigGates|ExtScaleShardInvariance|Sharded' ./internal/cdn ./internal/figures ./internal/sim
 
 # CPU + heap profiles for the Figure 19 sweep (the engine hot path), ready
 # for `go tool pprof`.

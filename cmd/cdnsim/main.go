@@ -12,8 +12,8 @@
 //	cdnsim -system TTL -federation 3 -faults provider-storm -failover
 //	cdnsim -federation @providers.json     # hand-written multi-CDN spec
 //	cdnsim -system HAT -audit              # run under the invariant auditor
-//	cdnsim -system HAT -shards 4           # sharded multi-core engine, 4 workers
-//	cdnsim -system HAT -shards 4 -audit    # sharded AND audited (barrier sweeps)
+//	cdnsim -system HAT -shards 1           # sharded engine (8 cells, one goroutine)
+//	cdnsim -system HAT -shards 1 -audit    # sharded AND audited (barrier sweeps)
 //	cdnsim -system HAT -timeout 2m         # abort if the run exceeds 2 minutes
 //	cdnsim -plan plans/10-baseline.json    # run a scenario plan's cells serially
 //	cdnsim -system HAT -import crawl.jsonl # replay an imported deployment (trace or bundle)
@@ -69,8 +69,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 	fs.IntVar(&sc.Clusters, "clusters", 0, fmt.Sprintf("hybrid cluster count (default %d)", cdn.DefaultClusters))
 	fs.BoolVar(&sc.UserSwitch, "switch", false, "users switch servers every visit (Figure 24 scenario)")
 	fs.StringVar(&sc.UserModel, "usermodel", cdn.UserModelExplicit, "end-user model: explicit (one actor per user) or cohort (weighted per-server cohorts; scales to millions of users)")
-	fs.IntVar(&sc.Shards, "shards", 0, "sharded multi-core engine worker count (0 = serial engine; results are identical for any value >= 1)")
-	fs.IntVar(&sc.ShardCells, "shardcells", 0, "sharded partition cell count (0 = default 8); the cell count, not the worker count, shapes sharded results")
+	fs.IntVar(&sc.Shards, "shards", 0, "0 = serial engine; >= 1 runs the sharded engine on one goroutine (the value is not a worker count: every value >= 1 gives identical results)")
+	fs.IntVar(&sc.ShardCells, "shardcells", 0, "sharded partition cell count (0 = default 8); the cell count, not the -shards value, shapes sharded results")
 	fs.BoolVar(&sc.Failover, "failover", false, "enable failure-aware failover reactions")
 	fs.BoolVar(&sc.Audit, "audit", false, "run under the runtime invariant auditor (fails fast on a violated conservation property; metrics are unchanged; composes with -shards)")
 	fs.DurationVar((*time.Duration)(&sc.AuditCadence), "audit-cadence", 0, "auditor sweep cadence in simulated time (0 = auditor default; requires -audit)")

@@ -22,7 +22,7 @@
 //	experiments -parallel 1          # serial run (identical output)
 //	experiments -metrics             # per-figure wall/event/alloc summary on stderr
 //	experiments -audit               # run every simulation under the invariant auditor
-//	experiments -shards 4            # sharded multi-core engine for the ext-scale sweep
+//	experiments -shards 1            # sharded engine for the ext-scale sweep
 //	experiments -checkpoint d        # journal finished figures into directory d
 //	experiments -resume d            # continue an interrupted sweep from d
 //	experiments -timeout 10m         # per-figure deadline
@@ -104,7 +104,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation jobs (1 = serial; output is identical at any value)")
 		metrics   = fs.Bool("metrics", false, "print a per-figure timing/event/allocation summary to stderr")
 		faults    = fs.String("faults", "", "comma-separated fault scenarios to run as fault-<name> figures ("+strings.Join(fault.ScenarioNames(), ", ")+"; \"all\" for every one)")
-		shards    = fs.Int("shards", 0, "run the ext-scale sweep on the sharded multi-core engine with this many workers (0 = serial engine; any value >= 1 yields identical tables)")
+		shards    = fs.Int("shards", 0, "0 = serial engine; >= 1 runs the ext-scale sweep on the sharded engine, one goroutine per run (the value is not a worker count: any value >= 1 yields identical tables)")
 		fedFlag   = fs.String("federation", "", "multi-CDN federation for the federation-* figures: a provider count or @file.json spec (default: 3 real-city providers; serial-only)")
 		audit     = fs.Bool("audit", false, "run every simulation under the runtime invariant auditor (fails fast on a violated conservation property; metrics are unchanged)")
 		auditCad  = fs.Duration("audit-cadence", 0, "auditor sweep cadence in simulated time (0 = auditor default; requires -audit)")
@@ -400,7 +400,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		"federation":    *fedFlag,
 		"import":        *importArg,
 		// Serial and sharded runs are different simulations (ext-scale's
-		// tables differ); the worker count is not, so it stays out.
+		// tables differ); the -shards value beyond on/off is not, so it
+		// stays out.
 		"sharded": strconv.FormatBool(*shards > 0),
 	}}
 	return sw.run(ctx, sjobs, func(_, out string) error {

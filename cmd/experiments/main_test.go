@@ -279,8 +279,8 @@ func TestRunCheckpointSafetyChecks(t *testing.T) {
 }
 
 // Serial and sharded sweeps are different simulations, so a journal recorded
-// by one must not be replayed as the other; the worker count alone changes
-// no bytes and resumes freely.
+// by one must not be replayed as the other; the -shards value beyond on/off
+// changes no bytes and resumes freely.
 func TestRunCheckpointSeparatesSerialFromSharded(t *testing.T) {
 	dir := t.TempDir()
 	if _, _, err := runCLI(t, "-scale", "small", "-only", "fig16", "-checkpoint", dir); err != nil {
@@ -297,7 +297,7 @@ func TestRunCheckpointSeparatesSerialFromSharded(t *testing.T) {
 	}
 	if _, stderr, err := runCLI(t, "-scale", "small", "-only", "fig16", "-resume", dir, "-shards", "2"); err != nil ||
 		!strings.Contains(stderr, "fig16 restored from checkpoint") {
-		t.Errorf("resume at another worker count did not replay the journal: err=%v\n%s", err, stderr)
+		t.Errorf("resume at another -shards value did not replay the journal: err=%v\n%s", err, stderr)
 	}
 }
 

@@ -22,8 +22,8 @@ import (
 // processes more events than an unaudited one — but they draw no randomness
 // and mutate nothing, so every reported metric is identical with the auditor
 // on or off. In a sharded run the sweeps execute at window barriers instead
-// (every cell quiescent, coordinator single-threaded): per-event observations
-// are recorded cell-locally by the worker that owns the cell and folded in
+// (every cell quiescent): per-event observations are recorded cell-locally
+// while the cell runs and folded in
 // deterministic cell order at the next barrier, so the audited run processes
 // exactly the same events — and produces exactly the same Result — as the
 // unaudited one.
@@ -173,10 +173,9 @@ func (a *auditor) fail(v *audit.Violation) {
 }
 
 // onDelay audits one recorded server catch-up delay as it happens. In a
-// sharded run it executes on the worker goroutine that owns the node's cell,
-// so the finding is parked cell-locally (stamped with the cell's own clock)
-// and promoted by the coordinator at the next barrier — no shared auditor
-// state is touched mid-window.
+// sharded run it executes inside the node's cell, so the finding is parked
+// cell-locally (stamped with the cell's own clock) and promoted at the next
+// barrier — no shared auditor state is touched mid-window.
 func (a *auditor) onDelay(nodeIdx int, delay time.Duration) {
 	if a.s.sharded() {
 		c := a.s.cell(nodeIdx)
@@ -208,9 +207,9 @@ func delayLabel(nodeIdx int) audit.Label {
 // mutation (crash-time repair, detection-driven reparent, recovery rejoin),
 // so a mutation that corrupts the tree is caught at the event that caused it
 // rather than at the next cadence sweep. In a sharded run the tree spans
-// cells, so the re-check cannot run on the mutating worker; the mutation is
-// flagged in node nodeIdx's cell and the coordinator re-checks at the next
-// barrier, when every cell is quiescent.
+// cells, so the re-check cannot run mid-window, while other cells' clocks
+// differ; the mutation is flagged in node nodeIdx's cell and re-checked at
+// the next barrier, when every cell is quiescent.
 func (a *auditor) onTreeMutation(nodeIdx int, where string) {
 	if a.s.sharded() {
 		c := a.s.cell(nodeIdx)
@@ -230,7 +229,7 @@ func (a *auditor) onTreeMutation(nodeIdx int, where string) {
 	}
 }
 
-// barrier is the sharded auditor driver, invoked by the coordinator at every
+// barrier is the sharded auditor driver, invoked by the engine at every
 // window barrier (and once more after the run drains) with the barrier time.
 // Cells are quiescent, so it may read any cell's state: it promotes
 // cell-local delay findings in deterministic cell order, re-checks the tree

@@ -43,9 +43,8 @@ func stormSimulation(tb testing.TB, servers int) *simulation {
 
 // A passing audit sweep allocates nothing: every per-item label is built
 // only when its check fails, and the counter and ledger checks read state
-// in place. A sweep runs at every cadence boundary while the sharded
-// workers wait at the barrier, so its garbage would be paid on the
-// critical path.
+// in place. A sweep runs at every cadence boundary, between a sharded
+// run's windows, so its garbage would be paid on the critical path.
 func TestAuditSweepAllocFree(t *testing.T) {
 	s := stormSimulation(t, 40)
 	if v := s.aud.check(); v != nil {

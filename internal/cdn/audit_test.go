@@ -307,8 +307,8 @@ func TestAuditorCatchesSeededCorruption(t *testing.T) {
 
 // Sharded runs drive the auditor from window barriers instead of engine
 // events. Three things must hold at once, across every fault scenario: the
-// audited run completes with zero violations, it is worker-count invariant
-// like any other sharded run, and — because barrier sweeps add no engine
+// audited run completes with zero violations, it does not depend on the
+// Shards value like any other sharded run, and — because barrier sweeps add no engine
 // events — its Result is bit-identical to the unaudited run, Events included.
 func TestShardedAuditMatrix(t *testing.T) {
 	scenarios := append([]string{""}, fault.ScenarioNames()...)
@@ -335,7 +335,7 @@ func TestShardedAuditMatrix(t *testing.T) {
 				t.Fatal("sharded auditor never ran")
 			}
 			if !reflect.DeepEqual(aud1, aud4) {
-				t.Errorf("audited sharded run not worker-count invariant:\n  1 worker: %+v\n  4 workers: %+v", aud1, aud4)
+				t.Errorf("audited sharded run depends on Shards:\n  shards=1: %+v\n  shards=4: %+v", aud1, aud4)
 			}
 			stripped := *aud4
 			stripped.AuditChecks = 0

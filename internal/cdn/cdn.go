@@ -156,18 +156,16 @@ type Config struct {
 	// current virtual time and processed-event count. It backs external
 	// liveness probes (stuck-job watchdogs); it must be cheap and must not
 	// touch simulation state. Under a sharded run (Shards > 0) it reports
-	// cell 0's clock and event count and may be called from a worker
-	// goroutine, so it must also be safe to call concurrently with the
-	// caller's own goroutine.
+	// cell 0's clock and event count.
 	OnTick func(now time.Duration, events uint64) `json:"-"`
 
 	// Shards selects the execution engine. Zero (the default) runs the
 	// classic serial engine. A value >= 1 runs the sharded engine: the
 	// server topology is partitioned into ShardCells cells, each with its
 	// own event heap and RNG stream, synchronized by a conservative
-	// time-window barrier, with Shards worker goroutines executing cells in
-	// parallel. Results are a pure function of (Seed, ShardCells) — the
-	// worker count changes only wall-clock time, never output. Sharded runs
+	// time-window barrier and run on one goroutine. The value is not a
+	// worker count: every value >= 1 runs the same simulation, and results
+	// are a pure function of (Seed, ShardCells). Sharded runs
 	// are a different simulation than serial runs of the same seed (cells
 	// draw independent RNG streams), and a few inherently global features
 	// are unavailable: UseDNSRouting, UserSwitchEveryVisit, and multicast
@@ -178,7 +176,7 @@ type Config struct {
 	// ShardCells is the partition granularity for sharded runs: the number
 	// of topology cells (clamped to the number of partition atoms). It is
 	// part of the simulation's identity — changing it changes results —
-	// so invariance suites fix ShardCells and vary Shards. Default 8.
+	// while Shards beyond on/off changes nothing. Default 8.
 	ShardCells int
 
 	Net  netmodel.Config
@@ -372,8 +370,8 @@ func (c Config) withDefaults() (Config, error) {
 // Key identifies the run c describes: two configs with equal keys simulate
 // the same run and return identical Results. It is built from the defaulted
 // config, so an unset field and its explicit default agree, and it leaves
-// out what cannot change a Result: Ctx, OnTick and the worker count of a
-// sharded run. A config with a prebuilt Topo has no key (the topology's
+// out what cannot change a Result: Ctx, OnTick and the value of a sharded
+// run's Shards beyond on/off. A config with a prebuilt Topo has no key (the topology's
 // JSON form drops its tables), nor has one that fails Validate.
 func (c Config) Key() (string, error) {
 	if c.Topo != nil {

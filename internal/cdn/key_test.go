@@ -65,7 +65,7 @@ func fieldAt(c *Config, path string) reflect.Value {
 // would share one Result. Every field is found by reflection, so a field
 // added later fails here until it has a mutation below (and Key covers it).
 // Only the run controls are exempt: the context, the tick probe, and the
-// worker count of a sharded run.
+// value of a sharded run's Shards beyond on/off.
 func TestKeyCoversEveryInput(t *testing.T) {
 	oneUser := &workload.Population{Servers: make([][]workload.CohortSpec, 10)}
 	for i := range oneUser.Servers {
@@ -151,8 +151,8 @@ func TestKeyCoversEveryInput(t *testing.T) {
 	}
 }
 
-// The key is built from the defaulted config, and a sharded run's worker
-// count is not part of it: any Shards >= 1 is the same simulation.
+// The key is built from the defaulted config, and a sharded run's Shards
+// value is not part of it: any Shards >= 1 is the same simulation.
 func TestKeyDefaultsAndWorkers(t *testing.T) {
 	base := mustKey(t, keyBase())
 	explicit := keyBase()
@@ -166,7 +166,7 @@ func TestKeyDefaultsAndWorkers(t *testing.T) {
 	one, four := keyBase(), keyBase()
 	one.Shards, four.Shards = 1, 4
 	if mustKey(t, one) != mustKey(t, four) {
-		t.Error("the sharded worker count changed the key")
+		t.Error("the Shards value of a sharded run changed the key")
 	}
 	for _, kb := range []float64{math.NaN(), math.Inf(1)} {
 		c := keyBase()

@@ -77,9 +77,9 @@ type cellState struct {
 	providerSwitches int
 	peerHandoffs     int
 
-	// Cell-local auditor observations, written only by the goroutine running
-	// this cell mid-window and drained by the coordinator at the next window
-	// barrier (sharded runs only; serial runs audit inline).
+	// Cell-local auditor observations, written only while this cell runs
+	// and drained at the next window barrier (sharded runs only; serial
+	// runs audit inline).
 	audDelayViol   *audit.Violation
 	audPendingTree int
 	audTreeWhere   string
@@ -137,7 +137,6 @@ func (s *simulation) initCells() error {
 		Seed:             s.cfg.Seed,
 		Cells:            n,
 		Lookahead:        lookahead,
-		Workers:          s.cfg.Shards,
 		MaxEventsPerCell: maxEventsPerCell,
 	})
 	if err != nil {
@@ -192,8 +191,8 @@ func (s *simulation) partitionAtoms() [][]int {
 
 // partitionCells computes the static node->cell assignment and the
 // conservative lookahead. The assignment is a pure function of the topology
-// and ShardCells — never of Shards — so it is identical across worker
-// counts, which is what makes worker-count invariance exact.
+// and ShardCells — never of Shards — so every Shards value >= 1 runs the
+// same partition.
 func (s *simulation) partitionCells() ([]int, int, time.Duration, error) {
 	atoms := s.partitionAtoms()
 	if len(atoms) == 0 {

@@ -544,8 +544,8 @@ func (s *simulation) run() (*Result, error) {
 		ctx := s.cfg.Ctx
 		for ci, c := range s.cells {
 			// Every cell checks cancellation; only cell 0 reports progress
-			// (a sharded run would otherwise interleave reports from
-			// concurrent worker goroutines).
+			// (a sharded run's cells keep their own clocks and counts, and
+			// lagging cells would make the reports jump back in time).
 			reportTick := ci == 0
 			c.eng.SetTick(0, func(e *sim.Engine) error {
 				if reportTick && s.cfg.OnTick != nil {

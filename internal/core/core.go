@@ -316,11 +316,12 @@ func WithAuditSelfTest(name string) Option {
 	}
 }
 
-// WithShards runs the simulation on the sharded multi-core engine with n
-// worker goroutines draining a fixed partition of the server topology
-// (conservative time-window synchronization; see internal/sim.Sharded).
-// Results are a pure function of (seed, partition): any n >= 1 produces
-// bit-identical output, so the worker count is free to follow the machine.
+// WithShards runs the simulation on the sharded engine when n >= 1: a fixed
+// partition of the server topology, one event heap per cell, under
+// conservative time-window synchronization (see internal/sim.Sharded), all
+// on one goroutine. n is not a worker count: results are a pure function of
+// (seed, partition), and every n >= 1 produces bit-identical output. n = 0
+// keeps the serial engine.
 // Serial-only options (DNS routing, per-visit switching, multicast repair)
 // are rejected under sharding; the runtime auditor composes (its sweeps run
 // at window barriers).
@@ -330,7 +331,7 @@ func WithShards(n int) Option {
 
 // WithShardCells fixes the partition granularity for WithShards: the server
 // topology is split into this many cells (default 8). The cell count — not
-// the worker count — is part of the simulation's identity: changing it
+// the WithShards value — is part of the simulation's identity: changing it
 // changes the partition and therefore the (still deterministic) results.
 func WithShardCells(n int) Option {
 	return func(c *config) { c.ShardCells = n }

@@ -79,10 +79,10 @@ func ExtScale(scale SimScale) (*Table, error) {
 		core.WithVisitAccounting(),
 	}
 	if scale.Shards > 0 {
-		// Sharded engine: one run spreads over scale.Shards workers. The
-		// worker count never changes the table (shard-count invariance);
-		// the numbers differ from the serial engine's only because the two
-		// draw from different per-cell RNG streams.
+		// Sharded engine, on one goroutine per run: any scale.Shards >= 1
+		// gives the same table (it is not a worker count); the numbers
+		// differ from the serial engine's only because the two draw from
+		// different per-cell RNG streams.
 		extra = append(extra, core.WithShards(scale.Shards))
 	}
 	walls := make([]time.Duration, len(totals)*len(extScaleSystems))

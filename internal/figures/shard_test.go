@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// The ext-scale sweep on the sharded engine must be worker-count invariant:
-// the rendered table is a pure function of (seed, partition), so 1 and 4
-// workers produce byte-identical output. The serial engine draws from a
+// The ext-scale sweep on the sharded engine must not depend on the Shards
+// value: the rendered table is a pure function of (seed, partition), so
+// shards 1 and 4 produce byte-identical output. The serial engine draws from a
 // different RNG stream layout, so its table is expected to differ — assert
 // that too, as a liveness check that -shards actually engages the sharded
 // engine rather than falling back.
@@ -39,7 +39,7 @@ func TestExtScaleShardInvariance(t *testing.T) {
 		t.Fatalf("shards=4: %v", err)
 	}
 	if ot.String() != ft.String() {
-		t.Errorf("shards=4 output differs from shards=1:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", ot.String(), ft.String())
+		t.Errorf("shards=4 output differs from shards=1:\n--- shards=1 ---\n%s--- shards=4 ---\n%s", ot.String(), ft.String())
 	}
 	if ot.SimEvents == 0 || ot.SimEvents != ft.SimEvents {
 		t.Errorf("SimEvents: shards=1 %d, shards=4 %d (want equal, nonzero)", ot.SimEvents, ft.SimEvents)

@@ -29,10 +29,10 @@ type SimScale struct {
 	// execute concurrently (<= 1 means serial). Each run is deterministic
 	// from its explicit seed, so the setting never changes any number.
 	Parallel int
-	// Shards, when > 0, runs the ext-scale sweep on the sharded multi-core
-	// engine with that many workers over its default cell partition.
-	// Sharded results are a pure function of (seed, partition), so any
-	// Shards >= 1 yields identical tables; Shards = 0 keeps the serial
+	// Shards, when > 0, runs the ext-scale sweep on the sharded engine over
+	// its default cell partition, on one goroutine per run; the value is
+	// not a worker count. Sharded results are a pure function of (seed,
+	// partition), so any Shards >= 1 yields identical tables; Shards = 0 keeps the serial
 	// engine (whose RNG streams, and hence numbers, differ from sharded
 	// ones). Only ext-scale consumes this: the paper-replication figures
 	// stay on the serial engine their published numbers were drawn from.

@@ -6,8 +6,8 @@
 // fault scenario, on which engine (serial or sharded, audited or not) — plus
 // a list of assertions over the run's metrics ("p99 user inconsistency stays
 // under 2x the server TTL", "zero audit violations", "provider traffic within
-// budget") and optional cross-run equivalence checks (worker-count invariance
-// of the sharded engine, cohort-vs-explicit user-model equality).
+// budget") and optional cross-run equivalence checks (a sharded run repeated
+// must match, cohort-vs-explicit user-model equality).
 //
 // A Plan expands into a matrix of cells (systems x seeds); each cell is one
 // deterministic simulation whose extracted metrics are judged against the
@@ -91,9 +91,10 @@ type Assertion struct {
 
 // Equivalence check names accepted in Plan.Equivalence.
 const (
-	// EquivShardWorkers re-runs the cell at a different sharded worker
-	// count and requires every metric to match exactly — the engine's
-	// "results are a pure function of (seed, partition)" contract.
+	// EquivShardWorkers re-runs a sharded cell (at Shards+1, which the
+	// engine treats as the same simulation: Shards is not a worker count)
+	// and requires every metric of the repeated run to match exactly — the
+	// engine's "results are a pure function of (seed, partition)" contract.
 	EquivShardWorkers = "shard_workers"
 	// EquivCohortExplicit re-runs the cell under the explicit per-user
 	// model and requires the aggregates to match the cohort model's

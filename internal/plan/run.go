@@ -208,9 +208,9 @@ func (c Cell) runEquivalence(name string, primary map[string]float64, opt RunOpt
 	)
 	switch name {
 	case EquivShardWorkers:
-		// Same partition, different worker count: the sharded engine
-		// promises bit-identical results, so every metric must match
-		// exactly.
+		// Same partition, repeated run (Shards+1 is the same
+		// simulation): the sharded engine promises bit-identical results,
+		// so every metric must match exactly.
 		sc.Shards++
 	case EquivCohortExplicit:
 		// The cohort model is an exact refactoring of the explicit one:

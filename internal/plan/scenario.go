@@ -72,8 +72,8 @@ type Scenario struct {
 	// Failover enables the failure-aware protocol reactions.
 	Failover bool `json:"failover,omitempty"`
 
-	// Shards > 0 runs on the sharded multi-core engine with that many
-	// workers over ShardCells partition cells (default 8).
+	// Shards > 0 runs on the sharded engine over ShardCells partition
+	// cells (default 8), on one goroutine; the value is not a worker count.
 	Shards     int `json:"shards,omitempty"`
 	ShardCells int `json:"shard_cells,omitempty"`
 

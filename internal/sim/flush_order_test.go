@@ -46,8 +46,7 @@ func sortedFlush(sh *Sharded) error {
 	return nil
 }
 
-// runSorted is Run to completion on one worker with sortedFlush at every
-// barrier.
+// runSorted is Run to completion with sortedFlush at every barrier.
 func runSorted(sh *Sharded) error {
 	for {
 		if err := sortedFlush(sh); err != nil {
@@ -87,13 +86,13 @@ var flushOffsets = [...]time.Duration{0, 0, 0, 1, flushLookahead / 2, flushLooka
 // offsets, bit 6 a local re-arm and bit 7 its lane delay. Children are one
 // level deeper; events at flushMaxDepth do nothing, so the run is finite.
 func flushRun(prog []byte, cells int, run func(*Sharded) error) ([][]firedEvent, uint64, error) {
-	sh, err := NewSharded(ShardedConfig{Seed: 3, Cells: cells, Lookahead: flushLookahead, Workers: 1, MaxEventsPerCell: 50000})
+	sh, err := NewSharded(ShardedConfig{Seed: 3, Cells: cells, Lookahead: flushLookahead, MaxEventsPerCell: 50000})
 	if err != nil {
 		panic(err)
 	}
 	script := prog[1:]
 	fired := make([][]firedEvent, cells)
-	nextID := make([]int64, cells) // per creating cell, so ids are worker-independent
+	nextID := make([]int64, cells) // per creating cell, so ids do not depend on run order
 	newID := func(cell int) int64 {
 		nextID[cell]++
 		return int64(cell)<<32 | nextID[cell]

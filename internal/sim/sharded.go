@@ -12,11 +12,11 @@
 // runs every cell that has work inside its boundary, and only then exchanges
 // the cross-cell sends buffered during the window.
 //
-// Four properties keep the barrier cheap without giving up determinism:
+// Three properties keep the barrier cheap without giving up determinism:
 //
 //   - Idle-cell skipping: a cell whose next event lies at or beyond its
-//     boundary is not dispatched at all — its clock lags and is advanced
-//     lazily (deliveries carry their own timestamps; the final horizon pass
+//     boundary is not run at all — its clock lags and is advanced lazily
+//     (deliveries carry their own timestamps; the final horizon pass
 //     catches the clock up), so a sparse window costs O(active cells).
 //
 //   - Adaptive windowing: the boundary for cell j is the tightest bound
@@ -24,38 +24,26 @@
 //     B_j = min(min_{k≠j} t_k, t_j+L) + L, which fuses up to two static
 //     windows into one when the earliest cell runs ahead of the rest. The
 //     bound is a pure function of the per-cell event streams observed at
-//     the barrier — never of worker scheduling — so results remain
-//     bit-identical at any worker count.
+//     the barrier.
 //
 //   - Sort-free, zero-alloc barriers: the exchange delivers the outboxes in
 //     source order; the engine's (at, seq) does the rest. The outboxes,
 //     active list and per-cell bound slices persist across windows.
 //
-//   - Gated hand-off: multi-worker runs park a persistent worker pool on an
-//     epoch counter, but a window goes to the pool only when the previous
-//     window executed at least poolMinEvents events. A smaller window is
-//     less work than waking the pool costs, so it runs inline on the
-//     coordinator. Under the cdn model's lookahead (about 23 ms for 850
-//     servers in 8 cells) most windows run 8–63 events and fewer than one
-//     in 2,000 reaches the gate, so the pool rarely runs on a model
-//     workload; the shardequiv build tag (poolgate.go) and synthetic
-//     benchmarks exercise it.
-//
-// Determinism does not depend on how many worker goroutines execute the
-// window, nor on which goroutine runs which cell: cells never share mutable
-// state mid-window (each owns its heap, its RNG, and its outbox), and a
-// single goroutine delivers the buffered cross-cell sends at the barrier in
-// a fixed order, so they fire as a (timestamp, source cell, per-source
-// sequence) merge would. Results are a pure function of (seed, partition);
-// the worker count only changes wall-clock time.
+// One goroutine, the caller of Run, runs every window: the active cells in
+// index order, then the barrier. Under the cdn model's lookahead (about
+// 23 ms for 850 servers in 8 cells) most windows run 8–63 events, less work
+// than handing cells to other goroutines would cost. Cells still never
+// touch each other's state mid-window (each owns its heap, its RNG, and its
+// outbox), and the buffered cross-cell sends fire as a (timestamp, source
+// cell, per-source sequence) merge would, so results are a pure function
+// of (seed, partition).
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -66,16 +54,13 @@ type ShardedConfig struct {
 	Seed int64
 	// Cells is the number of partition cells (independent event heaps).
 	// The partition is part of the simulation's identity: changing Cells
-	// changes results; changing Workers never does.
+	// changes results.
 	Cells int
 	// Lookahead is the conservative window length: the minimum virtual-time
 	// latency of any cross-cell interaction. Must be positive. A cross-cell
 	// send scheduled to arrive sooner than the destination cell's current
 	// window boundary is a lookahead violation and aborts the run.
 	Lookahead time.Duration
-	// Workers bounds the goroutines executing cells within a window; values
-	// outside [1, Cells] are clamped.
-	Workers int
 	// MaxEventsPerCell caps each cell's executed events (0 = no cap).
 	MaxEventsPerCell uint64
 }
@@ -102,54 +87,22 @@ const infTime = time.Duration(math.MaxInt64)
 type Sharded struct {
 	cells     []*Engine
 	lookahead time.Duration
-	workers   int
 
-	// Per-source-cell outboxes, each in send order. During a window each
-	// is touched only by the goroutine running that cell, so no locking is
-	// needed; the pool's epoch handshake provides the happens-before edges.
+	// Per-source-cell outboxes, each in send order, and each source cell's
+	// first lookahead violation.
 	outbox  [][]crossEvent
 	sendErr []error
 
-	// Persistent per-window scratch, written by the coordinator between
-	// windows and read by workers inside one: peek holds each cell's next
-	// event time (infTime when empty), cellEnd each cell's window boundary
-	// (read by Send for lookahead validation), active the indices of cells
-	// dispatched this window, errs each dispatched cell's RunUntil error.
+	// Persistent per-window scratch: peek holds each cell's next event time
+	// (infTime when empty), cellEnd each cell's window boundary (read by
+	// Send for lookahead validation), active the indices of cells run this
+	// window.
 	peek    []time.Duration
 	cellEnd []time.Duration
 	active  []int
-	errs    []error
 
 	// hook, when set, runs at every window barrier (see SetBarrierHook).
 	hook func(next time.Duration) error
-
-	// processedSnap is the event-count snapshot published by the coordinator
-	// at each barrier and at the end of Run, so Processed is safe to read
-	// from other goroutines while a run is in flight.
-	processedSnap atomic.Uint64
-
-	// lastWindow is the number of events the previous window executed, the
-	// predictor runWindow gates the pool hand-off on; dispatches counts the
-	// windows handed to the pool. Both are coordinator-only.
-	lastWindow uint64
-	dispatches uint64
-
-	// Worker pool state. Workers park on cond waiting for epoch to advance,
-	// drain the active list through the lock-free nextIdx cursor, then
-	// decrement pending and signal done. All fields except nextIdx and
-	// poolWG are guarded by mu; the mutex hand-offs give workers a
-	// happens-before edge covering the coordinator's writes to
-	// peek/cellEnd/active/outbox. poolWG lets the pool's stop function wait
-	// for every worker to exit, so no worker of one Run survives into the
-	// next.
-	mu       sync.Mutex
-	cond     *sync.Cond
-	done     *sync.Cond
-	epoch    uint64
-	pending  int
-	poolStop bool
-	nextIdx  atomic.Int64
-	poolWG   sync.WaitGroup
 }
 
 // CellSeed derives cell's deterministic RNG seed from the base seed
@@ -169,26 +122,15 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 	if cfg.Lookahead <= 0 {
 		return nil, fmt.Errorf("sim: non-positive lookahead %v", cfg.Lookahead)
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > cfg.Cells {
-		workers = cfg.Cells
-	}
 	sh := &Sharded{
 		cells:     make([]*Engine, cfg.Cells),
 		lookahead: cfg.Lookahead,
-		workers:   workers,
 		outbox:    make([][]crossEvent, cfg.Cells),
 		sendErr:   make([]error, cfg.Cells),
 		peek:      make([]time.Duration, cfg.Cells),
 		cellEnd:   make([]time.Duration, cfg.Cells),
 		active:    make([]int, 0, cfg.Cells),
-		errs:      make([]error, cfg.Cells),
 	}
-	sh.cond = sync.NewCond(&sh.mu)
-	sh.done = sync.NewCond(&sh.mu)
 	for i := range sh.cells {
 		sh.cells[i] = NewEngine(CellSeed(cfg.Seed, i))
 		sh.cells[i].SetMaxEvents(cfg.MaxEventsPerCell)
@@ -207,46 +149,33 @@ func (sh *Sharded) Cells() int { return len(sh.cells) }
 // Lookahead reports the conservative window length.
 func (sh *Sharded) Lookahead() time.Duration { return sh.lookahead }
 
-// Workers reports the clamped worker count.
-func (sh *Sharded) Workers() int { return sh.workers }
-
-// Processed reports executed events across cells. It is safe to call from
-// any goroutine, including while Run is in flight: the value is the
-// coordinator's snapshot from the most recent window barrier (events of the
-// window currently executing are not yet counted). After Run returns the
-// count is exact.
-func (sh *Sharded) Processed() uint64 { return sh.processedSnap.Load() }
-
-// snapshotProcessed publishes the current cross-cell event count and returns
-// it. Called only by the coordinator between windows, when cells are
-// quiescent.
-func (sh *Sharded) snapshotProcessed() uint64 {
+// Processed reports the events executed so far across all cells.
+func (sh *Sharded) Processed() uint64 {
 	var n uint64
 	for _, c := range sh.cells {
 		n += c.Processed()
 	}
-	sh.processedSnap.Store(n)
 	return n
 }
 
 // SetBarrierHook installs fn to run at every window barrier: after the
 // previous window's buffered sends have been delivered and before the next
-// window's cells are dispatched. next is the upcoming window's start — the
-// globally earliest pending event time, up to which all simulation state is
-// final. The hook runs on the coordinator goroutine while every cell is
-// quiescent, so it may read cell state freely, but it must not schedule
-// events, draw from cell RNGs, or otherwise mutate cells. A non-nil error
-// aborts Run with that error. A nil fn removes the hook.
+// window's cells run. next is the upcoming window's start — the globally
+// earliest pending event time, up to which all simulation state is final.
+// The hook runs between windows, while no cell is running, so it may read
+// cell state freely, but it must not schedule events, draw from cell RNGs,
+// or otherwise mutate cells. A non-nil error aborts Run with that error. A
+// nil fn removes the hook.
 func (sh *Sharded) SetBarrierHook(fn func(next time.Duration) error) { sh.hook = fn }
 
 // Send schedules fn to run in cell dst at absolute virtual time at. It must
-// be called from the goroutine currently executing cell src (or from
-// single-threaded setup before Run). A same-cell send schedules directly; a
-// cross-cell send is buffered in src's outbox and delivered at the next
-// window barrier, so at must not precede the destination cell's window
-// boundary — that would mean the configured lookahead overstated the model's
-// minimum cross-cell latency. The violation is returned and also aborts Run
-// at the barrier, so fire-and-forget callers are still safe.
+// be called from a handler running in cell src (or from setup before Run).
+// A same-cell send schedules directly; a cross-cell send is buffered in
+// src's outbox and delivered at the next window barrier, so at must not
+// precede the destination cell's window boundary — that would mean the
+// configured lookahead overstated the model's minimum cross-cell latency.
+// The violation is returned and also aborts Run when src's window ends, so
+// fire-and-forget callers are still safe.
 func (sh *Sharded) Send(src, dst int, at time.Duration, fn func()) error {
 	if src == dst {
 		_, err := sh.cells[dst].ScheduleAtCall(at, fn)
@@ -270,9 +199,8 @@ func (sh *Sharded) Send(src, dst int, at time.Duration, fn func()) error {
 // destination take a contiguous block of its seq values, so only sends with
 // equal timestamps depend on insertion order, and for those the source
 // order gives exactly (source cell, per-source sequence): the same firing
-// order as a global (at, src, seq) merge, independent of worker count.
-// Single-threaded: runs only between windows. The outboxes keep their
-// spines, so a steady-state flush allocates nothing.
+// order as a global (at, src, seq) merge. Runs only between windows. The
+// outboxes keep their spines, so a steady-state flush allocates nothing.
 func (sh *Sharded) flush() error {
 	for i, box := range sh.outbox {
 		for _, ev := range box {
@@ -301,7 +229,7 @@ func (sh *Sharded) flush() error {
 // — the earliest possible arrival into j is either a direct send from the
 // earliest other cell (t_k + L) or an echo of j's own earliest send routed
 // back through a neighbor (t_j + 2L). Every cell that can execute an event
-// strictly before its boundary is dispatched; the rest are skipped and their
+// strictly before its boundary is active; the rest are skipped and their
 // clocks lag until a later window (or the final horizon pass) advances them.
 func (sh *Sharded) planWindow(horizon time.Duration) (start time.Duration, ok bool) {
 	m, m2 := infTime, infTime
@@ -354,24 +282,13 @@ func (sh *Sharded) planWindow(horizon time.Duration) (start time.Duration, ok bo
 	return m, true
 }
 
-// runWindow executes every active cell up to its boundary — through the
-// parked worker pool when there are several workers, several active cells
-// and the previous window ran at least poolMinEvents events, inline on the
-// coordinator otherwise — then folds per-cell run errors and buffered
-// lookahead violations into the deterministic lowest-cell-index error. The
-// window plan is the same either way; only the goroutine running each cell
-// differs.
+// runWindow runs every active cell up to its boundary, in index order, and
+// returns the first failure by cell index: a cell's RunUntil error, or a
+// lookahead violation one of its handlers buffered. A cell's handlers run
+// only while it runs, so a later cell cannot fail an earlier one.
 func (sh *Sharded) runWindow() error {
-	if sh.workers > 1 && len(sh.active) > 1 && sh.lastWindow >= poolMinEvents {
-		sh.dispatches++
-		sh.dispatch()
-	} else {
-		for _, i := range sh.active {
-			sh.errs[i] = sh.cells[i].RunUntil(sh.cellEnd[i])
-		}
-	}
-	for i := range sh.cells {
-		err := sh.errs[i]
+	for _, i := range sh.active {
+		err := sh.cells[i].RunUntil(sh.cellEnd[i])
 		if err == nil {
 			err = sh.sendErr[i]
 		}
@@ -382,92 +299,11 @@ func (sh *Sharded) runWindow() error {
 	return nil
 }
 
-// dispatch hands the active list to the parked worker pool and blocks until
-// every cell has run. The epoch bump under the mutex publishes the
-// coordinator's writes (peek, cellEnd, active, delivered events) to the
-// workers; the final pending decrement publishes the workers' writes back.
-func (sh *Sharded) dispatch() {
-	sh.mu.Lock()
-	sh.nextIdx.Store(0)
-	sh.pending = sh.workers
-	sh.epoch++
-	sh.cond.Broadcast()
-	for sh.pending > 0 {
-		sh.done.Wait()
-	}
-	sh.mu.Unlock()
-}
-
-// worker is one pool goroutine: it parks on the condition variable until the
-// coordinator opens a new epoch, claims active cells through the shared
-// atomic cursor, runs each to its boundary, and reports completion. It exits
-// when poolStop is set. epoch is the pool-start epoch, captured before any
-// window can be dispatched, so a worker that is slow to start still sees the
-// first dispatch as a fresh epoch.
-func (sh *Sharded) worker(epoch uint64) {
-	defer sh.poolWG.Done()
-	sh.mu.Lock()
-	for {
-		for sh.epoch == epoch && !sh.poolStop {
-			sh.cond.Wait()
-		}
-		if sh.poolStop {
-			sh.mu.Unlock()
-			return
-		}
-		epoch = sh.epoch
-		sh.mu.Unlock()
-		for {
-			i := int(sh.nextIdx.Add(1)) - 1
-			if i >= len(sh.active) {
-				break
-			}
-			cell := sh.active[i]
-			sh.errs[cell] = sh.cells[cell].RunUntil(sh.cellEnd[cell])
-		}
-		sh.mu.Lock()
-		sh.pending--
-		if sh.pending == 0 {
-			sh.done.Signal()
-		}
-	}
-}
-
-// startPool launches the persistent worker pool for one Run and returns its
-// shutdown function, which returns only once every worker has exited. The
-// pool allocates O(workers) once per Run, not per window.
-func (sh *Sharded) startPool() (stop func()) {
-	sh.mu.Lock()
-	sh.poolStop = false
-	base := sh.epoch
-	sh.mu.Unlock()
-	sh.poolWG.Add(sh.workers)
-	for w := 0; w < sh.workers; w++ {
-		go sh.worker(base)
-	}
-	return func() {
-		sh.mu.Lock()
-		sh.poolStop = true
-		sh.cond.Broadcast()
-		sh.mu.Unlock()
-		sh.poolWG.Wait()
-	}
-}
-
 // Run executes all cells to completion (or to the horizon, inclusive, when
 // horizon > 0), window by window. On return every cell's clock is at the
 // horizon (when one is set) or at its last event. Run reports the first
-// error by cell index — deterministic regardless of which worker hit it
-// first.
+// error by cell index.
 func (sh *Sharded) Run(horizon time.Duration) error {
-	defer sh.snapshotProcessed()
-	for i := range sh.errs {
-		sh.errs[i] = nil
-	}
-	if sh.workers > 1 {
-		defer sh.startPool()()
-	}
-	total := sh.snapshotProcessed()
 	for {
 		if err := sh.flush(); err != nil {
 			return err
@@ -484,9 +320,6 @@ func (sh *Sharded) Run(horizon time.Duration) error {
 		if err := sh.runWindow(); err != nil {
 			return err
 		}
-		prev := total
-		total = sh.snapshotProcessed()
-		sh.lastWindow = total - prev
 	}
 	if err := sh.flush(); err != nil { // nothing pending unless the horizon cut the run short
 		return err

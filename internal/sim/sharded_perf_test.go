@@ -42,31 +42,19 @@ func runChunks(sh *Sharded, chunk time.Duration) (step func() error) {
 // burstRing wires a ring like shardedRing's in which every cell is active
 // every window and each arrival fans out into burst local events at random
 // offsets inside the lookahead, each spinning work rounds of arithmetic, so
-// a window runs about cells×burst events: above poolMinEvents when burst is
-// large. fired, when non-nil, is called by every burst event with its cell
-// and that cell's event counter, on the goroutine running the cell. The
-// returned step runs one horizon chunk, as shardedRing's does.
-func burstRing(sh *Sharded, burst, work int, chunk time.Duration, fired func(cell int, id uint64)) (step func() error) {
+// a window runs about cells×burst events. The returned step runs one horizon
+// chunk, as shardedRing's does.
+func burstRing(sh *Sharded, burst, work int, chunk time.Duration) (step func() error) {
 	cells := sh.Cells()
 	lookahead := sh.Lookahead()
-	// Per-cell counters, a cache line apart so cells on different workers
-	// do not share one; sink keeps the spin from being optimized away.
-	type cellState struct {
-		id, sink uint64
-		_        [48]byte
-	}
-	state := make([]cellState, cells)
+	// sink keeps each cell's spin from being optimized away.
+	sink := make([]uint64, cells)
 	spin := func(_ *Engine, _ any, arg int64) {
-		st := &state[arg]
-		x := st.id
+		x := sink[arg]
 		for k := 0; k < work; k++ {
 			x = x*6364136223846793005 + 1442695040888963407
 		}
-		st.sink ^= x
-		st.id++
-		if fired != nil {
-			fired(int(arg), st.id)
-		}
+		sink[arg] = x
 	}
 	fns := make([]func(), cells)
 	for i := range fns {
@@ -87,14 +75,11 @@ func burstRing(sh *Sharded, burst, work int, chunk time.Duration, fired func(cel
 
 // TestShardedSteadyStateBarrierAllocFree pins the zero-alloc barrier: once
 // the merge buffer, outboxes, and cell heaps have warmed up, a full
-// windows-and-barriers Run cycle allocates nothing. The single-worker
-// coordinator path is the one measured — the pooled path additionally pays
-// O(workers) goroutine launches per Run (not per window), which
-// testing.AllocsPerRun would count against every iteration.
+// windows-and-barriers Run cycle allocates nothing.
 func TestShardedSteadyStateBarrierAllocFree(t *testing.T) {
 	// Windowing is always adaptive; the subtest is named for it.
 	t.Run("adaptive", func(t *testing.T) {
-		sh, err := NewSharded(ShardedConfig{Seed: 7, Cells: 4, Lookahead: time.Millisecond, Workers: 1})
+		sh, err := NewSharded(ShardedConfig{Seed: 7, Cells: 4, Lookahead: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,12 +101,12 @@ func TestShardedSteadyStateBarrierAllocFree(t *testing.T) {
 }
 
 // benchBarrier measures the windows-and-barriers machinery itself: the ring
-// events do nothing but forward, so ns/op is dominated by window planning,
-// dispatch, and flush. dense keeps every cell active each window; sparse
-// leaves most cells idle so the run is all barrier overhead over one live
-// chain — the regime idle-cell skipping and adaptive windowing target.
-func benchBarrier(b *testing.B, cells, activeCells, workers int) {
-	sh, err := NewSharded(ShardedConfig{Seed: 7, Cells: cells, Lookahead: time.Millisecond, Workers: workers})
+// events do nothing but forward, so ns/op is dominated by window planning
+// and flush. dense keeps every cell active each window; sparse leaves most
+// cells idle so the run is all barrier overhead over one live chain — the
+// regime idle-cell skipping and adaptive windowing target.
+func benchBarrier(b *testing.B, cells, activeCells int) {
+	sh, err := NewSharded(ShardedConfig{Seed: 7, Cells: cells, Lookahead: time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -129,28 +114,25 @@ func benchBarrier(b *testing.B, cells, activeCells, workers int) {
 }
 
 // benchHeavy measures windows of eight cells, each running burst events of
-// 200 spin rounds per window. At burst 64 (~512 events) a Workers 2 run
-// hands every window after the first to the pool, and against Workers 1
-// it shows what the pool buys once a window is big enough to pay for the
-// hand-off. At burst 16 (~128 events) the window sits near the measured
-// crossover and below poolMinEvents, so it runs inline unless the
-// shardequiv tag forces it through the pool.
-func benchHeavy(b *testing.B, burst, workers int) {
-	sh, err := NewSharded(ShardedConfig{Seed: 7, Cells: 8, Lookahead: time.Millisecond, Workers: workers})
+// 200 spin rounds per window: about 512 events a window at burst 64 and 128
+// at burst 16, so the barrier's share of ns/op shrinks as burst grows.
+func benchHeavy(b *testing.B, burst int) {
+	sh, err := NewSharded(ShardedConfig{Seed: 7, Cells: 8, Lookahead: time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSteps(b, sh, burstRing(sh, burst, 200, 20*time.Millisecond, nil))
+	benchSteps(b, sh, burstRing(sh, burst, 200, 20*time.Millisecond))
 }
 
 // benchSteps warms step up, then times b.N calls and reports the events
-// processed, warm-up included, per call.
+// processed per timed call.
 func benchSteps(b *testing.B, sh *Sharded, step func() error) {
 	for i := 0; i < 4; i++ {
 		if err := step(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	warm := sh.Processed()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -159,21 +141,14 @@ func benchSteps(b *testing.B, sh *Sharded, step func() error) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(sh.Processed())/float64(b.N), "events/op")
+	b.ReportMetric(float64(sh.Processed()-warm)/float64(b.N), "events/op")
 }
 
 func BenchmarkShardedBarrier(b *testing.B) {
 	// The names keep the -adaptive suffix so rows compare like for like
-	// with the committed BENCH_<n>.json baselines. The -w2 rows run two
-	// workers: dense, sparse and heavy16 windows stay below poolMinEvents
-	// and run inline, heavy ones go to the pool. Under the shardequiv tag
-	// every -w2 row uses the pool.
-	b.Run("dense-adaptive", func(b *testing.B) { benchBarrier(b, 8, 8, 1) })
-	b.Run("sparse-adaptive", func(b *testing.B) { benchBarrier(b, 8, 1, 1) })
-	b.Run("dense-adaptive-w2", func(b *testing.B) { benchBarrier(b, 8, 8, 2) })
-	b.Run("sparse-adaptive-w2", func(b *testing.B) { benchBarrier(b, 8, 1, 2) })
-	b.Run("heavy", func(b *testing.B) { benchHeavy(b, 64, 1) })
-	b.Run("heavy-w2", func(b *testing.B) { benchHeavy(b, 64, 2) })
-	b.Run("heavy16", func(b *testing.B) { benchHeavy(b, 16, 1) })
-	b.Run("heavy16-w2", func(b *testing.B) { benchHeavy(b, 16, 2) })
+	// with the committed BENCH_<n>.json baselines.
+	b.Run("dense-adaptive", func(b *testing.B) { benchBarrier(b, 8, 8) })
+	b.Run("sparse-adaptive", func(b *testing.B) { benchBarrier(b, 8, 1) })
+	b.Run("heavy", func(b *testing.B) { benchHeavy(b, 64) })
+	b.Run("heavy16", func(b *testing.B) { benchHeavy(b, 16) })
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -27,13 +28,6 @@ func TestShardedValidation(t *testing.T) {
 	}
 	if _, err := NewSharded(ShardedConfig{Cells: 2, Lookahead: 0}); err == nil {
 		t.Error("zero lookahead accepted")
-	}
-	sh, err := NewSharded(ShardedConfig{Cells: 3, Lookahead: time.Second, Workers: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.Workers() != 3 {
-		t.Errorf("Workers = %d, want clamp to 3 cells", sh.Workers())
 	}
 }
 
@@ -115,46 +109,45 @@ func TestShardedHorizonClocks(t *testing.T) {
 func TestShardedMergeOrderSameTimestamp(t *testing.T) {
 	// Cross-cell sends from different source cells arriving at the same
 	// destination timestamp must run in source-cell order, then per-source
-	// send order — regardless of worker count.
-	for _, workers := range []int{1, 2, 4} {
-		sh, err := NewSharded(ShardedConfig{Cells: 4, Lookahead: time.Second, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		arrival := 3 * time.Second
-		for _, src := range []int{3, 1, 2} {
-			src := src
-			sh.Cell(src).ScheduleAfter(time.Second, func(*Engine) {
-				for k := 0; k < 2; k++ {
-					k := k
-					sh.Send(src, 0, arrival, func() { //nolint:errcheck // surfaced by Run
-						got = append(got, fmt.Sprintf("src%d.%d", src, k))
-					})
-				}
-			})
-		}
-		if err := sh.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		want := []string{"src1.0", "src1.1", "src2.0", "src2.1", "src3.0", "src3.1"}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: merge order %v, want %v", workers, got, want)
-		}
+	// send order.
+	sh, err := NewSharded(ShardedConfig{Cells: 4, Lookahead: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	arrival := 3 * time.Second
+	for _, src := range []int{3, 1, 2} {
+		src := src
+		sh.Cell(src).ScheduleAfter(time.Second, func(*Engine) {
+			for k := 0; k < 2; k++ {
+				k := k
+				sh.Send(src, 0, arrival, func() { //nolint:errcheck // surfaced by Run
+					got = append(got, fmt.Sprintf("src%d.%d", src, k))
+				})
+			}
+		})
+	}
+	if err := sh.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"src1.0", "src1.1", "src2.0", "src2.1", "src3.0", "src3.1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("merge order %v, want %v", got, want)
 	}
 }
 
 // shardedTrace runs a fixed cross-cell ping-pong workload (with per-cell RNG
-// draws, so RNG state is part of what must be invariant) and returns each
-// cell's event trace.
-func shardedTrace(t *testing.T, workers int) ([][]string, uint64) {
+// draws, so RNG state is part of what must be invariant) to its horizon in
+// runs equal chunks, and returns each cell's event trace and the events
+// processed.
+func shardedTrace(t *testing.T, runs int) ([][]string, uint64) {
 	t.Helper()
 	const (
 		cells     = 4
 		lookahead = 100 * time.Millisecond
 		horizon   = 20 * time.Second
 	)
-	sh, err := NewSharded(ShardedConfig{Seed: 42, Cells: cells, Lookahead: lookahead, Workers: workers})
+	sh, err := NewSharded(ShardedConfig{Seed: 42, Cells: cells, Lookahead: lookahead})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,26 +170,29 @@ func shardedTrace(t *testing.T, workers int) ([][]string, uint64) {
 		c := c
 		sh.Cell(c).ScheduleAfter(time.Duration(c+1)*time.Second, func(*Engine) { loop(c, 0)() })
 	}
-	if err := sh.Run(horizon); err != nil {
-		t.Fatal(err)
+	step := runChunks(sh, horizon/time.Duration(runs))
+	for i := 0; i < runs; i++ {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return traces, sh.Processed()
 }
 
-func TestShardedWorkerCountInvariance(t *testing.T) {
-	// Windowing is always adaptive; the subtest is named for it.
-	t.Run("adaptive", func(t *testing.T) {
-		base, baseN := shardedTrace(t, 1)
-		for _, workers := range []int{2, 4, 8} {
-			got, n := shardedTrace(t, workers)
-			if n != baseN {
-				t.Errorf("workers=%d: processed %d events, want %d", workers, n, baseN)
-			}
-			if !reflect.DeepEqual(got, base) {
-				t.Errorf("workers=%d: traces diverge from single-worker run", workers)
-			}
+func TestShardedRepeatedRunsInvariance(t *testing.T) {
+	// Advancing a run in horizon chunks, as the cdn model does between
+	// audit sweeps, must fire the same events at the same times with the
+	// same RNG draws as one Run to the final horizon.
+	base, baseN := shardedTrace(t, 1)
+	for _, runs := range []int{4, 10, 200} {
+		got, n := shardedTrace(t, runs)
+		if n != baseN {
+			t.Errorf("runs=%d: processed %d events, want %d", runs, n, baseN)
 		}
-	})
+		if !reflect.DeepEqual(got, base) {
+			t.Errorf("runs=%d: traces diverge from the single-Run trace", runs)
+		}
+	}
 }
 
 func TestShardedAdaptiveLookaheadViolation(t *testing.T) {
@@ -294,7 +290,7 @@ func TestShardedBarrierHook(t *testing.T) {
 }
 
 func TestShardedIdleCellClockLags(t *testing.T) {
-	// An idle cell is never dispatched: its clock stays put across barriers
+	// An idle cell is never run: its clock stays put across barriers
 	// (the hook observes it lagging) and only the final horizon pass lands it
 	// on the horizon.
 	sh, err := NewSharded(ShardedConfig{Cells: 2, Lookahead: time.Second})
@@ -326,17 +322,65 @@ func TestShardedIdleCellClockLags(t *testing.T) {
 	}
 }
 
-func TestShardedProcessedConcurrent(t *testing.T) {
-	// Processed must be safe to read while Run is in flight (barrier-level
-	// snapshots) and exact once Run returns.
-	sh, err := NewSharded(ShardedConfig{Cells: 4, Lookahead: 10 * time.Millisecond, Workers: 4})
+func TestShardedLowestIndexError(t *testing.T) {
+	// Cells 1 and 3 both fail in the first window, one with a lookahead
+	// violation and one at the event limit. Run must report cell 1's
+	// failure whichever kind it is.
+	for _, tc := range []struct {
+		name            string
+		violate, runOut int
+		want            error
+	}{
+		{"violation-first", 1, 3, ErrLookaheadViolation},
+		{"limit-first", 3, 1, ErrEventLimit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sh, err := NewSharded(ShardedConfig{Cells: 4, Lookahead: time.Second, MaxEventsPerCell: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every cell holds an event at 1s, so each window boundary is
+			// 2s and both failures land in the first window.
+			for i := 0; i < sh.Cells(); i++ {
+				sh.Cell(i).ScheduleAfter(time.Second, func(*Engine) {})
+			}
+			src := tc.violate
+			sh.Cell(src).ScheduleAfter(time.Second, func(*Engine) {
+				sh.Send(src, 0, 1500*time.Millisecond, func() {}) //nolint:errcheck // surfaced by Run
+			})
+			var chain Handler
+			chain = func(e *Engine) { e.ScheduleAfter(time.Millisecond, chain) }
+			sh.Cell(tc.runOut).ScheduleAfter(time.Second, chain)
+			windows := 0
+			sh.SetBarrierHook(func(time.Duration) error { windows++; return nil })
+			err = sh.Run(0)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("Run = %v, want %v", err, tc.want)
+			}
+			if !strings.Contains(err.Error(), "cell 1:") {
+				t.Errorf("Run = %v, want cell 1's error", err)
+			}
+			if windows != 1 {
+				t.Errorf("failures surfaced after %d windows, want 1", windows)
+			}
+		})
+	}
+}
+
+func TestShardedProcessedCountsEveryEvent(t *testing.T) {
+	// Processed is the sum of the cells' counts and equals the events the
+	// handlers saw, both after a Run cut short by a horizon (events stay
+	// queued) and after the Run that drains the rest.
+	sh, err := NewSharded(ShardedConfig{Cells: 4, Lookahead: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const hops = 200
+	var fired uint64
 	var chain func(cell, hop int) func()
 	chain = func(cell, hop int) func() {
 		return func() {
+			fired++
 			if hop >= hops {
 				return
 			}
@@ -345,98 +389,29 @@ func TestShardedProcessedConcurrent(t *testing.T) {
 			sh.Send(cell, dst, at, chain(dst, hop+1)) //nolint:errcheck // surfaced by Run
 		}
 	}
-	sh.Cell(0).ScheduleAfter(time.Millisecond, func(*Engine) { chain(0, 0)() })
-	stop := make(chan struct{})
-	read := make(chan struct{})
-	go func() {
-		defer close(read)
-		var last uint64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			n := sh.Processed()
-			if n < last {
-				t.Errorf("Processed went backwards: %d after %d", n, last)
-				return
-			}
-			last = n
+	sh.Cell(0).ScheduleAtCall(time.Millisecond, chain(0, 0)) //nolint:errcheck // setup time is never in the past
+	check := func(when string) {
+		t.Helper()
+		var sum uint64
+		for i := 0; i < sh.Cells(); i++ {
+			sum += sh.Cell(i).Processed()
 		}
-	}()
+		if got := sh.Processed(); got != sum || got != fired {
+			t.Errorf("%s: Processed = %d, cells sum to %d, handlers fired %d", when, got, sum, fired)
+		}
+	}
+	if err := sh.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	check("after a horizon-cut Run")
+	if fired == 0 || fired > hops {
+		t.Fatalf("horizon-cut Run fired %d events, want some but not all %d", fired, hops+1)
+	}
 	if err := sh.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	close(stop)
-	<-read
-	var want uint64
-	for i := 0; i < sh.Cells(); i++ {
-		want += sh.Cell(i).Processed()
-	}
-	if got := sh.Processed(); got != want {
-		t.Errorf("Processed = %d after Run, want exact %d", got, want)
-	}
-}
-
-// burstTrace runs burstRing on 4 cells (windows of about 400 events, above
-// poolMinEvents) to 30 ms in runs equal horizon chunks, and returns each
-// cell's fired (id, time) sequence, the events processed, and how many
-// windows went to the worker pool.
-func burstTrace(t *testing.T, workers, runs int) ([][]string, uint64, uint64) {
-	t.Helper()
-	const cells = 4
-	sh, err := NewSharded(ShardedConfig{Seed: 11, Cells: cells, Lookahead: time.Millisecond, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := make([][]string, cells) // each written only by its own cell's events
-	step := burstRing(sh, 100, 0, 30*time.Millisecond/time.Duration(runs), func(cell int, id uint64) {
-		traces[cell] = append(traces[cell], fmt.Sprintf("%d@%v", id, sh.Cell(cell).Now()))
-	})
-	for i := 0; i < runs; i++ {
-		if err := step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return traces, sh.Processed(), sh.dispatches
-}
-
-func TestShardedPoolDispatchInvariance(t *testing.T) {
-	// Windows above the gate go to the pool at Workers > 1, and the pool
-	// must fire the same events at the same times as the inline coordinator.
-	base, baseN, baseD := burstTrace(t, 1, 1)
-	if baseD != 0 {
-		t.Errorf("workers=1: %d windows dispatched to a pool, want 0", baseD)
-	}
-	for _, workers := range []int{2, 4} {
-		got, n, d := burstTrace(t, workers, 1)
-		if d == 0 {
-			t.Errorf("workers=%d: no window reached the pool", workers)
-		}
-		if n != baseN {
-			t.Errorf("workers=%d: processed %d events, want %d", workers, n, baseN)
-		}
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d: fired sequences diverge from the single-worker run", workers)
-		}
-	}
-}
-
-func TestShardedRepeatedRunsJoinPool(t *testing.T) {
-	// Each Run starts a pool and must retire it before returning: a worker
-	// left over from one Run would join the next Run's pool, undercount its
-	// pending workers, and let the coordinator plan a window while a cell
-	// is still running (a data race under -race, a corrupted heap without).
-	base, baseN, _ := burstTrace(t, 1, 10)
-	got, n, d := burstTrace(t, 2, 10)
-	if d == 0 {
-		t.Fatal("no window reached the pool")
-	}
-	if n != baseN {
-		t.Errorf("processed %d events over 10 runs, want %d", n, baseN)
-	}
-	if !reflect.DeepEqual(got, base) {
-		t.Error("fired sequences over 10 runs diverge from the single-worker run")
+	check("after a full Run")
+	if fired != hops+1 {
+		t.Errorf("full Run fired %d events, want %d", fired, hops+1)
 	}
 }
