@@ -1,10 +1,14 @@
 package figures
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"cdnconsistency/internal/traceimport"
 )
 
 var (
@@ -41,24 +45,53 @@ func checkTable(t *testing.T, tab *Table, err error, wantID string) {
 	}
 }
 
+// pinOf is the sha256 prefix the Section-3 pins compare.
+func pinOf(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestTraceFigures renders every Section-3 table on the small crawl and pins
+// each rendering, every row included, by a sha256 prefix of its bytes.
 func TestTraceFigures(t *testing.T) {
 	env := smallEnv(t)
 	type gen func(*TraceEnv) (*Table, error)
 	cases := []struct {
-		id string
-		fn gen
+		id  string
+		fn  gen
+		pin string
 	}{
-		{"fig03", Fig03}, {"fig04", Fig04}, {"fig05", Fig05},
-		{"fig06", Fig06}, {"fig07", Fig07}, {"fig08", Fig08},
-		{"fig09", Fig09}, {"fig10", Fig10}, {"fig11", Fig11},
-		{"fig12", Fig12}, {"tree-verdict", TreeVerdictTable},
+		{"fig03", Fig03, "9a8efb395b0aa87a"}, {"fig04", Fig04, "e947e16d9b7eb832"}, {"fig05", Fig05, "0ab9dbdede15ec7d"},
+		{"fig06", Fig06, "6c9f29ac23953508"}, {"fig07", Fig07, "a1f04d1ad17c90c2"}, {"fig08", Fig08, "0ad708849a26eb3c"},
+		{"fig09", Fig09, "bf113159b3f0274c"}, {"fig10", Fig10, "f6e2d766f4f4896c"}, {"fig11", Fig11, "264eee610f96ad84"},
+		{"fig12", Fig12, "201eeb7c92b92cdf"}, {"tree-verdict", TreeVerdictTable, "f394105fae7b7a98"},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.id, func(t *testing.T) {
 			tab, err := c.fn(env)
 			checkTable(t, tab, err, c.id)
+			if got := pinOf([]byte(tab.String())); got != c.pin {
+				t.Errorf("%s renders pin %s, want %s:\n%s", c.id, got, c.pin, tab)
+			}
 		})
+	}
+}
+
+// TestTraceImportPin pins the bundle traceimport.Infer marshals from the
+// same small crawl.
+func TestTraceImportPin(t *testing.T) {
+	env := smallEnv(t)
+	b, err := traceimport.Infer(env.Dataset.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := b.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pinOf(out), "8cff4bfafd0312e2"; got != want {
+		t.Errorf("bundle pin %s, want %s:\n%s", got, want, out)
 	}
 }
 
