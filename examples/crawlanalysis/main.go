@@ -68,12 +68,7 @@ func main() {
 	fmt.Printf("distance vs consistency correlation: r = %+.2f — weak\n", corr)
 
 	// 5. Is there a multicast tree? (Figures 11-12)
-	clusters := map[string][]string{}
-	for _, s := range ds.Trace.Servers {
-		key := fmt.Sprintf("city-%d", s.City)
-		clusters[key] = append(clusters[key], s.ID)
-	}
-	verdict, err := ds.TreeExistence(clusters, ttl)
+	verdict, err := ds.TreeExistence(ds.CityClusters(), ttl)
 	if err != nil {
 		log.Fatalf("tree test: %v", err)
 	}

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -200,12 +199,7 @@ func TestIntegrationAbsenceEffect(t *testing.T) {
 // so the tree-existence battery must find no tree.
 func TestIntegrationNoTree(t *testing.T) {
 	d := genDataset(t)
-	clusters := map[string][]string{}
-	for _, s := range d.Trace.Servers {
-		key := fmt.Sprintf("city-%d", s.City)
-		clusters[key] = append(clusters[key], s.ID)
-	}
-	v, err := d.TreeExistence(clusters, 60*time.Second)
+	v, err := d.TreeExistence(d.CityClusters(), 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,12 +80,7 @@ func (d *Dataset) Summarize() (*Section3Summary, error) {
 		out.MeanRedirectFrac, _ = stats.Mean(uv.RedirectFractions)
 	}
 
-	clusters := make(map[string][]string)
-	for _, s := range d.Trace.Servers {
-		key := fmt.Sprintf("city-%d", s.City)
-		clusters[key] = append(clusters[key], s.ID)
-	}
-	verdict, err := d.TreeExistence(clusters, ttl)
+	verdict, err := d.TreeExistence(d.CityClusters(), ttl)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -161,5 +163,43 @@ func TestUserViewOpenEndedInconsistencyRun(t *testing.T) {
 	// at 90 (zero-length, flushed at last record; excluded as <=0).
 	if len(uv.ContinuousInconsistency) != 1 {
 		t.Errorf("inconsistency runs = %v", uv.ContinuousInconsistency)
+	}
+}
+
+// TestResampledRunsInUserOrder requires the runs user by user, in user-id
+// order: user k (of 16) sees one stale run of (k+1)*10 s, so the runs must
+// read 10, 20, ..., 160 on every call.
+func TestResampledRunsInUserOrder(t *testing.T) {
+	tr := &trace.Trace{
+		Meta:    trace.Meta{Days: 1, PollInterval: 10 * time.Second, DayLength: 300 * time.Second},
+		Servers: []trace.ServerInfo{{ID: "s1"}},
+	}
+	var want []float64
+	for k := 15; k >= 0; k-- {
+		user := fmt.Sprintf("u%02d", k)
+		stale := k + 1
+		for step := 0; step <= stale+1; step++ {
+			snap := 1
+			if step == 0 || step == stale+1 {
+				snap = 2
+			}
+			tr.Records = append(tr.Records, trace.PollRecord{
+				Server: "s1", Poller: user, UserView: true,
+				At: time.Duration(10+10*step) * time.Second, Snapshot: snap,
+			})
+		}
+	}
+	for k := 0; k < 16; k++ {
+		want = append(want, float64(10*(k+1)))
+	}
+	d := mustDataset(t, tr)
+	for call := 0; call < 5; call++ {
+		runs, err := d.ResampledInconsistencyRuns(0, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(runs, want) {
+			t.Fatalf("call %d: runs = %v, want %v", call, runs, want)
+		}
 	}
 }

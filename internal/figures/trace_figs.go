@@ -136,20 +136,14 @@ func Fig04(env *TraceEnv) (*Table, error) {
 // clusters, cluster-local alphas); its CDF is ~linear on [0, TTL].
 func Fig05(env *TraceEnv) (*Table, error) {
 	d := env.Dataset
-	byCity := make(map[int]map[string]bool)
-	for _, s := range d.Trace.Servers {
-		if byCity[s.City] == nil {
-			byCity[s.City] = make(map[string]bool)
-		}
-		byCity[s.City][s.ID] = true
-	}
+	clusters := d.CityClusters()
 	var lengths []float64
 	for day := 0; day < d.Days(); day++ {
-		for _, members := range byCity {
-			if len(members) < 2 {
+		for _, c := range clusters {
+			if len(c.Members) < 2 {
 				continue
 			}
-			ri, err := d.ScopedInconsistencies(day, members, members)
+			ri, err := d.ScopedInconsistencies(day, c.Members, c.Members)
 			if err != nil {
 				return nil, err
 			}
@@ -345,11 +339,7 @@ func Fig10(env *TraceEnv) (*Table, error) {
 // Fig11 regenerates Figure 11: the static-tree existence tests.
 func Fig11(env *TraceEnv) (*Table, error) {
 	d := env.Dataset
-	clusters := make(map[string][]string)
-	for _, s := range d.Trace.Servers {
-		key := fmt.Sprintf("city-%d", s.City)
-		clusters[key] = append(clusters[key], s.ID)
-	}
+	clusters := d.CityClusters()
 	daily, err := d.ClusterDailyInconsistency(clusters)
 	if err != nil {
 		return nil, fmt.Errorf("figures: fig11: %w", err)
@@ -415,11 +405,7 @@ func Fig12(env *TraceEnv) (*Table, error) {
 // TreeVerdictTable summarizes the Section 3.5 conclusion.
 func TreeVerdictTable(env *TraceEnv) (*Table, error) {
 	d := env.Dataset
-	clusters := make(map[string][]string)
-	for _, s := range d.Trace.Servers {
-		key := fmt.Sprintf("city-%d", s.City)
-		clusters[key] = append(clusters[key], s.ID)
-	}
+	clusters := d.CityClusters()
 	v, err := d.TreeExistence(clusters, 60*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("figures: verdict: %w", err)
