@@ -17,6 +17,7 @@ import (
 	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/costmodel"
+	"cdnconsistency/internal/runner"
 	"cdnconsistency/internal/topology"
 	"cdnconsistency/internal/workload"
 )
@@ -264,20 +265,42 @@ type ContentResult struct {
 	BudgetMet bool
 }
 
-// RunFleet simulates every content over a shared topology with the method
-// the assignment gives it and aggregates the fleet bill.
-func RunFleet(cat *Catalog, assign func(Content) consistency.Method,
-	topoCfg topology.Config, ttl time.Duration, seed int64) (*FleetResult, error) {
+// RunFleets simulates every content over a shared topology under each
+// assignment and aggregates one fleet bill per assignment. A (content,
+// method) pair that several assignments share is simulated once, the
+// distinct runs fanned out over up to workers goroutines; events totals
+// their simulation events.
+func RunFleets(cat *Catalog, assigns []func(Content) consistency.Method,
+	topoCfg topology.Config, ttl time.Duration, seed int64, workers int) (fleets []*FleetResult, events uint64, err error) {
 	if cat == nil || len(cat.Contents) == 0 {
-		return nil, fmt.Errorf("catalog: empty catalog")
+		return nil, 0, fmt.Errorf("catalog: empty catalog")
 	}
-	if assign == nil {
-		return nil, fmt.Errorf("catalog: nil assignment")
+	type pair struct {
+		content int
+		method  consistency.Method
 	}
-	res := &FleetResult{}
-	var staleSum float64
-	for i, c := range cat.Contents {
-		m := assign(c)
+	// runOf[f][i] is the distinct run behind fleet f's content i.
+	at := make(map[pair]int)
+	var pairs []pair
+	runOf := make([][]int, len(assigns))
+	for f, assign := range assigns {
+		if assign == nil {
+			return nil, 0, fmt.Errorf("catalog: nil assignment")
+		}
+		for i, c := range cat.Contents {
+			p := pair{i, assign(c)}
+			k, ok := at[p]
+			if !ok {
+				k = len(pairs)
+				at[p] = k
+				pairs = append(pairs, p)
+			}
+			runOf[f] = append(runOf[f], k)
+		}
+	}
+	outs, err := runner.Collect(workers, len(pairs), func(k int) (*cdn.Result, error) {
+		i, m := pairs[k].content, pairs[k].method
+		c := cat.Contents[i]
 		tc := topoCfg
 		tc.UsersPerServer = c.UsersPerServer
 		updates, err := workload.Schedule(c.Game, seed+int64(i))
@@ -285,7 +308,7 @@ func RunFleet(cat *Catalog, assign func(Content) consistency.Method,
 			return nil, fmt.Errorf("catalog: %s: %w", c.ID, err)
 		}
 		if len(updates) == 0 {
-			continue // a silent content costs nothing
+			return nil, nil // a silent content costs nothing
 		}
 		out, err := cdn.Run(cdn.Config{
 			Method:       m,
@@ -300,22 +323,44 @@ func RunFleet(cat *Catalog, assign func(Content) consistency.Method,
 		if err != nil {
 			return nil, fmt.Errorf("catalog: %s (%v): %w", c.ID, m, err)
 		}
-		tot := out.Accounting.Total()
-		staleness := out.MeanServerInconsistency()
-		cr := ContentResult{
-			ID: c.ID, Method: m, Staleness: staleness, KB: tot.KB,
-			BudgetMet: staleness <= c.StalenessBudget.Seconds(),
-		}
-		res.PerContent = append(res.PerContent, cr)
-		res.TotalKB += tot.KB
-		res.TotalKmKB += tot.KmKB
-		staleSum += staleness
-		if miss := staleness - c.StalenessBudget.Seconds(); miss > res.WorstBudgetMiss {
-			res.WorstBudgetMiss = miss
+		return out, nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, out := range outs {
+		if out != nil {
+			events += out.Events
 		}
 	}
-	if n := len(res.PerContent); n > 0 {
-		res.MeanStaleness = staleSum / float64(n)
+	// Each fleet's bill sums its contents in catalog order.
+	for f := range assigns {
+		res := &FleetResult{}
+		var staleSum float64
+		for i, c := range cat.Contents {
+			k := runOf[f][i]
+			out, m := outs[k], pairs[k].method
+			if out == nil {
+				continue
+			}
+			tot := out.Accounting.Total()
+			staleness := out.MeanServerInconsistency()
+			cr := ContentResult{
+				ID: c.ID, Method: m, Staleness: staleness, KB: tot.KB,
+				BudgetMet: staleness <= c.StalenessBudget.Seconds(),
+			}
+			res.PerContent = append(res.PerContent, cr)
+			res.TotalKB += tot.KB
+			res.TotalKmKB += tot.KmKB
+			staleSum += staleness
+			if miss := staleness - c.StalenessBudget.Seconds(); miss > res.WorstBudgetMiss {
+				res.WorstBudgetMiss = miss
+			}
+		}
+		if n := len(res.PerContent); n > 0 {
+			res.MeanStaleness = staleSum / float64(n)
+		}
+		fleets = append(fleets, res)
 	}
-	return res, nil
+	return fleets, events, nil
 }

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -114,18 +115,15 @@ func TestRunFleetPlannerVsFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := RunFleet(cat, func(c Content) consistency.Method { return plan[c.ID] }, topoCfg, ttl, 3)
+	fleets, _, err := RunFleets(cat, []func(Content) consistency.Method{
+		func(c Content) consistency.Method { return plan[c.ID] },
+		func(Content) consistency.Method { return consistency.MethodPush },
+		func(Content) consistency.Method { return consistency.MethodTTL },
+	}, topoCfg, ttl, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allPush, err := RunFleet(cat, func(Content) consistency.Method { return consistency.MethodPush }, topoCfg, ttl, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allTTL, err := RunFleet(cat, func(Content) consistency.Method { return consistency.MethodTTL }, topoCfg, ttl, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	planned, allPush, allTTL := fleets[0], fleets[1], fleets[2]
 
 	// The planner must be cheaper than pushing everything...
 	if planned.TotalKB >= allPush.TotalKB {
@@ -144,14 +142,15 @@ func TestRunFleetPlannerVsFixed(t *testing.T) {
 func TestRunFleetValidation(t *testing.T) {
 	cat := smallCatalog(t, 4)
 	topoCfg := topology.Config{Servers: 10, Seed: 1}
-	if _, err := RunFleet(nil, nil, topoCfg, time.Minute, 1); err == nil {
+	ttlOnly := []func(Content) consistency.Method{func(Content) consistency.Method { return consistency.MethodTTL }}
+	if _, _, err := RunFleets(nil, ttlOnly, topoCfg, time.Minute, 1, 1); err == nil {
 		t.Error("nil catalog accepted")
 	}
-	if _, err := RunFleet(cat, nil, topoCfg, time.Minute, 1); err == nil {
+	if _, _, err := RunFleets(cat, append(ttlOnly, nil), topoCfg, time.Minute, 1, 1); err == nil {
 		t.Error("nil assignment accepted")
 	}
 	bad := topology.Config{Servers: 0}
-	if _, err := RunFleet(cat, func(Content) consistency.Method { return consistency.MethodTTL }, bad, time.Minute, 1); err == nil {
+	if _, _, err := RunFleets(cat, ttlOnly, bad, time.Minute, 1, 1); err == nil {
 		t.Error("bad topology accepted")
 	}
 }
@@ -160,15 +159,38 @@ func TestRunFleetDeterministic(t *testing.T) {
 	cat := smallCatalog(t, 4)
 	topoCfg := topology.Config{Servers: 15, Seed: 2}
 	assign := func(Content) consistency.Method { return consistency.MethodTTL }
-	a, err := RunFleet(cat, assign, topoCfg, time.Minute, 2)
+	a, _, err := RunFleets(cat, []func(Content) consistency.Method{assign}, topoCfg, time.Minute, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFleet(cat, assign, topoCfg, time.Minute, 2)
+	b, _, err := RunFleets(cat, []func(Content) consistency.Method{assign}, topoCfg, time.Minute, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.TotalKB != b.TotalKB || a.MeanStaleness != b.MeanStaleness {
+	if a[0].TotalKB != b[0].TotalKB || a[0].MeanStaleness != b[0].MeanStaleness {
 		t.Error("fleet runs diverged")
+	}
+}
+
+// TestRunFleetsSimulatesEachPairOnce checks that fleets sharing a (content,
+// method) pair share its run: a repeated assignment adds no events and
+// bills the same.
+func TestRunFleetsSimulatesEachPairOnce(t *testing.T) {
+	cat := smallCatalog(t, 4)
+	topoCfg := topology.Config{Servers: 15, Seed: 2}
+	assign := func(Content) consistency.Method { return consistency.MethodTTL }
+	one, events, err := RunFleets(cat, []func(Content) consistency.Method{assign}, topoCfg, time.Minute, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, shared, err := RunFleets(cat, []func(Content) consistency.Method{assign, assign}, topoCfg, time.Minute, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events == 0 || shared != events {
+		t.Errorf("two identical fleets simulated %d events, one fleet %d", shared, events)
+	}
+	if !reflect.DeepEqual(two[0], one[0]) || !reflect.DeepEqual(two[1], one[0]) {
+		t.Error("a shared run billed differently")
 	}
 }

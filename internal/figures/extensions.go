@@ -8,7 +8,6 @@ import (
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
-	"cdnconsistency/internal/runner"
 	"cdnconsistency/internal/topology"
 )
 
@@ -180,19 +179,17 @@ func ExtCatalog(scale SimScale) (*Table, error) {
 		{"all-ttl", func(catalog.Content) consistency.Method { return consistency.MethodTTL }},
 		{"all-invalidation", func(catalog.Content) consistency.Method { return consistency.MethodInvalidation }},
 	}
-	// The four fleets share only read-only inputs (catalog, plan), so
-	// they fan out like any other grid; RunFleet results carry no event
-	// counts, so this uses the runner directly.
-	results, err := runner.Collect(scale.Parallel, len(fleets), func(i int) (*catalog.FleetResult, error) {
-		res, err := catalog.RunFleet(cat, fleets[i].assign, topoCfg, ttl, scale.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("figures: ext-catalog %s: %w", fleets[i].name, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
+	// The planned fleet only picks methods the other three use, so each
+	// distinct (content, method) run is simulated once and shared.
+	assigns := make([]func(catalog.Content) consistency.Method, len(fleets))
+	for i, f := range fleets {
+		assigns[i] = f.assign
 	}
+	results, events, err := catalog.RunFleets(cat, assigns, topoCfg, ttl, scale.Seed, scale.Parallel)
+	if err != nil {
+		return nil, fmt.Errorf("figures: ext-catalog: %w", err)
+	}
+	t.SimEvents += events
 	for i, f := range fleets {
 		res := results[i]
 		t.AddRow(f.name, f1(res.TotalKB), e2(res.TotalKmKB),
