@@ -54,6 +54,7 @@ func TestValidateRejects(t *testing.T) {
 		{"time past day", func(tr *Trace) { tr.Records[0].At = 2 * time.Hour }},
 		{"negative snapshot", func(tr *Trace) { tr.Records[0].Snapshot = -1 }},
 		{"absent with snapshot", func(tr *Trace) { tr.Records[1].Snapshot = 3 }},
+		{"provider user view", func(tr *Trace) { tr.Records[0].Provider, tr.Records[0].UserView = true, true }},
 	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
