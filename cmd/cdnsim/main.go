@@ -68,7 +68,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 	fs.Float64Var(&sc.UpdateSizeKB, "updatekb", 0, fmt.Sprintf("update payload size in KB (default %v)", cdn.DefaultUpdateSizeKB))
 	fs.IntVar(&sc.Clusters, "clusters", 0, fmt.Sprintf("hybrid cluster count (default %d)", cdn.DefaultClusters))
 	fs.BoolVar(&sc.UserSwitch, "switch", false, "users switch servers every visit (Figure 24 scenario)")
-	fs.StringVar(&sc.UserModel, "usermodel", cdn.UserModelExplicit, "end-user model: explicit (one actor per user) or cohort (weighted per-server cohorts; scales to millions of users)")
+	fs.StringVar(&sc.UserModel, "usermodel", cdn.UserModelExplicit, "end-user model: explicit (one cohort per user, one result entry each) or cohort (one weighted cohort per population spec; scales to millions of users)")
 	fs.IntVar(&sc.Shards, "shards", 0, "0 = serial engine; >= 1 runs the sharded engine on one goroutine (the value is not a worker count: every value >= 1 gives identical results)")
 	fs.IntVar(&sc.ShardCells, "shardcells", 0, "sharded partition cell count (0 = default 8); the cell count, not the -shards value, shapes sharded results")
 	fs.BoolVar(&sc.Failover, "failover", false, "enable failure-aware failover reactions")

@@ -396,10 +396,10 @@ func (a *auditor) checkNodes() *audit.Violation {
 	return nil
 }
 
-// checkUsers delegates to the user model's own invariants: per-user
-// accounting sanity under the explicit model, plus population conservation
-// (Σ cohort counts constant across churn and re-homing) and home bounds
-// under the cohort model.
+// checkUsers delegates to the user model's own invariants: per-stratum
+// accounting sanity, population conservation (Σ cohort counts constant
+// across churn and re-homing), home bounds, and no cohort parked where its
+// next visit acts.
 func (a *auditor) checkUsers() *audit.Violation {
 	return a.s.um.audit()
 }

@@ -215,17 +215,17 @@ func TestAuditorCatchesSeededCorruption(t *testing.T) {
 		},
 		{
 			name:     "user inconsistent beyond observations",
-			corrupt:  func(s *simulation) { s.um.(*explicitUsers).users[9].agg.inconsistent += 1 << 20 },
+			corrupt:  func(s *simulation) { s.um.(*cohortUsers).cohorts[9].leader.inconsistent += 1 << 20 },
 			property: "count-bounded",
 			server:   -1,
-			detail:   "user 9 inconsistent observations: part 1048576 exceeds total 21",
+			detail:   "cohort 9 leader inconsistent observations: part 1048576 exceeds total 21",
 		},
 		{
 			name:     "NaN user catch-up sum",
-			corrupt:  func(s *simulation) { s.um.(*explicitUsers).users[4].agg.catchupSum = math.NaN() },
+			corrupt:  func(s *simulation) { s.um.(*cohortUsers).cohorts[4].leader.catchupSum = math.NaN() },
 			property: "series-finite",
 			server:   -1,
-			detail:   "user 4 catchupSum[0] = NaN is not finite",
+			detail:   "cohort 4 catchupSum[0] = NaN is not finite",
 		},
 		{
 			name:     "cohort follower inconsistent beyond observations",
@@ -439,7 +439,8 @@ func TestAuditorDelayBound(t *testing.T) {
 	}
 }
 
-// Cancelling the run's context aborts it promptly with the context's error.
+// Cancelling the run's context aborts it promptly with the context's error,
+// whether it was cancelled before the run or during it.
 func TestRunHonorsContextCancellation(t *testing.T) {
 	cfg := auditTestConfig(t, consistency.MethodTTL, consistency.InfraMulticast)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -448,12 +449,24 @@ func TestRunHonorsContextCancellation(t *testing.T) {
 	if _, err := Run(cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
+
+	// Parked visits spend no events: the server polls of 170 servers span
+	// two tick strides, and the first tick cancels.
+	cfg.Topology.Servers = 170
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Ctx = ctx
+	cfg.OnTick = func(time.Duration, uint64) { cancel() }
+	if _, err := Run(cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run cancelled mid-way returned %v, want context.Canceled", err)
+	}
 }
 
 // The OnTick probe observes monotone progress through the run.
 func TestRunOnTickProbe(t *testing.T) {
 	cfg := auditTestConfig(t, consistency.MethodTTL, consistency.InfraUnicast)
 	cfg.Audit = nil
+	cfg.Topology.Servers = 170 // two tick strides of server polls
 	var calls int
 	var lastNow time.Duration
 	var lastEvents uint64

@@ -46,7 +46,7 @@ import (
 // Among visits at one instant, visitsBefore gives the event-per-visit order:
 // it picks a server's first visitor (rearm), and arm keeps the armed visits
 // of a cell in it, so visits that send messages book their traffic in the
-// explicit model's order.
+// event-per-visit order.
 //
 // What the rules leave open: an armed visit after a cohort's first is
 // scheduled when its server's previous visit, or the write that made the

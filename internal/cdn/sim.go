@@ -124,8 +124,8 @@ type simulation struct {
 	shEng  *sim.Sharded
 
 	nodes []*node
-	// um is the end-user population model (explicit actors or weighted
-	// cohorts); see usermodel.go.
+	// um is the end-user population: cohorts (cohort.go), one per user
+	// under the explicit model; see usermodel.go.
 	um userModel
 
 	// locs and alive support multicast tree repair after failures.
@@ -250,11 +250,7 @@ func newSimulation(cfg Config) (*simulation, error) {
 		return nil, fmt.Errorf("cdn: population spans %d servers, topology has %d",
 			len(cfg.Population.Servers), len(topo.Servers))
 	}
-	um, err := newUserModel(s)
-	if err != nil {
-		return nil, err
-	}
-	s.um = um
+	s.um = &cohortUsers{s: s}
 
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		isps := make([]int, len(topo.Servers))
@@ -511,6 +507,11 @@ func (s *simulation) setVersion(nd *node, v int) {
 }
 
 func (s *simulation) run() (*Result, error) {
+	if s.cfg.Ctx != nil && s.cfg.Ctx.Err() != nil {
+		// The event loop polls Ctx once per tick stride, which a short run
+		// never reaches.
+		return nil, fmt.Errorf("cdn: %w", s.cfg.Ctx.Err())
+	}
 	s.schedulePublications()
 	if err := s.scheduleServerLoops(); err != nil {
 		return nil, err

@@ -1,31 +1,31 @@
 package cdn
 
 import (
-	"fmt"
 	"time"
 
 	"cdnconsistency/internal/audit"
 	"cdnconsistency/internal/netmodel"
 )
 
-// User-model selectors for Config.UserModel.
+// User-model selectors for Config.UserModel. Both run the one user model,
+// cohorts (cohort.go); they choose how the population is cut into cohorts
+// and how finely Result reports it.
 const (
-	// UserModelExplicit simulates each end-user as an individual actor with
-	// its own visit loop — the paper's Section 4 setup, and the default.
+	// UserModelExplicit, the default, gives every end-user a cohort of its
+	// own: the paper's Section 4 setup, one Result entry per user, and
+	// per-visit routing (DNS or random switching) where the run asks for it.
 	UserModelExplicit = "explicit"
-	// UserModelCohort simulates the user population attached to each server
-	// as weighted cohorts, with all per-user accounting carried in aggregate.
-	// A cohort's visit is an engine event only while it can act; visits that
-	// only read the server's state are booked arithmetically when that state
-	// next changes (see cohort_fold.go). Requires Config.Population.
+	// UserModelCohort gives each Config.Population cohort spec one weighted
+	// cohort, so memory scales with cohorts, not users, and Result carries
+	// one entry per stratum with its member count in UserWeights. Requires
+	// Config.Population.
 	UserModelCohort = "cohort"
 )
 
 // userModel is the seam between the simulation and its end-user population.
-// Both implementations drive the same server-side protocol machinery and the
-// same per-user accounting (userAgg), so for a shared Population the two are
-// event-for-event equivalent; the cohort model just batches users that are
-// interchangeable by construction.
+// The simulation runs cohortUsers; the tests swap in an event-per-visit
+// reference (users_ref_test.go) that drives the same server-side machinery
+// and the same per-user accounting (userAgg), and hold the two equal.
 type userModel interface {
 	// schedule creates the model's users and arms their first visit events.
 	schedule() error
@@ -40,31 +40,18 @@ type userModel interface {
 	// fault event (crash or recovery) from any other. rearm then arms node
 	// i's first next visit if the write made it act. settleAll books every
 	// parked visit up to through (inclusive or not) for a reader of the
-	// whole run's state: an audit sweep, a barrier, the horizon. The
-	// explicit model parks nothing, so all three are no-ops there.
+	// whole run's state: an audit sweep, a barrier, the horizon. A model
+	// that parks nothing makes all three no-ops.
 	settle(i int, fault bool)
 	rearm(i int)
 	settleAll(through time.Duration, inclusive bool)
 }
 
-// newUserModel instantiates the configured model. Config validation has
-// already normalized UserModel and checked the cohort preconditions.
-func newUserModel(s *simulation) (userModel, error) {
-	switch s.cfg.UserModel {
-	case "", UserModelExplicit:
-		return &explicitUsers{s: s}, nil
-	case UserModelCohort:
-		return &cohortUsers{s: s}, nil
-	default:
-		return nil, fmt.Errorf("cdn: unknown user model %q", s.cfg.UserModel)
-	}
-}
-
-// userAgg is the per-user accounting state, shared verbatim between the
-// explicit model (one per user) and the cohort model (one per stratum of
-// interchangeable users). Keeping one implementation of the observation
-// arithmetic is what makes the equivalence between the models exact rather
-// than approximate.
+// userAgg is the per-user accounting state, one per stratum of
+// interchangeable users (one per user for a one-member cohort), and one per
+// user in the tests' reference model. Keeping one implementation of the
+// observation arithmetic is what makes the equivalence between the two exact
+// rather than approximate.
 type userAgg struct {
 	maxSeen int
 	// catch-up accounting mirrors the server metric at visit granularity.

@@ -212,24 +212,24 @@ func WithUserSwitching() Option {
 	return func(c *config) { c.UserSwitchEveryVisit = true }
 }
 
-// WithUserModel selects the end-user simulation model:
-// cdn.UserModelExplicit (one actor and one event per user visit, the
-// default) or cdn.UserModelCohort (weighted per-server cohorts with exact
-// aggregate accounting, whose visits are engine events only while they can
-// act; requires WithPopulation).
+// WithUserModel selects how the end-user population is cut into cohorts,
+// whose visits are engine events only while they can act:
+// cdn.UserModelExplicit (one cohort and one result entry per user, the
+// default) or cdn.UserModelCohort (one weighted cohort per population spec
+// with exact aggregate accounting; requires WithPopulation).
 func WithUserModel(model string) Option {
 	return func(c *config) { c.UserModel = model }
 }
 
 // WithPopulation pins the user population to weighted per-server cohorts
 // (counts, start offsets, periods). Both user models honor it: explicit
-// expands it to individual actors, cohort simulates it in aggregate.
+// splits each spec into one-member cohorts, cohort keeps it whole.
 func WithPopulation(p *workload.Population) Option {
 	return func(c *config) { c.Population = p }
 }
 
 // WithVisitAccounting books every end-user request into the traffic ledger
-// as a zero-distance content-class message (batched under the cohort model).
+// as a zero-distance content-class message (in bulk for parked visits).
 func WithVisitAccounting() Option {
 	return func(c *config) { c.AccountVisits = true }
 }

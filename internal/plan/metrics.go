@@ -16,7 +16,7 @@ import (
 // Percentiles use the weighted nearest-rank definition (the smallest value
 // whose cumulative user weight reaches the rank), not interpolation: under
 // the cohort user model one entry stands for a whole stratum of identical
-// users, and nearest-rank makes the cohort and explicit models report
+// users, and nearest-rank makes weighted and one-member cohorts report
 // bit-identical percentiles — which the cohort_explicit equivalence check
 // relies on.
 var metricDefs = []struct {

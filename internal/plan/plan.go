@@ -7,7 +7,7 @@
 // a list of assertions over the run's metrics ("p99 user inconsistency stays
 // under 2x the server TTL", "zero audit violations", "provider traffic within
 // budget") and optional cross-run equivalence checks (a sharded run repeated
-// must match, cohort-vs-explicit user-model equality).
+// must match, weighted-vs-one-member cohort equality).
 //
 // A Plan expands into a matrix of cells (systems x seeds); each cell is one
 // deterministic simulation whose extracted metrics are judged against the
@@ -96,9 +96,9 @@ const (
 	// and requires every metric of the repeated run to match exactly — the
 	// engine's "results are a pure function of (seed, partition)" contract.
 	EquivShardWorkers = "shard_workers"
-	// EquivCohortExplicit re-runs the cell under the explicit per-user
-	// model and requires the aggregates to match the cohort model's
-	// (exactly for counters, within float-sum noise for means).
+	// EquivCohortExplicit re-runs the cell under the explicit model, one
+	// cohort per user, and requires the aggregates to match the weighted
+	// cohorts' (exactly for counters, within float-sum noise for means).
 	EquivCohortExplicit = "cohort_explicit"
 )
 

@@ -213,12 +213,12 @@ func (c Cell) runEquivalence(name string, primary map[string]float64, opt RunOpt
 		// so every metric must match exactly.
 		sc.Shards++
 	case EquivCohortExplicit:
-		// The cohort model is an exact refactoring of the explicit one:
-		// counters and per-entry values match exactly, but aggregate
-		// means and traffic sums accumulate in a different order, so
-		// they are compared within relative float noise. Event counts
-		// differ by construction (the cohort model spends events only on
-		// the batched visits that can act, not one per user visit).
+		// Weighted cohorts are an exact refactoring of the explicit
+		// model's one-member cohorts: counters and per-entry values match
+		// exactly, but aggregate means and traffic sums accumulate in a
+		// different order, so they are compared within relative float
+		// noise. Event counts differ by construction (a weighted cohort's
+		// visit that acts is one event, not one per member).
 		sc.UserModel = cdn.UserModelExplicit
 		skip = map[string]bool{"events": true}
 		approx = map[string]bool{

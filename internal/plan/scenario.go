@@ -47,9 +47,10 @@ type Scenario struct {
 	// day) with an explicit phase list.
 	Game *GameSpec `json:"game,omitempty"`
 
-	// UserModel selects the end-user simulation model: "" or "explicit"
-	// (one actor per user) or "cohort" (weighted per-server cohorts;
-	// requires Population, PopulationGen or Import).
+	// UserModel selects how the population is cut into cohorts (see
+	// cdn.Config.UserModel): "" or "explicit" (a cohort per user, one
+	// result entry per user) or "cohort" (one weighted cohort per
+	// population spec; requires Population, PopulationGen or Import).
 	UserModel string `json:"user_model,omitempty"`
 	// UserSwitch makes every visit hit a uniformly random server (the
 	// Figure 24 scenario).

@@ -34,8 +34,8 @@ func (c CohortSpec) Period() time.Duration { return time.Duration(c.PeriodNS) }
 
 // Population assigns user cohorts to servers: Servers[i] holds the cohorts
 // attached to the i-th content server. The same population drives both user
-// models — expanded to one actor per user under "explicit", simulated in
-// aggregate under "cohort" — which is what the equivalence tests rely on.
+// models — one cohort per user under "explicit", one weighted cohort per
+// spec under "cohort" — which is what the equivalence tests rely on.
 type Population struct {
 	Servers [][]CohortSpec `json:"servers"`
 }

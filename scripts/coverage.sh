@@ -3,8 +3,8 @@
 #
 #   1. run `go test -coverprofile` on the ratcheted packages,
 #   2. fail if any package's statement coverage drops below its floor,
-#   3. additionally hold the cohort user-model files (the code the
-#      million-user equivalence claim rests on) to their own floor,
+#   3. additionally hold the user-model files (the code the equivalence
+#      with the event-per-visit reference rests on) to their own floor,
 #      computed statement-weighted from the merged profiles.
 #
 # Floors ratchet: they may only move up, and they sit a few points below
@@ -23,8 +23,11 @@ PACKAGES=(
     "./internal/traceimport 90.0"
 )
 
-# The cohort user-model code paths, held to a tighter floor (measured 93+).
-COHORT_FILES='internal/cdn/cohort\.go|internal/cdn/cohort_fold\.go|internal/cdn/usermodel\.go|internal/cdn/users\.go|internal/workload/population\.go'
+# The user-model code paths, held to a tighter floor (measured 93+): the
+# cohort model, which runs every population (the explicit model as
+# one-member cohorts; its event-per-visit reference lives in a _test.go
+# file, outside the profile), and the population spec.
+COHORT_FILES='internal/cdn/cohort\.go|internal/cdn/cohort_fold\.go|internal/cdn/usermodel\.go|internal/workload/population\.go'
 COHORT_FLOOR=90.0
 
 TMP=$(mktemp -d)
@@ -59,10 +62,10 @@ cohort_pct=$(
     } END { if (total == 0) print 0; else printf "%.1f", 100 * covered / total }'
 )
 if awk -v p="$cohort_pct" -v f="$COHORT_FLOOR" 'BEGIN{exit !(p < f)}'; then
-    echo "cover: FAIL cohort user-model files at ${cohort_pct}% (floor ${COHORT_FLOOR}%)"
+    echo "cover: FAIL user-model files at ${cohort_pct}% (floor ${COHORT_FLOOR}%)"
     fail=1
 else
-    echo "cover: ok   cohort user-model files at ${cohort_pct}% (floor ${COHORT_FLOOR}%)"
+    echo "cover: ok   user-model files at ${cohort_pct}% (floor ${COHORT_FLOOR}%)"
 fi
 
 exit $fail
