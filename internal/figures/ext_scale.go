@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"cdnconsistency/internal/cdn"
@@ -38,8 +37,8 @@ var extScaleSystems = []core.System{
 //
 // The table reports only deterministic quantities (per-user inconsistency,
 // stale-serve fraction, batched request traffic), so output is byte-identical
-// between serial and parallel runs; wall-clock throughput (users/sec) and
-// peak RSS go to stderr.
+// between serial and parallel runs; wall-clock throughput (users/sec) goes
+// to stderr.
 func ExtScale(scale SimScale) (*Table, error) {
 	s5 := scale.section5()
 	totals := []int{10_000, 100_000, 1_000_000}
@@ -107,8 +106,8 @@ func ExtScale(scale SimScale) (*Table, error) {
 		}
 	}
 
-	// Throughput and memory are machine-dependent, so they must not enter
-	// the (serial-vs-parallel byte-identical) table; report them on stderr.
+	// Throughput is machine-dependent, so it must not enter the
+	// (serial-vs-parallel byte-identical) table; report it on stderr.
 	for i, wall := range walls {
 		if wall <= 0 {
 			continue
@@ -118,26 +117,5 @@ func ExtScale(scale SimScale) (*Table, error) {
 			extScaleSystems[i%len(extScaleSystems)].Name, total, wall.Round(time.Millisecond),
 			float64(total)/wall.Seconds(), float64(visits)/wall.Seconds())
 	}
-	if rss, ok := peakRSSKB(); ok {
-		fmt.Fprintf(ExtScalePerfOutput, "ext-scale: peak RSS %.1f MB\n", float64(rss)/1024)
-	}
 	return t, nil
-}
-
-// peakRSSKB reads the process high-water resident set size from
-// /proc/self/status (Linux only; ok=false elsewhere).
-func peakRSSKB() (int, bool) {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0, false
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, found := strings.CutPrefix(line, "VmHWM:"); found {
-			var kb int
-			if _, err := fmt.Sscanf(strings.TrimSpace(rest), "%d kB", &kb); err == nil {
-				return kb, true
-			}
-		}
-	}
-	return 0, false
 }
