@@ -89,6 +89,7 @@ func TestParsePlanRejects(t *testing.T) {
 		{"both populations", `{"name":"x","systems":["TTL"],"population":{"servers":[[{"count":1,"offset_ns":0}]]},"population_gen":{"total_users":5},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "mutually exclusive"},
 		{"cohort without pop", `{"name":"x","systems":["TTL"],"user_model":"cohort","assert":[{"metric":"crashes","op":"==","value":0}]}`, "requires a Population"},
 		{"bad user model", `{"name":"x","systems":["TTL"],"user_model":"quantum","assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown user model"},
+		{"weighted cohort switching", `{"name":"x","systems":["TTL"],"user_model":"cohort","user_switch":true,"population":{"servers":[[{"count":2,"offset_ns":0}]]},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "only for one-member cohorts"},
 		{"both faults", `{"name":"x","systems":["TTL"],"fault_scenario":"outage","faults":{},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "mutually exclusive"},
 		{"bad scenario", `{"name":"x","systems":["TTL"],"fault_scenario":"meteor","assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown scenario"},
 		{"self-test without audit", `{"name":"x","systems":["TTL"],"audit_self_test":"version-bounds","assert":[{"metric":"crashes","op":"==","value":0}]}`, "requires audit"},
