@@ -78,10 +78,7 @@ func benchSimFig(b *testing.B, fn func(figures.SimScale) (*figures.Table, error)
 
 // benchSimFigTiny shrinks sweep-heavy figures further.
 func benchSimFigTiny(b *testing.B, fn func(figures.SimScale) (*figures.Table, error)) {
-	scale := figures.SmallSimScale()
-	scale.Servers = 30
-	scale.UsersPerServer = 1
-	scale.Clusters = 5
+	scale := tinyScale()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fn(scale); err != nil {
@@ -151,10 +148,7 @@ func BenchmarkExtScale(b *testing.B) {
 func BenchmarkShardedExtScale(b *testing.B) {
 	defer func(w io.Writer) { figures.ExtScalePerfOutput = w }(figures.ExtScalePerfOutput)
 	figures.ExtScalePerfOutput = io.Discard
-	scale := figures.SmallSimScale()
-	scale.Servers = 30
-	scale.UsersPerServer = 1
-	scale.Clusters = 5
+	scale := tinyScale()
 	scale.Shards = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -169,10 +163,7 @@ func BenchmarkShardedExtScale(b *testing.B) {
 // hardware; the table contents are byte-identical either way.
 
 func benchSimFigParallel(b *testing.B, fn func(figures.SimScale) (*figures.Table, error), workers int) {
-	scale := figures.SmallSimScale()
-	scale.Servers = 30
-	scale.UsersPerServer = 1
-	scale.Clusters = 5
+	scale := tinyScale()
 	scale.Parallel = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

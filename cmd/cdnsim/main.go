@@ -62,7 +62,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 	// zero, and the run keeps the scenario default.
 	var sc plan.Scenario
 	fs.IntVar(&sc.Servers, "servers", 0, fmt.Sprintf("content servers (default %d)", core.DefaultServers))
-	fs.IntVar(&sc.UsersPerServer, "users", 0, fmt.Sprintf("end-users per server (default %d)", core.DefaultUsersPerServer))
+	users := fs.Int("users", 0, fmt.Sprintf("end-users per server (default %d)", core.DefaultUsersPerServer))
 	fs.DurationVar((*time.Duration)(&sc.ServerTTL), "serverttl", 0, fmt.Sprintf("content-server TTL (default %v)", cdn.DefaultServerTTL))
 	fs.DurationVar((*time.Duration)(&sc.UserTTL), "userttl", 0, fmt.Sprintf("end-user visit period (default %v)", cdn.DefaultUserTTL))
 	fs.Float64Var(&sc.UpdateSizeKB, "updatekb", 0, fmt.Sprintf("update payload size in KB (default %v)", cdn.DefaultUpdateSizeKB))
@@ -127,10 +127,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 		}
 		return runPlan(ctx, *planFile, stdout)
 	}
-	// The scenario reads a zero count as "use the default", so an explicit
-	// -servers 0 or -users 0 would silently run the default topology.
-	if slices.Contains(set, "servers") && sc.Servers == 0 || slices.Contains(set, "users") && sc.UsersPerServer == 0 {
+	// The scenario reads a zero server count as "use the default", so an
+	// explicit -servers 0 would silently run the default topology; -users 0
+	// is rejected with it, and an unset -users keeps the default.
+	if slices.Contains(set, "servers") && sc.Servers == 0 || slices.Contains(set, "users") && *users == 0 {
 		return fmt.Errorf("-servers and -users must be > 0")
+	}
+	if slices.Contains(set, "users") {
+		sc.UsersPerServer = users
 	}
 
 	name := *system
@@ -169,7 +173,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) (retErr error) {
 	// under either model.
 	if sc.UserModel == cdn.UserModelCohort && sc.Population == nil && sc.Import == "" || slices.Contains(set, "cohorts") {
 		sc.PopulationGen = &plan.PopulationGen{
-			TotalUsers:       cmp.Or(sc.Servers, core.DefaultServers) * cmp.Or(sc.UsersPerServer, core.DefaultUsersPerServer),
+			TotalUsers:       cmp.Or(sc.Servers, core.DefaultServers) * cmp.Or(*users, core.DefaultUsersPerServer),
 			Alpha:            1.2,
 			CohortsPerServer: *cohorts,
 			Period:           sc.UserTTL,

@@ -395,6 +395,7 @@ func TestImportExclusionTable(t *testing.T) {
 		"update_size_kb":   {`"update_size_kb": 2`, []string{"-updatekb", "2"}},
 		"game":             {`"game": {"phases": [{"duration": "1m"}]}`, nil},
 		"user_switch":      {`"user_switch": true`, []string{"-switch"}},
+		"dns_resolver_ttl": {`"dns_resolver_ttl": "20s"`, nil},
 		"population":       {`"population": {"servers": [[{"count": 1}]]}`, []string{"-population", "@" + popPath}},
 		"population_gen":   {`"population_gen": {"total_users": 5}`, []string{"-cohorts", "4"}},
 		"federation":       {`"federation": {"providers": [{"name": "a"}]}`, []string{"-federation", "3"}},

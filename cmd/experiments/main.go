@@ -61,9 +61,11 @@ import (
 	"time"
 
 	"cdnconsistency/internal/checkpoint"
+	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/federation"
 	"cdnconsistency/internal/figures"
+	"cdnconsistency/internal/plan"
 	"cdnconsistency/internal/profiling"
 	"cdnconsistency/internal/runner"
 	"cdnconsistency/internal/traceimport"
@@ -140,11 +142,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	default:
 		return fmt.Errorf("unknown format %q", *format)
 	}
-	if *timeout < 0 || *stuck < 0 || *auditCad < 0 {
-		return fmt.Errorf("-timeout, -stuck and -audit-cadence must be >= 0")
-	}
-	if !*audit && *auditCad != 0 {
-		return fmt.Errorf("-audit-cadence requires -audit")
+	if *timeout < 0 || *stuck < 0 {
+		return fmt.Errorf("-timeout and -stuck must be >= 0")
 	}
 
 	sw := sweep{
@@ -198,8 +197,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	// share one run table: a run two figures ask for is simulated once.
 	simScale.Parallel = *parallel
 	simScale.Runs = figures.NewRunTable()
-	simScale.Audit = *audit
-	simScale.AuditCadence = *auditCad
+	simScale.Scenario.Audit = *audit
+	simScale.Scenario.AuditCadence = plan.Duration(*auditCad)
+	// Every figure cell starts from this scenario: a bad flag fails here,
+	// before the first figure runs.
+	if err := simScale.Scenario.Validate(core.Systems()...); err != nil {
+		return fmt.Errorf("-audit/-audit-cadence: %w", err)
+	}
 	if *shards < 0 {
 		return fmt.Errorf("-shards must be >= 0, got %d", *shards)
 	}
@@ -307,7 +311,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	}
 	if importBundle != nil {
 		jobs = []job{simJob("import-replay", func(s figures.SimScale) (*figures.Table, error) {
-			return figures.ImportReplay(s, importBundle)
+			return figures.ImportReplay(s, *importArg, importBundle)
 		})}
 	}
 	if *faults != "" {

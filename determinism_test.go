@@ -13,9 +13,10 @@ import (
 
 func tinyScale() figures.SimScale {
 	scale := figures.SmallSimScale()
-	scale.Servers = 30
-	scale.UsersPerServer = 1
-	scale.Clusters = 5
+	users := 1
+	scale.Scenario.Servers = 30
+	scale.Scenario.UsersPerServer = &users
+	scale.Scenario.Clusters = 5
 	return scale
 }
 

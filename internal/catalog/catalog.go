@@ -269,7 +269,9 @@ type ContentResult struct {
 // assignment and aggregates one fleet bill per assignment. A (content,
 // method) pair that several assignments share is simulated once, the
 // distinct runs fanned out over up to workers goroutines; events totals
-// their simulation events.
+// their simulation events. It calls cdn.Run directly, not through a
+// plan.Scenario: every content shares one topology seed (topoCfg.Seed)
+// while its run draws from seed+i, and a scenario's seed sets both.
 func RunFleets(cat *Catalog, assigns []func(Content) consistency.Method,
 	topoCfg topology.Config, ttl time.Duration, seed int64, workers int) (fleets []*FleetResult, events uint64, err error) {
 	if cat == nil || len(cat.Contents) == 0 {

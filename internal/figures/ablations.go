@@ -1,12 +1,9 @@
 package figures
 
 import (
-	"time"
-
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/geo"
-	"cdnconsistency/internal/netmodel"
 	"cdnconsistency/internal/overlay"
 )
 
@@ -24,9 +21,11 @@ func AblationQueue(scale SimScale) (*Table, error) {
 	}
 	toggles := []bool{false, true}
 	results, err := scale.run(t, len(toggles), func(i int) cell {
-		return cell{sys: core.SystemPush, opts: scale.opts(
-			core.WithUpdateSizeKB(500),
-			core.WithNetConfig(netmodel.Config{DefaultUplinkKBps: 2000, DisableQueuing: toggles[i]}))}
+		sc := scale.Scenario
+		sc.UpdateSizeKB = 500
+		sc.UplinkKBps = 2000
+		sc.DisableQueuing = toggles[i]
+		return cell{sys: core.SystemPush, sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -80,7 +79,9 @@ func AblationAdaptive(scale SimScale) (*Table, error) {
 	}
 	methods := []consistency.Method{consistency.MethodSelfAdaptive, consistency.MethodAdaptiveTTL, consistency.MethodTTL}
 	results, err := scale.run(t, len(methods), func(i int) cell {
-		return cell{sys: system(methods[i], consistency.InfraUnicast), opts: scale.opts(core.WithServerTTL(60 * time.Second))}
+		sc := scale.Scenario
+		sc.ServerTTL = secs(60)
+		return cell{sys: system(methods[i], consistency.InfraUnicast), sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -104,7 +105,7 @@ func AblationHilbert(scale SimScale) (*Table, error) {
 		Note:   "locality-preserving clusters keep intra-cluster polling short (Section 5.2)",
 		Header: []string{"clustering", "avg_cluster_diameter_km"},
 	}
-	hilbert, err := topo.HilbertClusters(scale.Clusters)
+	hilbert, err := topo.HilbertClusters(scale.Scenario.Clusters)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +128,7 @@ func AblationHilbert(scale SimScale) (*Table, error) {
 	t.AddRow("hilbert", f1(hilbertSum/float64(len(hilbert))))
 
 	var moduloSum float64
-	k := scale.Clusters
+	k := scale.Scenario.Clusters
 	for c := 0; c < k; c++ {
 		var members []int
 		for i := c; i < len(topo.Servers); i += k {
@@ -153,14 +154,11 @@ func AblationDepth(scale SimScale) (*Table, error) {
 	results, err := scale.run(t, len(degrees), func(i int) cell {
 		// The scale's topology and server TTL without its game or cluster
 		// count: updates default to a DefaultGame draw with this seed.
-		return cell{sys: core.System{Name: "TTL/Multicast", Method: consistency.MethodTTL, Infra: consistency.InfraMulticast},
-			opts: []core.Option{
-				core.WithServers(scale.Servers),
-				core.WithUsersPerServer(scale.UsersPerServer),
-				core.WithSeed(scale.Seed),
-				core.WithServerTTL(scale.ServerTTL),
-				core.WithTreeDegree(degrees[i]),
-			}}
+		sc := scale.Scenario
+		sc.Game = nil
+		sc.Clusters = 0
+		sc.TreeDegree = degrees[i]
+		return cell{sys: core.System{Name: "TTL/Multicast", Method: consistency.MethodTTL, Infra: consistency.InfraMulticast}, sc: sc}
 	})
 	if err != nil {
 		return nil, err

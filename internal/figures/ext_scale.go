@@ -43,7 +43,7 @@ func ExtScale(scale SimScale) (*Table, error) {
 	s5 := scale.section5()
 	totals := []int{10_000, 100_000, 1_000_000}
 	cohortsPer := 16
-	if scale.Servers < 170 {
+	if scale.Scenario.Servers < 170 {
 		// Reduced sweep for tests and smoke runs.
 		totals = []int{1_000, 10_000}
 		cohortsPer = 4
@@ -60,7 +60,7 @@ func ExtScale(scale SimScale) (*Table, error) {
 	pops := make([]*workload.Population, len(totals))
 	for i, total := range totals {
 		p, err := workload.GeneratePopulation(workload.PopulationConfig{
-			Servers:          s5.Servers,
+			Servers:          s5.Scenario.Servers,
 			TotalUsers:       total,
 			Alpha:            1.2,
 			CohortsPerServer: cohortsPer,
@@ -73,23 +73,21 @@ func ExtScale(scale SimScale) (*Table, error) {
 		pops[i] = p
 	}
 
-	extra := []core.Option{
-		core.WithUserModel(cdn.UserModelCohort),
-		core.WithVisitAccounting(),
-	}
-	if scale.Shards > 0 {
+	walls := make([]time.Duration, len(totals)*len(extScaleSystems))
+	results, err := s5.run(t, len(walls), func(i int) cell {
+		sc := s5.Scenario
+		sc.Population = pops[i/len(extScaleSystems)]
+		sc.UserModel = cdn.UserModelCohort
+		sc.VisitAccounting = true
 		// Sharded engine, on one goroutine per run: any scale.Shards >= 1
 		// gives the same table (it is not a worker count); the numbers
 		// differ from the serial engine's only because the two draw from
 		// different per-cell RNG streams.
-		extra = append(extra, core.WithShards(scale.Shards))
-	}
-	walls := make([]time.Duration, len(totals)*len(extScaleSystems))
-	results, err := s5.run(t, len(walls), func(i int) cell {
+		sc.Shards = scale.Shards
 		return cell{
-			sys:  extScaleSystems[i%len(extScaleSystems)],
-			opts: s5.opts(append([]core.Option{core.WithPopulation(pops[i/len(extScaleSystems)])}, extra...)...),
-			ran:  func(wall time.Duration) { walls[i] = wall },
+			sys: extScaleSystems[i%len(extScaleSystems)],
+			sc:  sc,
+			ran: func(wall time.Duration) { walls[i] = wall },
 		}
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
+	"cdnconsistency/internal/plan"
 	"cdnconsistency/internal/topology"
 )
 
@@ -30,7 +31,7 @@ func ExtBroadcast(scale SimScale) (*Table, error) {
 		{Name: "Broadcast", Method: consistency.MethodPush, Infra: consistency.InfraBroadcast},
 	}
 	results, err := scale.run(t, len(systems), func(i int) cell {
-		return cell{sys: systems[i], opts: scale.opts()}
+		return cell{sys: systems[i], sc: scale.Scenario}
 	})
 	if err != nil {
 		return nil, err
@@ -51,14 +52,13 @@ func ExtTreeFailure(scale SimScale) (*Table, error) {
 		Note:   "paper Section 1: node failures break structure connectivity and lead to unsuccessful update propagation",
 		Header: []string{"repair", "failed", "live_at_final", "live", "final_frac"},
 	}
-	crashes := core.WithFaults(fault.Spec{RandomCrashes: &fault.RandomCrashes{Count: scale.Servers / 8}})
+	crashes := &fault.Spec{RandomCrashes: &fault.RandomCrashes{Count: scale.Scenario.Servers / 8}}
 	repairs := []bool{false, true}
 	results, err := scale.run(t, len(repairs), func(i int) cell {
-		opts := scale.opts(crashes)
-		if repairs[i] {
-			opts = append(opts, core.WithTreeRepair())
-		}
-		return cell{sys: system(consistency.MethodPush, consistency.InfraMulticast), opts: opts}
+		sc := scale.Scenario
+		sc.Faults = crashes
+		sc.TreeRepair = repairs[i]
+		return cell{sys: system(consistency.MethodPush, consistency.InfraMulticast), sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -80,15 +80,21 @@ func ExtLease(scale SimScale) (*Table, error) {
 		Note:   "leases track Push while content is visited and decay to demand-driven renewals when idle",
 		Header: []string{"system", "users_per_server", "update_msgs", "server_mean_s"},
 	}
-	userCounts := []int{scale.UsersPerServer, 0}
+	// The scale's own users (hot), then none (idle).
+	busy, idle := core.DefaultUsersPerServer, 0
+	if n := scale.Scenario.UsersPerServer; n != nil {
+		busy = *n
+	}
+	userCounts := []*int{&busy, &idle}
 	systems := []core.System{
 		{Name: "Lease", Method: consistency.MethodLease, Infra: consistency.InfraUnicast},
 		core.SystemPush,
 		core.SystemTTL,
 	}
 	results, err := scale.run(t, len(userCounts)*len(systems), func(i int) cell {
-		return cell{sys: systems[i%len(systems)], opts: scale.opts(
-			core.WithUsersPerServer(userCounts[i/len(systems)]))}
+		sc := scale.Scenario
+		sc.UsersPerServer = userCounts[i/len(systems)]
+		return cell{sys: systems[i%len(systems)], sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -96,7 +102,7 @@ func ExtLease(scale SimScale) (*Table, error) {
 	for ui, users := range userCounts {
 		for si, sys := range systems {
 			res := results[ui*len(systems)+si]
-			t.AddRow(sys.Name, d0(users), d0(res.UpdateMsgsToServers), f3(res.MeanServerInconsistency()))
+			t.AddRow(sys.Name, d0(*users), d0(res.UpdateMsgsToServers), f3(res.MeanServerInconsistency()))
 		}
 	}
 	return t, nil
@@ -117,23 +123,26 @@ func ExtRegime(scale SimScale) (*Table, error) {
 	scenarios := []struct {
 		name    string
 		users   int
-		userTTL time.Duration
-		meanGap time.Duration
+		userTTL plan.Duration
+		meanGap plan.Duration
 	}{
-		{"hot", 4, 10 * time.Second, 60 * time.Second},
-		{"cold", 1, 3 * time.Minute, 5 * time.Second},
+		{"hot", 4, secs(10), secs(60)},
+		{"cold", 1, secs(180), secs(5)},
 	}
 	methods := []consistency.Method{
 		consistency.MethodRegime, consistency.MethodPush,
 		consistency.MethodInvalidation, consistency.MethodTTL,
 	}
 	results, err := scale.run(t, len(scenarios)*len(methods), func(i int) cell {
-		sc := scenarios[i/len(methods)]
-		return cell{sys: system(methods[i%len(methods)], consistency.InfraUnicast),
-			opts: scale.opts(
-				core.WithUsersPerServer(sc.users),
-				core.WithUserTTL(sc.userTTL),
-				core.WithGame(workloadSingle(30*time.Minute, sc.meanGap)))}
+		regime := scenarios[i/len(methods)]
+		sc := scale.Scenario
+		sc.UsersPerServer = &regime.users
+		sc.UserTTL = regime.userTTL
+		sc.Game = &plan.GameSpec{
+			Phases: []plan.PhaseSpec{{Name: "live", Duration: plan.Duration(30 * time.Minute), MeanGap: regime.meanGap}},
+			SizeKB: 1,
+		}
+		return cell{sys: system(methods[i%len(methods)], consistency.InfraUnicast), sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -158,9 +167,9 @@ func ExtCatalog(scale SimScale) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("figures: ext-catalog: %w", err)
 	}
-	topoCfg := topology.Config{Servers: scale.Servers / 2, Seed: scale.Seed}
+	topoCfg := topology.Config{Servers: scale.Scenario.Servers / 2, Seed: scale.Seed}
 	ttl := 60 * time.Second
-	plan, err := catalog.PlanCatalog(cat, topoCfg.Servers, ttl)
+	picks, err := catalog.PlanCatalog(cat, topoCfg.Servers, ttl)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +183,7 @@ func ExtCatalog(scale SimScale) (*Table, error) {
 		name   string
 		assign func(catalog.Content) consistency.Method
 	}{
-		{"planned", func(c catalog.Content) consistency.Method { return plan[c.ID] }},
+		{"planned", func(c catalog.Content) consistency.Method { return picks[c.ID] }},
 		{"all-push", func(catalog.Content) consistency.Method { return consistency.MethodPush }},
 		{"all-ttl", func(catalog.Content) consistency.Method { return consistency.MethodTTL }},
 		{"all-invalidation", func(catalog.Content) consistency.Method { return consistency.MethodInvalidation }},
@@ -210,9 +219,10 @@ func ExtDNS(scale SimScale) (*Table, error) {
 	}
 	systems := []core.System{core.SystemPush, core.SystemInvalidation, core.SystemTTL, core.SystemHAT}
 	results, err := scale.run(t, len(systems), func(i int) cell {
-		return cell{sys: systems[i], opts: scale.opts(
-			core.WithDNSRouting(20*time.Second),
-			core.WithServerTTL(60*time.Second))}
+		sc := scale.Scenario
+		sc.DNSResolverTTL = secs(20)
+		sc.ServerTTL = secs(60)
+		return cell{sys: systems[i], sc: sc}
 	})
 	if err != nil {
 		return nil, err

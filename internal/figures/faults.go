@@ -27,12 +27,13 @@ func ExtFaults(scale SimScale) (*Table, error) {
 	fracs := []float64{0.1, 0.2, 0.4}
 	systems := []core.System{core.SystemPush, core.SystemInvalidation, core.SystemTTL}
 	results, err := scale.run(t, len(fracs)*len(systems), func(i int) cell {
-		spec := fault.Spec{RandomCrashes: &fault.RandomCrashes{
+		sc := scale.Scenario
+		sc.Faults = &fault.Spec{RandomCrashes: &fault.RandomCrashes{
 			Frac:         fracs[i/len(systems)],
 			RecoverAfter: fault.Duration(3 * time.Minute),
 		}}
-		return cell{sys: systems[i%len(systems)], opts: scale.opts(
-			core.WithFaults(spec), core.WithFailover())}
+		sc.Failover = true
+		return cell{sys: systems[i%len(systems)], sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -81,11 +82,10 @@ func ExtFailover(scale SimScale) (*Table, error) {
 	modes := []bool{false, true}
 	spec := extFailoverSpec()
 	results, err := scale.run(t, len(modes)*len(systems), func(i int) cell {
-		opts := scale.opts(core.WithFaults(spec))
-		if modes[i/len(systems)] {
-			opts = append(opts, core.WithFailover())
-		}
-		return cell{sys: systems[i%len(systems)], opts: opts}
+		sc := scale.Scenario
+		sc.Faults = &spec
+		sc.Failover = modes[i/len(systems)]
+		return cell{sys: systems[i%len(systems)], sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -106,10 +106,6 @@ func ExtFailover(scale SimScale) (*Table, error) {
 // robustness metrics side by side. It backs the experiment harness's
 // -faults flag.
 func FaultScenario(scale SimScale, name string) (*Table, error) {
-	spec, err := fault.Scenario(name)
-	if err != nil {
-		return nil, fmt.Errorf("figures: %w", err)
-	}
 	t := &Table{
 		ID:     "fault-" + name,
 		Title:  fmt.Sprintf("fault scenario %q across the Section 5.3 systems (failover on)", name),
@@ -118,7 +114,10 @@ func FaultScenario(scale SimScale, name string) (*Table, error) {
 	}
 	systems := core.Systems()
 	results, err := scale.run(t, len(systems), func(i int) cell {
-		return cell{sys: systems[i], opts: scale.opts(core.WithFaults(spec), core.WithFailover())}
+		sc := scale.Scenario
+		sc.FaultScenario = name
+		sc.Failover = true
+		return cell{sys: systems[i], sc: sc}
 	})
 	if err != nil {
 		return nil, err

@@ -34,14 +34,13 @@ func FederationStorm(scale SimScale, spec federation.Spec) (*Table, error) {
 			"during full overlap servers serve stale and record degradation instead of stranding users",
 		Header: header,
 	}
-	storm, err := fault.Scenario("provider-storm")
-	if err != nil {
-		return nil, fmt.Errorf("figures: federation-storm: %w", err)
-	}
 	systems := core.Systems()
 	results, err := scale.run(t, len(systems), func(i int) cell {
-		return cell{sys: systems[i], opts: scale.opts(
-			core.WithFederation(spec), core.WithFaults(storm), core.WithFailover())}
+		sc := scale.Scenario
+		sc.Federation = &spec
+		sc.FaultScenario = "provider-storm"
+		sc.Failover = true
+		return cell{sys: systems[i], sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -72,10 +71,6 @@ func FederationFlap(scale SimScale, spec federation.Spec) (*Table, error) {
 			"advantage) and a dwell floor bound the durable switches without giving up failover",
 		Header: []string{"system", "broker", "switches", "handoffs", "user_mean_s", "failed_visit_frac", "stranded"},
 	}
-	flap, err := fault.Scenario("broker-flap")
-	if err != nil {
-		return nil, fmt.Errorf("figures: federation-flap: %w", err)
-	}
 	brokers := []struct {
 		label string
 		b     federation.Broker
@@ -89,11 +84,14 @@ func FederationFlap(scale SimScale, spec federation.Spec) (*Table, error) {
 	}
 	systems := core.Systems()
 	results, err := scale.run(t, len(brokers)*len(systems), func(i int) cell {
-		s := spec
+		fed := spec
 		b := brokers[i/len(systems)].b
-		s.Broker = &b
-		return cell{sys: systems[i%len(systems)], opts: scale.opts(
-			core.WithFederation(s), core.WithFaults(flap), core.WithFailover())}
+		fed.Broker = &b
+		sc := scale.Scenario
+		sc.Federation = &fed
+		sc.FaultScenario = "broker-flap"
+		sc.Failover = true
+		return cell{sys: systems[i%len(systems)], sc: sc}
 	})
 	if err != nil {
 		return nil, err

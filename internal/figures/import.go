@@ -4,16 +4,17 @@ import (
 	"fmt"
 
 	"cdnconsistency/internal/core"
+	"cdnconsistency/internal/plan"
 	"cdnconsistency/internal/traceimport"
 )
 
-// ImportReplay replays an imported spec bundle across the six named
-// systems: the inferred server map, TTLs, update rate, user population,
-// and fault windows replace the synthetic deployment, so the comparison
-// runs on a workload shaped by observed data rather than by the paper's
-// defaults. Failover is enabled, since the bundle's fault windows model
-// the trace's absence runs.
-func ImportReplay(scale SimScale, b *traceimport.Bundle) (*Table, error) {
+// ImportReplay replays an imported spec bundle, read from path, across the
+// six named systems: the inferred server map, TTLs, update rate, user
+// population, and fault windows replace the synthetic deployment, so the
+// comparison runs on a workload shaped by observed data rather than by the
+// paper's defaults. Failover is enabled, since the bundle's fault windows
+// model the trace's absence runs.
+func ImportReplay(scale SimScale, path string, b *traceimport.Bundle) (*Table, error) {
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("figures: import-replay: %w", err)
 	}
@@ -25,20 +26,14 @@ func ImportReplay(scale SimScale, b *traceimport.Bundle) (*Table, error) {
 			s.Servers, s.Sites, s.Users, s.ServerTTL.D(), s.UpdatesPerDay, s.DayLength.D(), len(b.CrashWindows())),
 		Header: []string{"system", "server_mean_s", "server_p5/med/p95", "user_mean_s", "user_p5/med/p95", "msgs_to_servers", "crashes"},
 	}
+	// The bundle fixes the deployment; the scale adds its cluster count and
+	// auditor. Options materializes the bundle's topology per run.
+	base := scale.Scenario
+	sc := plan.Scenario{Import: path, Clusters: base.Clusters, Failover: true, Audit: base.Audit, AuditCadence: base.AuditCadence}
+	sc.SetImportBundle(b)
 	systems := core.Systems()
-	// Each run gets its own materialized options: the bundle's topology
-	// must not be shared across concurrently running simulations.
-	opts := make([][]core.Option, len(systems))
-	for i := range opts {
-		bopts, err := b.Options()
-		if err != nil {
-			return nil, fmt.Errorf("figures: import-replay: %w", err)
-		}
-		opts[i] = append([]core.Option{core.WithClusters(scale.Clusters), core.WithSeed(scale.Seed)},
-			append(bopts, core.WithFailover())...)
-	}
 	results, err := scale.run(t, len(systems), func(i int) cell {
-		return cell{sys: systems[i], opts: opts[i]}
+		return cell{sys: systems[i], sc: sc}
 	})
 	if err != nil {
 		return nil, err

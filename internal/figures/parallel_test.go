@@ -8,10 +8,7 @@ import (
 // deterministic from its explicit seed and rows are assembled in index
 // order, so the rendered table is byte-identical at any worker count.
 func TestParallelFiguresMatchSerial(t *testing.T) {
-	tiny := SmallSimScale()
-	tiny.Servers = 30
-	tiny.UsersPerServer = 1
-	tiny.Clusters = 5
+	tiny := reducedSimScale(30, 1)
 
 	figs := []struct {
 		name string

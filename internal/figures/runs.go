@@ -8,15 +8,16 @@ import (
 
 	"cdnconsistency/internal/cdn"
 	"cdnconsistency/internal/core"
+	"cdnconsistency/internal/plan"
 	"cdnconsistency/internal/runner"
 )
 
-// cell is one simulation run a figure asks for: a system and the options
-// that describe the run. The run controls (context, auditor, probe) are
-// the driver's to add.
+// cell is one simulation run a figure asks for: a system and the scenario
+// it runs, at the scale's seed. The run controls (context, probe) are the
+// driver's to add.
 type cell struct {
-	sys  core.System
-	opts []core.Option
+	sys core.System
+	sc  plan.Scenario
 	// ran, when set, receives the run's wall time if this figure
 	// simulated it (not when the run table already held it).
 	ran func(wall time.Duration)
@@ -24,19 +25,18 @@ type cell struct {
 
 // run simulates t's grid of n cells, built by at, and returns the results
 // in index order. It is the one place a figure reaches the simulator: it
-// adds the scale's run controls, fans the cells out over s.Parallel,
-// names the figure and system in errors, and adds the events of the runs
-// it simulated to t.SimEvents. With a run table, a cell whose run the
-// table already holds (or is simulating) gets that shared, read-only
-// Result instead of a second simulation. Every run is deterministic from
-// its seed, so neither fan-out nor sharing changes a figure's numbers.
+// validates each cell's scenario for its system, compiles it at the
+// scale's seed, adds the scale's run controls, fans the cells out over
+// s.Parallel, names the figure and system in errors, and adds the events
+// of the runs it simulated to t.SimEvents. With a run table, a cell whose
+// run the table already holds (or is simulating) gets that shared,
+// read-only Result instead of a second simulation. Every run is
+// deterministic from its seed, so neither fan-out nor sharing changes a
+// figure's numbers.
 func (s SimScale) run(t *Table, n int, at func(i int) cell) ([]*cdn.Result, error) {
 	var controls []core.Option
 	if s.Ctx != nil {
 		controls = append(controls, core.WithContext(s.Ctx))
-	}
-	if s.Audit {
-		controls = append(controls, core.WithAudit(s.AuditCadence))
 	}
 	if s.Probe != nil {
 		controls = append(controls, core.WithTick(s.Probe))
@@ -44,9 +44,15 @@ func (s SimScale) run(t *Table, n int, at func(i int) cell) ([]*cdn.Result, erro
 	simulated := make([]bool, n)
 	results, err := runner.Collect(s.Parallel, n, func(i int) (*cdn.Result, error) {
 		c := at(i)
-		opts := append(c.opts[:len(c.opts):len(c.opts)], controls...)
+		if s.observe != nil {
+			s.observe(c)
+		}
+		opts, err := c.options(s.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("figures: %s: %s: %w", t.ID, c.sys.Name, err)
+		}
 		start := time.Now()
-		res, ran, err := s.Runs.get(s.Ctx, c.sys, opts)
+		res, ran, err := s.Runs.get(s.Ctx, c.sys, append(opts, controls...))
 		if err != nil {
 			return nil, fmt.Errorf("figures: %s: %s: %w", t.ID, c.sys.Name, err)
 		}
@@ -65,6 +71,15 @@ func (s SimScale) run(t *Table, n int, at func(i int) cell) ([]*cdn.Result, erro
 		}
 	}
 	return results, nil
+}
+
+// options validates the cell's scenario for its system and compiles it
+// into the core options of one run at seed.
+func (c cell) options(seed int64) ([]core.Option, error) {
+	if err := c.sc.Validate(c.sys); err != nil {
+		return nil, err
+	}
+	return c.sc.Options(seed)
 }
 
 // RunTable shares simulation runs across the figures of one sweep: each

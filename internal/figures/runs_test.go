@@ -8,11 +8,18 @@ import (
 	"cdnconsistency/internal/core"
 )
 
-func tinySimScale() SimScale {
+// reducedSimScale is the small scale cut to servers servers with users
+// end-users each, in 5 clusters.
+func reducedSimScale(servers, users int) SimScale {
 	s := SmallSimScale()
-	s.Servers = 30
-	s.UsersPerServer = 1
-	s.Clusters = 5
+	s.Scenario.Servers = servers
+	s.Scenario.UsersPerServer = &users
+	s.Scenario.Clusters = 5
+	return s
+}
+
+func tinySimScale() SimScale {
+	s := reducedSimScale(30, 1)
 	s.Parallel = 2
 	return s
 }
@@ -76,7 +83,7 @@ func TestRunTableConcurrentRequests(t *testing.T) {
 	s.Parallel = 4
 	s.Runs = NewRunTable()
 	tab := &Table{ID: "dup"}
-	results, err := s.run(tab, 4, func(int) cell { return cell{sys: core.SystemPush, opts: s.opts()} })
+	results, err := s.run(tab, 4, func(int) cell { return cell{sys: core.SystemPush, sc: s.Scenario} })
 	if err != nil {
 		t.Fatal(err)
 	}

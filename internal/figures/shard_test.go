@@ -16,10 +16,7 @@ func TestExtScaleShardInvariance(t *testing.T) {
 	ExtScalePerfOutput = io.Discard
 	defer func() { ExtScalePerfOutput = old }()
 
-	tiny := SmallSimScale()
-	tiny.Servers = 30
-	tiny.UsersPerServer = 1
-	tiny.Clusters = 5
+	tiny := reducedSimScale(30, 1)
 
 	one := tiny
 	one.Shards = 1

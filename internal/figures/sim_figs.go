@@ -9,44 +9,36 @@ import (
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/netmodel"
+	"cdnconsistency/internal/plan"
 	"cdnconsistency/internal/stats"
 	"cdnconsistency/internal/topology"
-	"cdnconsistency/internal/workload"
 )
 
-// SimScale sizes the Section-4/5 simulation figures.
+// SimScale sizes the Section-4/5 simulation figures. Every figure builds
+// its runs through plan.Scenario: a cell copies Scenario, edits what it
+// sweeps, and runs it at Seed, so each cell passes Scenario.Validate and
+// can be written out as a plan and rerun. ext-catalog's fleets are the
+// exception (see catalog.RunFleets).
 type SimScale struct {
-	Servers        int
-	UsersPerServer int
-	Clusters       int
-	Game           workload.GameConfig
-	Seed           int64
-	// ServerTTL used where the figure doesn't sweep it. Section 4 figures
-	// report magnitudes consistent with a 10 s server TTL; Section 5 uses
-	// 60 s.
-	ServerTTL time.Duration
+	// Scenario is what every figure starts from: the topology, the game,
+	// the server TTL where a figure doesn't sweep it (10 s, consistent with
+	// Section 4's magnitudes; Section 5 uses 60 s) and the runtime auditor,
+	// whose violations abort a figure and which never changes a number.
+	Scenario plan.Scenario
+	Seed     int64
 	// Parallel bounds how many independent simulation runs a figure may
 	// execute concurrently (<= 1 means serial). Each run is deterministic
 	// from its explicit seed, so the setting never changes any number.
 	Parallel int
-	// Shards, when > 0, runs the ext-scale sweep on the sharded engine over
-	// its default cell partition, on one goroutine per run; the value is
-	// not a worker count. Sharded results are a pure function of (seed,
-	// partition), so any Shards >= 1 yields identical tables; Shards = 0 keeps the serial
-	// engine (whose RNG streams, and hence numbers, differ from sharded
-	// ones). Only ext-scale consumes this: the paper-replication figures
-	// stay on the serial engine their published numbers were drawn from.
+	// Shards, when > 0, runs the ext-scale sweep, and only it, on the
+	// sharded engine (see plan.Scenario.Shards). It stays out of Scenario:
+	// the paper-replication figures keep the serial engine their published
+	// numbers were drawn from.
 	Shards int
 
 	// Ctx, when non-nil, makes every simulation run cancellable: cancelling
 	// it aborts in-flight runs promptly with the context's error.
 	Ctx context.Context
-	// Audit enables the runtime invariant auditor inside every simulation
-	// run, sweeping at AuditCadence (0 = the auditor's default). A violated
-	// conservation property aborts the figure with a structured error;
-	// auditing never changes a figure's numbers.
-	Audit        bool
-	AuditCadence time.Duration
 	// Probe, when non-nil, is invoked from each run's event loop at a fixed
 	// event stride with the current virtual time and processed-event count.
 	// It backs stuck-job watchdogs; it may be called from whichever
@@ -56,51 +48,51 @@ type SimScale struct {
 	// distinct run is simulated once (see RunTable). Nil simulates every
 	// run a figure asks for.
 	Runs *RunTable
+
+	// observe, when set, is called with every cell run is asked for, from
+	// whichever goroutine builds it.
+	observe func(cell)
 }
 
 // DefaultSimScale reproduces the paper's deployment: 170 nodes, 5 users
-// each, one trace day of 306 snapshots.
+// each, one trace day of 306 snapshots (the scenario's default game).
 func DefaultSimScale() SimScale {
+	users := 5
 	return SimScale{
-		Servers:        170,
-		UsersPerServer: 5,
-		Clusters:       20,
-		Game:           workload.DefaultGame(),
-		Seed:           1,
-		ServerTTL:      10 * time.Second,
+		Scenario: plan.Scenario{
+			Servers:        170,
+			UsersPerServer: &users,
+			Clusters:       20,
+			ServerTTL:      secs(10),
+		},
+		Seed: 1,
 	}
 }
 
 // SmallSimScale keeps benches fast while preserving orderings.
 func SmallSimScale() SimScale {
-	var phases []workload.Phase
+	var phases []plan.PhaseSpec
 	for i := 0; i < 3; i++ {
 		phases = append(phases,
-			workload.Phase{Name: "play", Duration: 5 * time.Minute, MeanGap: 15 * time.Second},
-			workload.Phase{Name: "break", Duration: 4 * time.Minute, MeanGap: 0},
+			plan.PhaseSpec{Name: "play", Duration: plan.Duration(5 * time.Minute), MeanGap: secs(15)},
+			plan.PhaseSpec{Name: "break", Duration: plan.Duration(4 * time.Minute)},
 		)
 	}
+	users := 2
 	return SimScale{
-		Servers:        60,
-		UsersPerServer: 2,
-		Clusters:       8,
-		Game:           workload.GameConfig{Phases: phases, SizeKB: 1},
-		Seed:           1,
-		ServerTTL:      10 * time.Second,
+		Scenario: plan.Scenario{
+			Servers:        60,
+			UsersPerServer: &users,
+			Clusters:       8,
+			Game:           &plan.GameSpec{Phases: phases, SizeKB: 1},
+			ServerTTL:      secs(10),
+		},
+		Seed: 1,
 	}
 }
 
-// opts describes a run at this scale, with extra applied last.
-func (s SimScale) opts(extra ...core.Option) []core.Option {
-	return append([]core.Option{
-		core.WithServers(s.Servers),
-		core.WithUsersPerServer(s.UsersPerServer),
-		core.WithClusters(s.Clusters),
-		core.WithSeed(s.Seed),
-		core.WithGame(s.Game),
-		core.WithServerTTL(s.ServerTTL),
-	}, extra...)
-}
+// secs is n seconds as a scenario duration.
+func secs(n int) plan.Duration { return plan.Duration(time.Duration(n) * time.Second) }
 
 // section4Methods are the three methods the Section 4 figures compare.
 var section4Methods = []consistency.Method{consistency.MethodPush, consistency.MethodInvalidation, consistency.MethodTTL}
@@ -116,7 +108,7 @@ func methodInfraTable(id, title, note string, scale SimScale, infra consistency.
 		Header: []string{"method", "server_mean_s", "server_p5/med/p95", "user_mean_s", "user_p5/med/p95"},
 	}
 	results, err := scale.run(t, len(section4Methods), func(i int) cell {
-		return cell{sys: system(section4Methods[i], infra), opts: scale.opts()}
+		return cell{sys: system(section4Methods[i], infra), sc: scale.Scenario}
 	})
 	if err != nil {
 		return nil, err
@@ -177,7 +169,7 @@ func Fig16(scale SimScale) (*Table, error) {
 		Header: []string{"method", "unicast_kmKB", "multicast_kmKB", "saving_kmKB"},
 	}
 	results, err := scale.run(t, len(section4Methods)*len(bothInfras), func(i int) cell {
-		return cell{sys: system(section4Methods[i/len(bothInfras)], bothInfras[i%len(bothInfras)]), opts: scale.opts()}
+		return cell{sys: system(section4Methods[i/len(bothInfras)], bothInfras[i%len(bothInfras)]), sc: scale.Scenario}
 	})
 	if err != nil {
 		return nil, err
@@ -200,9 +192,9 @@ func Fig17(scale SimScale) (*Table, error) {
 	}
 	ttls := []int{10, 20, 30, 40, 50, 60}
 	results, err := scale.run(t, len(ttls)*len(bothInfras), func(i int) cell {
-		ttl := ttls[i/len(bothInfras)]
-		return cell{sys: system(consistency.MethodTTL, bothInfras[i%len(bothInfras)]),
-			opts: scale.opts(core.WithServerTTL(time.Duration(ttl) * time.Second))}
+		sc := scale.Scenario
+		sc.ServerTTL = secs(ttls[i/len(bothInfras)])
+		return cell{sys: system(consistency.MethodTTL, bothInfras[i%len(bothInfras)]), sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -227,9 +219,9 @@ func Fig18(scale SimScale) (*Table, error) {
 	}
 	userTTLs := []int{10, 30, 60, 90, 120}
 	results, err := scale.run(t, len(userTTLs)*len(bothInfras), func(i int) cell {
-		userTTL := userTTLs[i/len(bothInfras)]
-		return cell{sys: system(consistency.MethodInvalidation, bothInfras[i%len(bothInfras)]),
-			opts: scale.opts(core.WithUserTTL(time.Duration(userTTL) * time.Second))}
+		sc := scale.Scenario
+		sc.UserTTL = secs(userTTLs[i/len(bothInfras)])
+		return cell{sys: system(consistency.MethodInvalidation, bothInfras[i%len(bothInfras)]), sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -254,7 +246,7 @@ func Fig19(scale SimScale) (*Table, error) {
 	}
 	sizes := []float64{1, 100, 500}
 	return scalabilityTable(t, scale, []string{f1(sizes[0]), f1(sizes[1]), f1(sizes[2])},
-		func(x int) core.Option { return core.WithUpdateSizeKB(sizes[x]) })
+		func(x int, sc *plan.Scenario) { sc.UpdateSizeKB = sizes[x] })
 }
 
 // Fig20 regenerates Figure 20: scalability vs network size.
@@ -267,22 +259,24 @@ func Fig20(scale SimScale) (*Table, error) {
 	}
 	var xs []string
 	for k := 1; k <= 5; k++ {
-		xs = append(xs, d0(k*scale.Servers))
+		xs = append(xs, d0(k*scale.Scenario.Servers))
 	}
 	return scalabilityTable(t, scale, xs,
-		func(x int) core.Option { return core.WithServers((x + 1) * scale.Servers) })
+		func(x int, sc *plan.Scenario) { sc.Servers = (x + 1) * scale.Scenario.Servers })
 }
 
 // scalabilityTable runs Push, Invalidation and TTL on both infrastructures
 // behind a 2000 KB/s uplink at each point of a scalability sweep (point x
-// labelled xs[x], set by at(x)) and tabulates mean server inconsistency
-// per (point, infrastructure) row.
-func scalabilityTable(t *Table, scale SimScale, xs []string, at func(x int) core.Option) (*Table, error) {
+// labelled xs[x], set on a cell's scenario by at) and tabulates mean server
+// inconsistency per (point, infrastructure) row.
+func scalabilityTable(t *Table, scale SimScale, xs []string, at func(x int, sc *plan.Scenario)) (*Table, error) {
 	methods := section4Methods
 	perX := len(bothInfras) * len(methods)
 	results, err := scale.run(t, len(xs)*perX, func(i int) cell {
-		return cell{sys: system(methods[i%len(methods)], bothInfras[(i/len(methods))%len(bothInfras)]),
-			opts: scale.opts(at(i/perX), core.WithNetConfig(netmodel.Config{DefaultUplinkKBps: 2000}))}
+		sc := scale.Scenario
+		sc.UplinkKBps = 2000
+		at(i/perX, &sc)
+		return cell{sys: system(methods[i%len(methods)], bothInfras[(i/len(methods))%len(bothInfras)]), sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -305,9 +299,9 @@ func scalabilityTable(t *Table, scale SimScale, xs []string, at func(x int) core
 // supernode push overhead, producing the paper's message ordering.
 func (s SimScale) section5() SimScale {
 	out := s
-	out.Servers = s.Servers * 5
-	out.Clusters = 20
-	out.ServerTTL = 60 * time.Second
+	out.Scenario.Servers = s.Scenario.Servers * 5
+	out.Scenario.Clusters = 20
+	out.Scenario.ServerTTL = secs(60)
 	return out
 }
 
@@ -329,13 +323,14 @@ func Fig22(scale SimScale) (*Table, error) {
 	aJobs := len(userTTLs) * len(systems)
 	s5 := scale.section5()
 	results, err := s5.run(t, aJobs+len(srvTTLs)*len(systems), func(i int) cell {
+		sc := s5.Scenario
 		if i < aJobs {
-			userTTL := userTTLs[i/len(systems)]
-			return cell{sys: systems[i%len(systems)], opts: s5.opts(core.WithUserTTL(time.Duration(userTTL) * time.Second))}
+			sc.UserTTL = secs(userTTLs[i/len(systems)])
+			return cell{sys: systems[i%len(systems)], sc: sc}
 		}
 		j := i - aJobs
-		srvTTL := srvTTLs[j/len(systems)]
-		return cell{sys: systems[j%len(systems)], opts: s5.opts(core.WithServerTTL(time.Duration(srvTTL) * time.Second))}
+		sc.ServerTTL = secs(srvTTLs[j/len(systems)])
+		return cell{sys: systems[j%len(systems)], sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -369,7 +364,7 @@ func Fig23(scale SimScale) (*Table, error) {
 	systems := core.Systems()
 	s5 := scale.section5()
 	results, err := s5.run(t, len(systems), func(i int) cell {
-		return cell{sys: systems[i], opts: s5.opts()}
+		return cell{sys: systems[i], sc: s5.Scenario}
 	})
 	if err != nil {
 		return nil, err
@@ -395,10 +390,10 @@ func Fig24(scale SimScale) (*Table, error) {
 	userTTLs := []int{10, 30, 60}
 	s5 := scale.section5()
 	results, err := s5.run(t, len(userTTLs)*len(systems), func(i int) cell {
-		userTTL := userTTLs[i/len(systems)]
-		return cell{sys: systems[i%len(systems)], opts: s5.opts(
-			core.WithUserTTL(time.Duration(userTTL)*time.Second),
-			core.WithUserSwitching())}
+		sc := s5.Scenario
+		sc.UserTTL = secs(userTTLs[i/len(systems)])
+		sc.UserSwitch = true
+		return cell{sys: systems[i%len(systems)], sc: sc}
 	})
 	if err != nil {
 		return nil, err
@@ -414,19 +409,8 @@ func Fig24(scale SimScale) (*Table, error) {
 }
 
 // sharedTopology builds one topology for ablations that need to compare
-// tree variants on identical node sets.
+// tree variants on identical node sets. It places no end-users: they are
+// drawn after every server, so they cannot move one.
 func sharedTopology(scale SimScale) (*topology.Topology, error) {
-	return topology.Generate(topology.Config{
-		Servers:        scale.Servers,
-		UsersPerServer: scale.UsersPerServer,
-		Seed:           scale.Seed,
-	})
-}
-
-// workloadSingle builds a single-phase update schedule config.
-func workloadSingle(duration, meanGap time.Duration) workload.GameConfig {
-	return workload.GameConfig{
-		Phases: []workload.Phase{{Name: "live", Duration: duration, MeanGap: meanGap}},
-		SizeKB: 1,
-	}
+	return topology.Generate(topology.Config{Servers: scale.Scenario.Servers, Seed: scale.Seed})
 }

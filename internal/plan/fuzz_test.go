@@ -21,6 +21,10 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`[1, 2]`))
 	f.Add([]byte(`{"name":"x","systems":["TTL"],"server_ttl":"-5s"}`))
+	f.Add([]byte(`{"name":"net","systems":["Push"],"uplink_kbps":2000,"disable_queuing":true,"update_size_kb":500,"assert":[{"metric":"crashes","op":"==","value":0}]}`))
+	f.Add([]byte(`{"name":"repair","systems":["Push/Multicast"],"faults":{"random_crashes":{"count":3}},"tree_repair":true,"assert":[{"metric":"crashes","op":"==","value":3}]}`))
+	f.Add([]byte(`{"name":"dns","systems":["HAT"],"dns_resolver_ttl":"20s","server_ttl":"60s","users_per_server":0,"assert":[{"metric":"users","op":"==","value":0}]}`))
+	f.Add([]byte(`{"name":"visits","systems":["TTL"],"user_model":"cohort","population_gen":{"total_users":100},"visit_accounting":true,"assert":[{"metric":"crashes","op":"==","value":0}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ParsePlan(data)

@@ -151,6 +151,7 @@ func TestPlanImportExclusions(t *testing.T) {
 		`"shards": 2,`,
 		`"shard_cells": 4,`,
 		`"user_switch": true,`,
+		`"dns_resolver_ttl": "20s",`,
 	} {
 		input := fmt.Sprintf(base, field)
 		_, err := ParsePlan([]byte(input))

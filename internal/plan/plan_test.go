@@ -99,11 +99,16 @@ func TestParsePlanRejects(t *testing.T) {
 		{"cohort equiv without cohort", `{"name":"x","systems":["TTL"],"equivalence":["cohort_explicit"],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "requires user_model"},
 		{"unknown equivalence", `{"name":"x","systems":["TTL"],"equivalence":["teleport"],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "unknown equivalence"},
 		{"empty game", `{"name":"x","systems":["TTL"],"game":{"phases":[]},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "no phases"},
+		{"negative uplink", `{"name":"x","systems":["Push"],"uplink_kbps":-2000,"assert":[{"metric":"crashes","op":"==","value":0}]}`, "negative uplink_kbps"},
+		{"negative resolver ttl", `{"name":"x","systems":["TTL"],"dns_resolver_ttl":"-20s","assert":[{"metric":"crashes","op":"==","value":0}]}`, "or dns_resolver_ttl"},
+		{"negative users", `{"name":"x","systems":["TTL"],"users_per_server":-1,"assert":[{"metric":"crashes","op":"==","value":0}]}`, "negative users per server"},
 		// Method x infra, sharding x tree mutation and federation x method are
 		// cdn rules; a plan breaking one fails at load, not mid-matrix.
 		{"lease off unicast", `{"name":"x","systems":["Lease/Multicast"],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "MethodLease requires InfraUnicast"},
 		{"sharded tree mutation", `{"name":"x","systems":["Push/Multicast"],"shards":2,"failover":true,"assert":[{"metric":"crashes","op":"==","value":0}]}`, "cannot mutate the multicast tree"},
 		{"federated lease", `{"name":"x","systems":["Lease/Unicast"],"federation":{"providers":[{"name":"a","lat":1,"lon":2}]},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "Federation is incompatible with MethodLease"},
+		{"dns routing with population", `{"name":"x","systems":["TTL"],"dns_resolver_ttl":"20s","population":{"servers":[[{"count":1,"offset_ns":0}]]},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "incompatible with UseDNSRouting"},
+		{"dns routing with switching", `{"name":"x","systems":["TTL"],"dns_resolver_ttl":"20s","user_switch":true,"assert":[{"metric":"crashes","op":"==","value":0}]}`, "mutually exclusive"},
 	}
 	for _, tc := range cases {
 		p, err := ParsePlan([]byte(tc.json))

@@ -10,6 +10,7 @@ import (
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/federation"
+	"cdnconsistency/internal/netmodel"
 	"cdnconsistency/internal/traceimport"
 	"cdnconsistency/internal/workload"
 )
@@ -17,8 +18,9 @@ import (
 // Scenario describes what one simulation runs against — topology, protocol
 // parameters, workload, users, faults, federation and engine — independent
 // of which system runs it and at which seed. A Plan embeds one; cmd/cdnsim
-// fills one from its flags. Options is the only path from a scenario to a
-// core configuration, and Validate the only place its rules are checked.
+// fills one from its flags; every Section 4-5 figure cell is one (see
+// figures.SimScale). Options is the only path from a scenario to a core
+// configuration, and Validate the only place its rules are checked.
 type Scenario struct {
 	// Import replays an inferred deployment (internal/traceimport): the
 	// path — relative to the plan file's directory — of a bundle JSON, a
@@ -30,12 +32,20 @@ type Scenario struct {
 	Import string `json:"import,omitempty"`
 
 	// Topology. Zero fields keep the simulation defaults (core.DefaultServers
-	// servers, core.DefaultUsersPerServer users per server, 20 clusters).
-	Servers         int `json:"servers,omitempty"`
-	UsersPerServer  int `json:"users_per_server,omitempty"`
-	Clusters        int `json:"clusters,omitempty"`
-	TreeDegree      int `json:"tree_degree,omitempty"`
-	SupernodeDegree int `json:"supernode_degree,omitempty"`
+	// servers, 20 clusters); an absent UsersPerServer keeps
+	// core.DefaultUsersPerServer users per server, and an explicit 0 runs
+	// with no end-users.
+	Servers         int  `json:"servers,omitempty"`
+	UsersPerServer  *int `json:"users_per_server,omitempty"`
+	Clusters        int  `json:"clusters,omitempty"`
+	TreeDegree      int  `json:"tree_degree,omitempty"`
+	SupernodeDegree int  `json:"supernode_degree,omitempty"`
+
+	// Network model. UplinkKBps sets every endpoint's output-port rate
+	// (0 keeps netmodel's 12500 KB/s); DisableQueuing turns output-port
+	// serialization off.
+	UplinkKBps     float64 `json:"uplink_kbps,omitempty"`
+	DisableQueuing bool    `json:"disable_queuing,omitempty"`
 
 	// Protocol parameters. Zero keeps the defaults (cdn.DefaultServerTTL,
 	// 10s user TTL, 1 KB updates).
@@ -55,6 +65,13 @@ type Scenario struct {
 	// UserSwitch makes every visit hit a uniformly random server (the
 	// Figure 24 scenario).
 	UserSwitch bool `json:"user_switch,omitempty"`
+	// DNSResolverTTL > 0 routes every visit through the modeled DNS plane
+	// (local resolver caches with this TTL, authoritative nearest-k load
+	// balancing). It cannot be combined with a pinned population.
+	DNSResolverTTL Duration `json:"dns_resolver_ttl,omitempty"`
+	// VisitAccounting books every end-user request into the traffic ledger
+	// as a zero-distance content message.
+	VisitAccounting bool `json:"visit_accounting,omitempty"`
 	// Population pins the user population explicitly; PopulationGen draws
 	// one. At most one of the two may be set.
 	Population    *workload.Population `json:"population,omitempty"`
@@ -72,6 +89,9 @@ type Scenario struct {
 	Faults        *fault.Spec `json:"faults,omitempty"`
 	// Failover enables the failure-aware protocol reactions.
 	Failover bool `json:"failover,omitempty"`
+	// TreeRepair re-attaches the multicast subtrees a crashed relay
+	// orphans to the nearest live node.
+	TreeRepair bool `json:"tree_repair,omitempty"`
 
 	// Shards > 0 runs on the sharded engine over ShardCells partition
 	// cells (default 8), on one goroutine; the value is not a worker count.
@@ -96,18 +116,20 @@ type Scenario struct {
 // importExclusions is the one table of scenario fields an import cannot be
 // combined with: the bundle supplies the topology, TTLs, update workload,
 // population and fault windows, and an imported replay runs serially with
-// every user pinned to its home server.
+// every user pinned to its home server (so neither per-visit switching nor
+// DNS routing).
 var importExclusions = []struct {
 	field string
 	set   func(*Scenario) bool
 }{
 	{"servers", func(s *Scenario) bool { return s.Servers != 0 }},
-	{"users_per_server", func(s *Scenario) bool { return s.UsersPerServer != 0 }},
+	{"users_per_server", func(s *Scenario) bool { return s.UsersPerServer != nil }},
 	{"server_ttl", func(s *Scenario) bool { return s.ServerTTL != 0 }},
 	{"user_ttl", func(s *Scenario) bool { return s.UserTTL != 0 }},
 	{"update_size_kb", func(s *Scenario) bool { return s.UpdateSizeKB != 0 }},
 	{"game", func(s *Scenario) bool { return s.Game != nil }},
 	{"user_switch", func(s *Scenario) bool { return s.UserSwitch }},
+	{"dns_resolver_ttl", func(s *Scenario) bool { return s.DNSResolverTTL != 0 }},
 	{"population", func(s *Scenario) bool { return s.Population != nil }},
 	{"population_gen", func(s *Scenario) bool { return s.PopulationGen != nil }},
 	{"federation", func(s *Scenario) bool { return s.Federation != nil }},
@@ -205,6 +227,9 @@ func (s *Scenario) Validate(systems ...core.System) error {
 	if !s.Audit && s.AuditCadence != 0 {
 		return fmt.Errorf("audit_cadence requires audit")
 	}
+	if !(s.UplinkKBps >= 0) || s.DNSResolverTTL < 0 {
+		return fmt.Errorf("negative uplink_kbps or dns_resolver_ttl")
+	}
 	opts, err := s.fieldOptions()
 	if err != nil {
 		return err
@@ -269,15 +294,21 @@ func (s *Scenario) fieldOptions() ([]core.Option, error) {
 		}
 	}
 	add(s.Servers != 0, core.WithServers(s.Servers))
-	add(s.UsersPerServer != 0, core.WithUsersPerServer(s.UsersPerServer))
+	if s.UsersPerServer != nil {
+		opts = append(opts, core.WithUsersPerServer(*s.UsersPerServer))
+	}
 	add(s.Clusters != 0, core.WithClusters(s.Clusters))
 	add(s.TreeDegree != 0, core.WithTreeDegree(s.TreeDegree))
 	add(s.SupernodeDegree != 0, core.WithSupernodeDegree(s.SupernodeDegree))
+	add(s.UplinkKBps != 0 || s.DisableQueuing,
+		core.WithNetConfig(netmodel.Config{DefaultUplinkKBps: s.UplinkKBps, DisableQueuing: s.DisableQueuing}))
 	add(s.ServerTTL != 0, core.WithServerTTL(s.ServerTTL.D()))
 	add(s.UserTTL != 0, core.WithUserTTL(s.UserTTL.D()))
 	add(s.UpdateSizeKB != 0, core.WithUpdateSizeKB(s.UpdateSizeKB))
 	add(s.UserModel != "", core.WithUserModel(s.UserModel))
 	add(s.UserSwitch, core.WithUserSwitching())
+	add(s.DNSResolverTTL > 0, core.WithDNSRouting(s.DNSResolverTTL.D()))
+	add(s.VisitAccounting, core.WithVisitAccounting())
 	if s.Federation != nil {
 		opts = append(opts, core.WithFederation(*s.Federation))
 	}
@@ -292,6 +323,7 @@ func (s *Scenario) fieldOptions() ([]core.Option, error) {
 		opts = append(opts, core.WithFaults(spec))
 	}
 	add(s.Failover, core.WithFailover())
+	add(s.TreeRepair, core.WithTreeRepair())
 	add(s.Shards != 0, core.WithShards(s.Shards))
 	add(s.ShardCells != 0, core.WithShardCells(s.ShardCells))
 	if s.Audit {
