@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke profile experiments fuzz cover shard-equiv fmt perfbench-check
+.PHONY: check build vet test race bench bench-smoke profile experiments fuzz cover fmt perfbench-check
 
 check: fmt build vet race
 
@@ -32,9 +32,9 @@ bench:
 # compared strictly (>20% ns/op or allocs/op fails) against the newest
 # committed BENCH_<n>.json.
 bench-smoke:
-	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|ShardedExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|EngineHold|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|AuditSweep|PartitionCells|NetworkAccount|CohortRun|NewDataset|Infer$$' \
+	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|EngineHold|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|AuditSweep|PartitionCells|NetworkAccount|CohortRun|NewDataset|Infer$$|Resolve$$' \
 	BENCH_TIME=2x BENCH_COUNT=3 BENCH_STRICT=1 \
-	BENCH_GUARD='Fig19,Fig20,ExtScale,ShardedExtScale' \
+	BENCH_GUARD='Fig19,Fig20,ExtScale' \
 	./scripts/bench.sh $(CURDIR)/.bench-smoke.json
 	rm -f $(CURDIR)/.bench-smoke.json
 
@@ -43,16 +43,6 @@ bench-smoke:
 # internal/ packages so an API change cannot break it unnoticed.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
-
-# Shard-count invariance under the race detector: the sharded engine must
-# produce bit-identical results at any -shards value >= 1, reproduce the
-# cohort==explicit equivalence, and match the serial oracle on
-# schedule-driven counters — across the headline systems and every fault
-# scenario. Each run is single-goroutine, but the suites run many sharded
-# simulations in parallel subtests, so -race catches any state two
-# concurrent runs share.
-shard-equiv:
-	$(GO) test -race -run 'ShardCountInvariance|ShardedCohortEquivalence|ShardedSerialOracle|ShardedConfigGates|ExtScaleShardInvariance|Sharded' ./internal/cdn ./internal/figures ./internal/sim
 
 # CPU + heap profiles for the Figure 19 sweep (the engine hot path), ready
 # for `go tool pprof`.

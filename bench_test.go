@@ -140,24 +140,6 @@ func BenchmarkExtScale(b *testing.B) {
 	benchSimFigTiny(b, figures.ExtScale)
 }
 
-// BenchmarkShardedExtScale is the same reduced sweep on the sharded engine:
-// each run drains the default 8-cell partition on one goroutine under
-// conservative time-window synchronization, so against BenchmarkExtScale it
-// measures the sharding overhead (barriers + cross-cell merge). Guarded
-// alongside BenchmarkExtScale so the overhead cannot silently grow.
-func BenchmarkShardedExtScale(b *testing.B) {
-	defer func(w io.Writer) { figures.ExtScalePerfOutput = w }(figures.ExtScalePerfOutput)
-	figures.ExtScalePerfOutput = io.Discard
-	scale := tinyScale()
-	scale.Shards = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := figures.ExtScale(scale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Serial vs parallel fan-out of a sweep-heavy figure through the worker
 // pool. Compare these two to see the wall-clock speedup on multicore
 // hardware; the table contents are byte-identical either way.

@@ -79,7 +79,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-federation", "0"},
 		{"-federation", "x"},
 		{"-federation", "@no-such-file.json"},
-		{"-federation", "3", "-shards", "2"},
+		{"-shards", "1"},
+		{"-shardcells", "8"},
 		{"-updatekb", "NaN"},
 		{"-updatekb", "Inf"},
 	}
@@ -331,7 +332,6 @@ func TestRunImportRejectsConflicts(t *testing.T) {
 		{"-import", path, "-serverttl", "30s"},
 		{"-import", path, "-faults", "churn"},
 		{"-import", path, "-federation", "3"},
-		{"-import", path, "-shards", "2"},
 		{"-import", path, "-switch"},
 		{"-import", path, "-plan", "x.json"},
 		{"-import", filepath.Join(t.TempDir(), "missing.jsonl")},
@@ -355,7 +355,7 @@ func TestRunPlanRejectsScenarioFlags(t *testing.T) {
 		{"-servers", "10"},
 		{"-seed", "2"},
 		{"-system", "HAT"},
-		{"-audit", "-shards", "2"},
+		{"-failover"},
 	} {
 		_, err := runCLI(t, append([]string{"-plan", path}, extra...))
 		if err == nil || !strings.Contains(err.Error(), "drop -") {
@@ -401,8 +401,6 @@ func TestImportExclusionTable(t *testing.T) {
 		"federation":       {`"federation": {"providers": [{"name": "a"}]}`, []string{"-federation", "3"}},
 		"fault_scenario":   {`"fault_scenario": "churn"`, []string{"-faults", "churn"}},
 		"faults":           {`"faults": {"crashes": [{"server": 0, "at": "10s"}]}`, []string{"-faults", "@" + faultsPath}},
-		"shards":           {`"shards": 2`, []string{"-shards", "2"}},
-		"shard_cells":      {`"shard_cells": 4`, []string{"-shardcells", "4"}},
 	}
 	trace := writeImportTrace(t)
 	fields := plan.ImportExclusions()

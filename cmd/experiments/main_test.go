@@ -87,6 +87,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-federation", "x"},
 		{"-federation", "@no-such-file.json"},
 		{"-scale", "small", "-only", "fig16", "-audit-cadence", "5s"},
+		{"-shards", "1"},
 	}
 	for _, args := range cases {
 		if _, _, err := runCLI(t, args...); err == nil {
@@ -278,29 +279,6 @@ func TestRunCheckpointSafetyChecks(t *testing.T) {
 	}
 }
 
-// Serial and sharded sweeps are different simulations, so a journal recorded
-// by one must not be replayed as the other; the -shards value beyond on/off
-// changes no bytes and resumes freely.
-func TestRunCheckpointSeparatesSerialFromSharded(t *testing.T) {
-	dir := t.TempDir()
-	if _, _, err := runCLI(t, "-scale", "small", "-only", "fig16", "-checkpoint", dir); err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	if _, _, err := runCLI(t, "-scale", "small", "-only", "fig16", "-resume", dir, "-shards", "2"); err == nil ||
-		!strings.Contains(err.Error(), "different sweep") {
-		t.Errorf("sharded resume of a serial journal accepted: %v", err)
-	}
-
-	dir = t.TempDir()
-	if _, _, err := runCLI(t, "-scale", "small", "-only", "fig16", "-checkpoint", dir, "-shards", "1"); err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	if _, stderr, err := runCLI(t, "-scale", "small", "-only", "fig16", "-resume", dir, "-shards", "2"); err != nil ||
-		!strings.Contains(stderr, "fig16 restored from checkpoint") {
-		t.Errorf("resume at another -shards value did not replay the journal: err=%v\n%s", err, stderr)
-	}
-}
-
 // TestRunImportReplay drives the import-replay figure end to end from a
 // generated crawl trace: the sweep collapses to that one figure, the output
 // is deterministic, and conflicting flags are rejected.
@@ -341,7 +319,6 @@ func TestRunImportReplay(t *testing.T) {
 	for _, args := range [][]string{
 		{"-import", path, "-only", "fig16"},
 		{"-import", path, "-faults", "churn"},
-		{"-import", path, "-shards", "2"},
 		{"-import", path, "-plan", "x.json"},
 		{"-import", filepath.Join(t.TempDir(), "missing.jsonl")},
 	} {

@@ -293,7 +293,7 @@ func TestPlanModeFlagValidation(t *testing.T) {
 		{[]string{"-junit", "r.xml"}, "-junit requires"},
 		{[]string{"-plan-catalog", dir, "-scale", "small"}, "cannot be combined"},
 		{[]string{"-plan-catalog", dir, "-only", "fig16"}, "cannot be combined"},
-		{[]string{"-plan-catalog", dir, "-audit", "-shards", "2"}, "cannot be combined"},
+		{[]string{"-plan-catalog", dir, "-audit"}, "cannot be combined"},
 		{[]string{"-plan-catalog", t.TempDir()}, "no *.json plans"},
 	}
 	for _, tc := range cases {

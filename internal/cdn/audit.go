@@ -29,6 +29,12 @@ import (
 // unaudited one.
 type AuditOptions struct {
 	// Cadence is the virtual-time period between full sweeps; default 30 s.
+	// A sharded run sweeps at the first window barrier at or after each
+	// cadence boundary, and windows follow the event stream: one window
+	// may span several boundaries, so a sparse run skips cadence instants.
+	// There Cadence is only a lower bound on the gap between sweeps (less
+	// the lateness of the barrier that ran the previous one), not their
+	// period.
 	Cadence time.Duration
 	// SelfTest, when non-empty, injects one named, deliberate corruption
 	// halfway through the run so operators can prove the auditor tripwire

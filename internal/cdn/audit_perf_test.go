@@ -19,14 +19,13 @@ func stormSimulation(tb testing.TB, servers int) *simulation {
 		tb.Fatal(err)
 	}
 	cfg, err := Config{
-		Method:     consistency.MethodPush,
-		Infra:      consistency.InfraUnicast,
-		Topology:   topology.Config{Servers: servers, UsersPerServer: 5, Seed: 1},
-		Updates:    updates[:20],
-		Seed:       1,
-		Shards:     2,
-		ShardCells: 8,
-		Audit:      &AuditOptions{},
+		Method:   consistency.MethodPush,
+		Infra:    consistency.InfraUnicast,
+		Topology: topology.Config{Servers: servers, UsersPerServer: 5, Seed: 1},
+		Updates:  updates[:20],
+		Seed:     1,
+		Sharded:  true,
+		Audit:    &AuditOptions{},
 	}.withDefaults()
 	if err != nil {
 		tb.Fatal(err)

@@ -156,10 +156,7 @@ func TestAuditorCatchesSeededCorruption(t *testing.T) {
 		cfg.UserModel = UserModelCohort
 		cfg.AccountVisits = true
 	}
-	sharded := func(cfg *Config) {
-		cfg.Shards = 2
-		cfg.ShardCells = 4
-	}
+	sharded := func(cfg *Config) { cfg.Sharded = true }
 	cases := []struct {
 		name     string
 		setup    func(cfg *Config)
@@ -261,8 +258,8 @@ func TestAuditorCatchesSeededCorruption(t *testing.T) {
 				}
 			},
 			property: "delay-bounded",
-			server:   6,
-			detail:   "catch-up delay of node 6 = 1h8m0.70492s exceeds the regime max 8m0.70492s",
+			server:   12,
+			detail:   "catch-up delay of node 12 = 1h8m0.70492s exceeds the regime max 8m0.70492s",
 		},
 	}
 	for _, tc := range cases {
@@ -306,10 +303,10 @@ func TestAuditorCatchesSeededCorruption(t *testing.T) {
 }
 
 // Sharded runs drive the auditor from window barriers instead of engine
-// events. Three things must hold at once, across every fault scenario: the
-// audited run completes with zero violations, it does not depend on the
-// Shards value like any other sharded run, and — because barrier sweeps add no engine
-// events — its Result is bit-identical to the unaudited run, Events included.
+// events. Two things must hold at once, across every fault scenario: the
+// audited run completes with zero violations, and — because barrier sweeps
+// add no engine events — its Result is bit-identical to the unaudited run,
+// Events included.
 func TestShardedAuditMatrix(t *testing.T) {
 	scenarios := append([]string{""}, fault.ScenarioNames()...)
 	const seed = 3
@@ -322,22 +319,19 @@ func TestShardedAuditMatrix(t *testing.T) {
 		scenario := scenario
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			mk := func(shards int, auditOn bool) *Result {
-				cfg := shardConfig(t, consistency.MethodTTL, consistency.InfraUnicast, seed, pop, scenario, shards, 8)
+			mk := func(auditOn bool) *Result {
+				cfg := shardConfig(t, consistency.MethodTTL, consistency.InfraUnicast, seed, pop, scenario, true)
 				cfg.UserModel = UserModelCohort
 				if auditOn {
 					cfg.Audit = &AuditOptions{Cadence: time.Second}
 				}
 				return mustRun(t, cfg)
 			}
-			plain, aud1, aud4 := mk(4, false), mk(1, true), mk(4, true)
-			if aud4.AuditChecks == 0 {
+			plain, aud := mk(false), mk(true)
+			if aud.AuditChecks == 0 {
 				t.Fatal("sharded auditor never ran")
 			}
-			if !reflect.DeepEqual(aud1, aud4) {
-				t.Errorf("audited sharded run depends on Shards:\n  shards=1: %+v\n  shards=4: %+v", aud1, aud4)
-			}
-			stripped := *aud4
+			stripped := *aud
 			stripped.AuditChecks = 0
 			if !reflect.DeepEqual(plain, &stripped) {
 				t.Errorf("auditing perturbed the sharded run:\n  off: %+v\n  on:  %+v", plain, &stripped)
@@ -359,15 +353,15 @@ func TestAuditSelfTest(t *testing.T) {
 		{"delivery-conservation", "delivery-conservation"},
 	}
 	modes := []struct {
-		name          string
-		shards, cells int
-	}{{"serial", 0, 0}, {"sharded", 4, 8}}
+		name    string
+		sharded bool
+	}{{"serial", false}, {"sharded", true}}
 	for _, mode := range modes {
 		for _, tc := range cases {
 			mode, tc := mode, tc
 			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
 				t.Parallel()
-				cfg := shardConfig(t, consistency.MethodTTL, consistency.InfraUnicast, seed, pop, "", mode.shards, mode.cells)
+				cfg := shardConfig(t, consistency.MethodTTL, consistency.InfraUnicast, seed, pop, "", mode.sharded)
 				cfg.UserModel = UserModelCohort
 				cfg.Audit = &AuditOptions{Cadence: time.Second, SelfTest: tc.name}
 				_, err := Run(cfg)

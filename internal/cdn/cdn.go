@@ -143,8 +143,8 @@ type Config struct {
 	// without mutating it or drawing randomness, so all reported metrics
 	// are identical with auditing on or off. In a serial run sweeps are
 	// engine events (Result.Events grows by the sweep count); in a sharded
-	// run (Shards > 0) sweeps execute at window barriers instead, so even
-	// Result.Events is unchanged.
+	// run sweeps execute at window barriers instead, so even Result.Events
+	// is unchanged.
 	Audit *AuditOptions
 
 	// Ctx, when set, is polled at a fixed event stride inside the event
@@ -155,29 +155,21 @@ type Config struct {
 	// OnTick, when set, is invoked at the same event stride with the
 	// current virtual time and processed-event count. It backs external
 	// liveness probes (stuck-job watchdogs); it must be cheap and must not
-	// touch simulation state. Under a sharded run (Shards > 0) it reports
-	// cell 0's clock and event count.
+	// touch simulation state. Under a sharded run it reports cell 0's
+	// clock and event count.
 	OnTick func(now time.Duration, events uint64) `json:"-"`
 
-	// Shards selects the execution engine. Zero (the default) runs the
-	// classic serial engine. A value >= 1 runs the sharded engine: the
-	// server topology is partitioned into ShardCells cells, each with its
-	// own event heap and RNG stream, synchronized by a conservative
-	// time-window barrier and run on one goroutine. The value is not a
-	// worker count: every value >= 1 runs the same simulation, and results
-	// are a pure function of (Seed, ShardCells). Sharded runs
-	// are a different simulation than serial runs of the same seed (cells
-	// draw independent RNG streams), and a few inherently global features
-	// are unavailable: UseDNSRouting, UserSwitchEveryVisit, and multicast
-	// tree mutation (Failover/RepairTree under InfraMulticast).
-	// The runtime auditor composes with sharding: its sweeps run at window
-	// barriers (see AuditOptions).
-	Shards int
-	// ShardCells is the partition granularity for sharded runs: the number
-	// of topology cells (clamped to the number of partition atoms). It is
-	// part of the simulation's identity — changing it changes results —
-	// while Shards beyond on/off changes nothing. Default 8.
-	ShardCells int
+	// Sharded runs the sharded engine instead of the serial one: the
+	// server topology is partitioned into a fixed number of cells (see
+	// sharded.go), each with its own event heap and RNG stream,
+	// synchronized by a conservative time-window barrier and run on one
+	// goroutine. A sharded run is a different simulation than a serial run
+	// of the same seed (cells draw independent RNG streams), and a few
+	// inherently global features are unavailable: UseDNSRouting,
+	// UserSwitchEveryVisit, Federation, and multicast tree mutation
+	// (Failover/RepairTree under InfraMulticast). The runtime auditor
+	// composes: its sweeps run at window barriers (see AuditOptions).
+	Sharded bool
 
 	Net  netmodel.Config
 	Seed int64
@@ -219,7 +211,6 @@ func (c Config) Validate() error {
 		{"servers", c.Topology.Servers}, {"users per server", c.Topology.UsersPerServer},
 		{"clusters", c.Clusters}, {"tree degree", c.TreeDegree},
 		{"supernode degree", c.SupernodeDegree},
-		{"shards", c.Shards}, {"shard cells", c.ShardCells},
 	} {
 		if f.n < 0 {
 			return fmt.Errorf("cdn: negative %s %d", f.name, f.n)
@@ -289,7 +280,7 @@ func (c Config) Validate() error {
 		if err := c.Federation.Validate(); err != nil {
 			return fmt.Errorf("cdn: %w", err)
 		}
-		if c.Shards > 0 {
+		if c.Sharded {
 			return fmt.Errorf("cdn: sharded runs cannot use Federation (provider selection and degradation are global state; federate a serial run)")
 		}
 		if c.Method == consistency.MethodLease {
@@ -302,7 +293,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cdn: Federation is incompatible with InfraBroadcast (flooding has no origin to federate)")
 		}
 	}
-	if c.Shards > 0 {
+	if c.Sharded {
 		if c.UseDNSRouting {
 			return fmt.Errorf("cdn: sharded runs cannot use UseDNSRouting (the authoritative DNS is global state)")
 		}
@@ -356,9 +347,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.UserModel == "" {
 		c.UserModel = UserModelExplicit
 	}
-	if c.Shards > 0 && c.ShardCells == 0 {
-		c.ShardCells = 8
-	}
 	if len(c.Updates) == 0 {
 		updates, err := workload.Schedule(workload.DefaultGame(), c.Seed)
 		if err != nil {
@@ -377,9 +365,9 @@ func (c Config) withDefaults() (Config, error) {
 // Key identifies the run c describes: two configs with equal keys simulate
 // the same run and return identical Results. It is built from the defaulted
 // config, so an unset field and its explicit default agree, and it leaves
-// out what cannot change a Result: Ctx, OnTick and the value of a sharded
-// run's Shards beyond on/off. A config with a prebuilt Topo has no key (the topology's
-// JSON form drops its tables), nor has one that fails Validate.
+// out what cannot change a Result: Ctx and OnTick. A config with a prebuilt
+// Topo has no key (the topology's JSON form drops its tables), nor has one
+// that fails Validate.
 func (c Config) Key() (string, error) {
 	if c.Topo != nil {
 		return "", fmt.Errorf("cdn: a run with a prebuilt topology has no key")
@@ -388,7 +376,6 @@ func (c Config) Key() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d.Shards = min(d.Shards, 1)
 	b, err := json.Marshal(d)
 	if err != nil {
 		return "", fmt.Errorf("cdn: key: %w", err)

@@ -402,33 +402,36 @@ func assertSameOutcome(t *testing.T, want, got *Result, sharded bool) {
 // every outcome: every method × infrastructure, fault-free and under crash
 // and outage with failover off and on, at two seeds, over the topology's
 // own users (also displaced from their servers) and over a Population,
-// serial and on two shards, and under DNS routing and per-visit switching,
+// serial and sharded, and under DNS routing and per-visit switching,
 // whose cohorts never park.
 func TestExplicitMatchesReference(t *testing.T) {
 	modes := []string{"none", "crash", "crash/failover", "outage", "outage/failover"}
 	type setup struct {
-		users  string
-		shards int
+		users   string
+		sharded bool
 	}
 	setups := []setup{
-		{"topology", 0}, {"population", 0}, {"displaced", 0},
-		{"topology", 2}, {"population", 2}, {"displaced", 2},
-		{"dns", 0}, {"switch", 0}, {"switch-population", 0},
+		{"topology", false}, {"population", false}, {"displaced", false},
+		{"topology", true}, {"population", true}, {"displaced", true},
+		{"dns", false}, {"switch", false}, {"switch-population", false},
 	}
 	for _, sys := range explicitSystems {
 		for _, mode := range modes {
 			for _, seed := range []int64{1, 7} {
 				for _, su := range setups {
-					if su.shards > 0 && sys.infra == consistency.InfraMulticast && strings.HasSuffix(mode, "/failover") {
+					if su.sharded && sys.infra == consistency.InfraMulticast && strings.HasSuffix(mode, "/failover") {
 						continue // sharded runs cannot mutate the multicast tree
 					}
 					sys, mode, seed, su := sys, mode, seed, su
-					name := fmt.Sprintf("%s/%s/seed%d/%s/shards%d", sys.name, mode, seed, su.users, su.shards)
+					name := fmt.Sprintf("%s/%s/seed%d/%s", sys.name, mode, seed, su.users)
+					if su.sharded {
+						name += "/sharded"
+					}
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						cfg := explicitRefConfig(t, sys.method, sys.infra, seed, su.users, mode)
-						cfg.Shards = su.shards
-						assertSameOutcome(t, runReference(t, cfg), mustRun(t, cfg), su.shards > 0)
+						cfg.Sharded = su.sharded
+						assertSameOutcome(t, runReference(t, cfg), mustRun(t, cfg), su.sharded)
 					})
 				}
 			}

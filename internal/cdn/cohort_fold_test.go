@@ -63,7 +63,7 @@ func tiePopulation(t *testing.T, servers int) *workload.Population {
 // them for good and one at the instant of a cohort's first visit, so
 // crashes and recoveries land on visit instants, first ones included.
 func tieConfig(t *testing.T, method consistency.Method, infra consistency.Infra,
-	scenario string, shards int) (Config, *workload.Population) {
+	scenario string, sharded bool) (Config, *workload.Population) {
 	t.Helper()
 	const seed = 5
 	pop := tiePopulation(t, 12)
@@ -77,7 +77,7 @@ func tieConfig(t *testing.T, method consistency.Method, infra consistency.Infra,
 	}
 	cfg.ServerTTL = 10 * time.Second
 	cfg.UserTTL = 10 * time.Second
-	cfg.Shards = shards
+	cfg.Sharded = sharded
 	if scenario == "aligned" {
 		cfg.Faults = &fault.Spec{Crashes: []fault.Crash{
 			// Server 4's late cohort first visits at 301 s.
@@ -119,7 +119,7 @@ func runCohortTies(t *testing.T, cfg Config) (*Result, int) {
 // requires every case to hit exact ties: parked visits at the instant of a
 // publication, a crash or recovery, or a state change, and tied first
 // visitors after a self-adaptive invalidation.
-func checkTieEquivalence(t *testing.T, shards int) {
+func checkTieEquivalence(t *testing.T, sharded bool) {
 	for _, sys := range shardSystems {
 		for _, scenario := range []string{"none", "crash", "aligned"} {
 			sys, scenario := sys, scenario
@@ -129,7 +129,7 @@ func checkTieEquivalence(t *testing.T, shards int) {
 				if sc == "none" {
 					sc = ""
 				}
-				cfg, pop := tieConfig(t, sys.method, sys.infra, sc, shards)
+				cfg, pop := tieConfig(t, sys.method, sys.infra, sc, sharded)
 				ecfg := cfg
 				ecfg.UserModel = UserModelExplicit
 				exp := runReference(t, ecfg)
@@ -155,11 +155,11 @@ func checkTieEquivalence(t *testing.T, shards int) {
 	}
 }
 
-func TestCohortTieEquivalence(t *testing.T) { checkTieEquivalence(t, 0) }
+func TestCohortTieEquivalence(t *testing.T) { checkTieEquivalence(t, false) }
 
 // TestShardedCohortTieEquivalence is the sharded half, which the race run of
 // the sharded suites covers.
-func TestShardedCohortTieEquivalence(t *testing.T) { checkTieEquivalence(t, 2) }
+func TestShardedCohortTieEquivalence(t *testing.T) { checkTieEquivalence(t, true) }
 
 // eventCutConfig is a fault-free cohort TTL run over a population large
 // enough that visits dominate the event volume: 20 servers with 16 cohorts

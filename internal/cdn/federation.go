@@ -21,8 +21,8 @@ import (
 // one-provider case. What lives here is what only a federated run does:
 // sender-side routing (peering hand-off, serve-stale degradation, re-homing,
 // the stale cap), the broker, and the publication fan-out that lets each
-// provider lag the ground truth. Federation is serial-only (withDefaults
-// rejects Shards > 0): provider selection, degradation intervals, and the
+// provider lag the ground truth. Federation is serial-only (Validate
+// rejects a sharded run): provider selection, degradation intervals, and the
 // broker all observe global state. When Config.Federation is nil, s.fed is
 // nil: route answers provider 0 without reading provider state, and each
 // fed* function does nothing or never runs.

@@ -282,7 +282,7 @@ func TestFederationConfigGates(t *testing.T) {
 	}{
 		{
 			name: "sharded",
-			mut:  func(c *Config) { c.Shards = 2 },
+			mut:  func(c *Config) { c.Sharded = true },
 			want: "sharded runs cannot use Federation",
 		},
 		{

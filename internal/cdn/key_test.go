@@ -64,8 +64,7 @@ func fieldAt(c *Config, path string) reflect.Value {
 // Any change to a run's inputs must change its key, or two different runs
 // would share one Result. Every field is found by reflection, so a field
 // added later fails here until it has a mutation below (and Key covers it).
-// Only the run controls are exempt: the context, the tick probe, and the
-// value of a sharded run's Shards beyond on/off.
+// Only the run controls are exempt: the context and the tick probe.
 func TestKeyCoversEveryInput(t *testing.T) {
 	oneUser := &workload.Population{Servers: make([][]workload.CohortSpec, 10)}
 	for i := range oneUser.Servers {
@@ -103,8 +102,7 @@ func TestKeyCoversEveryInput(t *testing.T) {
 		"Faults":                  {change: func(c *Config) { c.Faults = &fault.Spec{RandomCrashes: &fault.RandomCrashes{Count: 1}} }},
 		"Failover":                {change: func(c *Config) { c.Failover = true }},
 		"Audit":                   {change: func(c *Config) { c.Audit = &AuditOptions{} }},
-		"Shards":                  {change: func(c *Config) { c.Shards = 1 }},
-		"ShardCells":              {change: func(c *Config) { c.ShardCells = 3 }},
+		"Sharded":                 {change: func(c *Config) { c.Sharded = true }},
 		"Net.DefaultUplinkKBps":   {change: func(c *Config) { c.Net.DefaultUplinkKBps = 2000 }},
 		"Net.DisableQueuing":      {change: func(c *Config) { c.Net.DisableQueuing = true }},
 		"Seed":                    {change: func(c *Config) { c.Seed = 9 }},
@@ -151,9 +149,9 @@ func TestKeyCoversEveryInput(t *testing.T) {
 	}
 }
 
-// The key is built from the defaulted config, and a sharded run's Shards
-// value is not part of it: any Shards >= 1 is the same simulation.
-func TestKeyDefaultsAndWorkers(t *testing.T) {
+// The key is built from the defaulted config, so an unset field and its
+// explicit default agree, and a config that fails Validate has no key.
+func TestKeyDefaults(t *testing.T) {
 	base := mustKey(t, keyBase())
 	explicit := keyBase()
 	explicit.UserTTL = DefaultUserTTL
@@ -162,11 +160,6 @@ func TestKeyDefaultsAndWorkers(t *testing.T) {
 	explicit.Clusters = DefaultClusters
 	if mustKey(t, explicit) != base {
 		t.Error("explicit defaults changed the key")
-	}
-	one, four := keyBase(), keyBase()
-	one.Shards, four.Shards = 1, 4
-	if mustKey(t, one) != mustKey(t, four) {
-		t.Error("the Shards value of a sharded run changed the key")
 	}
 	for _, kb := range []float64{math.NaN(), math.Inf(1)} {
 		c := keyBase()

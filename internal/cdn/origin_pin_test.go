@@ -26,7 +26,7 @@ type originPin struct {
 
 // originPins pins one small run per origin path: a classic provider outage
 // for every system that talks to the origin, with failover off and on,
-// serial and on two shards, and a three-provider federation under both
+// serial and sharded, and a three-provider federation under both
 // provider fault scenarios. Any change to how the origin sends, answers,
 // goes dark or disseminates moves at least one of these digests. Other
 // architectures may fuse floating-point operations differently, so the pins
@@ -36,48 +36,48 @@ var originPins = map[string]originPin{
 	"HAT/fed3/provider-storm":                {"0acad1c94469746772d8f09f", 3821},
 	"HAT/outage":                             {"c3128ec1f3ec663c4fe4b005", 1188},
 	"HAT/outage/failover":                    {"1df3cb0d3f4a2de1d9e4882d", 1448},
-	"HAT/outage/failover/shards2":            {"0f8d0f90b3da1e0a4c4bc5da", 1448},
-	"HAT/outage/shards2":                     {"bd4f5da78d9eddff89afdfe4", 1188},
+	"HAT/outage/failover/sharded":            {"0f8d0f90b3da1e0a4c4bc5da", 1448},
+	"HAT/outage/sharded":                     {"bd4f5da78d9eddff89afdfe4", 1188},
 	"Hybrid/outage":                          {"fd6839bddf118c0b60e46e18", 1492},
 	"Hybrid/outage/failover":                 {"fd6839bddf118c0b60e46e18", 1492},
-	"Hybrid/outage/failover/shards2":         {"a012f15bdbb696882b554ac0", 1492},
-	"Hybrid/outage/shards2":                  {"a012f15bdbb696882b554ac0", 1492},
+	"Hybrid/outage/failover/sharded":         {"a012f15bdbb696882b554ac0", 1492},
+	"Hybrid/outage/sharded":                  {"a012f15bdbb696882b554ac0", 1492},
 	"Invalidation/fed3/broker-flap":          {"7a062c92bb2c5381ee4f8da2", 4383},
 	"Invalidation/fed3/provider-storm":       {"0cd81033cfa65201a2bc9ada", 3881},
 	"Invalidation/outage":                    {"654b682f90147732407782bd", 2201},
 	"Invalidation/outage/failover":           {"654b682f90147732407782bd", 2201},
-	"Invalidation/outage/failover/shards2":   {"a040aba08d47c4b1b1ac40d6", 2317},
-	"Invalidation/outage/shards2":            {"a040aba08d47c4b1b1ac40d6", 2317},
+	"Invalidation/outage/failover/sharded":   {"a040aba08d47c4b1b1ac40d6", 2317},
+	"Invalidation/outage/sharded":            {"a040aba08d47c4b1b1ac40d6", 2317},
 	"Lease/Unicast/outage":                   {"8e1c211f8bf1ef2505676334", 3871},
 	"Lease/Unicast/outage/failover":          {"8e1c211f8bf1ef2505676334", 3871},
-	"Lease/Unicast/outage/failover/shards2":  {"6ab5c69e72601c36717669b3", 3967},
-	"Lease/Unicast/outage/shards2":           {"6ab5c69e72601c36717669b3", 3967},
+	"Lease/Unicast/outage/failover/sharded":  {"6ab5c69e72601c36717669b3", 3967},
+	"Lease/Unicast/outage/sharded":           {"6ab5c69e72601c36717669b3", 3967},
 	"Push/Broadcast/outage":                  {"7b4145e9bfd44bbee78e76c0", 2618},
 	"Push/Broadcast/outage/failover":         {"7b4145e9bfd44bbee78e76c0", 2618},
-	"Push/Broadcast/outage/failover/shards2": {"d7e3fd390badb0f9680bfbc0", 2650},
-	"Push/Broadcast/outage/shards2":          {"d7e3fd390badb0f9680bfbc0", 2650},
+	"Push/Broadcast/outage/failover/sharded": {"d7e3fd390badb0f9680bfbc0", 2650},
+	"Push/Broadcast/outage/sharded":          {"d7e3fd390badb0f9680bfbc0", 2650},
 	"Push/fed3/broker-flap":                  {"1724614078d1e9136cc19935", 3045},
 	"Push/fed3/provider-storm":               {"37693e120386e3ca1b683e44", 2891},
 	"Push/outage":                            {"452aafb64e092922578ed0d4", 408},
 	"Push/outage/failover":                   {"452aafb64e092922578ed0d4", 408},
-	"Push/outage/failover/shards2":           {"93356b6b76a9fad706d99215", 520},
-	"Push/outage/shards2":                    {"93356b6b76a9fad706d99215", 520},
+	"Push/outage/failover/sharded":           {"93356b6b76a9fad706d99215", 520},
+	"Push/outage/sharded":                    {"93356b6b76a9fad706d99215", 520},
 	"Regime/Unicast/outage":                  {"e93eb7142af0511dbc123f3b", 3571},
 	"Regime/Unicast/outage/failover":         {"131c04d7a2e97312a1016e39", 4347},
-	"Regime/Unicast/outage/failover/shards2": {"54592bb3c2553a65ee456abb", 4454},
-	"Regime/Unicast/outage/shards2":          {"be017d1d1ca2e206a98c4061", 3665},
+	"Regime/Unicast/outage/failover/sharded": {"54592bb3c2553a65ee456abb", 4454},
+	"Regime/Unicast/outage/sharded":          {"be017d1d1ca2e206a98c4061", 3665},
 	"Self/fed3/broker-flap":                  {"2aad5428474c2cf83d1f75f4", 4210},
 	"Self/fed3/provider-storm":               {"63e7b6fdf852290a168b23e0", 3854},
 	"Self/outage":                            {"a3af662b764692cab956d82e", 1308},
 	"Self/outage/failover":                   {"34d6b71abadcddff7b1ddc17", 1338},
-	"Self/outage/failover/shards2":           {"116275318087617ba4bc0434", 1450},
-	"Self/outage/shards2":                    {"4120775ea7c7f5571c1e9d93", 1420},
+	"Self/outage/failover/sharded":           {"116275318087617ba4bc0434", 1450},
+	"Self/outage/sharded":                    {"4120775ea7c7f5571c1e9d93", 1420},
 	"TTL/fed3/broker-flap":                   {"7e31a6c644a1a61183d4d7f1", 4210},
 	"TTL/fed3/provider-storm":                {"2be298cdd9fa3877c84abcaf", 4048},
 	"TTL/outage":                             {"caa1b626610dfa177dedd7bc", 1502},
 	"TTL/outage/failover":                    {"caa1b626610dfa177dedd7bc", 1502},
-	"TTL/outage/failover/shards2":            {"71c21a3a0fad582f07bc21ef", 1606},
-	"TTL/outage/shards2":                     {"71c21a3a0fad582f07bc21ef", 1606},
+	"TTL/outage/failover/sharded":            {"71c21a3a0fad582f07bc21ef", 1606},
+	"TTL/outage/sharded":                     {"71c21a3a0fad582f07bc21ef", 1606},
 }
 
 // originPinSystems are the systems whose origin path the outage pins cover.
@@ -152,16 +152,16 @@ func TestOriginPathPins(t *testing.T) {
 	runs := map[string]Config{}
 	for _, sys := range originPinSystems {
 		for _, failover := range []bool{false, true} {
-			for _, shards := range []int{0, 2} {
+			for _, sharded := range []bool{false, true} {
 				cfg := originPinConfig(t, sys.method, sys.infra, "outage")
 				cfg.Failover = failover
-				cfg.Shards = shards
+				cfg.Sharded = sharded
 				name := sys.name + "/outage"
 				if failover {
 					name += "/failover"
 				}
-				if shards > 0 {
-					name += "/shards2"
+				if sharded {
+					name += "/sharded"
 				}
 				runs[name] = cfg
 			}

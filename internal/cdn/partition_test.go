@@ -18,14 +18,12 @@ import (
 // allPairsPartition is the reference partition: the atoms sorted by a
 // comparator that measures both provider distances on every comparison, and
 // the all-pairs lookahead, the minimum propagation delay over every
-// cross-cell node pair. partitionCells must give its cells exactly; the
-// all-pairs lookahead is a lower bound on partitionCells' own.
-func allPairsPartition(s *simulation) ([]int, int, time.Duration) {
+// cross-cell node pair, for at most cells cells. partitionCells must give
+// its cells exactly; the all-pairs lookahead is a lower bound on
+// partitionCells' own.
+func allPairsPartition(s *simulation, cells int) ([]int, int, time.Duration) {
 	atoms := s.partitionAtoms()
-	want := s.cfg.ShardCells
-	if want > len(atoms) {
-		want = len(atoms)
-	}
+	want := min(cells, len(atoms))
 	providerLoc := s.nodes[0].ep.Loc
 	sort.Slice(atoms, func(i, j int) bool {
 		di := geo.DistanceKm(providerLoc, s.nodes[atoms[i][0]].ep.Loc)
@@ -91,21 +89,20 @@ func originLookahead(s *simulation, cellOf []int) time.Duration {
 }
 
 // partitionSimulation builds, without running, a sharded Push simulation
-// of servers servers in cells cells over infra.
-func partitionSimulation(tb testing.TB, infra consistency.Infra, servers, cells int, seed int64) *simulation {
+// of servers servers over infra.
+func partitionSimulation(tb testing.TB, infra consistency.Infra, servers int, seed int64) *simulation {
 	tb.Helper()
 	updates, err := workload.Schedule(testGame(), seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	cfg, err := Config{
-		Method:     consistency.MethodPush,
-		Infra:      infra,
-		Topology:   topology.Config{Servers: servers, UsersPerServer: 1, Seed: seed},
-		Updates:    updates,
-		Seed:       seed,
-		Shards:     1,
-		ShardCells: cells,
+		Method:   consistency.MethodPush,
+		Infra:    infra,
+		Topology: topology.Config{Servers: servers, UsersPerServer: 1, Seed: seed},
+		Updates:  updates,
+		Seed:     seed,
+		Sharded:  true,
 	}.withDefaults()
 	if err != nil {
 		tb.Fatal(err)
@@ -149,12 +146,12 @@ func TestPartitionCellsMatchesAllPairs(t *testing.T) {
 			for _, cells := range []int{2, 8, 16} {
 				for _, infra := range infras {
 					name := fmt.Sprintf("seed%d/%dservers/%dcells/%v", seed, servers, cells, infra)
-					s := partitionSimulation(t, infra, servers, cells, seed)
-					cellOf, n, lookahead, err := s.partitionCells()
+					s := partitionSimulation(t, infra, servers, seed)
+					cellOf, n, lookahead, err := s.partitionCells(cells)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					wantCellOf, wantN, allPairs := allPairsPartition(s)
+					wantCellOf, wantN, allPairs := allPairsPartition(s, cells)
 					if n != wantN || !reflect.DeepEqual(cellOf, wantCellOf) {
 						t.Errorf("%s: partition differs from the reference (%d cells, want %d)", name, n, wantN)
 					}
@@ -193,7 +190,7 @@ func TestPartitionCellsMatchesAllPairs(t *testing.T) {
 // hybrid, whose partition has relays (supernodes) and, at this size, several
 // cells; a degree-2 multicast tree mostly packs into one cell.
 func TestDeliverViaPanicsOnCrossCellRelaySend(t *testing.T) {
-	s := partitionSimulation(t, consistency.InfraHybrid, 170, 8, 1)
+	s := partitionSimulation(t, consistency.InfraHybrid, 170, 1)
 	if len(s.cells) < 2 {
 		t.Fatalf("partition has %d cell, want several", len(s.cells))
 	}
@@ -223,11 +220,11 @@ func TestDeliverViaPanicsOnCrossCellRelaySend(t *testing.T) {
 // BenchmarkPartitionCells measures the sharded partition of an 850-server
 // unicast topology into 8 cells, lookahead included.
 func BenchmarkPartitionCells(b *testing.B) {
-	s := partitionSimulation(b, consistency.InfraUnicast, 850, 8, 1)
+	s := partitionSimulation(b, consistency.InfraUnicast, 850, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, lookahead, err := s.partitionCells(); err != nil || lookahead <= 0 {
+		if _, _, lookahead, err := s.partitionCells(shardCells); err != nil || lookahead <= 0 {
 			b.Fatalf("partition: lookahead %v, err %v", lookahead, err)
 		}
 	}

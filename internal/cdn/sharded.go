@@ -35,6 +35,11 @@ import (
 // maxEventsPerCell is the runaway-simulation backstop, per cell.
 const maxEventsPerCell = 200_000_000
 
+// shardCells is the number of partition cells a sharded run asks for
+// (clamped to the number of atoms). It is part of the simulation's
+// identity: another count is another partition, and other results.
+const shardCells = 8
+
 // cellState is one partition cell's execution state: its engine, its own
 // view of the network (output-port queues and traffic ledgers; each message
 // is booked in its sender's cell), and the run counters its nodes
@@ -122,14 +127,14 @@ func (s *simulation) eachNet(t time.Duration, f func(*netmodel.Network)) {
 // pre-sharding engine); sharded runs partition the topology and derive each
 // cell's RNG from (Seed, cell) via the sharded engine.
 func (s *simulation) initCells() error {
-	if s.cfg.Shards <= 0 {
+	if !s.cfg.Sharded {
 		eng := sim.NewEngine(s.cfg.Seed)
 		eng.SetMaxEvents(maxEventsPerCell)
 		s.cells = []*cellState{s.newCell(eng)}
 		s.cellOf = make([]int, len(s.nodes))
 		return nil
 	}
-	cellOf, n, lookahead, err := s.partitionCells()
+	cellOf, n, lookahead, err := s.partitionCells(shardCells)
 	if err != nil {
 		return err
 	}
@@ -189,19 +194,15 @@ func (s *simulation) partitionAtoms() [][]int {
 	return atoms
 }
 
-// partitionCells computes the static node->cell assignment and the
-// conservative lookahead. The assignment is a pure function of the topology
-// and ShardCells — never of Shards — so every Shards value >= 1 runs the
-// same partition.
-func (s *simulation) partitionCells() ([]int, int, time.Duration, error) {
+// partitionCells computes the static node->cell assignment into at most
+// cells cells and the conservative lookahead. The assignment is a pure
+// function of the topology and the cell count.
+func (s *simulation) partitionCells(cells int) ([]int, int, time.Duration, error) {
 	atoms := s.partitionAtoms()
 	if len(atoms) == 0 {
 		return nil, 0, 0, fmt.Errorf("cdn: sharded run needs at least one server")
 	}
-	want := s.cfg.ShardCells
-	if want > len(atoms) {
-		want = len(atoms)
-	}
+	want := min(cells, len(atoms))
 
 	// Distance-band the atoms: nearest atoms share the provider's cell, so
 	// the smallest provider<->server delays never become cross-cell bounds.

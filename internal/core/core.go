@@ -299,7 +299,9 @@ func WithContext(ctx context.Context) Option {
 // WithAudit enables the runtime invariant auditor at the given sweep cadence
 // (0 selects the default). The first violated conservation property aborts
 // the run as its error; metrics are unchanged by auditing. Composes with
-// WithShards: a sharded run sweeps at its window barriers.
+// WithShards: a sharded run sweeps at its window barriers, which skip
+// cadence instants in a sparse run, so there the cadence is only a lower
+// bound on the gap between sweeps (see cdn.AuditOptions.Cadence).
 func WithAudit(cadence time.Duration) Option {
 	return func(c *config) { c.Audit = &cdn.AuditOptions{Cadence: cadence} }
 }
@@ -317,24 +319,16 @@ func WithAuditSelfTest(name string) Option {
 }
 
 // WithShards runs the simulation on the sharded engine when n >= 1: a fixed
-// partition of the server topology, one event heap per cell, under
-// conservative time-window synchronization (see internal/sim.Sharded), all
-// on one goroutine. n is not a worker count: results are a pure function of
-// (seed, partition), and every n >= 1 produces bit-identical output. n = 0
-// keeps the serial engine.
-// Serial-only options (DNS routing, per-visit switching, multicast repair)
-// are rejected under sharding; the runtime auditor composes (its sweeps run
-// at window barriers).
+// eight-cell partition of the server topology, one event heap per cell,
+// under conservative time-window synchronization (see internal/sim.Sharded),
+// all on one goroutine. Every n >= 1 runs the same simulation; n <= 0 keeps
+// the serial engine. It is not a CLI, plan or figure setting: it exists for
+// perfbench's update-storm workload.
+// Serial-only options (DNS routing, per-visit switching, federation,
+// multicast repair) are rejected under sharding; the runtime auditor
+// composes (its sweeps run at window barriers).
 func WithShards(n int) Option {
-	return func(c *config) { c.Shards = n }
-}
-
-// WithShardCells fixes the partition granularity for WithShards: the server
-// topology is split into this many cells (default 8). The cell count — not
-// the WithShards value — is part of the simulation's identity: changing it
-// changes the partition and therefore the (still deterministic) results.
-func WithShardCells(n int) Option {
-	return func(c *config) { c.ShardCells = n }
+	return func(c *config) { c.Sharded = n >= 1 }
 }
 
 // WithTick installs a progress probe invoked from the event loop at a fixed

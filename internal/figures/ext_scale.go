@@ -79,11 +79,6 @@ func ExtScale(scale SimScale) (*Table, error) {
 		sc.Population = pops[i/len(extScaleSystems)]
 		sc.UserModel = cdn.UserModelCohort
 		sc.VisitAccounting = true
-		// Sharded engine, on one goroutine per run: any scale.Shards >= 1
-		// gives the same table (it is not a worker count); the numbers
-		// differ from the serial engine's only because the two draw from
-		// different per-cell RNG streams.
-		sc.Shards = scale.Shards
 		return cell{
 			sys: extScaleSystems[i%len(extScaleSystems)],
 			sc:  sc,

@@ -42,14 +42,11 @@ func TestCellsRoundTripThroughPlans(t *testing.T) {
 		cells = append(cells, c)
 		mu.Unlock()
 	}
-	sharded := scale
-	sharded.Shards = 1
 	fed := federation.DefaultSpec(3)
 	figs := map[string]func() (*Table, error){
-		"import-replay":       func() (*Table, error) { return ImportReplay(scale, bundlePath, bundle) },
-		"ext-scale (sharded)": func() (*Table, error) { return ExtScale(sharded) },
-		"federation-storm":    func() (*Table, error) { return FederationStorm(scale, fed) },
-		"federation-flap":     func() (*Table, error) { return FederationFlap(scale, fed) },
+		"import-replay":    func() (*Table, error) { return ImportReplay(scale, bundlePath, bundle) },
+		"federation-storm": func() (*Table, error) { return FederationStorm(scale, fed) },
+		"federation-flap":  func() (*Table, error) { return FederationFlap(scale, fed) },
 	}
 	for id, fn := range map[string]func(SimScale) (*Table, error){
 		"fig14": Fig14, "fig15": Fig15, "fig16": Fig16, "fig17": Fig17, "fig18": Fig18,

@@ -30,11 +30,6 @@ type SimScale struct {
 	// execute concurrently (<= 1 means serial). Each run is deterministic
 	// from its explicit seed, so the setting never changes any number.
 	Parallel int
-	// Shards, when > 0, runs the ext-scale sweep, and only it, on the
-	// sharded engine (see plan.Scenario.Shards). It stays out of Scenario:
-	// the paper-replication figures keep the serial engine their published
-	// numbers were drawn from.
-	Shards int
 
 	// Ctx, when non-nil, makes every simulation run cancellable: cancelling
 	// it aborts in-flight runs promptly with the context's error.

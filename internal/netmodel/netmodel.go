@@ -445,9 +445,9 @@ func newAccounting() Accounting {
 }
 
 // Merge folds other's totals into a, per class and per sender. It combines
-// the independent per-shard ledgers of a partitioned simulation into one
-// run-level snapshot: every message is booked in exactly one shard (by its
-// sender's owner cell), so summing is exact.
+// the independent per-cell ledgers of a partitioned simulation into one
+// run-level snapshot: every message is booked in exactly one cell (its
+// sender's), so summing is exact.
 func (a Accounting) Merge(other Accounting) {
 	for c, t := range other.ByClass {
 		cur := a.ByClass[c]

@@ -9,7 +9,7 @@ import (
 // CheckResult is one evaluated assertion or equivalence check.
 type CheckResult struct {
 	// Name is the check's rendered form, e.g.
-	// "p99_user_inconsistency <= 2*ttl" or "equiv shard_workers".
+	// "p99_user_inconsistency <= 2*ttl" or "equiv cohort_explicit".
 	Name string `json:"name"`
 	OK   bool   `json:"ok"`
 	// Detail explains the outcome: the observed value and resolved

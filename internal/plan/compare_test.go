@@ -66,9 +66,6 @@ func TestParsePlanCompareRejects(t *testing.T) {
 		{"right not in plan", base(`{"metric":"crashes","left":"TTL","right":"HAT","op":"<="}`), "right system"},
 		{"self compare", base(`{"metric":"crashes","left":"TTL","right":"TTL","op":"<="}`), "left and right are both"},
 		{"negative factor", base(`{"metric":"crashes","left":"TTL","right":"Push","op":"<=","factor":-1}`), "negative factor"},
-		{"federation and shards", `{"name":"x","systems":["TTL"],"shards":2,` +
-			`"federation":{"providers":[{"name":"a","lat":1,"lon":2}]},` +
-			`"assert":[{"metric":"crashes","op":"==","value":0}]}`, "sharded runs cannot use Federation"},
 		{"bad federation", `{"name":"x","systems":["TTL"],"federation":{"providers":[]},` +
 			`"assert":[{"metric":"crashes","op":"==","value":0}]}`, "at least one provider"},
 	}

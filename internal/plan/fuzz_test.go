@@ -12,7 +12,7 @@ import (
 func FuzzParsePlan(f *testing.F) {
 	f.Add([]byte(validPlanJSON))
 	f.Add([]byte(`{"name":"x","systems":["TTL"],"assert":[{"metric":"crashes","op":"==","value":0}]}`))
-	f.Add([]byte(`{"name":"eq","systems":["Push/Broadcast"],"shards":2,"equivalence":["shard_workers"]}`))
+	f.Add([]byte(`{"name":"aud","systems":["Push/Broadcast"],"audit":true,"audit_cadence":"5s","assert":[{"metric":"audit_violations","op":"==","value":0}]}`))
 	f.Add([]byte(`{"name":"pop","systems":["HAT"],"user_model":"cohort","population_gen":{"total_users":10,"alpha":1.1},"equivalence":["cohort_explicit"]}`))
 	f.Add([]byte(`{"name":"f","systems":["TTL"],"faults":{"random_crashes":{"frac":0.5,"recover_after":30}},"assert":[{"metric":"crashes","op":">","value":0}]}`))
 	f.Add([]byte(comparePlanJSON))

@@ -148,8 +148,6 @@ func TestPlanImportExclusions(t *testing.T) {
 		`"fault_scenario": "single-crash",`,
 		`"faults": {"crashes": [{"server": 0, "at": "10s"}]},`,
 		`"federation": {"providers": [{"name": "a"}]},`,
-		`"shards": 2,`,
-		`"shard_cells": 4,`,
 		`"user_switch": true,`,
 		`"dns_resolver_ttl": "20s",`,
 	} {

@@ -3,11 +3,10 @@
 //
 // One Plan is a full scenario: which systems to run (update method x update
 // infrastructure), over which topology, workload, and population, under which
-// fault scenario, on which engine (serial or sharded, audited or not) — plus
-// a list of assertions over the run's metrics ("p99 user inconsistency stays
-// under 2x the server TTL", "zero audit violations", "provider traffic within
-// budget") and optional cross-run equivalence checks (a sharded run repeated
-// must match, weighted-vs-one-member cohort equality).
+// fault scenario, audited or not — plus a list of assertions over the run's
+// metrics ("p99 user inconsistency stays under 2x the server TTL", "zero
+// audit violations", "provider traffic within budget") and optional cross-run
+// equivalence checks (weighted-vs-one-member cohort equality).
 //
 // A Plan expands into a matrix of cells (systems x seeds); each cell is one
 // deterministic simulation whose extracted metrics are judged against the
@@ -89,18 +88,11 @@ type Assertion struct {
 	TTLMult float64 `json:"ttl_mult,omitempty"`
 }
 
-// Equivalence check names accepted in Plan.Equivalence.
-const (
-	// EquivShardWorkers re-runs a sharded cell (at Shards+1, which the
-	// engine treats as the same simulation: Shards is not a worker count)
-	// and requires every metric of the repeated run to match exactly — the
-	// engine's "results are a pure function of (seed, partition)" contract.
-	EquivShardWorkers = "shard_workers"
-	// EquivCohortExplicit re-runs the cell under the explicit model, one
-	// cohort per user, and requires the aggregates to match the weighted
-	// cohorts' (exactly for counters, within float-sum noise for means).
-	EquivCohortExplicit = "cohort_explicit"
-)
+// EquivCohortExplicit, the one equivalence check Plan.Equivalence accepts,
+// re-runs the cell under the explicit model, one cohort per user, and
+// requires the aggregates to match the weighted cohorts' (exactly for
+// counters, within float-sum noise for means).
+const EquivCohortExplicit = "cohort_explicit"
 
 // Plan is one declarative scenario with assertions. The zero value is
 // invalid; plans come from ParsePlan.
@@ -123,8 +115,8 @@ type Plan struct {
 
 	// Assert lists the SLO assertions every cell must satisfy.
 	Assert []Assertion `json:"assert"`
-	// Equivalence lists cross-run checks (EquivShardWorkers,
-	// EquivCohortExplicit) every cell must satisfy.
+	// Equivalence lists cross-run checks (EquivCohortExplicit) every cell
+	// must satisfy.
 	Equivalence []string `json:"equivalence,omitempty"`
 	// Compare lists cross-system assertions, evaluated per seed once the
 	// whole matrix has run (see EvalCompares): e.g. "HAT's provider load is
@@ -265,17 +257,13 @@ func (p *Plan) Validate() error {
 	seenEq := map[string]bool{}
 	for _, eq := range p.Equivalence {
 		switch eq {
-		case EquivShardWorkers:
-			if p.Shards < 1 {
-				return fmt.Errorf("plan %s: equivalence %q requires shards >= 1", p.Name, eq)
-			}
 		case EquivCohortExplicit:
 			if p.UserModel != "cohort" {
 				return fmt.Errorf("plan %s: equivalence %q requires user_model \"cohort\"", p.Name, eq)
 			}
 		default:
-			return fmt.Errorf("plan %s: unknown equivalence check %q (valid: %s, %s)",
-				p.Name, eq, EquivShardWorkers, EquivCohortExplicit)
+			return fmt.Errorf("plan %s: unknown equivalence check %q (valid: %s)",
+				p.Name, eq, EquivCohortExplicit)
 		}
 		if seenEq[eq] {
 			return fmt.Errorf("plan %s: duplicate equivalence check %q", p.Name, eq)

@@ -207,11 +207,6 @@ func (c Cell) runEquivalence(name string, primary map[string]float64, opt RunOpt
 		approx, skip map[string]bool
 	)
 	switch name {
-	case EquivShardWorkers:
-		// Same partition, repeated run (Shards+1 is the same
-		// simulation): the sharded engine promises bit-identical results,
-		// so every metric must match exactly.
-		sc.Shards++
 	case EquivCohortExplicit:
 		// Weighted cohorts are an exact refactoring of the explicit
 		// model's one-member cohorts: counters and per-entry values match

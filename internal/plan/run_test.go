@@ -114,28 +114,6 @@ func TestRunCellFailingAssertionShowsGotValue(t *testing.T) {
 	}
 }
 
-func TestRunCellShardWorkerEquivalence(t *testing.T) {
-	p := tinyPlan(t, `"shards": 1, "shard_cells": 4,
-	  "equivalence": ["shard_workers"],
-	  "assert": [{"metric": "user_observations", "op": ">", "value": 0}]`)
-	r := runOne(t, p)
-	if r.Failed() {
-		t.Fatalf("shard-worker equivalence failed:\n%s", r.Render())
-	}
-	found := false
-	for _, c := range r.Checks {
-		if c.Name == "equiv shard_workers" {
-			found = true
-			if !strings.Contains(c.Detail, "metrics match") {
-				t.Errorf("unexpected equivalence detail: %q", c.Detail)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("no shard_workers check in %v", r.Checks)
-	}
-}
-
 func TestRunCellCohortExplicitEquivalence(t *testing.T) {
 	p := tinyPlan(t, `"user_model": "cohort",
 	  "population_gen": {"total_users": 24, "alpha": 1.2, "cohorts_per_server": 2},

@@ -93,14 +93,8 @@ type Scenario struct {
 	// orphans to the nearest live node.
 	TreeRepair bool `json:"tree_repair,omitempty"`
 
-	// Shards > 0 runs on the sharded engine over ShardCells partition
-	// cells (default 8), on one goroutine; the value is not a worker count.
-	Shards     int `json:"shards,omitempty"`
-	ShardCells int `json:"shard_cells,omitempty"`
-
 	// Audit runs under the runtime invariant auditor, sweeping at
-	// AuditCadence (0 = auditor default). Composes with Shards: a sharded
-	// run audits at its window barriers. AuditSelfTest names a deliberate
+	// AuditCadence (0 = auditor default). AuditSelfTest names a deliberate
 	// corruption (see cdn.AuditOptions.SelfTest) injected mid-run to prove
 	// the tripwire fires — a run carrying it must FAIL. Both require Audit.
 	Audit         bool     `json:"audit,omitempty"`
@@ -115,9 +109,8 @@ type Scenario struct {
 
 // importExclusions is the one table of scenario fields an import cannot be
 // combined with: the bundle supplies the topology, TTLs, update workload,
-// population and fault windows, and an imported replay runs serially with
-// every user pinned to its home server (so neither per-visit switching nor
-// DNS routing).
+// population and fault windows, and an imported replay pins every user to
+// its home server (so neither per-visit switching nor DNS routing).
 var importExclusions = []struct {
 	field string
 	set   func(*Scenario) bool
@@ -135,8 +128,6 @@ var importExclusions = []struct {
 	{"federation", func(s *Scenario) bool { return s.Federation != nil }},
 	{"fault_scenario", func(s *Scenario) bool { return s.FaultScenario != "" }},
 	{"faults", func(s *Scenario) bool { return s.Faults != nil }},
-	{"shards", func(s *Scenario) bool { return s.Shards != 0 }},
-	{"shard_cells", func(s *Scenario) bool { return s.ShardCells != 0 }},
 }
 
 // ImportExclusions lists, by JSON name, the scenario fields that are
@@ -324,8 +315,6 @@ func (s *Scenario) fieldOptions() ([]core.Option, error) {
 	}
 	add(s.Failover, core.WithFailover())
 	add(s.TreeRepair, core.WithTreeRepair())
-	add(s.Shards != 0, core.WithShards(s.Shards))
-	add(s.ShardCells != 0, core.WithShardCells(s.ShardCells))
 	if s.Audit {
 		opts = append(opts, core.WithAudit(s.AuditCadence.D()))
 		add(s.AuditSelfTest != "", core.WithAuditSelfTest(s.AuditSelfTest))

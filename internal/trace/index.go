@@ -135,8 +135,8 @@ func (ix *Index) ServerID(id string) int {
 }
 
 // sortedOrder returns the record positions in the order SortRecords would
-// leave the records in, ties included: sorting the positions with the same
-// comparator makes the same moves.
+// leave the records in. The order is total, so positions that tie hold
+// identical records.
 func sortedOrder(recs []PollRecord) []int32 {
 	order := make([]int32, len(recs))
 	for i := range order {

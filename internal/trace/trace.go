@@ -109,22 +109,34 @@ func (t *Trace) Validate() error {
 }
 
 // SortRecords orders records by (day, time, server, poller) in place, the
-// canonical order the analyses assume.
+// canonical order the analyses assume. The remaining fields break ties, so
+// the order is total: records that compare equal are identical, and the
+// result does not depend on the input order or the sort algorithm.
 func (t *Trace) SortRecords() {
 	sort.Slice(t.Records, func(i, j int) bool { return recordLess(&t.Records[i], &t.Records[j]) })
 }
 
 func recordLess(a, b *PollRecord) bool {
-	if a.Day != b.Day {
+	switch {
+	case a.Day != b.Day:
 		return a.Day < b.Day
-	}
-	if a.At != b.At {
+	case a.At != b.At:
 		return a.At < b.At
-	}
-	if a.Server != b.Server {
+	case a.Server != b.Server:
 		return a.Server < b.Server
+	case a.Poller != b.Poller:
+		return a.Poller < b.Poller
+	case a.Snapshot != b.Snapshot:
+		return a.Snapshot < b.Snapshot
+	case a.RTT != b.RTT:
+		return a.RTT < b.RTT
+	case a.Absent != b.Absent:
+		return !a.Absent
+	case a.Provider != b.Provider:
+		return !a.Provider
+	default:
+		return !a.UserView && b.UserView
 	}
-	return a.Poller < b.Poller
 }
 
 // Merge combines multiple traces into one multi-day trace: the second

@@ -274,3 +274,57 @@ func BenchmarkInfer(b *testing.B) {
 		}
 	}
 }
+
+// A crawl can hold conflicting duplicates: two records with the same day,
+// time, server and poller that disagree on what they saw. The record order
+// is total, so such a trace infers the same bundle whatever order its
+// records arrive in.
+func TestInferIgnoresRecordOrder(t *testing.T) {
+	res := generate(t, genConfig(24, 1))
+	tr := res.Trace
+	n := len(tr.Records)
+	for i := 0; i < n; i += 5 {
+		r := tr.Records[i]
+		if r.Provider {
+			continue
+		}
+		dup := r
+		switch i % 4 {
+		case 0: // no content at the same instant
+			dup.Snapshot = 0
+		case 1: // no answer at the same instant
+			dup.Snapshot, dup.Absent = 0, true
+		case 2: // the same answer over another round trip
+			dup.RTT += time.Millisecond
+		default: // the same poller as a user
+			dup.UserView = !dup.UserView
+		}
+		tr.Records = append(tr.Records, dup)
+	}
+	want, err := Infer(tr)
+	if err != nil {
+		t.Fatalf("Infer: %v", err)
+	}
+	wantBytes, err := want.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		shuffled := *tr
+		shuffled.Records = append([]trace.PollRecord(nil), tr.Records...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled.Records), func(i, j int) {
+			shuffled.Records[i], shuffled.Records[j] = shuffled.Records[j], shuffled.Records[i]
+		})
+		got, err := Infer(&shuffled)
+		if err != nil {
+			t.Fatalf("shuffle %d: Infer: %v", seed, err)
+		}
+		gotBytes, err := got.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Errorf("shuffle %d infers another bundle:\n--- in order ---\n%s\n--- shuffled ---\n%s", seed, wantBytes, gotBytes)
+		}
+	}
+}
