@@ -52,7 +52,7 @@ func TestCellsRoundTripThroughPlans(t *testing.T) {
 		"fig14": Fig14, "fig15": Fig15, "fig16": Fig16, "fig17": Fig17, "fig18": Fig18,
 		"fig19": Fig19, "fig20": Fig20, "fig22": Fig22, "fig23": Fig23, "fig24": Fig24,
 		"ext-broadcast": ExtBroadcast, "ext-tree-failure": ExtTreeFailure, "ext-lease": ExtLease,
-		"ext-dns": ExtDNS, "ext-regime": ExtRegime, "ext-faults": ExtFaults, "ext-failover": ExtFailover,
+		"ext-dns": ExtDNS, "ext-regime": ExtRegime, "ext-catalog": ExtCatalog, "ext-faults": ExtFaults, "ext-failover": ExtFailover,
 		"ext-scale": ExtScale, "ablation-queue": AblationQueue, "ablation-adaptive": AblationAdaptive,
 		"ablation-depth": AblationDepth,
 	} {
@@ -81,7 +81,7 @@ func TestCellsRoundTripThroughPlans(t *testing.T) {
 		p := plan.Plan{
 			Name:     fmt.Sprintf("cell-%03d", i),
 			Systems:  []string{systemLabel(c.sys)},
-			Seeds:    []int64{scale.Seed},
+			Seeds:    []int64{scale.Seed + c.seedOffset},
 			Scenario: c.sc,
 			Assert:   []plan.Assertion{{Metric: "crashes", Op: ">="}},
 		}
@@ -140,7 +140,7 @@ func TestCellsRoundTripThroughPlans(t *testing.T) {
 			t.Errorf("%s: the loaded cell's key differs\n%s", id, data)
 		}
 	}
-	if imports != len(core.Systems()) || len(cells) < 250 {
+	if imports != len(core.Systems()) || len(cells) < 330 {
 		t.Errorf("checked %d cells, %d imported: the figures were not all observed", len(cells), imports)
 	}
 }

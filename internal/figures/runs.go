@@ -13,11 +13,14 @@ import (
 )
 
 // cell is one simulation run a figure asks for: a system and the scenario
-// it runs, at the scale's seed. The run controls (context, probe) are the
-// driver's to add.
+// it runs, at the scale's seed plus seedOffset. The run controls (context,
+// probe) are the driver's to add.
 type cell struct {
 	sys core.System
 	sc  plan.Scenario
+	// seedOffset is 0 but for ext-catalog, whose content i runs at the
+	// scale's seed + i.
+	seedOffset int64
 	// ran, when set, receives the run's wall time if this figure
 	// simulated it (not when the run table already held it).
 	ran func(wall time.Duration)
@@ -25,8 +28,8 @@ type cell struct {
 
 // run simulates t's grid of n cells, built by at, and returns the results
 // in index order. It is the one place a figure reaches the simulator: it
-// validates each cell's scenario for its system, compiles it at the
-// scale's seed, adds the scale's run controls, fans the cells out over
+// validates each cell's scenario for its system, compiles it at its
+// seed, adds the scale's run controls, fans the cells out over
 // s.Parallel, names the figure and system in errors, and adds the events
 // of the runs it simulated to t.SimEvents. With a run table, a cell whose
 // run the table already holds (or is simulating) gets that shared,
@@ -74,12 +77,13 @@ func (s SimScale) run(t *Table, n int, at func(i int) cell) ([]*cdn.Result, erro
 }
 
 // options validates the cell's scenario for its system and compiles it
-// into the core options of one run at seed.
-func (c cell) options(seed int64) ([]core.Option, error) {
+// into the core options of one run at the cell's seed, scaleSeed +
+// seedOffset.
+func (c cell) options(scaleSeed int64) ([]core.Option, error) {
 	if err := c.sc.Validate(c.sys); err != nil {
 		return nil, err
 	}
-	return c.sc.Options(seed)
+	return c.sc.Options(scaleSeed + c.seedOffset)
 }
 
 // RunTable shares simulation runs across the figures of one sweep: each

@@ -16,9 +16,8 @@ import (
 
 // SimScale sizes the Section-4/5 simulation figures. Every figure builds
 // its runs through plan.Scenario: a cell copies Scenario, edits what it
-// sweeps, and runs it at Seed, so each cell passes Scenario.Validate and
-// can be written out as a plan and rerun. ext-catalog's fleets are the
-// exception (see catalog.RunFleets).
+// sweeps, and runs it at Seed (ext-catalog's content i at Seed+i), so each
+// cell passes Scenario.Validate and can be written out as a plan and rerun.
 type SimScale struct {
 	// Scenario is what every figure starts from: the topology, the game,
 	// the server TTL where a figure doesn't sweep it (10 s, consistent with
