@@ -123,7 +123,8 @@ func Schedule(cfg GameConfig, seed int64) ([]Update, error) {
 		}
 		offset += p.Duration
 	}
-	sort.Slice(updates, func(i, j int) bool { return updates[i].At < updates[j].At })
+	// Every gap is at least MinGap > 0 and each phase starts where the
+	// last one ended, so updates are already in strictly increasing time.
 	for i := range updates {
 		updates[i].Snapshot = i + 1
 	}
