@@ -19,6 +19,7 @@ func TestParallelFiguresMatchSerial(t *testing.T) {
 		{"fig17", Fig17},
 		{"fig23", Fig23},
 		{"ext-tree-failure", ExtTreeFailure},
+		{"ext-catalog", ExtCatalog},
 		{"ext-failover", ExtFailover},
 		{"ext-scale", ExtScale},
 		{"fault-churn", func(s SimScale) (*Table, error) { return FaultScenario(s, "churn") }},
