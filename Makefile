@@ -63,9 +63,10 @@ experiments:
 # population-spec, federation-spec and scenario-plan parsers, the JSONL
 # reader and its canonical poll-line scanner (differentially against
 # encoding/json), the access-log parser and its canonical poll-line scanner
-# (differentially against its tokenizing path), and the whole trace-import
-# path (one -fuzz pattern per package run, as go test requires; patterns are
-# anchored where a package holds several fuzz targets).
+# (differentially against its tokenizing path), the whole trace-import
+# path, and the DNS plane's ranking walk (against a per-lookup sort) (one
+# -fuzz pattern per package run, as go test requires; patterns are anchored
+# where a package holds several fuzz targets).
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz 'FuzzEngineOrder$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz 'FuzzShardedFlushOrder$$' -fuzztime 10s
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzParseAccessLog$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzScanLogPollLine$$' -fuzztime 10s
 	$(GO) test ./internal/traceimport -run '^$$' -fuzz 'FuzzImportTrace$$' -fuzztime 10s
+	$(GO) test ./internal/dns -run '^$$' -fuzz FuzzResolve -fuzztime 10s
 
 # Coverage ratchet: per-package line-coverage floors on the packages the
 # cohort user model touches. See scripts/coverage.sh for the floor table.

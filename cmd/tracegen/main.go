@@ -68,9 +68,8 @@ func run(args []string) error {
 	case "jsonl":
 		err = trace.Write(w, res.Trace)
 	case "accesslog":
-		// The access-log flavor is a flat chronological line stream, so
-		// records are emitted in time order.
-		res.Trace.SortRecords()
+		// Generate returns records in canonical (time) order, the order the
+		// flat chronological access-log line stream needs.
 		err = trace.WriteAccessLog(w, res.Trace)
 	default:
 		return fmt.Errorf("unknown -format %q (want jsonl or accesslog)", *format)

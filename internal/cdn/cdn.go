@@ -90,14 +90,13 @@ type Config struct {
 	// the paper's traffic figures count only update and control traffic.
 	AccountVisits bool
 
-	// UseDNSRouting routes each visit through a modeled local DNS
+	// ResolverTTL > 0 routes each visit through a modeled local DNS
 	// resolver (Figure 1): the resolver caches the server assignment for
 	// ResolverTTL, and expired entries re-resolve at the authoritative
 	// DNS, which picks among the nearest servers with load balancing —
 	// the redirection mechanism behind user-observed inconsistency
-	// (Section 3.3). Mutually exclusive with UserSwitchEveryVisit.
-	UseDNSRouting bool
-	// ResolverTTL is the local DNS cache lifetime; default 30 s.
+	// (Section 3.3). Zero routes without DNS. Mutually exclusive with
+	// UserSwitchEveryVisit.
 	ResolverTTL time.Duration
 
 	// RepairTree re-attaches a crashed node's orphaned children to the
@@ -165,7 +164,7 @@ type Config struct {
 	// synchronized by a conservative time-window barrier and run on one
 	// goroutine. A sharded run is a different simulation than a serial run
 	// of the same seed (cells draw independent RNG streams), and a few
-	// inherently global features are unavailable: UseDNSRouting,
+	// inherently global features are unavailable: DNS routing,
 	// UserSwitchEveryVisit, Federation, and multicast tree mutation
 	// (Failover/RepairTree under InfraMulticast). The runtime auditor
 	// composes: its sweeps run at window barriers (see AuditOptions).
@@ -241,8 +240,11 @@ func (c Config) Validate() error {
 	if c.Infra == consistency.InfraBroadcast && c.Method != consistency.MethodPush {
 		return fmt.Errorf("cdn: InfraBroadcast supports only MethodPush (flooding-based push)")
 	}
-	if c.UseDNSRouting && c.UserSwitchEveryVisit {
-		return fmt.Errorf("cdn: UseDNSRouting and UserSwitchEveryVisit are mutually exclusive")
+	if c.ResolverTTL < 0 {
+		return fmt.Errorf("cdn: negative ResolverTTL %v", c.ResolverTTL)
+	}
+	if c.ResolverTTL > 0 && c.UserSwitchEveryVisit {
+		return fmt.Errorf("cdn: DNS routing (ResolverTTL > 0) and UserSwitchEveryVisit are mutually exclusive")
 	}
 	switch c.UserModel {
 	case "", UserModelExplicit:
@@ -267,8 +269,8 @@ func (c Config) Validate() error {
 		if err := c.Population.Validate(); err != nil {
 			return fmt.Errorf("cdn: %w", err)
 		}
-		if c.UseDNSRouting {
-			return fmt.Errorf("cdn: Population pins users to servers; incompatible with UseDNSRouting")
+		if c.ResolverTTL > 0 {
+			return fmt.Errorf("cdn: Population pins users to servers; incompatible with DNS routing (ResolverTTL > 0)")
 		}
 	}
 	if c.Faults != nil {
@@ -294,8 +296,8 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.Sharded {
-		if c.UseDNSRouting {
-			return fmt.Errorf("cdn: sharded runs cannot use UseDNSRouting (the authoritative DNS is global state)")
+		if c.ResolverTTL > 0 {
+			return fmt.Errorf("cdn: sharded runs cannot use DNS routing (ResolverTTL > 0; the authoritative DNS is global state)")
 		}
 		if c.UserSwitchEveryVisit {
 			return fmt.Errorf("cdn: sharded runs cannot use UserSwitchEveryVisit (visits would cross cells)")
@@ -340,9 +342,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.HorizonSlack <= 0 {
 		c.HorizonSlack = 5 * time.Minute
-	}
-	if c.ResolverTTL <= 0 {
-		c.ResolverTTL = 30 * time.Second
 	}
 	if c.UserModel == "" {
 		c.UserModel = UserModelExplicit

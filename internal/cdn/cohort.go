@@ -104,7 +104,7 @@ func (m *cohortUsers) schedule() error {
 	m.armedAt = make([]map[time.Duration]*cohort, len(s.cells))
 	m.firstSeq = make([]uint64, len(s.cells))
 	m.ties = make([]int, len(s.cells))
-	m.parks = s.fed == nil && !s.cfg.UseDNSRouting && !s.cfg.UserSwitchEveryVisit &&
+	m.parks = s.fed == nil && s.cfg.ResolverTTL == 0 && !s.cfg.UserSwitchEveryVisit &&
 		s.cfg.Method != consistency.MethodLease && s.cfg.Method != consistency.MethodRegime &&
 		(!s.cfg.AccountVisits || s.cfg.UpdateSizeKB == float64(int64(s.cfg.UpdateSizeKB)))
 	m.schedulePublications()
@@ -138,7 +138,7 @@ func (m *cohortUsers) build() error {
 			for _, u := range users {
 				offset := time.Duration(s.rng(si + 1).Int63n(int64(userStartMax)))
 				c := m.add(si+1, 1, u.Loc, offset, s.cfg.UserTTL)
-				if s.cfg.UseDNSRouting {
+				if s.cfg.ResolverTTL > 0 {
 					r, err := dns.NewResolver(s.auth, u.Loc, s.cfg.ResolverTTL)
 					if err != nil {
 						return fmt.Errorf("cdn: %w", err)

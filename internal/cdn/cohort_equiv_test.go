@@ -357,7 +357,6 @@ func explicitRefConfig(t *testing.T, method consistency.Method, infra consistenc
 		cfg.Topo = topo
 	case "dns":
 		// ext-dns's setup.
-		cfg.UseDNSRouting = true
 		cfg.ResolverTTL = 20 * time.Second
 	case "switch", "switch-population":
 		// fig24's setup.

@@ -21,10 +21,15 @@ func TestFailureConfigValidation(t *testing.T) {
 		t.Error("negative crash count accepted")
 	}
 	cfg = baseConfig(t, consistency.MethodTTL, consistency.InfraUnicast)
-	cfg.UseDNSRouting = true
+	cfg.ResolverTTL = 30 * time.Second
 	cfg.UserSwitchEveryVisit = true
 	if _, err := Run(cfg); err == nil {
 		t.Error("DNS routing + switching accepted")
+	}
+	cfg = baseConfig(t, consistency.MethodTTL, consistency.InfraUnicast)
+	cfg.ResolverTTL = -time.Second
+	if _, err := Run(cfg); err == nil {
+		t.Error("negative resolver TTL accepted")
 	}
 }
 
@@ -124,7 +129,6 @@ func TestInvalidationFetchFailureServesStale(t *testing.T) {
 
 func TestDNSRoutingRedirects(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodTTL, consistency.InfraUnicast)
-	cfg.UseDNSRouting = true
 	cfg.ResolverTTL = 30 * time.Second
 	res := mustRun(t, cfg)
 	if res.DNSVisits == 0 {
@@ -143,7 +147,6 @@ func TestDNSRoutingRedirects(t *testing.T) {
 func TestDNSRoutingInconsistencyOrdering(t *testing.T) {
 	run := func(m consistency.Method) float64 {
 		cfg := baseConfig(t, m, consistency.InfraUnicast)
-		cfg.UseDNSRouting = true
 		cfg.ResolverTTL = 20 * time.Second
 		return mustRun(t, cfg).InconsistentObservationFrac()
 	}
@@ -161,7 +164,7 @@ func TestDNSRoutingInconsistencyOrdering(t *testing.T) {
 // a geographic neighbourhood.
 func TestDNSRoutingDeterministic(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodTTL, consistency.InfraUnicast)
-	cfg.UseDNSRouting = true
+	cfg.ResolverTTL = 30 * time.Second
 	a := mustRun(t, cfg)
 	b := mustRun(t, cfg)
 	if a.DNSRedirects != b.DNSRedirects || a.DNSVisits != b.DNSVisits {

@@ -191,7 +191,7 @@ func TestSeedsDiffer(t *testing.T) {
 // Cross-feature: self-adaptive under DNS routing completes and stays sane.
 func TestSelfAdaptiveWithDNSRouting(t *testing.T) {
 	cfg := baseConfig(t, consistency.MethodSelfAdaptive, consistency.InfraUnicast)
-	cfg.UseDNSRouting = true
+	cfg.ResolverTTL = 30 * time.Second
 	res := mustRun(t, cfg)
 	if res.DNSVisits == 0 {
 		t.Fatal("no DNS visits")

@@ -95,7 +95,6 @@ func TestKeyCoversEveryInput(t *testing.T) {
 		"UserModel":               {pre: func(c *Config) { c.Population = oneUser }, change: func(c *Config) { c.UserModel = UserModelCohort }},
 		"Population":              {change: func(c *Config) { c.Population = oneUser }},
 		"AccountVisits":           {change: func(c *Config) { c.AccountVisits = true }},
-		"UseDNSRouting":           {change: func(c *Config) { c.UseDNSRouting = true }},
 		"ResolverTTL":             {change: func(c *Config) { c.ResolverTTL = 7 * time.Second }},
 		"RepairTree":              {change: func(c *Config) { c.RepairTree = true }},
 		"Federation":              {change: func(c *Config) { c.Federation = &fed }},

@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"testing"
+	"time"
 
 	"cdnconsistency/internal/consistency"
 	"cdnconsistency/internal/fault"
@@ -128,7 +129,7 @@ func TestShardedConfigGates(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"dns-routing", func(c *Config) { c.UseDNSRouting = true }},
+		{"dns-routing", func(c *Config) { c.ResolverTTL = 30 * time.Second }},
 		{"switch-every-visit", func(c *Config) { c.UserSwitchEveryVisit = true }},
 		// The partition is static, so nothing may mutate the multicast tree.
 		{"multicast-repair", func(c *Config) { c.Infra, c.RepairTree = consistency.InfraMulticast, true }},

@@ -224,12 +224,12 @@ func newSimulation(cfg Config) (*simulation, error) {
 		s.fed = newFedState(s, cfg.Federation)
 	}
 
-	if cfg.UseDNSRouting {
+	if cfg.ResolverTTL > 0 {
 		entries := make([]dns.ServerEntry, 0, len(topo.Servers))
 		for i, srv := range topo.Servers {
 			entries = append(entries, dns.ServerEntry{Index: i + 1, Loc: srv.Loc})
 		}
-		auth, err := dns.NewAuthoritative(entries, 3, s.rng(0))
+		auth, err := dns.NewAuthoritative(entries, s.rng(0))
 		if err != nil {
 			return nil, fmt.Errorf("cdn: %w", err)
 		}

@@ -104,7 +104,7 @@ func (m *explicitUsers) schedule() error {
 				loc:        s.topo.Users[si][ui].Loc,
 				period:     s.cfg.UserTTL,
 			}
-			if s.cfg.UseDNSRouting {
+			if s.cfg.ResolverTTL > 0 {
 				resolver, err := dns.NewResolver(s.auth, s.topo.Users[si][ui].Loc, s.cfg.ResolverTTL)
 				if err == nil {
 					u.resolver = resolver

@@ -242,12 +242,9 @@ func WithTopology(t *topology.Topology) Option {
 
 // WithDNSRouting routes visits through the modeled DNS plane (local
 // resolver caches + authoritative nearest-k load balancing) with the given
-// resolver cache TTL.
+// resolver cache TTL; a TTL of zero routes without DNS.
 func WithDNSRouting(resolverTTL time.Duration) Option {
-	return func(c *config) {
-		c.UseDNSRouting = true
-		c.ResolverTTL = resolverTTL
-	}
+	return func(c *config) { c.ResolverTTL = resolverTTL }
 }
 
 // WithTreeRepair makes the multicast tree re-attach the subtrees orphaned

@@ -8,13 +8,18 @@
 package dns
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"cdnconsistency/internal/geo"
 )
+
+// candidateSet is how many nearest live servers are eligible per answer;
+// load balancing spreads answers across them.
+const candidateSet = 3
 
 // ServerEntry is one content server the authoritative DNS can hand out.
 type ServerEntry struct {
@@ -23,46 +28,35 @@ type ServerEntry struct {
 }
 
 // Authoritative is the CDN's authoritative DNS: it answers with one of the
-// k servers nearest to the querying resolver, weighted away from loaded
-// servers. It is deterministic given its RNG.
+// candidateSet servers nearest to the querying resolver, weighted away from
+// loaded servers. It is deterministic given its RNG.
 type Authoritative struct {
 	servers []ServerEntry
-	// CandidateSet is how many nearest servers are eligible per answer
-	// (load balancing spreads answers across them); default 3.
-	candidateSet int
-	load         map[int]int
-	down         map[int]bool
-	rng          *rand.Rand
+	load    map[int]int
+	down    map[int]bool
+	rng     *rand.Rand
 }
 
-// NewAuthoritative builds the authoritative DNS over the server set.
-func NewAuthoritative(servers []ServerEntry, candidateSet int, rng *rand.Rand) (*Authoritative, error) {
+// NewAuthoritative builds the authoritative DNS over the server set; rng,
+// which must not be nil, breaks ties between equally loaded candidates.
+func NewAuthoritative(servers []ServerEntry, rng *rand.Rand) (*Authoritative, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("dns: no servers")
 	}
-	if candidateSet <= 0 {
-		candidateSet = 3
-	}
-	if candidateSet > len(servers) {
-		candidateSet = len(servers)
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
 	return &Authoritative{
-		servers:      append([]ServerEntry(nil), servers...),
-		candidateSet: candidateSet,
-		load:         make(map[int]int),
-		down:         make(map[int]bool),
-		rng:          rng,
+		servers: append([]ServerEntry(nil), servers...),
+		load:    make(map[int]int),
+		down:    make(map[int]bool),
+		rng:     rng,
 	}, nil
 }
 
 // SetLive marks a server as live or dead. Dead servers are skipped when
 // answering queries (the CDN's health-check feedback into request routing);
-// if every server is dead, Resolve falls back to the full set rather than
-// failing — the paper's observation that cached IPs of failed servers keep
-// attracting requests (Section 3.4.5) still applies at the resolver layer.
+// if every server is dead, an answer falls back to the nearest servers,
+// dead or not, rather than failing — the paper's observation that cached
+// IPs of failed servers keep attracting requests (Section 3.4.5) still
+// applies at the resolver layer.
 func (a *Authoritative) SetLive(serverIdx int, live bool) {
 	if live {
 		delete(a.down, serverIdx)
@@ -71,43 +65,53 @@ func (a *Authoritative) SetLive(serverIdx int, live bool) {
 	}
 }
 
-// Resolve answers a query from a resolver at loc: one of the candidateSet
-// nearest servers, preferring the least-loaded (ties broken randomly). The
-// chosen server's load counter is incremented; Release decrements it.
-func (a *Authoritative) Resolve(loc geo.Point) int {
-	type cand struct {
+// rank orders every server by great-circle distance from loc, ties by
+// server index. Servers never move, so a resolver ranks them once.
+func (a *Authoritative) rank(loc geo.Point) []int {
+	type ranked struct {
 		idx  int
 		dist float64
 	}
-	cands := make([]cand, 0, len(a.servers))
-	for _, s := range a.servers {
-		if a.down[s.Index] {
-			continue
+	rs := make([]ranked, len(a.servers))
+	for i, s := range a.servers {
+		rs[i] = ranked{idx: s.Index, dist: geo.DistanceKm(loc, s.Loc)}
+	}
+	slices.SortFunc(rs, func(x, y ranked) int {
+		return cmp.Or(cmp.Compare(x.dist, y.dist), cmp.Compare(x.idx, y.idx))
+	})
+	order := make([]int, len(rs))
+	for i, r := range rs {
+		order[i] = r.idx
+	}
+	return order
+}
+
+// resolve answers a query from a resolver whose servers rank orders: one of
+// its first candidateSet live servers (of its first candidateSet servers if
+// every server is down), preferring the least-loaded (ties broken
+// randomly). The chosen server's load counter is incremented; Release
+// decrements it.
+func (a *Authoritative) resolve(rank []int) int {
+	var buf [candidateSet]int
+	cands := buf[:0]
+	for _, idx := range rank {
+		if len(cands) == candidateSet {
+			break
 		}
-		cands = append(cands, cand{idx: s.Index, dist: geo.DistanceKm(loc, s.Loc)})
+		if !a.down[idx] {
+			cands = append(cands, idx)
+		}
 	}
 	if len(cands) == 0 {
-		// Every server is down: answer from the full set anyway.
-		for _, s := range a.servers {
-			cands = append(cands, cand{idx: s.Index, dist: geo.DistanceKm(loc, s.Loc)})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].dist != cands[j].dist {
-			return cands[i].dist < cands[j].dist
-		}
-		return cands[i].idx < cands[j].idx
-	})
-	if len(cands) > a.candidateSet {
-		cands = cands[:a.candidateSet]
+		cands = append(cands, rank[:min(candidateSet, len(rank))]...)
 	}
 	// Least-loaded among the candidates; random tie-break keeps answers
 	// spread for equal loads (the paper's "load-balancing consideration").
 	best := cands[0]
-	bestLoad := a.load[best.idx]
+	bestLoad := a.load[best]
 	ties := 1
 	for _, c := range cands[1:] {
-		l := a.load[c.idx]
+		l := a.load[c]
 		switch {
 		case l < bestLoad:
 			best, bestLoad, ties = c, l, 1
@@ -118,8 +122,8 @@ func (a *Authoritative) Resolve(loc geo.Point) int {
 			}
 		}
 	}
-	a.load[best.idx]++
-	return best.idx
+	a.load[best]++
+	return best
 }
 
 // Release reports that a client stopped using a server (its cached entry
@@ -130,22 +134,17 @@ func (a *Authoritative) Release(serverIdx int) {
 	}
 }
 
-// Load returns the current assignment count of a server.
-func (a *Authoritative) Load(serverIdx int) int { return a.load[serverIdx] }
-
 // Resolver is a local DNS resolver with a single cached entry per client
 // (we model one content domain). Entries expire after TTL; an expired
 // lookup goes back to the authoritative server.
 type Resolver struct {
 	auth *Authoritative
 	ttl  time.Duration
-	loc  geo.Point
+	rank []int // every server, nearest to the resolver first
 
 	cached    int
 	expiresAt time.Duration
 	hasEntry  bool
-
-	lookups, misses int
 }
 
 // NewResolver builds a resolver at loc whose cache entries live for ttl.
@@ -156,22 +155,20 @@ func NewResolver(auth *Authoritative, loc geo.Point, ttl time.Duration) (*Resolv
 	if ttl <= 0 {
 		return nil, fmt.Errorf("dns: non-positive resolver TTL %v", ttl)
 	}
-	return &Resolver{auth: auth, ttl: ttl, loc: loc}, nil
+	return &Resolver{auth: auth, ttl: ttl, rank: auth.rank(loc)}, nil
 }
 
 // Lookup returns the server index for a request at virtual time now,
 // consulting the cache first. The boolean reports whether the answer came
 // from the authoritative DNS (a potential redirection point).
 func (r *Resolver) Lookup(now time.Duration) (serverIdx int, fresh bool) {
-	r.lookups++
 	if r.hasEntry && now < r.expiresAt {
 		return r.cached, false
 	}
-	r.misses++
 	if r.hasEntry {
 		r.auth.Release(r.cached)
 	}
-	r.cached = r.auth.Resolve(r.loc)
+	r.cached = r.auth.resolve(r.rank)
 	r.expiresAt = now + r.ttl
 	r.hasEntry = true
 	return r.cached, true

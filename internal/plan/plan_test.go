@@ -110,7 +110,7 @@ func TestParsePlanRejects(t *testing.T) {
 		// breaking one fails at load, not mid-matrix.
 		{"lease off unicast", `{"name":"x","systems":["Lease/Multicast"],"assert":[{"metric":"crashes","op":"==","value":0}]}`, "MethodLease requires InfraUnicast"},
 		{"federated lease", `{"name":"x","systems":["Lease/Unicast"],"federation":{"providers":[{"name":"a","lat":1,"lon":2}]},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "Federation is incompatible with MethodLease"},
-		{"dns routing with population", `{"name":"x","systems":["TTL"],"dns_resolver_ttl":"20s","population":{"servers":[[{"count":1,"offset_ns":0}]]},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "incompatible with UseDNSRouting"},
+		{"dns routing with population", `{"name":"x","systems":["TTL"],"dns_resolver_ttl":"20s","population":{"servers":[[{"count":1,"offset_ns":0}]]},"assert":[{"metric":"crashes","op":"==","value":0}]}`, "incompatible with DNS routing"},
 		{"dns routing with switching", `{"name":"x","systems":["TTL"],"dns_resolver_ttl":"20s","user_switch":true,"assert":[{"metric":"crashes","op":"==","value":0}]}`, "mutually exclusive"},
 	}
 	for _, tc := range cases {
