@@ -32,7 +32,7 @@ bench:
 # compared strictly (>20% ns/op or allocs/op fails) against the newest
 # committed BENCH_<n>.json.
 bench-smoke:
-	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|EngineHold|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|AuditSweep|PartitionCells|NetworkAccount|CohortRun|NewDataset|Infer$$|Resolve$$' \
+	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|EngineHold|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|AuditSweep|PartitionCells|NetworkAccount|CohortRun|NewDataset|Infer$$|Resolve$$|WriteJSONL$$|Generate$$' \
 	BENCH_TIME=2x BENCH_COUNT=3 BENCH_STRICT=1 \
 	BENCH_GUARD='Fig19,Fig20,ExtScale' \
 	./scripts/bench.sh $(CURDIR)/.bench-smoke.json
@@ -62,7 +62,8 @@ experiments:
 # (at, src, seq) merge), the tree fail/recover repair, the fault-scenario compiler, the
 # population-spec, federation-spec and scenario-plan parsers, the JSONL
 # reader and its canonical poll-line scanner (differentially against
-# encoding/json), the access-log parser and its canonical poll-line scanner
+# encoding/json), the JSONL writer's hand-written poll lines (differentially
+# against encoding/json), the access-log parser and its canonical poll-line scanner
 # (differentially against its tokenizing path), the whole trace-import
 # path, and the DNS plane's ranking walk (against a per-lookup sort) (one
 # -fuzz pattern per package run, as go test requires; patterns are anchored
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzReadPollLine$$' -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzWritePollLine$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzParseAccessLog$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzScanLogPollLine$$' -fuzztime 10s
 	$(GO) test ./internal/traceimport -run '^$$' -fuzz 'FuzzImportTrace$$' -fuzztime 10s

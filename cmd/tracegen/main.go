@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cdnconsistency/internal/topology"
@@ -20,13 +21,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	var (
 		servers = fs.Int("servers", 600, "number of content servers to crawl")
@@ -55,29 +56,40 @@ func run(args []string) error {
 		return err
 	}
 
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if err := write(*out, stdout, *format, res.Trace); err != nil {
+		return err
 	}
-	switch *format {
-	case "jsonl":
-		err = trace.Write(w, res.Trace)
-	case "accesslog":
-		// Generate returns records in canonical (time) order, the order the
-		// flat chronological access-log line stream needs.
-		err = trace.WriteAccessLog(w, res.Trace)
-	default:
-		return fmt.Errorf("unknown -format %q (want jsonl or accesslog)", *format)
+	fmt.Fprintf(stderr, "tracegen: %d servers, %d days, %d records (%s)\n",
+		len(res.Trace.Servers), res.Trace.Meta.Days, len(res.Trace.Records), *format)
+	return nil
+}
+
+// write encodes tr in the given format to the file at path, or to stdout
+// for "-".
+func write(path string, stdout io.Writer, format string, tr *trace.Trace) error {
+	if path == "-" {
+		return encode(stdout, format, tr)
 	}
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: %d servers, %d days, %d records (%s)\n",
-		len(res.Trace.Servers), res.Trace.Meta.Days, len(res.Trace.Records), *format)
-	return nil
+	if err := encode(f, format, tr); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func encode(w io.Writer, format string, tr *trace.Trace) error {
+	switch format {
+	case "jsonl":
+		return trace.Write(w, tr)
+	case "accesslog":
+		// Generate returns records in canonical (time) order, the order the
+		// flat chronological access-log line stream needs.
+		return trace.WriteAccessLog(w, tr)
+	default:
+		return fmt.Errorf("unknown -format %q (want jsonl or accesslog)", format)
+	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +13,7 @@ import (
 
 func TestRunWritesValidTrace(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.jsonl")
-	err := run([]string{"-servers", "20", "-days", "1", "-users", "5", "-seed", "3", "-out", out})
+	err := run([]string{"-servers", "20", "-days", "1", "-users", "5", "-seed", "3", "-out", out}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -34,7 +36,7 @@ func TestRunWritesValidTrace(t *testing.T) {
 
 func TestRunShortAccessLog(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "crawl.log")
-	err := run([]string{"-servers", "10", "-days", "1", "-users", "4", "-seed", "3", "-short", "-format", "accesslog", "-out", out})
+	err := run([]string{"-servers", "10", "-days", "1", "-users", "4", "-seed", "3", "-short", "-format", "accesslog", "-out", out}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -56,16 +58,39 @@ func TestRunShortAccessLog(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-servers", "notanumber"}); err == nil {
+	if err := run([]string{"-servers", "notanumber"}, io.Discard, io.Discard); err == nil {
 		t.Error("bad flag accepted")
 	}
-	if err := run([]string{"-servers", "0", "-out", filepath.Join(t.TempDir(), "x")}); err == nil {
+	if err := run([]string{"-servers", "0", "-out", filepath.Join(t.TempDir(), "x")}, io.Discard, io.Discard); err == nil {
 		t.Error("zero servers accepted")
 	}
-	if err := run([]string{"-servers", "5", "-out", "/nonexistent-dir/x.jsonl"}); err == nil {
+	if err := run([]string{"-servers", "5", "-out", "/nonexistent-dir/x.jsonl"}, io.Discard, io.Discard); err == nil {
 		t.Error("unwritable output accepted")
 	}
-	if err := run([]string{"-servers", "5", "-format", "csv", "-out", filepath.Join(t.TempDir(), "x")}); err == nil {
+	if err := run([]string{"-servers", "5", "-format", "csv", "-out", filepath.Join(t.TempDir(), "x")}, io.Discard, io.Discard); err == nil {
 		t.Error("unknown format accepted")
+	}
+}
+
+// TestRunOutMatchesStdout requires -out path to hold the very bytes the
+// same run writes to stdout, in both formats.
+func TestRunOutMatchesStdout(t *testing.T) {
+	for _, format := range []string{"jsonl", "accesslog"} {
+		args := []string{"-short", "-servers", "12", "-days", "2", "-users", "3", "-seed", "5", "-format", format}
+		var stdout bytes.Buffer
+		if err := run(args, &stdout, io.Discard); err != nil {
+			t.Fatalf("%s to stdout: %v", format, err)
+		}
+		out := filepath.Join(t.TempDir(), "crawl")
+		if err := run(append(args, "-out", out), io.Discard, io.Discard); err != nil {
+			t.Fatalf("%s to -out: %v", format, err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stdout.Len() == 0 || !bytes.Equal(got, stdout.Bytes()) {
+			t.Errorf("%s: -out wrote %d bytes, stdout got %d, and they differ", format, len(got), stdout.Len())
+		}
 	}
 }

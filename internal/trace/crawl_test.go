@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 	"cdnconsistency/internal/tracegen"
 )
 
-// crawl generates a synthetic crawl in canonical record order and encodes
-// it as JSONL and as a #cdnlog access log.
+// crawl generates a synthetic crawl, which tracegen emits in canonical
+// record order, and encodes it as JSONL and as a #cdnlog access log.
 func crawl(tb testing.TB, servers, days, users int) (tr *trace.Trace, jsonl, accesslog []byte) {
 	tb.Helper()
 	gen, err := tracegen.Generate(tracegen.Config{
@@ -23,7 +24,12 @@ func crawl(tb testing.TB, servers, days, users int) (tr *trace.Trace, jsonl, acc
 	if err != nil {
 		tb.Fatalf("tracegen.Generate: %v", err)
 	}
-	gen.Trace.SortRecords()
+	recs := gen.Trace.Records
+	for i := 1; i < len(recs); i++ {
+		if trace.Compare(&recs[i-1], &recs[i]) > 0 {
+			tb.Fatalf("generated record %d out of canonical order", i)
+		}
+	}
 	var j, a bytes.Buffer
 	if err := trace.Write(&j, gen.Trace); err != nil {
 		tb.Fatalf("Write: %v", err)
@@ -108,6 +114,20 @@ func BenchmarkReadJSONL(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink = tr
+	}
+}
+
+// BenchmarkWriteJSONL measures JSONL encoding throughput (MB/s) on the
+// same crawl.
+func BenchmarkWriteJSONL(b *testing.B) {
+	tr, jsonl, _ := crawl(b, 16, 1, 8)
+	b.SetBytes(int64(len(jsonl)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := trace.Write(io.Discard, tr); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -3,8 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzRead exercises the JSONL reader against arbitrary input: it must
@@ -87,6 +90,87 @@ func FuzzReadPollLine(f *testing.F) {
 			t.Fatalf("scanner decoded %+v, encoding/json %+v: %q", got, want.Poll, line)
 		}
 	})
+}
+
+// plainIDs are ids Write's hand-written poll line takes; escapedIDs are
+// ids on its edges that it leaves to encoding/json: '"', '\', the HTML
+// characters '<', '>' and '&', control bytes, DEL, non-ASCII text (U+2028
+// among it) and invalid UTF-8.
+var (
+	plainIDs   = []string{"server-0001", "pl-0042", "origin", "user-007", " ~!#$%'()*+,-./:;=?@[]^_`{|}", ""}
+	escapedIDs = []string{
+		"<s001>", "s&001", `s"001`, `s\001`, "s\t001", "\x00", "s\x1f", "s\x7f",
+		"s\u00e9001", "s\u2028", "s\xff001", "\xc3", "\xed\xa0\x80",
+	}
+	writeIDs = append(append([]string(nil), plainIDs...), escapedIDs...)
+)
+
+// checkWritePollLine requires the poll line Write emits for r to be the
+// reference bytes: the line json.Encoder writes for r.
+func checkWritePollLine(tb testing.TB, r PollRecord) {
+	tb.Helper()
+	var got, want bytes.Buffer
+	if err := Write(&got, &Trace{Records: []PollRecord{r}}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := json.NewEncoder(&want).Encode(pollLine{Type: "poll", Poll: r}); err != nil {
+		tb.Fatal(err)
+	}
+	_, line, _ := bytes.Cut(got.Bytes(), []byte("\n")) // past the meta line
+	if !bytes.Equal(line, want.Bytes()) {
+		tb.Fatalf("Write wrote %q, encoding/json %q", line, want.Bytes())
+	}
+}
+
+// recordOf builds a poll record with flag bits 1, 2 and 4 setting Absent,
+// Provider and UserView.
+func recordOf(day int, server, poller string, at int64, snapshot int, rtt int64, flags uint8) PollRecord {
+	return PollRecord{
+		Day: day, Server: server, Poller: poller, At: time.Duration(at),
+		Snapshot: snapshot, RTT: time.Duration(rtt),
+		Absent: flags&1 != 0, Provider: flags&2 != 0, UserView: flags&4 != 0,
+	}
+}
+
+// FuzzWritePollLine is the differential check on Write's hand-written poll
+// lines: for any record, Write must emit the bytes encoding/json does.
+func FuzzWritePollLine(f *testing.F) {
+	for i, id := range writeIDs {
+		f.Add(i, id, "p01", int64(12e9), 5, int64(81234567), uint8(i%8))
+		f.Add(-i, "s001", id, int64(-i), -i, int64(i), uint8(7-i%8))
+	}
+	f.Add(math.MaxInt, "s001", "p01", int64(math.MaxInt64), math.MinInt, int64(math.MinInt64), uint8(0))
+	f.Add(math.MinInt, "s001", "p01", int64(math.MinInt64), math.MaxInt, int64(math.MaxInt64), uint8(255))
+	f.Fuzz(func(t *testing.T, day int, server, poller string, at int64, snapshot int, rtt int64, flags uint8) {
+		checkWritePollLine(t, recordOf(day, server, poller, at, snapshot, rtt, flags))
+	})
+}
+
+// TestWriteMatchesEncodingJSON holds Write's poll lines to encoding/json's
+// bytes over every pair of writeIDs, extreme and random integers and all
+// eight flag combinations, and requires exactly the records whose ids are
+// both in plainIDs to take the hand-written path.
+func TestWriteMatchesEncodingJSON(t *testing.T) {
+	ints := []int64{0, 1, -1, 9, 10, math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(1))
+	pick := func() int64 {
+		if rng.Intn(2) == 0 {
+			return ints[rng.Intn(len(ints))]
+		}
+		return (rng.Int63() >> rng.Intn(63)) * int64(1-2*rng.Intn(2))
+	}
+	for i, server := range writeIDs {
+		for j, poller := range writeIDs {
+			for flags := uint8(0); flags < 8; flags++ {
+				r := recordOf(int(pick()), server, poller, pick(), int(pick()), pick(), flags)
+				checkWritePollLine(t, r)
+				_, fast := appendPollLine(nil, &r)
+				if plain := i < len(plainIDs) && j < len(plainIDs); fast != plain {
+					t.Fatalf("ids %q, %q: hand-written path %v, want %v", server, poller, fast, plain)
+				}
+			}
+		}
+	}
 }
 
 // FuzzScanLogPollLine is the differential check on ParseAccessLog's

@@ -134,17 +134,17 @@ func (ix *Index) ServerID(id string) int {
 	return -1
 }
 
-// sortedOrder returns the record positions in the order SortRecords would
-// leave the records in. The order is total, so positions that tie hold
-// identical records.
+// sortedOrder returns the record positions in canonical order (Compare),
+// the order SortRecords would leave the records in. The order is total, so
+// positions that tie hold identical records.
 func sortedOrder(recs []PollRecord) []int32 {
 	order := make([]int32, len(recs))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	for i := 1; i < len(recs); i++ {
-		if recordLess(&recs[i], &recs[i-1]) {
-			sort.Slice(order, func(a, b int) bool { return recordLess(&recs[order[a]], &recs[order[b]]) })
+		if Compare(&recs[i], &recs[i-1]) < 0 {
+			sort.Slice(order, func(a, b int) bool { return Compare(&recs[order[a]], &recs[order[b]]) < 0 })
 			break
 		}
 	}

@@ -23,6 +23,13 @@ import (
 // this), so the accepted inputs, decoded values and error messages are
 // those of encoding/json alone. Server and poller ids are interned per Read
 // call, so a trace holds one copy of each id.
+//
+// Write mirrors Read: it appends a poll line whose ids need no escaping in
+// that canonical form by hand, and encodes every other line — meta and
+// server lines, and poll lines with other ids — with encoding/json. The
+// hand-written lines are the bytes encoding/json writes for them
+// (FuzzWritePollLine checks this), so the output is that of encoding/json
+// alone.
 
 type lineEnvelope struct {
 	Type string `json:"type"`
@@ -55,12 +62,63 @@ func Write(w io.Writer, t *Trace) error {
 			return fmt.Errorf("trace: write server %s: %w", s.ID, err)
 		}
 	}
-	for i, r := range t.Records {
-		if err := enc.Encode(pollLine{Type: "poll", Poll: r}); err != nil {
+	for i := range t.Records {
+		r := &t.Records[i]
+		var err error
+		if line, ok := appendPollLine(bw.AvailableBuffer(), r); ok {
+			_, err = bw.Write(line)
+		} else {
+			err = enc.Encode(pollLine{Type: "poll", Poll: *r})
+		}
+		if err != nil {
 			return fmt.Errorf("trace: write record %d: %w", i, err)
 		}
 	}
 	return bw.Flush()
+}
+
+// appendPollLine appends r's poll line, newline included, in the canonical
+// form scanPollLine reads, if both its ids are plain; otherwise it reports
+// false and leaves the line to encoding/json.
+func appendPollLine(b []byte, r *PollRecord) ([]byte, bool) {
+	if !plainID(r.Server) || !plainID(r.Poller) {
+		return b, false
+	}
+	b = append(b, `{"type":"poll","poll":{"day":`...)
+	b = strconv.AppendInt(b, int64(r.Day), 10)
+	b = append(b, `,"server":"`...)
+	b = append(b, r.Server...)
+	b = append(b, `","poller":"`...)
+	b = append(b, r.Poller...)
+	b = append(b, `","at":`...)
+	b = strconv.AppendInt(b, int64(r.At), 10)
+	b = append(b, `,"snapshot":`...)
+	b = strconv.AppendInt(b, int64(r.Snapshot), 10)
+	b = append(b, `,"rtt":`...)
+	b = strconv.AppendInt(b, int64(r.RTT), 10)
+	if r.Absent {
+		b = append(b, `,"absent":true`...)
+	}
+	if r.Provider {
+		b = append(b, `,"provider":true`...)
+	}
+	if r.UserView {
+		b = append(b, `,"user_view":true`...)
+	}
+	return append(b, "}}\n"...), true
+}
+
+// plainID reports whether encoding/json writes s verbatim between quotes:
+// printable ASCII other than '"' and '\', and other than '<', '>' and '&',
+// which an Encoder escapes for HTML.
+func plainID(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // Read parses a JSONL trace written by Write.

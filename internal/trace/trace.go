@@ -4,8 +4,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -108,34 +110,49 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// SortRecords orders records by (day, time, server, poller) in place, the
-// canonical order the analyses assume. The remaining fields break ties, so
-// the order is total: records that compare equal are identical, and the
-// result does not depend on the input order or the sort algorithm.
+// SortRecords orders records in place by Compare, the canonical order the
+// analyses assume. The order is total, so the result does not depend on the
+// input order or the sort algorithm.
 func (t *Trace) SortRecords() {
-	sort.Slice(t.Records, func(i, j int) bool { return recordLess(&t.Records[i], &t.Records[j]) })
+	sort.Slice(t.Records, func(i, j int) bool { return Compare(&t.Records[i], &t.Records[j]) < 0 })
 }
 
-func recordLess(a, b *PollRecord) bool {
+// Compare is the canonical record order: by (day, time, server, poller),
+// with the remaining fields breaking ties so the order is total. It returns
+// a negative number when a sorts before b, a positive one when after, and
+// 0 only when the records are identical.
+func Compare(a, b *PollRecord) int {
 	switch {
 	case a.Day != b.Day:
-		return a.Day < b.Day
+		return cmp.Compare(a.Day, b.Day)
 	case a.At != b.At:
-		return a.At < b.At
+		return cmp.Compare(a.At, b.At)
 	case a.Server != b.Server:
-		return a.Server < b.Server
+		return strings.Compare(a.Server, b.Server)
 	case a.Poller != b.Poller:
-		return a.Poller < b.Poller
+		return strings.Compare(a.Poller, b.Poller)
 	case a.Snapshot != b.Snapshot:
-		return a.Snapshot < b.Snapshot
+		return cmp.Compare(a.Snapshot, b.Snapshot)
 	case a.RTT != b.RTT:
-		return a.RTT < b.RTT
+		return cmp.Compare(a.RTT, b.RTT)
 	case a.Absent != b.Absent:
-		return !a.Absent
+		return compareBool(a.Absent, b.Absent)
 	case a.Provider != b.Provider:
-		return !a.Provider
+		return compareBool(a.Provider, b.Provider)
 	default:
-		return !a.UserView && b.UserView
+		return compareBool(a.UserView, b.UserView)
+	}
+}
+
+// compareBool orders false before true.
+func compareBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return 1
+	default:
+		return -1
 	}
 }
 

@@ -16,12 +16,19 @@
 //
 // Every Section-3 analysis is a pure function of the resulting records, so
 // the analysis pipeline reproduces the paper's figures from this input.
+//
+// The records come out in canonical order (trace.Compare) by construction:
+// every poller polls at a fixed offset in [0, PollInterval) and then once
+// per interval, so a day is a matrix of ticks by pollers, filled poller by
+// poller and read out tick by tick with the pollers in offset order.
 package tracegen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -126,7 +133,10 @@ func (sd *serverDay) cachedAt(t time.Duration) int {
 	return sd.snapshot[i-1]
 }
 
-// Generate builds the synthetic crawl.
+// Generate builds the synthetic crawl. Its records are in canonical order
+// (trace.Compare) without a sort, and its record slice is allocated once,
+// for the most polls a poller can make in a day (day length / PollInterval
+// + 1) from every poller on every day.
 func Generate(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	topo, err := topology.Generate(cfg.Topology)
@@ -153,6 +163,10 @@ func Generate(cfg Config) (*Result, error) {
 		})
 	}
 
+	pollers := len(topo.Servers) + providerPollers + max(cfg.Users, 0)
+	perDay := pollers * (int(dayLen/cfg.PollInterval) + 1)
+	buf := newDayBuffer(pollers, perDay)
+	tr.Records = make([]trace.PollRecord, 0, cfg.Days*perDay)
 	res := &Result{Trace: tr, Topo: topo}
 	for day := 0; day < cfg.Days; day++ {
 		updates, err := workload.Schedule(cfg.Game, cfg.Seed+int64(day)*7919)
@@ -160,13 +174,93 @@ func Generate(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("tracegen: day %d: %w", day, err)
 		}
 		res.Schedules = append(res.Schedules, updates)
-		genDay(cfg, topo, tr, rng, day, dayLen, updates)
+		genDay(cfg, topo, buf, rng, day, dayLen, updates)
+		tr.Records = buf.appendSorted(tr.Records)
 	}
-	tr.SortRecords()
 	return res, nil
 }
 
-func genDay(cfg Config, topo *topology.Topology, tr *trace.Trace, rng *rand.Rand,
+// dayBuffer collects one day's records poller by poller, in the order the
+// pollers are generated, and is reused from day to day.
+type dayBuffer struct {
+	recs   []trace.PollRecord
+	start  []int           // poller s's records are recs[start[s]:start[s+1]]
+	offset []time.Duration // poller s's first poll time
+}
+
+func newDayBuffer(pollers, records int) *dayBuffer {
+	return &dayBuffer{
+		recs:   make([]trace.PollRecord, 0, records),
+		start:  make([]int, 0, pollers+1),
+		offset: make([]time.Duration, 0, pollers),
+	}
+}
+
+// poller starts the next poller, which first polls at offset; its records
+// are the ones appended to recs until the next call.
+func (d *dayBuffer) poller(offset time.Duration) {
+	d.start = append(d.start, len(d.recs))
+	d.offset = append(d.offset, offset)
+}
+
+// transposeBlock is the side of the square of (poller, tick) cells that
+// appendSorted copies at a time, so the records it reads and the records
+// it writes both stay in cache.
+const transposeBlock = 16
+
+// appendSorted appends the day's records to dst in canonical order and
+// empties the buffer for the next day.
+//
+// Every poller polls at a fixed offset in [0, PollInterval) and then once
+// per interval, so its k-th poll falls in tick k, [k, k+1) intervals into
+// the day: the records sort by tick, then by poller offset. Every poller
+// polls at every tick but the last, where only the pollers with the
+// smallest offsets still fall inside the day. Pollers with equal offsets
+// poll at equal times; their records at each tick are ordered by
+// trace.Compare itself.
+func (d *dayBuffer) appendSorted(dst []trace.PollRecord) []trace.PollRecord {
+	n := len(d.offset)
+	d.start = append(d.start, len(d.recs))
+	order := make([]int, n)
+	for s := range order {
+		order[s] = s
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(d.offset[a], d.offset[b]) })
+	polls := func(r int) int { return d.start[order[r]+1] - d.start[order[r]] }
+
+	// out[k*n+r] is the k-th record of the poller ranked r.
+	base := len(dst)
+	dst = slices.Grow(dst, len(d.recs))[:base+len(d.recs)]
+	out := dst[base:]
+	for r0 := 0; r0 < n; r0 += transposeBlock {
+		r1 := min(r0+transposeBlock, n)
+		for k0 := 0; k0 < polls(r0); k0 += transposeBlock {
+			for r := r0; r < r1; r++ {
+				src := d.recs[d.start[order[r]]:]
+				for k := k0; k < min(k0+transposeBlock, polls(r)); k++ {
+					out[k*n+r] = src[k]
+				}
+			}
+		}
+	}
+
+	for r := 0; r < n; {
+		tie := r + 1
+		for tie < n && d.offset[order[tie]] == d.offset[order[r]] {
+			tie++
+		}
+		if tie-r > 1 {
+			for k := 0; k < polls(r); k++ {
+				slices.SortFunc(out[k*n+r:k*n+tie], func(a, b trace.PollRecord) int { return trace.Compare(&a, &b) })
+			}
+		}
+		r = tie
+	}
+	d.recs, d.start, d.offset = d.recs[:0], d.start[:0], d.offset[:0]
+	return dst
+}
+
+func genDay(cfg Config, topo *topology.Topology, buf *dayBuffer, rng *rand.Rand,
 	day int, dayLen time.Duration, updates []workload.Update) {
 
 	// Per-ISP fetch-lag bias for the day (Section 3.4.3 reproduction).
@@ -213,6 +307,7 @@ func genDay(cfg Config, topo *topology.Topology, tr *trace.Trace, rng *rand.Rand
 		poller := fmt.Sprintf("pl-%04d", i%200)
 		offset := time.Duration(rng.Int63n(int64(cfg.PollInterval)))
 		rtt := pollerRTT(rng)
+		buf.poller(offset)
 		for t := offset; t <= dayLen; t += cfg.PollInterval {
 			rec := trace.PollRecord{
 				Day: day, Server: s.ID, Poller: poller, At: t, RTT: rtt,
@@ -222,7 +317,7 @@ func genDay(cfg Config, topo *topology.Topology, tr *trace.Trace, rng *rand.Rand
 			} else {
 				rec.Snapshot = sd.cachedAt(t)
 			}
-			tr.Records = append(tr.Records, rec)
+			buf.recs = append(buf.recs, rec)
 		}
 	}
 
@@ -230,9 +325,10 @@ func genDay(cfg Config, topo *topology.Topology, tr *trace.Trace, rng *rand.Rand
 	for p := 0; p < providerPollers; p++ {
 		poller := fmt.Sprintf("plprov-%02d", p)
 		offset := time.Duration(rng.Int63n(int64(cfg.PollInterval)))
+		buf.poller(offset)
 		for t := offset; t <= dayLen; t += cfg.PollInterval {
 			lag := providerStaleness(rng, providerLagMean)
-			tr.Records = append(tr.Records, trace.PollRecord{
+			buf.recs = append(buf.recs, trace.PollRecord{
 				Day: day, Server: "origin", Poller: poller, At: t,
 				Snapshot: workload.SnapshotAt(updates, t-lag),
 				RTT:      responseTime(rng),
@@ -248,6 +344,7 @@ func genDay(cfg Config, topo *topology.Topology, tr *trace.Trace, rng *rand.Rand
 			poller := fmt.Sprintf("user-%03d", u)
 			cur := rng.Intn(len(topo.Servers))
 			offset := time.Duration(rng.Int63n(int64(cfg.PollInterval)))
+			buf.poller(offset)
 			for t := offset; t <= dayLen; t += cfg.PollInterval {
 				if rng.Float64() < redirectProb {
 					cur = rng.Intn(len(topo.Servers))
@@ -262,7 +359,7 @@ func genDay(cfg Config, topo *topology.Topology, tr *trace.Trace, rng *rand.Rand
 				} else {
 					rec.Snapshot = sd.cachedAt(t)
 				}
-				tr.Records = append(tr.Records, rec)
+				buf.recs = append(buf.recs, rec)
 			}
 		}
 	}

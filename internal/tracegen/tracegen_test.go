@@ -281,3 +281,20 @@ func TestGenerateErrorsPropagate(t *testing.T) {
 		t.Error("bad topology accepted")
 	}
 }
+
+// benchSink keeps the generated crawls alive so the calls are not elided.
+var benchSink *Result
+
+// BenchmarkGenerate measures synthesizing perfbench crawl-replay's crawl:
+// 32 servers, 2 days, 12 users.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := Config{Topology: topology.Config{Servers: 32, Seed: 1}, Days: 2, Users: 12, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = res
+	}
+}
