@@ -42,15 +42,17 @@ type Dataset struct {
 	serverAlphas [][]map[int]time.Duration
 }
 
-// NewDataset indexes a trace. The trace must pass Validate.
+// NewDataset indexes a trace; a trace that fails Validate fails with the
+// same error, wrapped.
 func NewDataset(tr *trace.Trace) (*Dataset, error) {
-	if err := tr.Validate(); err != nil {
+	ix, err := trace.NewIndex(tr)
+	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
 	days := tr.Meta.Days
 	d := &Dataset{
 		Trace:        tr,
-		ix:           trace.NewIndex(tr),
+		ix:           ix,
 		alphas:       make([]map[int]time.Duration, days),
 		alphaOrder:   make([][]int, days),
 		episodes:     make([][][]float64, days),

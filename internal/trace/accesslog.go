@@ -27,16 +27,17 @@ import (
 // time.Duration syntax, so WriteAccessLog -> ParseAccessLog reproduces the
 // representable part of a trace exactly.
 //
-// The parser works on the reader's buffer in place, and interns server and
-// poller ids per call. A poll line that is byte-for-byte in the form
-// WriteAccessLog emits is decoded by a hand-written scanner
-// (scanLogPollLine) with integer arithmetic. Every other line — the header,
-// #server lines, and any poll line spelled another way — is split into byte
-// tokens with bytes.Fields, its keys are matched with one switch per line
-// kind, and its values are decoded by strconv and time.ParseDuration. The
-// scanner accepts only lines that path decodes to the very same record
-// (FuzzScanLogPollLine checks this), so the accepted inputs and the error
-// texts are those of strconv and time.ParseDuration alone.
+// The parser works on the reader's buffer in place, interns server and
+// poller ids per call, and collects records in blocks as Read does. A poll
+// line that is byte-for-byte in the form WriteAccessLog emits is decoded
+// by a hand-written scanner (scanLogPollLine) with integer arithmetic.
+// Every other line — the header, #server lines, and any poll line spelled
+// another way — is split into byte tokens with bytes.Fields, its keys are
+// matched with one switch per line kind, and its values are decoded by
+// strconv and time.ParseDuration. The scanner accepts only lines that path
+// decodes to the very same record (FuzzScanLogPollLine checks this), so the
+// accepted inputs and the error texts are those of strconv and
+// time.ParseDuration alone.
 
 const accessLogHeader = "#cdnlog v1"
 
@@ -92,6 +93,7 @@ func ParseAccessLog(r io.Reader) (*Trace, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	t := &Trace{}
 	ids := interner{}
+	var recs recordBlocks
 	lineNo := 0
 	sawHeader := false
 	lastDay, lastAt := 0, time.Duration(-1)
@@ -150,11 +152,12 @@ func ParseAccessLog(r io.Reader) (*Trace, error) {
 				lineNo, rec.Day, rec.At, lastDay, lastAt)
 		}
 		lastDay, lastAt = rec.Day, rec.At
-		t.Records = append(t.Records, rec)
+		recs.add(rec)
 	}
 	if !sawHeader {
 		return nil, fmt.Errorf("trace: access log: missing %q header", accessLogHeader)
 	}
+	t.Records = recs.join()
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}

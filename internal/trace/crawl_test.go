@@ -2,8 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cdnconsistency/internal/topology"
@@ -95,6 +97,69 @@ func TestCrawlLogLinesTakeFastPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Servers, want.Servers) || !reflect.DeepEqual(got.Records, want.Records) {
 		t.Fatal("ParseAccessLog did not reproduce the generated crawl")
+	}
+}
+
+// TestReadersJoinBlocks reads a crawl of several record blocks through both
+// readers. The records come back as generated, in one slice of exactly
+// their length; a trace without records has nil Records; and a malformed
+// poll line past the first block fails with its own line number.
+func TestReadersJoinBlocks(t *testing.T) {
+	want, jsonl, accesslog := crawl(t, 8, 1, 4)
+	if len(want.Records) < 3*trace.MaxBlock {
+		t.Fatalf("crawl has %d records, want several blocks of %d", len(want.Records), trace.MaxBlock)
+	}
+	// Record k is on line k+2+servers of both encodings, after the meta or
+	// header line and the server lines; break one in the third block.
+	k := 2*trace.MaxBlock + 5
+	lineNo := k + 2 + len(want.Servers)
+	readers := []struct {
+		name    string
+		read    func(io.Reader) (*trace.Trace, error)
+		in      []byte
+		empty   string
+		bad     string // replaces line lineNo
+		wantErr string
+	}{
+		{
+			"jsonl", trace.Read, jsonl,
+			`{"type":"meta","meta":{"days":1,"poll_interval":1000000000}}` + "\n",
+			`{"type":"poll","poll":{"day":"x"}}`,
+			fmt.Sprintf("trace: line %d: json: cannot unmarshal string into Go struct field PollRecord.poll.day of type int", lineNo),
+		},
+		{
+			"accesslog", trace.ParseAccessLog, accesslog,
+			"#cdnlog v1 days=1 daylen=0s poll=1s\n",
+			"poll day=x at=1s srv=s via=p rtt=0s snap=0",
+			fmt.Sprintf(`trace: access log line %d: field day: strconv.Atoi: parsing "x": invalid syntax`, lineNo),
+		},
+	}
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			got, err := rd.read(bytes.NewReader(rd.in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Records) != cap(got.Records) {
+				t.Errorf("len(Records) = %d, cap = %d", len(got.Records), cap(got.Records))
+			}
+			if !reflect.DeepEqual(got.Records, want.Records) {
+				t.Error("records differ from the generated crawl")
+			}
+			empty, err := rd.read(strings.NewReader(rd.empty))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if empty.Records != nil {
+				t.Errorf("a trace without records has Records %#v, want nil", empty.Records)
+			}
+			lines := bytes.Split(rd.in, []byte("\n"))
+			lines[lineNo-1] = []byte(rd.bad)
+			_, err = rd.read(bytes.NewReader(bytes.Join(lines, []byte("\n"))))
+			if err == nil || err.Error() != rd.wantErr {
+				t.Errorf("malformed line %d: error %v, want %s", lineNo, err, rd.wantErr)
+			}
+		})
 	}
 }
 

@@ -7,3 +7,6 @@ func ScanPollLine(line []byte) (PollRecord, bool) { return scanPollLine(line, in
 // ScanLogPollLine exposes the canonical #cdnlog poll-line scanner the same
 // way.
 func ScanLogPollLine(line []byte) (PollRecord, bool) { return scanLogPollLine(line, interner{}) }
+
+// MaxBlock is the largest block the readers collect records in.
+const MaxBlock = maxBlock

@@ -37,8 +37,13 @@ type Day struct {
 	Crawl, Provider, User [][]int32
 }
 
-// NewIndex indexes a trace that passes Validate.
-func NewIndex(t *Trace) *Index {
+// NewIndex indexes a trace, checking it as it goes: a trace that fails
+// Validate fails NewIndex with the same error.
+func NewIndex(t *Trace) (*Index, error) {
+	servers, err := t.serverIDs()
+	if err != nil {
+		return nil, err
+	}
 	recs := t.Records
 	ix := &Index{
 		Records:  recs,
@@ -48,27 +53,34 @@ func NewIndex(t *Trace) *Index {
 		Days:     make([]Day, t.Meta.Days),
 	}
 	sort.Slice(ix.Servers, func(i, j int) bool { return ix.Servers[i].ID < ix.Servers[j].ID })
-	servers := make(map[string]int32, len(ix.Servers))
 	for i, s := range ix.Servers {
 		servers[s.ID] = int32(i)
 	}
+	// Pollers get ids in first-seen order, renumbered in id order below.
 	pollers := make(map[string]int32)
 	for i := range recs {
-		if _, ok := pollers[recs[i].Poller]; !ok {
-			pollers[recs[i].Poller] = 0
-			ix.Pollers = append(ix.Pollers, recs[i].Poller)
+		s, known := servers[recs[i].Server]
+		if err := t.checkRecord(i, known); err != nil {
+			return nil, err
 		}
-	}
-	sort.Strings(ix.Pollers)
-	for i, p := range ix.Pollers {
-		pollers[p] = int32(i)
-	}
-	for i := range recs {
-		s, ok := servers[recs[i].Server]
-		if !ok {
+		if !known {
 			s = -1
 		}
-		ix.ServerOf[i], ix.PollerOf[i] = s, pollers[recs[i].Poller]
+		p, ok := pollers[recs[i].Poller]
+		if !ok {
+			p = int32(len(ix.Pollers))
+			pollers[recs[i].Poller] = p
+			ix.Pollers = append(ix.Pollers, recs[i].Poller)
+		}
+		ix.ServerOf[i], ix.PollerOf[i] = s, p
+	}
+	rank := make([]int32, len(ix.Pollers))
+	sort.Strings(ix.Pollers)
+	for i, p := range ix.Pollers {
+		rank[pollers[p]] = int32(i)
+	}
+	for i, p := range ix.PollerOf {
+		ix.PollerOf[i] = rank[p]
 	}
 
 	// A day's groups are its servers' crawler records, then its pollers'
@@ -122,7 +134,7 @@ func NewIndex(t *Trace) *Index {
 		byKind := &ix.Days[recs[i].Day].ByTime[kind(&recs[i])]
 		*byKind = append(*byKind, i)
 	}
-	return ix
+	return ix, nil
 }
 
 // ServerID returns the dense id of the server with the given id, or -1.

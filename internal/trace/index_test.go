@@ -16,7 +16,10 @@ func TestIndexGroups(t *testing.T) {
 		PollRecord{Day: 0, Server: "s1", Poller: "p1", At: 5 * time.Second, Snapshot: 1},
 	)
 	before := fmt.Sprint(tr.Records)
-	ix := NewIndex(tr)
+	ix, err := NewIndex(tr)
+	if err != nil {
+		t.Fatalf("NewIndex: %v", err)
+	}
 	if got := fmt.Sprint(tr.Records); got != before {
 		t.Fatalf("NewIndex moved the records:\n%s\nwant\n%s", got, before)
 	}

@@ -22,7 +22,8 @@ import (
 // encoding/json decoding it reproduces exactly (FuzzReadPollLine checks
 // this), so the accepted inputs, decoded values and error messages are
 // those of encoding/json alone. Server and poller ids are interned per Read
-// call, so a trace holds one copy of each id.
+// call, so a trace holds one copy of each id. Records are collected in
+// blocks and joined once, into a slice of their exact length.
 //
 // Write mirrors Read: it appends a poll line whose ids need no escaping in
 // that canonical form by hand, and encodes every other line — meta and
@@ -127,6 +128,7 @@ func Read(r io.Reader) (*Trace, error) {
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	t := &Trace{}
 	ids := interner{}
+	var recs recordBlocks
 	sawMeta := false
 	lineNo := 0
 	for sc.Scan() {
@@ -136,7 +138,7 @@ func Read(r io.Reader) (*Trace, error) {
 			continue
 		}
 		if rec, ok := scanPollLine(line, ids); ok {
-			t.Records = append(t.Records, rec)
+			recs.add(rec)
 			continue
 		}
 		var env lineEnvelope
@@ -165,8 +167,8 @@ func Read(r io.Reader) (*Trace, error) {
 			if err := json.Unmarshal(line, &p); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 			}
-			p.Poll.Server, p.Poll.Poller = ids.str(p.Poll.Server), ids.str(p.Poll.Poller)
-			t.Records = append(t.Records, p.Poll)
+			p.Poll.Server, p.Poll.Poller = ids.bytes([]byte(p.Poll.Server)), ids.bytes([]byte(p.Poll.Poller))
+			recs.add(p.Poll)
 		default:
 			return nil, fmt.Errorf("trace: line %d: unknown type %q", lineNo, env.Type)
 		}
@@ -177,7 +179,40 @@ func Read(r io.Reader) (*Trace, error) {
 	if !sawMeta {
 		return nil, errors.New("trace: missing meta line")
 	}
+	t.Records = recs.join()
 	return t, nil
+}
+
+// recordBlocks collects records in blocks that double from minBlock up to
+// maxBlock records, each filled once; join copies them once.
+type recordBlocks struct {
+	full [][]PollRecord
+	cur  []PollRecord
+	n    int
+}
+
+const minBlock, maxBlock = 16, 4096
+
+func (b *recordBlocks) add(r PollRecord) {
+	if len(b.cur) == cap(b.cur) {
+		b.full = append(b.full, b.cur)
+		b.cur = make([]PollRecord, 0, min(max(2*cap(b.cur), minBlock), maxBlock))
+	}
+	b.cur = append(b.cur, r)
+	b.n++
+}
+
+// join returns the records in the order added, in a slice of exactly
+// their length, or nil if there are none.
+func (b *recordBlocks) join() []PollRecord {
+	if b.n == 0 {
+		return nil
+	}
+	out := make([]PollRecord, 0, b.n)
+	for _, blk := range append(b.full, b.cur) {
+		out = append(out, blk...)
+	}
+	return out
 }
 
 // interner hands out one shared string per distinct id.
@@ -189,15 +224,6 @@ func (in interner) bytes(b []byte) string {
 		return s
 	}
 	s := string(b)
-	in[s] = s
-	return s
-}
-
-// str returns the interned copy of s.
-func (in interner) str(s string) string {
-	if v, ok := in[s]; ok {
-		return v
-	}
 	in[s] = s
 	return s
 }

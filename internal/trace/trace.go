@@ -71,41 +71,53 @@ type Trace struct {
 // server (or the provider), lie inside a crawl day, be at most one of a
 // provider poll and a user view, and have sane fields.
 func (t *Trace) Validate() error {
+	known, err := t.serverIDs()
+	for i := 0; err == nil && i < len(t.Records); i++ {
+		_, ok := known[t.Records[i].Server]
+		err = t.checkRecord(i, ok)
+	}
+	return err
+}
+
+// serverIDs checks the meta and the server list, and maps each server id
+// to its position in Servers.
+func (t *Trace) serverIDs() (map[string]int32, error) {
 	if t.Meta.Days <= 0 {
-		return fmt.Errorf("trace: non-positive day count %d", t.Meta.Days)
+		return nil, fmt.Errorf("trace: non-positive day count %d", t.Meta.Days)
 	}
 	if t.Meta.PollInterval <= 0 {
-		return fmt.Errorf("trace: non-positive poll interval %v", t.Meta.PollInterval)
+		return nil, fmt.Errorf("trace: non-positive poll interval %v", t.Meta.PollInterval)
 	}
-	known := make(map[string]bool, len(t.Servers))
-	for _, s := range t.Servers {
+	ids := make(map[string]int32, len(t.Servers))
+	for i, s := range t.Servers {
 		if s.ID == "" {
-			return fmt.Errorf("trace: server with empty id")
+			return nil, fmt.Errorf("trace: server with empty id")
 		}
-		if known[s.ID] {
-			return fmt.Errorf("trace: duplicate server id %q", s.ID)
+		if _, dup := ids[s.ID]; dup {
+			return nil, fmt.Errorf("trace: duplicate server id %q", s.ID)
 		}
-		known[s.ID] = true
+		ids[s.ID] = int32(i)
 	}
-	for i, r := range t.Records {
-		if r.Day < 0 || r.Day >= t.Meta.Days {
-			return fmt.Errorf("trace: record %d day %d outside [0,%d)", i, r.Day, t.Meta.Days)
-		}
-		if r.Provider && r.UserView {
-			return fmt.Errorf("trace: record %d is both a provider poll and a user view", i)
-		}
-		if !r.Provider && !known[r.Server] {
-			return fmt.Errorf("trace: record %d references unknown server %q", i, r.Server)
-		}
-		if r.At < 0 || (t.Meta.DayLength > 0 && r.At > t.Meta.DayLength) {
-			return fmt.Errorf("trace: record %d time %v outside day", i, r.At)
-		}
-		if r.Snapshot < 0 {
-			return fmt.Errorf("trace: record %d negative snapshot", i)
-		}
-		if r.Absent && r.Snapshot != 0 {
-			return fmt.Errorf("trace: record %d absent but carries snapshot %d", i, r.Snapshot)
-		}
+	return ids, nil
+}
+
+// checkRecord checks record i; known reports whether its server is a
+// crawled one.
+func (t *Trace) checkRecord(i int, known bool) error {
+	r := &t.Records[i]
+	switch {
+	case r.Day < 0 || r.Day >= t.Meta.Days:
+		return fmt.Errorf("trace: record %d day %d outside [0,%d)", i, r.Day, t.Meta.Days)
+	case r.Provider && r.UserView:
+		return fmt.Errorf("trace: record %d is both a provider poll and a user view", i)
+	case !r.Provider && !known:
+		return fmt.Errorf("trace: record %d references unknown server %q", i, r.Server)
+	case r.At < 0 || (t.Meta.DayLength > 0 && r.At > t.Meta.DayLength):
+		return fmt.Errorf("trace: record %d time %v outside day", i, r.At)
+	case r.Snapshot < 0:
+		return fmt.Errorf("trace: record %d negative snapshot", i)
+	case r.Absent && r.Snapshot != 0:
+		return fmt.Errorf("trace: record %d absent but carries snapshot %d", i, r.Snapshot)
 	}
 	return nil
 }
@@ -154,41 +166,4 @@ func compareBool(a, b bool) int {
 	default:
 		return -1
 	}
-}
-
-// Merge combines multiple traces into one multi-day trace: the second
-// trace's days follow the first's, and so on. Traces must agree on poll
-// interval and day length; server sets are unioned (duplicate ids must
-// describe identical servers). Useful for assembling a long crawl from
-// per-day capture files.
-func Merge(traces ...*Trace) (*Trace, error) {
-	if len(traces) == 0 {
-		return nil, fmt.Errorf("trace: nothing to merge")
-	}
-	out := &Trace{Meta: traces[0].Meta}
-	out.Meta.Days = 0
-	seen := make(map[string]ServerInfo)
-	for ti, t := range traces {
-		if t.Meta.PollInterval != out.Meta.PollInterval || t.Meta.DayLength != out.Meta.DayLength {
-			return nil, fmt.Errorf("trace: merge input %d has mismatched poll interval or day length", ti)
-		}
-		for _, s := range t.Servers {
-			if prev, ok := seen[s.ID]; ok {
-				if prev != s {
-					return nil, fmt.Errorf("trace: server %q differs across merge inputs", s.ID)
-				}
-				continue
-			}
-			seen[s.ID] = s
-			out.Servers = append(out.Servers, s)
-		}
-		offset := out.Meta.Days
-		for _, r := range t.Records {
-			r.Day += offset
-			out.Records = append(out.Records, r)
-		}
-		out.Meta.Days += t.Meta.Days
-	}
-	out.SortRecords()
-	return out, out.Validate()
 }

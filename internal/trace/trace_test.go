@@ -168,51 +168,3 @@ func TestReadSkipsBlankLines(t *testing.T) {
 		t.Errorf("servers = %d", len(tr.Servers))
 	}
 }
-
-func TestMerge(t *testing.T) {
-	a := sampleTrace()
-	b := sampleTrace()
-	merged, err := Merge(a, b)
-	if err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if merged.Meta.Days != 4 {
-		t.Errorf("days = %d, want 4", merged.Meta.Days)
-	}
-	if len(merged.Servers) != 2 {
-		t.Errorf("servers = %d, want 2 (deduped)", len(merged.Servers))
-	}
-	if len(merged.Records) != len(a.Records)+len(b.Records) {
-		t.Errorf("records = %d", len(merged.Records))
-	}
-	// b's day-0 records became day 2.
-	var sawDay2 bool
-	for _, r := range merged.Records {
-		if r.Day == 2 {
-			sawDay2 = true
-		}
-		if r.Day < 0 || r.Day >= 4 {
-			t.Fatalf("record day %d out of range", r.Day)
-		}
-	}
-	if !sawDay2 {
-		t.Error("no records shifted to day 2")
-	}
-}
-
-func TestMergeErrors(t *testing.T) {
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge accepted")
-	}
-	a := sampleTrace()
-	b := sampleTrace()
-	b.Meta.PollInterval = time.Second
-	if _, err := Merge(a, b); err == nil {
-		t.Error("mismatched interval accepted")
-	}
-	c := sampleTrace()
-	c.Servers[0].ISP = 99 // same id, different info
-	if _, err := Merge(a, c); err == nil {
-		t.Error("conflicting server accepted")
-	}
-}

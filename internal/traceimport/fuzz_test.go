@@ -41,7 +41,6 @@ func FuzzImportTrace(f *testing.F) {
 	f.Add(jsonl.String())
 	// A record flagged both provider and user view, naming no server.
 	f.Add(jsonl.String() + `{"type":"poll","poll":{"day":0,"server":"ghost","poller":"u9","at":1000000000,"snapshot":1,"rtt":0,"provider":true,"user_view":true}}` + "\n")
-	res.Trace.SortRecords()
 	var logBuf bytes.Buffer
 	if err := trace.WriteAccessLog(&logBuf, res.Trace); err != nil {
 		f.Fatal(err)

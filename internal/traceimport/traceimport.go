@@ -19,9 +19,10 @@
 package traceimport
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"cdnconsistency/internal/fault"
@@ -39,23 +40,20 @@ func Infer(tr *trace.Trace) (*Bundle, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("traceimport: nil trace")
 	}
-	if err := tr.Validate(); err != nil {
+	// The index checks the trace as Validate does, and groups the records
+	// in canonical (day, time) order without moving any of the caller's.
+	ix, err := trace.NewIndex(tr)
+	if err != nil {
 		return nil, fmt.Errorf("traceimport: %w", err)
 	}
 	if len(tr.Servers) == 0 {
 		return nil, fmt.Errorf("traceimport: trace has no servers")
 	}
 
-	// The index groups the records in canonical (day, time) order
-	// without moving any of the caller's.
-	ix := trace.NewIndex(tr)
-
 	dayLen := tr.Meta.DayLength
 	if dayLen <= 0 {
 		for _, r := range tr.Records {
-			if r.At > dayLen {
-				dayLen = r.At
-			}
+			dayLen = max(dayLen, r.At)
 		}
 	}
 	if dayLen <= 0 {
@@ -136,7 +134,7 @@ func buildServerMap(servers []trace.ServerInfo) *topology.ServerMap {
 		if !ok {
 			i = len(sm.Sites)
 			at[k] = i
-			sm.Sites = append(sm.Sites, topology.Site{Lat: s.Lat, Lon: s.Lon, ISP: maxInt(s.ISP, 0)})
+			sm.Sites = append(sm.Sites, topology.Site{Lat: s.Lat, Lon: s.Lon, ISP: max(s.ISP, 0)})
 		}
 		sm.Sites[i].Servers = append(sm.Sites[i].Servers, s.ID)
 	}
@@ -260,7 +258,7 @@ func inferServerTTL(ix *trace.Index) (time.Duration, error) {
 	if len(gaps) == 0 {
 		return 0, fmt.Errorf("traceimport: cannot infer a server TTL: fewer than two content-version changes observed")
 	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+	slices.Sort(gaps)
 	return gaps[(len(gaps)-1)/2], nil
 }
 
@@ -400,15 +398,8 @@ func inferAbsences(ix *trace.Index, slot []int, interval time.Duration, dayLen t
 			closeRun() // a run still open at the end of the day
 		}
 	}
-	sort.Slice(crashes, func(i, j int) bool {
-		a, b := crashes[i], crashes[j]
-		if a.AtFrac != b.AtFrac {
-			return a.AtFrac < b.AtFrac
-		}
-		if a.Server != b.Server {
-			return a.Server < b.Server
-		}
-		return a.RecoverAfter < b.RecoverAfter
+	slices.SortFunc(crashes, func(a, b fault.Crash) int {
+		return cmp.Or(cmp.Compare(a.AtFrac, b.AtFrac), cmp.Compare(a.Server, b.Server), cmp.Compare(a.RecoverAfter, b.RecoverAfter))
 	})
 	return crashes, total
 }
@@ -417,16 +408,7 @@ func clampPoint(lat, lon float64) geo.Point {
 	return geo.Point{Lat: clamp(lat, -90, 90), Lon: clamp(lon, -180, 180)}
 }
 
-func clamp(v, lo, hi float64) float64 {
-	return math.Min(hi, math.Max(lo, v))
-}
+func clamp(v, lo, hi float64) float64 { return min(hi, max(lo, v)) }
 
 func round4(v float64) float64 { return math.Round(v*10000) / 10000 }
 func round6(v float64) float64 { return math.Round(v*1e6) / 1e6 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
