@@ -32,7 +32,7 @@ bench:
 # compared strictly (>20% ns/op or allocs/op fails) against the newest
 # committed BENCH_<n>.json.
 bench-smoke:
-	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|EngineHold|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|AuditSweep|PartitionCells|NetworkAccount|CohortRun|NewDataset|Infer$$|Resolve$$|WriteJSONL$$|Generate$$|ReadJSONL$$|ParseAccessLog$$' \
+	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|EngineHold|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|AuditSweep|PartitionCells|NetworkAccount|CohortRun|NewDataset|Infer$$|Resolve$$|WriteJSONL$$|Generate$$|ReadJSONL$$|ParseAccessLog$$|Metrics$$|ClusterDailyInconsistency$$' \
 	BENCH_TIME=2x BENCH_COUNT=3 BENCH_STRICT=1 \
 	BENCH_GUARD='Fig19,Fig20,ExtScale' \
 	./scripts/bench.sh $(CURDIR)/.bench-smoke.json
@@ -60,7 +60,8 @@ experiments:
 # Short fuzz smoke over the engine's event order (lanes declared against
 # heap-only), the sharded barrier's delivery order (against a sorted
 # (at, src, seq) merge), the tree fail/recover repair, the fault-scenario compiler, the
-# population-spec, federation-spec and scenario-plan parsers, the JSONL
+# population-spec, federation-spec and scenario-plan parsers, the plan
+# metrics' weighted percentile selection (against a sort per rank), the JSONL
 # reader and its canonical poll-line scanner (differentially against
 # encoding/json), the JSONL writer's hand-written poll lines (differentially
 # against encoding/json), the access-log parser and its canonical poll-line scanner
@@ -75,7 +76,8 @@ fuzz:
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzCompile -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzParsePopulation -fuzztime 10s
 	$(GO) test ./internal/federation -run '^$$' -fuzz FuzzParseFederation -fuzztime 10s
-	$(GO) test ./internal/plan -run '^$$' -fuzz FuzzParsePlan -fuzztime 10s
+	$(GO) test ./internal/plan -run '^$$' -fuzz 'FuzzParsePlan$$' -fuzztime 10s
+	$(GO) test ./internal/plan -run '^$$' -fuzz 'FuzzWeightedPercentiles$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzRead$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzReadPollLine$$' -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzWritePollLine$$' -fuzztime 10s

@@ -41,6 +41,9 @@ type cohort struct {
 	// first is the first visit's instant (the spec's offset); next is the
 	// next visit not yet booked.
 	first, next time.Duration
+	// pub counts the publications at or before next, as of the last fold
+	// (see staleVisits).
+	pub int
 	// armed marks a pending visit event, timer; after is the next armed
 	// visit at the same instant in the cell's firing order (see arm).
 	armed bool
@@ -133,6 +136,7 @@ func (m *cohortUsers) schedule() error {
 // the cohort model and Count one-member cohorts under the explicit one.
 func (m *cohortUsers) build() error {
 	s := m.s
+	m.cohorts = make([]*cohort, 0, m.cohortCount())
 	if s.cfg.Population == nil {
 		for si, users := range s.topo.Users {
 			for _, u := range users {
@@ -165,6 +169,30 @@ func (m *cohortUsers) build() error {
 		}
 	}
 	return nil
+}
+
+// cohortCount is the number of cohorts build makes: one per topology user
+// without a Population, else one per spec under the cohort model and one per
+// user under the explicit one.
+func (m *cohortUsers) cohortCount() int {
+	s := m.s
+	n := 0
+	if s.cfg.Population == nil {
+		for _, users := range s.topo.Users {
+			n += len(users)
+		}
+		return n
+	}
+	for _, specs := range s.cfg.Population.Servers {
+		if s.cfg.UserModel == UserModelCohort {
+			n += len(specs)
+			continue
+		}
+		for _, spec := range specs {
+			n += spec.Count
+		}
+	}
+	return n
 }
 
 // add appends a cohort of count users homed at node home. The cohort lives
@@ -344,7 +372,20 @@ func (m *cohortUsers) failover(c *cohort) {
 // the explicit model's entries are one user each, and its UserWeights stay
 // nil.
 func (m *cohortUsers) collect(res *Result) {
+	entries := len(m.cohorts)
+	for _, c := range m.cohorts {
+		if c.count > 1 {
+			entries++
+		}
+	}
+	if entries == 0 {
+		return
+	}
+	res.UserAvgInconsistency = make([]float64, 0, entries)
 	weighted := m.s.cfg.UserModel == UserModelCohort
+	if weighted {
+		res.UserWeights = make([]int, 0, entries)
+	}
 	for _, c := range m.cohorts {
 		res.UserAvgInconsistency = append(res.UserAvgInconsistency, c.leader.avg())
 		if weighted {

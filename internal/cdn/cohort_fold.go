@@ -15,8 +15,9 @@ import (
 // need no engine event. A cohort is parked from the start and after each
 // visit: it keeps its next visit instant and no event. Every write to state a visit reads —
 // setVersion, an invalidation arrival, a crash or recovery — first settles
-// the server: it books the parked visits that come before the write with
-// the arithmetic of observeAgg and accountVisits (the fold). While a server
+// the server: in one pass over its cohorts, it books the parked visits that
+// come before the write with the arithmetic of observeAgg (the fold), and
+// their traffic with one accountVisits call for the server. While a server
 // is not passive (its next visit would act), rearm keeps its first next
 // visitor armed, after the write and after every visit. A deferred callback
 // settles its cohort before observing into it, and audit sweeps, barriers
@@ -77,12 +78,18 @@ func (m *cohortUsers) passive(i int) bool {
 }
 
 // settle books node i's parked visits that come before the current event,
-// under the tie rule above.
+// under the tie rule above, in one pass over the server's cohorts: it asks
+// passive once, since nothing a fold writes changes it, and books the
+// server's folded visits into the traffic ledger with one call, which sums
+// exactly because every visit's size is integral. A server that is not
+// passive books nothing, but its tied visits still count in ties.
 func (m *cohortUsers) settle(i int, fault bool) {
 	if !m.parks {
 		return
 	}
 	now := m.s.now(i)
+	passive := m.passive(i)
+	visits := 0
 	for _, c := range m.homed[i] {
 		if c.armed || c.next > now {
 			continue
@@ -90,7 +97,12 @@ func (m *cohortUsers) settle(i int, fault bool) {
 		if (now-c.next)%c.period == 0 {
 			m.ties[m.s.cellOf[i]]++
 		}
-		m.book(c, now, !fault || c.first == now && c.next == now)
+		if passive {
+			visits += m.fold(c, now, !fault || c.first == now && c.next == now)
+		}
+	}
+	if visits > 0 {
+		m.s.accountVisits(m.s.nodes[i], visits)
 	}
 }
 
@@ -111,63 +123,72 @@ func (m *cohortUsers) settleAll(through time.Duration, inclusive bool) {
 	}
 }
 
-// book is the fold: it books c's parked visits from c.next up to through
-// (inclusive or not) as the event-per-visit model would have, each against
-// the home server's current version: the traffic in bulk (every size is
-// integral, so the ledger sum is exact), the stale count against the
-// publication schedule, and both strata's observations. It books nothing
-// while the server is not passive: rearm keeps its first visitor armed, so
-// c's next visit is not before now, and a visit tied at now comes after the
-// armed one and may act.
+// book folds c's parked visits up to through (inclusive or not) and books
+// their traffic. It books nothing while the server is not passive: rearm
+// keeps its first visitor armed, so c's next visit is not before now, and a
+// visit tied at now comes after the armed one and may act.
 func (m *cohortUsers) book(c *cohort, through time.Duration, inclusive bool) {
 	if c.next > through || !m.passive(c.home) {
 		return
 	}
+	if visits := m.fold(c, through, inclusive); visits > 0 {
+		m.s.accountVisits(m.s.nodes[c.home], visits)
+	}
+}
+
+// fold books c's parked visits from c.next up to through (inclusive or not)
+// as the event-per-visit model would have, each against the home server's
+// current version: the stale count against the publication schedule, and
+// both strata's observations. It returns the member visits folded, whose
+// traffic the caller books in bulk (every size is integral, so the ledger
+// sum is exact). The caller has checked that the server is passive and that
+// c.next is not after through.
+func (m *cohortUsers) fold(c *cohort, through time.Duration, inclusive bool) int {
 	n := int((through-c.next)/c.period) + 1
 	if !inclusive && c.next+time.Duration(n-1)*c.period == through {
 		n--
 	}
 	if n == 0 {
-		return
+		return 0
 	}
 	s := m.s
-	nd := s.nodes[c.home]
-	v := nd.version
-	s.accountVisits(nd, c.count*n)
+	v := s.nodes[c.home].version
 	s.cell(c.home).staleObservations += c.count * m.staleVisits(c, n, v)
 	s.observeRun(&c.leader, v, c.next, n)
 	if c.count > 1 {
 		s.observeRun(&c.follow, v, c.next, n)
 	}
 	c.next += time.Duration(n) * c.period
+	return c.count * n
 }
 
 // staleVisits counts c's n visits from c.next on that see a published
 // watermark above v. The watermark steps at each publication, and a visit
-// at a publication's instant sees it.
+// at a publication's instant sees it. c.pub counts the publications at or
+// before c.next; it only moves forward, as c.next does, so the scan that
+// brings it up to date costs each cohort one step per publication over the
+// whole run.
 func (m *cohortUsers) staleVisits(c *cohort, n, v int) int {
 	t0, p := c.next, c.period
-	// k publications fire at or before t0.
-	k, hi := 0, len(m.pubAt)
-	for k < hi {
-		mid := int(uint(k+hi) >> 1)
-		if m.pubAt[mid] <= t0 {
-			k = mid + 1
-		} else {
-			hi = mid
-		}
+	k := c.pub
+	for k < len(m.pubAt) && m.pubAt[k] <= t0 {
+		k++
 	}
+	c.pub = k
+	last := t0 + time.Duration(n-1)*p
 	stale := 0
 	for j := 0; j < n; k++ {
-		// Visits j..end-1 see publication k-1's watermark.
+		// Visits j..end-1 see publication k-1's watermark: all the rest,
+		// unless publication k comes by the last visit, which sees it.
 		end := n
-		if k < len(m.pubAt) {
+		if k < len(m.pubAt) && m.pubAt[k] <= last {
 			d := m.pubAt[k] - t0
-			if e := int((d + p - 1) / p); e < end {
-				end = e
-				if d%p == 0 {
-					m.ties[m.s.cellOf[c.home]]++
-				}
+			q, r := d/p, d%p
+			end = int(q)
+			if r == 0 {
+				m.ties[m.s.cellOf[c.home]]++
+			} else {
+				end++
 			}
 		}
 		if end > j {

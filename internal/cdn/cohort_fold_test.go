@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -336,5 +337,109 @@ func TestCohortArrivalTies(t *testing.T) {
 			}
 			t.Logf("%d arrival ties", ties)
 		})
+	}
+}
+
+// TestStaleVisitsMatchPerVisitScan holds staleVisits, over a cohort's
+// successive folds, to a scan of every folded visit: the stale count against
+// the watermark each visit sees, the exact ties (publications on a visit
+// instant after the fold's first), and the publication cursor (the
+// publications at or before the fold's first visit). Publications and
+// visits sit on a coarse grid, so publications share instants with each
+// other and with visits, the first ones included.
+func TestStaleVisitsMatchPerVisitScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		const grid = time.Second
+		m := &cohortUsers{s: &simulation{cellOf: []int{0, 0}}, ties: make([]int, 1)}
+		at := time.Duration(0)
+		for k := 0; k < rng.Intn(30); k++ {
+			at += time.Duration(rng.Intn(4)) * grid
+			m.pubAt = append(m.pubAt, at)
+			m.pubID = append(m.pubID, 1+rng.Intn(10))
+		}
+		period := time.Duration(1+rng.Intn(5)) * grid
+		c := &cohort{home: 1, period: period, next: time.Duration(rng.Intn(5)) * grid}
+		for fold := 0; fold < 10; fold++ {
+			n, v := 1+rng.Intn(12), rng.Intn(11)
+			t0, last := c.next, c.next+time.Duration(n-1)*period
+			wantStale, wantTies, wantPub := 0, 0, 0
+			for j := 0; j < n; j++ {
+				seen := 0
+				for k, pa := range m.pubAt {
+					if pa <= t0+time.Duration(j)*period {
+						seen = m.pubID[k]
+					}
+				}
+				if seen > v {
+					wantStale++
+				}
+			}
+			for _, pa := range m.pubAt {
+				if pa <= t0 {
+					wantPub++
+				} else if pa <= last && (pa-t0)%period == 0 {
+					wantTies++
+				}
+			}
+			m.ties[0] = 0
+			if got := m.staleVisits(c, n, v); got != wantStale {
+				t.Fatalf("trial %d fold %d: %d stale visits, per-visit scan %d", trial, fold, got, wantStale)
+			}
+			if m.ties[0] != wantTies {
+				t.Fatalf("trial %d fold %d: %d ties, per-visit scan %d", trial, fold, m.ties[0], wantTies)
+			}
+			if c.pub != wantPub {
+				t.Fatalf("trial %d fold %d: cursor at %d, %d publications at or before %v", trial, fold, c.pub, wantPub, t0)
+			}
+			c.next += time.Duration(n+rng.Intn(3)) * period
+		}
+	}
+}
+
+// settle books nothing at a server that is not passive, whatever is parked
+// there: a crashed server's visits act (they fail), so each waits for its
+// armed turn. Once the server is passive again, the same settle books them.
+// No run reaches a settle that would book at a non-passive server (rearm
+// keeps its first visitor armed), so the state is set up by hand.
+func TestSettleBooksNothingWhileNotPassive(t *testing.T) {
+	cfg, err := cohortAuditConfig(t).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Audit = nil
+	s, err := newSimulation(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.um.schedule(); err != nil {
+		t.Fatal(err)
+	}
+	m := s.um.(*cohortUsers)
+	i := m.cohorts[0].home
+	users := 0
+	for _, c := range m.homed[i] {
+		c.first, c.next = 0, 0 // every parked visit at the settle's instant
+		users += c.count
+	}
+	s.nodes[i].down = true
+	m.settle(i, false)
+	for _, c := range m.homed[i] {
+		if c.next != 0 || c.leader.observations != 0 {
+			t.Fatalf("cohort %d: a settle at crashed node %d booked its visit", c.idx, i)
+		}
+	}
+	if got := s.cell(i).visitsAccounted; got != 0 {
+		t.Fatalf("a settle at crashed node %d booked %d visits into the ledger", i, got)
+	}
+	s.nodes[i].down = false
+	m.settle(i, false)
+	for _, c := range m.homed[i] {
+		if c.next != c.period || c.leader.observations != 1 {
+			t.Fatalf("cohort %d: the settle at passive node %d did not book its visit", c.idx, i)
+		}
+	}
+	if got := s.cell(i).visitsAccounted; got != users {
+		t.Fatalf("the settle at passive node %d booked %d visits into the ledger, want %d", i, got, users)
 	}
 }

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"cdnconsistency/internal/cdn"
@@ -78,7 +77,7 @@ var metricDefs = []struct {
 }
 
 // percentileMetrics are the p50, p95 and p99 of two per-entry series, named
-// p<rank>_<series>; Metrics sorts each series once for all three.
+// p<rank>_<series>; Metrics selects all three ranks of a series in one call.
 var percentileMetrics = []struct {
 	series string
 	of     func(*cdn.Result) ([]float64, []int)
@@ -90,10 +89,17 @@ var percentileMetrics = []struct {
 // percentileRanks are the ranks of every percentile metric, ascending.
 var percentileRanks = []float64{50, 95, 99}
 
-// percentileName names the metric of series at rank.
-func percentileName(rank float64, series string) string {
-	return fmt.Sprintf("p%g_%s", rank, series)
-}
+// percentileNames[m][k] names the metric of percentileMetrics[m] at
+// percentileRanks[k], p<rank>_<series>.
+var percentileNames = func() [][]string {
+	names := make([][]string, len(percentileMetrics))
+	for m, pm := range percentileMetrics {
+		for _, rank := range percentileRanks {
+			names[m] = append(names[m], fmt.Sprintf("p%g_%s", rank, pm.series))
+		}
+	}
+	return names
+}()
 
 // MetricAuditViolations is the metric set to 1 when the runtime auditor
 // aborts a cell's run with a violated invariant.
@@ -104,9 +110,9 @@ var metricSet = func() map[string]bool {
 	for _, d := range metricDefs {
 		m[d.name] = true
 	}
-	for _, pm := range percentileMetrics {
-		for _, rank := range percentileRanks {
-			m[percentileName(rank, pm.series)] = true
+	for _, names := range percentileNames {
+		for _, name := range names {
+			m[name] = true
 		}
 	}
 	return m
@@ -130,10 +136,10 @@ func Metrics(r *cdn.Result) map[string]float64 {
 	for _, d := range metricDefs {
 		out[d.name] = d.fn(r)
 	}
-	for _, pm := range percentileMetrics {
+	for m, pm := range percentileMetrics {
 		xs, weights := pm.of(r)
 		for k, v := range weightedPercentiles(xs, weights, percentileRanks) {
-			out[percentileName(percentileRanks[k], pm.series)] = v
+			out[percentileNames[m][k]] = v
 		}
 	}
 	return out
@@ -169,54 +175,126 @@ func liveFinalFrac(r *cdn.Result) float64 {
 }
 
 // weightedPercentiles returns the weighted nearest-rank percentile of xs at
-// each of ps (ascending): the smallest value whose cumulative weight reaches
-// ceil(p/100 x total weight). weights == nil means unit weights. Empty input,
-// or no weight, gives zeros. One sort and one cumulative pass serve every p.
+// each of ps: the smallest value whose cumulative weight reaches
+// ceil(p/100 x total weight), the rank clamped to [1, total]. weights == nil
+// means unit weights, and an entry past the end of weights weighs one;
+// weights are member counts, never negative, and xs holds no NaN. Empty
+// input, or no weight, gives zeros. ps may come in any order; ascending ps
+// (as Metrics passes them) cost one expected-linear selection over the whole
+// series and, for each later rank, one over the part at or above the
+// previous answer (selectRanks).
 func weightedPercentiles(xs []float64, weights []int, ps []float64) []float64 {
 	out := make([]float64, len(ps))
 	if len(xs) == 0 {
 		return out
 	}
-	type wv struct {
-		v float64
-		w int
-	}
-	pairs := make([]wv, len(xs))
+	pairs := make([]weightedValue, len(xs))
 	var total int64
 	for i, x := range xs {
 		w := 1
 		if weights != nil && i < len(weights) {
 			w = weights[i]
 		}
-		pairs[i] = wv{v: x, w: w}
+		pairs[i] = weightedValue{v: x, w: int64(w)}
 		total += int64(w)
 	}
 	if total <= 0 {
 		return out
 	}
-	slices.SortFunc(pairs, func(a, b wv) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case b.v < a.v:
-			return 1
-		}
-		return 0
-	})
-	var cum int64
-	i := 0
-	for k, p := range ps {
-		// Nearest rank: ceil(p/100 * total), clamped to [1, total].
-		rank := int64(float64(total) * p / 100)
-		if float64(rank) < float64(total)*p/100 {
-			rank++
-		}
-		rank = min(max(rank, 1), total)
-		for i < len(pairs)-1 && cum+int64(pairs[i].w) < rank {
-			cum += int64(pairs[i].w)
-			i++
-		}
-		out[k] = pairs[i].v
-	}
+	selectRanks(pairs, total, ps, out)
 	return out
+}
+
+// weightedValue is one series entry and the weight behind it.
+type weightedValue struct {
+	v float64
+	w int64
+}
+
+// nearestRank is the weighted nearest rank of percentile p over total
+// weight: ceil(p/100 x total), clamped to [1, total].
+func nearestRank(total int64, p float64) int64 {
+	rank := int64(float64(total) * p / 100)
+	if float64(rank) < float64(total)*p/100 {
+		rank++
+	}
+	return min(max(rank, 1), total)
+}
+
+// selectRanks writes into out[k] the value of pairs (of total weight total)
+// at the nearest rank of ps[k], reordering pairs in place. It keeps a window
+// pairs[lo:]: every entry before it holds a value below the last answer, and
+// they weigh below together. A rank above below has its answer in the
+// window, at the rank less below, so each later rank of an ascending ps
+// searches only the window, which starts at the previous answer's entries; a
+// rank at or under below (a descending step) searches the whole series again.
+func selectRanks(pairs []weightedValue, total int64, ps []float64, out []float64) {
+	lo, below := 0, int64(0)
+	for k, p := range ps {
+		rank := nearestRank(total, p)
+		if rank <= below {
+			lo, below = 0, 0
+		}
+		v, i, w := selectRank(pairs[lo:], rank-below)
+		out[k] = v
+		lo, below = lo+i, below+w
+	}
+}
+
+// selectRank returns the value at weighted rank r of a, 1 <= r <= the weight
+// of a: the value v whose entries below it weigh under r and whose entries at
+// or below it weigh at least r. It is a three-way quickselect with a
+// median-of-three pivot, expected linear in len(a). It leaves the entries
+// below v in a[:i], of weight w, and those at or above v in a[i:].
+func selectRank(a []weightedValue, r int64) (v float64, i int, w int64) {
+	lo, hi := 0, len(a)
+	for {
+		if lo == hi {
+			panic("plan: weighted rank beyond the series' weight (a negative weight?)")
+		}
+		pivot := medianOfThree(a[lo].v, a[lo+(hi-lo)/2].v, a[hi-1].v)
+		// Partition a[lo:hi] into [lo, lt) below the pivot, [lt, gt) equal
+		// to it and [gt, hi) above it.
+		lt, j, gt := lo, lo, hi
+		var wLess, wEqual int64
+		for j < gt {
+			switch x := a[j]; {
+			case x.v < pivot:
+				a[lt], a[j] = x, a[lt]
+				wLess += x.w
+				lt++
+				j++
+			case pivot < x.v:
+				gt--
+				a[gt], a[j] = x, a[gt]
+			default:
+				wEqual += x.w
+				j++
+			}
+		}
+		switch {
+		case r <= wLess:
+			hi = lt
+		case r <= wLess+wEqual:
+			return pivot, lt, w + wLess
+		default:
+			r -= wLess + wEqual
+			w += wLess + wEqual
+			lo = gt
+		}
+	}
+}
+
+// medianOfThree returns the median of a, b and c.
+func medianOfThree(a, b, c float64) float64 {
+	if b < a {
+		a, b = b, a
+	}
+	if c < b {
+		b = c
+		if b < a {
+			b = a
+		}
+	}
+	return b
 }

@@ -1,12 +1,12 @@
 package traceimport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"cdnconsistency/internal/core"
@@ -221,30 +221,32 @@ const (
 
 // ReadTrace reads a crawl trace in either supported flavor, sniffing the
 // format: access logs start with the "#cdnlog" header, everything else is
-// treated as the JSONL schema. It returns the trace and the format name.
+// treated as the JSONL schema. It returns the trace and the format name. The
+// sniff peeks at the header, and the parser streams the rest of r, so the
+// raw trace is never held in memory whole.
 func ReadTrace(r io.Reader) (*trace.Trace, string, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	br := bufio.NewReader(r)
+	head, err := br.Peek(len(accessLogMagic))
+	if err != nil && err != io.EOF {
 		return nil, "", fmt.Errorf("traceimport: read trace: %w", err)
 	}
-	return parseTrace(data)
-}
-
-// parseTrace is ReadTrace over bytes already in memory.
-func parseTrace(data []byte) (*trace.Trace, string, error) {
-	if strings.HasPrefix(string(data), "#cdnlog") {
-		tr, err := trace.ParseAccessLog(bytes.NewReader(data))
+	if string(head) == accessLogMagic {
+		tr, err := trace.ParseAccessLog(br)
 		if err != nil {
 			return nil, "", err
 		}
 		return tr, FormatAccessLog, nil
 	}
-	tr, err := trace.Read(bytes.NewReader(data))
+	tr, err := trace.Read(br)
 	if err != nil {
 		return nil, "", err
 	}
 	return tr, FormatJSONL, nil
 }
+
+// accessLogMagic opens every access log (its header line names a version
+// after it).
+const accessLogMagic = "#cdnlog"
 
 // LoadTrace reads a trace file in either flavor.
 func LoadTrace(path string) (*trace.Trace, string, error) {
@@ -267,7 +269,7 @@ func ImportAny(data []byte) (*Bundle, string, error) {
 	if b, err := ParseBundle(data); err == nil {
 		return b, FormatBundle, nil
 	}
-	tr, format, err := parseTrace(data)
+	tr, format, err := ReadTrace(bytes.NewReader(data))
 	if err != nil {
 		return nil, "", fmt.Errorf("traceimport: input is neither a bundle nor a trace: %w", err)
 	}
