@@ -164,15 +164,18 @@ func (m *cohortUsers) fold(c *cohort, through time.Duration, inclusive bool) int
 
 // staleVisits counts c's n visits from c.next on that see a published
 // watermark above v. The watermark steps at each publication, and a visit
-// at a publication's instant sees it. c.pub counts the publications at or
-// before c.next; it only moves forward, as c.next does, so the scan that
-// brings it up to date costs each cohort one step per publication over the
-// whole run.
+// at a publication's instant sees it (a tie). c.pub counts the publications
+// at or before c.next; it only moves forward, as c.next does, so the scan
+// that brings it up to date costs each cohort one step per publication over
+// the whole run, and counts a tie at c.next in the one fold that starts
+// there.
 func (m *cohortUsers) staleVisits(c *cohort, n, v int) int {
 	t0, p := c.next, c.period
 	k := c.pub
-	for k < len(m.pubAt) && m.pubAt[k] <= t0 {
-		k++
+	for ; k < len(m.pubAt) && m.pubAt[k] <= t0; k++ {
+		if m.pubAt[k] == t0 {
+			m.ties[m.s.cellOf[c.home]]++
+		}
 	}
 	c.pub = k
 	last := t0 + time.Duration(n-1)*p

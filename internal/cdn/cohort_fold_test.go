@@ -342,8 +342,9 @@ func TestCohortArrivalTies(t *testing.T) {
 
 // TestStaleVisitsMatchPerVisitScan holds staleVisits, over a cohort's
 // successive folds, to a scan of every folded visit: the stale count against
-// the watermark each visit sees, the exact ties (publications on a visit
-// instant after the fold's first), and the publication cursor (the
+// the watermark each visit sees, the exact ties (publications on a folded
+// visit's instant, the fold's first included, so each counts once over the
+// successive folds), and the publication cursor (the
 // publications at or before the fold's first visit). Publications and
 // visits sit on a coarse grid, so publications share instants with each
 // other and with visits, the first ones included.
@@ -378,7 +379,8 @@ func TestStaleVisitsMatchPerVisitScan(t *testing.T) {
 			for _, pa := range m.pubAt {
 				if pa <= t0 {
 					wantPub++
-				} else if pa <= last && (pa-t0)%period == 0 {
+				}
+				if pa >= t0 && pa <= last && (pa-t0)%period == 0 {
 					wantTies++
 				}
 			}

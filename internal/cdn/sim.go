@@ -160,6 +160,9 @@ type simulation struct {
 	// Serial runs sweep via engine events; sharded runs sweep at window
 	// barriers (see auditor.barrier).
 	aud *auditor
+
+	// pollFree holds the poll records (pollRec) no pending event refers to.
+	pollFree []*pollRec
 }
 
 func newSimulation(cfg Config) (*simulation, error) {
@@ -394,6 +397,39 @@ func (s *simulation) deliver(from, to int, sizeKB float64, class netmodel.Class,
 // on the floor — it never enters the network, is not accounted, and the
 // sender only learns about it through its own timeout.
 func (s *simulation) deliverVia(from, to, k int, sizeKB float64, class netmodel.Class, onArrival func()) {
+	arrival, ok := s.send(from, to, k, sizeKB, class)
+	switch {
+	case !ok:
+	case s.sharded():
+		// A lookahead violation is recorded per source cell and aborts Run
+		// at the next barrier, so the error need not propagate from here.
+		s.shEng.Send(s.cellOf[from], s.cellOf[to], arrival, onArrival) //nolint:errcheck
+	default:
+		s.at(to, arrival, onArrival)
+	}
+}
+
+// deliverFunc is deliverVia with a closure-free arrival: fn(e, recv, arg)
+// runs at the arrival time in the receiver's cell. A serial run schedules it
+// as it is, so the send allocates nothing; the sharded exchange carries
+// closures, so a sharded send wraps it in one. It reports whether the
+// message was sent, that is, whether fn will run.
+func (s *simulation) deliverFunc(from, to, k int, sizeKB float64, class netmodel.Class, fn sim.FuncHandler, recv any, arg int64) bool {
+	arrival, ok := s.send(from, to, k, sizeKB, class)
+	switch {
+	case !ok:
+	case s.sharded():
+		eng := s.cell(to).eng
+		s.shEng.Send(s.cellOf[from], s.cellOf[to], arrival, func() { fn(eng, recv, arg) }) //nolint:errcheck // as in deliverVia
+	default:
+		s.cell(to).eng.ScheduleAtFunc(arrival, fn, recv, arg) //nolint:errcheck // arrival >= now
+	}
+	return ok
+}
+
+// send books one message of a delivery in the sender's cell and returns its
+// arrival time; ok is false when a partition dropped it.
+func (s *simulation) send(from, to, k int, sizeKB float64, class netmodel.Class) (arrival time.Duration, ok bool) {
 	src, dst := &s.nodes[from].ep, &s.nodes[to].ep
 	if from == 0 {
 		src = &s.prov[k].ep
@@ -404,10 +440,10 @@ func (s *simulation) deliverVia(from, to, k int, sizeKB float64, class netmodel.
 	c.deliverAttempts++
 	if !c.net.Reachable(*src, *dst) {
 		s.dropDelivery(from, "partition")
-		return
+		return 0, false
 	}
 	c.deliverSends++
-	arrival := c.net.Send(*src, *dst, sizeKB, class, c.eng.Now())
+	arrival = c.net.Send(*src, *dst, sizeKB, class, c.eng.Now())
 	switch class {
 	case netmodel.ClassUpdate:
 		if to != 0 {
@@ -420,19 +456,14 @@ func (s *simulation) deliverVia(from, to, k int, sizeKB float64, class netmodel.
 		c.lightMsgs++
 	}
 	if s.sharded() {
-		fromCell, toCell := s.cellOf[from], s.cellOf[to]
-		if fromCell != toCell && from != 0 && to != 0 {
+		if fromCell, toCell := s.cellOf[from], s.cellOf[to]; fromCell != toCell && from != 0 && to != 0 {
 			// The lookahead bounds only node 0's cross-cell traffic
 			// (partitionCells); any other cross-cell pair could arrive
 			// inside a window.
 			panic(fmt.Sprintf("cdn: cross-cell message %d (cell %d) -> %d (cell %d) without the origin at one end", from, fromCell, to, toCell))
 		}
-		// A lookahead violation is recorded per source cell and aborts Run
-		// at the next barrier, so the error need not propagate from here.
-		s.shEng.Send(fromCell, toCell, arrival, onArrival) //nolint:errcheck
-		return
 	}
-	s.at(to, arrival, onArrival)
+	return arrival, true
 }
 
 // dark reports whether parent p cannot answer: a crashed relay or, when p is
@@ -1028,12 +1059,6 @@ func (s *simulation) notifySubscribers(src, k int) {
 	}
 }
 
-// packNodeGen packs a node index and its generation into one scheduling
-// argument for the closure-free handlers below.
-func packNodeGen(i, gen int) int64 { return int64(i)<<32 | int64(uint32(gen)) }
-
-func unpackNodeGen(a int64) (i, gen int) { return int(a >> 32), int(uint32(a)) }
-
 // nearestLive returns the node index of the nearest live server to loc, or
 // -1 when no candidate is live. It backs user/cohort failover re-homing.
 // Sharded runs restrict the search to near's cell — the regional catchment
@@ -1055,19 +1080,6 @@ func (s *simulation) nearestLive(near int, loc geo.Point) int {
 		}
 	}
 	return best
-}
-
-// pollResumeEvent resumes a node's TTL poll loop unless the node crashed or
-// recovered (generation change) since the resume was armed; arg packs the
-// node index and the generation at arming time.
-func pollResumeEvent(_ *sim.Engine, recv any, arg int64) {
-	s := recv.(*simulation)
-	i, gen := unpackNodeGen(arg)
-	nd := s.nodes[i]
-	if nd.down || nd.gen != gen {
-		return
-	}
-	s.pollAttempt(i, 0)
 }
 
 // sortedKeys returns a map's keys in ascending order, for deterministic
