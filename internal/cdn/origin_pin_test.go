@@ -32,16 +32,16 @@ type originPin struct {
 // architectures may fuse floating-point operations differently, so the pins
 // hold on amd64 only.
 var originPins = map[string]originPin{
-	"HAT/fed3/broker-flap":                   {"705b4aa1c3775d388d8ef765", 4044},
-	"HAT/fed3/provider-storm":                {"0acad1c94469746772d8f09f", 3821},
-	"HAT/outage":                             {"c3128ec1f3ec663c4fe4b005", 1188},
-	"HAT/outage/failover":                    {"1df3cb0d3f4a2de1d9e4882d", 1448},
-	"HAT/outage/failover/sharded":            {"0f8d0f90b3da1e0a4c4bc5da", 1448},
-	"HAT/outage/sharded":                     {"bd4f5da78d9eddff89afdfe4", 1188},
-	"Hybrid/outage":                          {"fd6839bddf118c0b60e46e18", 1492},
-	"Hybrid/outage/failover":                 {"fd6839bddf118c0b60e46e18", 1492},
-	"Hybrid/outage/failover/sharded":         {"a012f15bdbb696882b554ac0", 1492},
-	"Hybrid/outage/sharded":                  {"a012f15bdbb696882b554ac0", 1492},
+	"HAT/fed3/broker-flap":                   {"705b4aa1c3775d388d8ef765", 3838},
+	"HAT/fed3/provider-storm":                {"0acad1c94469746772d8f09f", 3665},
+	"HAT/outage":                             {"c3128ec1f3ec663c4fe4b005", 1006},
+	"HAT/outage/failover":                    {"1df3cb0d3f4a2de1d9e4882d", 1266},
+	"HAT/outage/failover/sharded":            {"0f8d0f90b3da1e0a4c4bc5da", 1266},
+	"HAT/outage/sharded":                     {"bd4f5da78d9eddff89afdfe4", 1006},
+	"Hybrid/outage":                          {"fd6839bddf118c0b60e46e18", 1156},
+	"Hybrid/outage/failover":                 {"fd6839bddf118c0b60e46e18", 1156},
+	"Hybrid/outage/failover/sharded":         {"a012f15bdbb696882b554ac0", 1156},
+	"Hybrid/outage/sharded":                  {"a012f15bdbb696882b554ac0", 1156},
 	"Invalidation/fed3/broker-flap":          {"7a062c92bb2c5381ee4f8da2", 4383},
 	"Invalidation/fed3/provider-storm":       {"0cd81033cfa65201a2bc9ada", 3881},
 	"Invalidation/outage":                    {"654b682f90147732407782bd", 2201},
@@ -62,22 +62,22 @@ var originPins = map[string]originPin{
 	"Push/outage/failover":                   {"452aafb64e092922578ed0d4", 408},
 	"Push/outage/failover/sharded":           {"93356b6b76a9fad706d99215", 520},
 	"Push/outage/sharded":                    {"93356b6b76a9fad706d99215", 520},
-	"Regime/Unicast/outage":                  {"e93eb7142af0511dbc123f3b", 3571},
-	"Regime/Unicast/outage/failover":         {"131c04d7a2e97312a1016e39", 4347},
-	"Regime/Unicast/outage/failover/sharded": {"54592bb3c2553a65ee456abb", 4454},
-	"Regime/Unicast/outage/sharded":          {"be017d1d1ca2e206a98c4061", 3665},
-	"Self/fed3/broker-flap":                  {"2aad5428474c2cf83d1f75f4", 4210},
-	"Self/fed3/provider-storm":               {"63e7b6fdf852290a168b23e0", 3854},
-	"Self/outage":                            {"a3af662b764692cab956d82e", 1308},
-	"Self/outage/failover":                   {"34d6b71abadcddff7b1ddc17", 1338},
-	"Self/outage/failover/sharded":           {"116275318087617ba4bc0434", 1450},
-	"Self/outage/sharded":                    {"4120775ea7c7f5571c1e9d93", 1420},
-	"TTL/fed3/broker-flap":                   {"7e31a6c644a1a61183d4d7f1", 4210},
-	"TTL/fed3/provider-storm":                {"2be298cdd9fa3877c84abcaf", 4048},
-	"TTL/outage":                             {"caa1b626610dfa177dedd7bc", 1502},
-	"TTL/outage/failover":                    {"caa1b626610dfa177dedd7bc", 1502},
-	"TTL/outage/failover/sharded":            {"71c21a3a0fad582f07bc21ef", 1606},
-	"TTL/outage/sharded":                     {"71c21a3a0fad582f07bc21ef", 1606},
+	"Regime/Unicast/outage":                  {"e93eb7142af0511dbc123f3b", 3438},
+	"Regime/Unicast/outage/failover":         {"131c04d7a2e97312a1016e39", 4082},
+	"Regime/Unicast/outage/failover/sharded": {"54592bb3c2553a65ee456abb", 4190},
+	"Regime/Unicast/outage/sharded":          {"be017d1d1ca2e206a98c4061", 3536},
+	"Self/fed3/broker-flap":                  {"2aad5428474c2cf83d1f75f4", 3972},
+	"Self/fed3/provider-storm":               {"63e7b6fdf852290a168b23e0", 3674},
+	"Self/outage":                            {"a3af662b764692cab956d82e", 1098},
+	"Self/outage/failover":                   {"34d6b71abadcddff7b1ddc17", 1158},
+	"Self/outage/failover/sharded":           {"116275318087617ba4bc0434", 1270},
+	"Self/outage/sharded":                    {"4120775ea7c7f5571c1e9d93", 1210},
+	"TTL/fed3/broker-flap":                   {"7e31a6c644a1a61183d4d7f1", 3822},
+	"TTL/fed3/provider-storm":                {"2be298cdd9fa3877c84abcaf", 3722},
+	"TTL/outage":                             {"caa1b626610dfa177dedd7bc", 1176},
+	"TTL/outage/failover":                    {"caa1b626610dfa177dedd7bc", 1176},
+	"TTL/outage/failover/sharded":            {"71c21a3a0fad582f07bc21ef", 1282},
+	"TTL/outage/sharded":                     {"71c21a3a0fad582f07bc21ef", 1282},
 }
 
 // originPinSystems are the systems whose origin path the outage pins cover.
