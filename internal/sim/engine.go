@@ -14,10 +14,13 @@
 // allocations per cycle. Delays declared with Periodic get a FIFO lane next
 // to the heap: an event scheduled exactly that delay after the current time
 // is appended to the lane in O(1) instead of sifted into the heap, which is
-// where the simulator's visit and poll re-arms go. None of this changes
-// observable behavior: events fire in exactly the same (timestamp,
-// scheduling-order) sequence as the naive implementation, so pooling and
-// lanes cannot perturb a deterministic run.
+// where the simulator's visit and poll re-arms go. So do its poll timeouts:
+// an answered poll's timeout is cancelled and sits in the server-TTL lane as
+// a tombstone until it reaches the lane's front or a compaction drops it,
+// never dispatched or counted. None of this changes observable behavior:
+// events fire in exactly the same (timestamp, scheduling-order) sequence as
+// the naive implementation, so pooling and lanes cannot perturb a
+// deterministic run.
 package sim
 
 import (
