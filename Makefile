@@ -32,7 +32,7 @@ bench:
 # compared strictly (>20% ns/op or allocs/op fails) against the newest
 # committed BENCH_<n>.json.
 bench-smoke:
-	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|EngineHold|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|AuditSweep|PartitionCells|NetworkAccount|CohortRun|NewDataset|Infer$$|Resolve$$|WriteJSONL$$|Generate$$|ReadJSONL$$|ParseAccessLog$$|Metrics$$|ClusterDailyInconsistency$$|PollCycle$$' \
+	BENCH_PATTERN='Fig19$$|Fig20$$|ExtScale$$|EngineScheduleFire|EngineEveryCancelChurn|EngineHold|NetworkSendSteadyState|AccountingSweep|ShardedBarrier|AuditSweep|PartitionCells|NetworkAccount|CohortRun|NewDataset|Infer$$|Resolve$$|WriteJSONL$$|Generate$$|ReadJSONL$$|ParseAccessLog$$|Metrics$$|ClusterDailyInconsistency$$|PollCycle$$|FetchCycle$$|PushFanout$$' \
 	BENCH_TIME=2x BENCH_COUNT=3 BENCH_STRICT=1 \
 	BENCH_GUARD='Fig19,Fig20,ExtScale' \
 	./scripts/bench.sh $(CURDIR)/.bench-smoke.json

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"cdnconsistency/internal/netmodel"
+	"cdnconsistency/internal/sim"
 )
 
 // This file implements the two taxonomy completions: cooperative leases
@@ -32,7 +33,7 @@ func (s *simulation) scheduleLeaseLoops() {
 func (s *simulation) renewLease(i int, onDone func()) {
 	nd := s.nodes[i]
 	if onDone != nil {
-		nd.fetchCallbacks = append(nd.fetchCallbacks, onDone)
+		nd.fetchCallbacks = append(nd.fetchCallbacks, fetchCallback{sim.Thunk, onDone, 0})
 	}
 	if nd.leaseRenewing {
 		return
@@ -61,11 +62,7 @@ func (s *simulation) renewLease(i int, onDone func()) {
 			}
 			s.setVersion(nd, v)
 			nd.leaseExpiry = expiry
-			cbs := nd.fetchCallbacks
-			nd.fetchCallbacks = nil
-			for _, cb := range cbs {
-				cb()
-			}
+			s.runFetchCallbacks(i)
 		})
 	})
 	s.at(i, s.now(i)+leaseDuration, func() {
@@ -75,11 +72,7 @@ func (s *simulation) renewLease(i int, onDone func()) {
 		// The grant never came back: give up and serve stale to the
 		// waiting visitors.
 		nd.leaseRenewing = false
-		cbs := nd.fetchCallbacks
-		nd.fetchCallbacks = nil
-		for _, cb := range cbs {
-			cb()
-		}
+		s.runFetchCallbacks(i)
 	})
 }
 

@@ -184,7 +184,7 @@ func TestPartitionCellsMatchesAllPairs(t *testing.T) {
 }
 
 // A cross-cell message without node 0 at one end is outside what the
-// lookahead bounds, so deliverVia must refuse it loudly: a hand-built
+// lookahead bounds, so a delivery must refuse it loudly: a hand-built
 // partition that moves a relay's child into another cell panics
 // at the relay's first push to that child, naming both nodes. The test uses
 // hybrid, whose partition has relays (supernodes) and, at this size, several

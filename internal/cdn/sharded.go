@@ -241,7 +241,7 @@ func (s *simulation) partitionCells(cells int) ([]int, int, time.Duration, error
 	// The lookahead is the minimum propagation delay over the pairs that can
 	// exchange a cross-cell message: node 0 against every node outside node
 	// 0's cell. The atoms confine every other message to one cell, and
-	// deliverVia panics on a cross-cell send without node 0 at one end, so
+	// every delivery panics on a cross-cell send without node 0 at one end, so
 	// the bound never rests on this comment alone. netmodel guarantees every
 	// arrival is at least PropagationDelay after the send (queuing and
 	// overload only add). A federated run would add every provider endpoint

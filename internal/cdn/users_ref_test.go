@@ -164,17 +164,17 @@ func (m *explicitUsers) visit(u *user) {
 	case s.cfg.Method == consistency.MethodInvalidation && !nd.valid:
 		// Invalidation: the visit triggers the fetch; the user waits
 		// for the refreshed content.
-		s.triggerFetch(target, func() {
+		s.triggerFetch(target, sim.Thunk, func() {
 			s.observeAgg(target, &u.agg, 1, s.nodes[target].version)
-		})
+		}, 0)
 	case s.cfg.Method == consistency.MethodRegime:
 		if nd.rc != nil {
 			nd.rc.ObserveVisit(s.now(target))
 		}
 		if !nd.valid {
-			s.triggerFetch(target, func() {
+			s.triggerFetch(target, sim.Thunk, func() {
 				s.observeAgg(target, &u.agg, 1, s.nodes[target].version)
-			})
+			}, 0)
 		} else {
 			s.observeAgg(target, &u.agg, 1, nd.version)
 		}

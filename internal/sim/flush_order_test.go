@@ -39,7 +39,7 @@ func sortedFlush(sh *Sharded) error {
 		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, k := range all {
-		if _, err := sh.cells[k.ev.dst].ScheduleAtCall(k.ev.at, k.ev.fn); err != nil {
+		if _, err := sh.cells[k.ev.dst].ScheduleAtFunc(k.ev.at, k.ev.fn, k.ev.recv, k.ev.arg); err != nil {
 			return err
 		}
 	}
@@ -109,7 +109,7 @@ func flushRun(prog []byte, cells int, run func(*Sharded) error) ([][]firedEvent,
 			for k := 0; k < int(b&3); k++ {
 				dst := (cell + 1 + (int(b>>2)+k)%(cells-1)) % cells
 				at := e.Now() + flushLookahead + flushOffsets[(int(b>>4)+k)%len(flushOffsets)]
-				sh.Send(cell, dst, at, event(dst, depth+1, newID(cell))) //nolint:errcheck // surfaced by Run
+				sh.Send(cell, dst, at, Thunk, event(dst, depth+1, newID(cell)), 0) //nolint:errcheck // surfaced by Run
 			}
 			if b&0x40 != 0 {
 				e.ScheduleAtCall(e.Now()+flushLanes[b>>7], event(cell, depth+1, newID(cell))) //nolint:errcheck // now+d is never in the past

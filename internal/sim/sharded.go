@@ -27,7 +27,10 @@
 //     the barrier.
 //
 //   - Sort-free, zero-alloc barriers: the exchange delivers the outboxes in
-//     source order; the engine's (at, seq) does the rest. The outboxes,
+//     source order; the engine's (at, seq) does the rest. A send carries
+//     the closure-free event form (handler, receiver, packed argument)
+//     into its outbox and on to ScheduleAtFunc, so the exchange builds no
+//     closure; a closure caller passes it through Thunk. The outboxes,
 //     active list and per-cell bound slices persist across windows.
 //
 // One goroutine, the caller of Run, runs every window: the active cells in
@@ -70,11 +73,14 @@ type ShardedConfig struct {
 // latency (the configured Lookahead) was overstated.
 var ErrLookaheadViolation = errors.New("sim: cross-cell send inside the conservative window")
 
-// crossEvent is one buffered cross-cell send.
+// crossEvent is one buffered cross-cell send: fn(e, recv, arg) at at in
+// cell dst.
 type crossEvent struct {
-	at  time.Duration
-	dst int
-	fn  func()
+	at   time.Duration
+	dst  int
+	fn   FuncHandler
+	recv any
+	arg  int64
 }
 
 // infTime marks "no pending event" in the per-cell peek table.
@@ -168,17 +174,19 @@ func (sh *Sharded) Processed() uint64 {
 // nil fn removes the hook.
 func (sh *Sharded) SetBarrierHook(fn func(next time.Duration) error) { sh.hook = fn }
 
-// Send schedules fn to run in cell dst at absolute virtual time at. It must
-// be called from a handler running in cell src (or from setup before Run).
+// Send schedules fn(e, recv, arg) to run in cell dst at absolute virtual
+// time at, as ScheduleAtFunc does; a closure f goes as (Thunk, f, 0). It
+// must be called from a handler running in cell src (or from setup before
+// Run).
 // A same-cell send schedules directly; a cross-cell send is buffered in
 // src's outbox and delivered at the next window barrier, so at must not
 // precede the destination cell's window boundary — that would mean the
 // configured lookahead overstated the model's minimum cross-cell latency.
 // The violation is returned and also aborts Run when src's window ends, so
 // fire-and-forget callers are still safe.
-func (sh *Sharded) Send(src, dst int, at time.Duration, fn func()) error {
+func (sh *Sharded) Send(src, dst int, at time.Duration, fn FuncHandler, recv any, arg int64) error {
 	if src == dst {
-		_, err := sh.cells[dst].ScheduleAtCall(at, fn)
+		_, err := sh.cells[dst].ScheduleAtFunc(at, fn, recv, arg)
 		return err
 	}
 	if at < sh.cellEnd[dst] {
@@ -189,7 +197,7 @@ func (sh *Sharded) Send(src, dst int, at time.Duration, fn func()) error {
 		}
 		return err
 	}
-	sh.outbox[src] = append(sh.outbox[src], crossEvent{at: at, dst: dst, fn: fn})
+	sh.outbox[src] = append(sh.outbox[src], crossEvent{at: at, dst: dst, fn: fn, recv: recv, arg: arg})
 	return nil
 }
 
@@ -204,11 +212,11 @@ func (sh *Sharded) Send(src, dst int, at time.Duration, fn func()) error {
 func (sh *Sharded) flush() error {
 	for i, box := range sh.outbox {
 		for _, ev := range box {
-			if _, err := sh.cells[ev.dst].ScheduleAtCall(ev.at, ev.fn); err != nil {
+			if _, err := sh.cells[ev.dst].ScheduleAtFunc(ev.at, ev.fn, ev.recv, ev.arg); err != nil {
 				return err
 			}
 		}
-		clear(box) // release the fn closures; the spine is reused next window
+		clear(box) // release the receivers; the spine is reused next window
 		sh.outbox[i] = box[:0]
 	}
 	return nil

@@ -19,7 +19,7 @@ func shardedRing(sh *Sharded, activeCells int, chunk time.Duration) (step func()
 		dst := (src + 1) % activeCells % cells
 		fns[src] = func() {
 			at := sh.Cell(src).Now() + lookahead
-			sh.Send(src, dst, at, fns[dst]) //nolint:errcheck // surfaced by Run
+			sh.Send(src, dst, at, Thunk, fns[dst], 0) //nolint:errcheck // surfaced by Run
 		}
 	}
 	for i := 0; i < activeCells; i++ {
@@ -64,7 +64,7 @@ func burstRing(sh *Sharded, burst, work int, chunk time.Duration) (step func() e
 			for k := 0; k < burst; k++ {
 				e.ScheduleAfterFunc(time.Duration(e.Rand().Int63n(int64(lookahead))), spin, nil, int64(src))
 			}
-			sh.Send(src, dst, e.Now()+lookahead, fns[dst]) //nolint:errcheck // surfaced by Run
+			sh.Send(src, dst, e.Now()+lookahead, Thunk, fns[dst], 0) //nolint:errcheck // surfaced by Run
 		}
 	}
 	for i := range fns {

@@ -37,7 +37,7 @@ func TestShardedSameCellSendIsDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	ran := false
-	if err := sh.Send(1, 1, 10*time.Millisecond, func() { ran = true }); err != nil {
+	if err := sh.Send(1, 1, 10*time.Millisecond, Thunk, func() { ran = true }, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := sh.Run(0); err != nil {
@@ -57,7 +57,7 @@ func TestShardedLookaheadViolation(t *testing.T) {
 	if _, err := c0.ScheduleAt(time.Second, func(e *Engine) {
 		// Window is [1s, 2s); an arrival at 1.5s claims a cross-cell
 		// latency below the configured lookahead.
-		sh.Send(0, 1, 1500*time.Millisecond, func() {}) //nolint:errcheck // surfaced by Run
+		sh.Send(0, 1, 1500*time.Millisecond, Thunk, func() {}, 0) //nolint:errcheck // surfaced by Run
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +114,19 @@ func TestShardedMergeOrderSameTimestamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The sends are closure-free: the receiver and argument ride the
+	// exchange to the destination's handler.
 	var got []string
+	record := func(_ *Engine, recv any, arg int64) {
+		out := recv.(*[]string)
+		*out = append(*out, fmt.Sprintf("src%d.%d", arg/10, arg%10))
+	}
 	arrival := 3 * time.Second
 	for _, src := range []int{3, 1, 2} {
 		src := src
 		sh.Cell(src).ScheduleAfter(time.Second, func(*Engine) {
 			for k := 0; k < 2; k++ {
-				k := k
-				sh.Send(src, 0, arrival, func() { //nolint:errcheck // surfaced by Run
-					got = append(got, fmt.Sprintf("src%d.%d", src, k))
-				})
+				sh.Send(src, 0, arrival, record, &got, int64(10*src+k)) //nolint:errcheck // surfaced by Run
 			}
 		})
 	}
@@ -163,7 +166,7 @@ func shardedTrace(t *testing.T, runs int) ([][]string, uint64) {
 			}
 			dst := (cell + 1 + hop%3) % cells
 			at := e.Now() + lookahead + jitter
-			sh.Send(cell, dst, at, loop(dst, hop+1)) //nolint:errcheck // surfaced by Run
+			sh.Send(cell, dst, at, Thunk, loop(dst, hop+1), 0) //nolint:errcheck // surfaced by Run
 		}
 	}
 	for c := 0; c < cells; c++ {
@@ -205,7 +208,7 @@ func TestShardedAdaptiveLookaheadViolation(t *testing.T) {
 	}
 	sh.Cell(1).ScheduleAfter(1200*time.Millisecond, func(*Engine) {})
 	if _, err := sh.Cell(0).ScheduleAt(time.Second, func(e *Engine) {
-		sh.Send(0, 1, 1500*time.Millisecond, func() {}) //nolint:errcheck // surfaced by Run
+		sh.Send(0, 1, 1500*time.Millisecond, Thunk, func() {}, 0) //nolint:errcheck // surfaced by Run
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +349,7 @@ func TestShardedLowestIndexError(t *testing.T) {
 			}
 			src := tc.violate
 			sh.Cell(src).ScheduleAfter(time.Second, func(*Engine) {
-				sh.Send(src, 0, 1500*time.Millisecond, func() {}) //nolint:errcheck // surfaced by Run
+				sh.Send(src, 0, 1500*time.Millisecond, Thunk, func() {}, 0) //nolint:errcheck // surfaced by Run
 			})
 			var chain Handler
 			chain = func(e *Engine) { e.ScheduleAfter(time.Millisecond, chain) }
@@ -386,7 +389,7 @@ func TestShardedProcessedCountsEveryEvent(t *testing.T) {
 			}
 			dst := (cell + 1) % 4
 			at := sh.Cell(cell).Now() + 10*time.Millisecond
-			sh.Send(cell, dst, at, chain(dst, hop+1)) //nolint:errcheck // surfaced by Run
+			sh.Send(cell, dst, at, Thunk, chain(dst, hop+1), 0) //nolint:errcheck // surfaced by Run
 		}
 	}
 	sh.Cell(0).ScheduleAtCall(time.Millisecond, chain(0, 0)) //nolint:errcheck // setup time is never in the past
