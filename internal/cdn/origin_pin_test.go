@@ -42,12 +42,12 @@ var originPins = map[string]originPin{
 	"Hybrid/outage/failover":                 {"fd6839bddf118c0b60e46e18", 1156},
 	"Hybrid/outage/failover/sharded":         {"a012f15bdbb696882b554ac0", 1156},
 	"Hybrid/outage/sharded":                  {"a012f15bdbb696882b554ac0", 1156},
-	"Invalidation/fed3/broker-flap":          {"7a062c92bb2c5381ee4f8da2", 4383},
-	"Invalidation/fed3/provider-storm":       {"0cd81033cfa65201a2bc9ada", 3881},
-	"Invalidation/outage":                    {"654b682f90147732407782bd", 2201},
-	"Invalidation/outage/failover":           {"654b682f90147732407782bd", 2201},
-	"Invalidation/outage/failover/sharded":   {"a040aba08d47c4b1b1ac40d6", 2317},
-	"Invalidation/outage/sharded":            {"a040aba08d47c4b1b1ac40d6", 2317},
+	"Invalidation/fed3/broker-flap":          {"7a062c92bb2c5381ee4f8da2", 3937},
+	"Invalidation/fed3/provider-storm":       {"0cd81033cfa65201a2bc9ada", 3551},
+	"Invalidation/outage":                    {"654b682f90147732407782bd", 1811},
+	"Invalidation/outage/failover":           {"654b682f90147732407782bd", 1811},
+	"Invalidation/outage/failover/sharded":   {"a040aba08d47c4b1b1ac40d6", 1927},
+	"Invalidation/outage/sharded":            {"a040aba08d47c4b1b1ac40d6", 1927},
 	"Lease/Unicast/outage":                   {"8e1c211f8bf1ef2505676334", 3871},
 	"Lease/Unicast/outage/failover":          {"8e1c211f8bf1ef2505676334", 3871},
 	"Lease/Unicast/outage/failover/sharded":  {"6ab5c69e72601c36717669b3", 3967},
