@@ -232,7 +232,7 @@ func runPlan(ctx context.Context, path string, stdout io.Writer) error {
 	failed, total := 0, 0
 	var results []*plan.CellResult
 	for _, c := range cells {
-		r, err := plan.RunCell(c, plan.RunOptions{Ctx: ctx})
+		r, err := plan.RunCell(ctx, c)
 		if err != nil {
 			return err
 		}

@@ -8,11 +8,9 @@
 // deterministic from its explicit seed and results are emitted in
 // submission order, so stdout is byte-identical at any parallelism.
 //
-// Runs are interruptible and resumable: SIGINT/SIGTERM cancels in-flight
-// simulations promptly, and with -checkpoint every finished figure is
-// journaled (atomic rename) so a later -resume re-emits recorded outputs
-// verbatim and computes only the missing figures — the resumed sweep's
-// stdout is byte-identical to an uninterrupted run's.
+// Runs are interruptible: SIGINT/SIGTERM cancels in-flight simulations
+// promptly, and the figures already emitted are a prefix of an
+// uninterrupted run's stdout.
 //
 // Usage:
 //
@@ -22,10 +20,7 @@
 //	experiments -parallel 1          # serial run (identical output)
 //	experiments -metrics             # per-figure wall/event/alloc summary on stderr
 //	experiments -audit               # run every simulation under the invariant auditor
-//	experiments -checkpoint d        # journal finished figures into directory d
-//	experiments -resume d            # continue an interrupted sweep from d
 //	experiments -timeout 10m         # per-figure deadline
-//	experiments -stuck 2m            # report (not kill) figures still running after 2m
 //	experiments -import crawl.jsonl  # replay an imported deployment as the import-replay figure
 //	experiments -cpuprofile cpu.out  # pprof CPU profile of the whole run
 //	experiments -memprofile mem.out  # pprof heap profile (post-GC, at exit)
@@ -59,7 +54,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"cdnconsistency/internal/checkpoint"
 	"cdnconsistency/internal/core"
 	"cdnconsistency/internal/fault"
 	"cdnconsistency/internal/federation"
@@ -72,9 +66,8 @@ import (
 
 func main() {
 	// First signal: cancel the sweep — in-flight simulations abort at their
-	// next event-loop tick, the journal already holds every finished figure,
-	// and run returns with a resume hint. Second signal: the default handler
-	// kills the process immediately.
+	// next event-loop tick and run returns the cancellation. Second signal:
+	// the default handler kills the process immediately.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -83,8 +76,9 @@ func main() {
 	}
 }
 
-// syncWriter serializes writes from the ordered-emit path and the stuck-job
-// watchdog (which reports from a timer goroutine).
+// syncWriter serializes the sweep's stderr writes. They all come from the
+// ordered-emit path today; the lock keeps a report from a worker goroutine
+// from interleaving with them.
 type syncWriter struct {
 	mu sync.Mutex
 	w  io.Writer
@@ -108,10 +102,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		fedFlag   = fs.String("federation", "", "multi-CDN federation for the federation-* figures: a provider count or @file.json spec (default: 3 real-city providers; serial-only)")
 		audit     = fs.Bool("audit", false, "run every simulation under the runtime invariant auditor (fails fast on a violated conservation property; metrics are unchanged)")
 		auditCad  = fs.Duration("audit-cadence", 0, "auditor sweep cadence in simulated time (0 = auditor default; requires -audit)")
-		ckDirFlag = fs.String("checkpoint", "", "journal finished figures into this directory (atomic; survives SIGKILL)")
-		resumeDir = fs.String("resume", "", "resume an interrupted sweep from this checkpoint directory, re-emitting recorded figures verbatim")
 		timeout   = fs.Duration("timeout", 0, "per-figure deadline; a figure exceeding it aborts the sweep (0 = none)")
-		stuck     = fs.Duration("stuck", 0, "report a figure still running after this wall-clock duration to stderr with its sim-clock probe and goroutine stacks; the figure is not killed (0 = off)")
 		cpuprof   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memprof   = fs.String("memprofile", "", "write a pprof heap profile (post-GC, at exit) to this file")
 		traceOut  = fs.String("trace", "", "write a runtime execution trace to this file")
@@ -140,18 +131,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	default:
 		return fmt.Errorf("unknown format %q", *format)
 	}
-	if *timeout < 0 || *stuck < 0 {
-		return fmt.Errorf("-timeout and -stuck must be >= 0")
+	if *timeout < 0 {
+		return fmt.Errorf("-timeout must be >= 0")
 	}
 
 	sw := sweep{
-		ckDir:     *ckDirFlag,
-		resumeDir: *resumeDir,
-		parallel:  *parallel,
-		timeout:   *timeout,
-		stuck:     *stuck,
-		metrics:   *metrics,
-		errw:      &syncWriter{w: stderr},
+		parallel: *parallel,
+		timeout:  *timeout,
+		metrics:  *metrics,
+		errw:     &syncWriter{w: stderr},
 	}
 
 	// Plan mode: -plan/-plan-catalog replaces the figure sweep with a scenario
@@ -233,7 +221,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 
 	type job struct {
 		id  string
-		run func(ctx context.Context, m *runner.Metrics) (*figures.Table, error)
+		run func(ctx context.Context) (*figures.Table, error)
 	}
 	// The trace environment is shared by all Section-3 figures and built
 	// once, by whichever trace job gets there first.
@@ -241,7 +229,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return figures.NewTraceEnv(traceScale)
 	})
 	traceJob := func(id string, fn func(*figures.TraceEnv) (*figures.Table, error)) job {
-		return job{id: id, run: func(context.Context, *runner.Metrics) (*figures.Table, error) {
+		return job{id: id, run: func(context.Context) (*figures.Table, error) {
 			e, err := traceEnv()
 			if err != nil {
 				return nil, err
@@ -250,12 +238,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		}}
 	}
 	simJob := func(id string, fn func(figures.SimScale) (*figures.Table, error)) job {
-		return job{id: id, run: func(ctx context.Context, m *runner.Metrics) (*figures.Table, error) {
+		return job{id: id, run: func(ctx context.Context) (*figures.Table, error) {
 			s := simScale
 			s.Ctx = ctx
-			s.Probe = func(now time.Duration, events uint64) {
-				m.SetProbe(fmt.Sprintf("sim-clock %v, %d events", now, events))
-			}
 			return fn(s)
 		}}
 	}
@@ -373,11 +358,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return t.String()
 	}
 
-	sjobs := make([]sweepJob, len(selected))
+	sjobs := make([]sweepJob[string], len(selected))
 	for i, j := range selected {
 		j := j
-		sjobs[i] = sweepJob{id: j.id, run: func(ctx context.Context, m *runner.Metrics) (string, error) {
-			tab, err := j.run(ctx, m)
+		sjobs[i] = sweepJob[string]{id: j.id, run: func(ctx context.Context, m *runner.Metrics) (string, error) {
+			tab, err := j.run(ctx)
 			if err != nil {
 				return "", err
 			}
@@ -385,20 +370,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 			return render(tab), nil
 		}}
 	}
-	// The fingerprint covers everything that shapes a figure's bytes. -only
-	// is deliberately excluded: records are keyed per figure, so an
-	// interrupted sweep may be resumed with a different subset.
-	sw.noun = "figures"
-	sw.meta = checkpoint.Meta{Tool: "experiments", Fingerprint: map[string]string{
-		"scale":         *scaleName,
-		"format":        *format,
-		"faults":        *faults,
-		"audit":         strconv.FormatBool(*audit),
-		"audit-cadence": auditCad.String(),
-		"federation":    *fedFlag,
-		"import":        *importArg,
-	}}
-	return sw.run(ctx, sjobs, func(_, out string) error {
+	return runSweep(ctx, sw, sjobs, func(out string) error {
 		fmt.Fprintln(stdout, out)
 		return nil
 	})
@@ -406,7 +378,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 
 // printMetrics writes the per-job summary table. It goes to stderr so that
 // stdout stays byte-identical across -parallel values even with -metrics.
-func printMetrics(w io.Writer, results []runner.Result[string], workers int) {
+func printMetrics[T any](w io.Writer, results []runner.Result[T], workers int) {
 	fmt.Fprintf(w, "experiments: per-job metrics (%d workers; alloc is approximate under parallelism)\n", workers)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "job\twall\tsim_events\talloc_MB")

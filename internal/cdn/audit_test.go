@@ -445,37 +445,31 @@ func TestRunHonorsContextCancellation(t *testing.T) {
 	}
 
 	// Parked visits spend no events: the server polls of 170 servers span
-	// two tick strides, and the first tick cancels.
+	// two tick strides. Run's pre-check reads Err, so the first Done call
+	// is the event loop's first tick, and it cancels.
 	cfg.Topology.Servers = 170
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	cfg.Ctx = ctx
-	cfg.OnTick = func(time.Duration, uint64) { cancel() }
+	mid := &cancelOnDone{Context: ctx, cancel: cancel}
+	cfg.Ctx = mid
 	if _, err := Run(cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("run cancelled mid-way returned %v, want context.Canceled", err)
 	}
+	if mid.calls != 1 {
+		t.Errorf("event loop checked the context %d times, want 1 (the tick that cancelled)", mid.calls)
+	}
 }
 
-// The OnTick probe observes monotone progress through the run.
-func TestRunOnTickProbe(t *testing.T) {
-	cfg := auditTestConfig(t, consistency.MethodTTL, consistency.InfraUnicast)
-	cfg.Audit = nil
-	cfg.Topology.Servers = 170 // two tick strides of server polls
-	var calls int
-	var lastNow time.Duration
-	var lastEvents uint64
-	cfg.OnTick = func(now time.Duration, events uint64) {
-		if now < lastNow || events <= lastEvents && calls > 0 {
-			t.Fatalf("tick ran backwards: now %v->%v events %d->%d", lastNow, now, lastEvents, events)
-		}
-		lastNow, lastEvents = now, events
-		calls++
-	}
-	res := mustRun(t, cfg)
-	if calls == 0 {
-		t.Fatal("tick probe never ran")
-	}
-	if lastEvents > res.Events {
-		t.Errorf("probe saw %d events, result reports %d", lastEvents, res.Events)
-	}
+// cancelOnDone is a context that cancels itself the first time its Done
+// channel is asked for, and counts the asks.
+type cancelOnDone struct {
+	context.Context
+	cancel context.CancelFunc
+	calls  int
+}
+
+func (c *cancelOnDone) Done() <-chan struct{} {
+	c.calls++
+	c.cancel()
+	return c.Context.Done()
 }

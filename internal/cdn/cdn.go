@@ -151,13 +151,6 @@ type Config struct {
 	// Nil means the run cannot be cancelled.
 	Ctx context.Context `json:"-"`
 
-	// OnTick, when set, is invoked at the same event stride with the
-	// current virtual time and processed-event count. It backs external
-	// liveness probes (stuck-job watchdogs); it must be cheap and must not
-	// touch simulation state. Under a sharded run it reports cell 0's
-	// clock and event count.
-	OnTick func(now time.Duration, events uint64) `json:"-"`
-
 	// Sharded runs the sharded engine instead of the serial one: the
 	// server topology is partitioned into a fixed number of cells (see
 	// sharded.go), each with its own event heap and RNG stream,
@@ -364,7 +357,7 @@ func (c Config) withDefaults() (Config, error) {
 // Key identifies the run c describes: two configs with equal keys simulate
 // the same run and return identical Results. It is built from the defaulted
 // config, so an unset field and its explicit default agree, and it leaves
-// out what cannot change a Result: Ctx and OnTick. A config with a prebuilt
+// out what cannot change a Result: Ctx. A config with a prebuilt
 // Topo has no key (the topology's JSON form drops its tables), nor has one
 // that fails Validate.
 func (c Config) Key() (string, error) {

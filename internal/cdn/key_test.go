@@ -64,7 +64,7 @@ func fieldAt(c *Config, path string) reflect.Value {
 // Any change to a run's inputs must change its key, or two different runs
 // would share one Result. Every field is found by reflection, so a field
 // added later fails here until it has a mutation below (and Key covers it).
-// Only the run controls are exempt: the context and the tick probe.
+// Only the run control is exempt: the context.
 func TestKeyCoversEveryInput(t *testing.T) {
 	oneUser := &workload.Population{Servers: make([][]workload.CohortSpec, 10)}
 	for i := range oneUser.Servers {
@@ -107,8 +107,7 @@ func TestKeyCoversEveryInput(t *testing.T) {
 		"Seed":                    {change: func(c *Config) { c.Seed = 9 }},
 	}
 	controls := map[string]func(*Config){
-		"Ctx":    func(c *Config) { c.Ctx = context.Background() },
-		"OnTick": func(c *Config) { c.OnTick = func(time.Duration, uint64) {} },
+		"Ctx": func(c *Config) { c.Ctx = context.Background() },
 	}
 	for _, path := range configFields() {
 		t.Run(path, func(t *testing.T) {

@@ -566,26 +566,18 @@ func (s *simulation) run() (*Result, error) {
 		}
 		s.scheduleAuditSelfTest()
 	}
-	if s.cfg.Ctx != nil || s.cfg.OnTick != nil {
-		ctx := s.cfg.Ctx
-		for ci, c := range s.cells {
-			// Every cell checks cancellation; only cell 0 reports progress
-			// (a sharded run's cells keep their own clocks and counts, and
-			// lagging cells would make the reports jump back in time).
-			reportTick := ci == 0
-			c.eng.SetTick(0, func(e *sim.Engine) error {
-				if reportTick && s.cfg.OnTick != nil {
-					s.cfg.OnTick(e.Now(), e.Processed())
-				}
-				if ctx != nil {
-					select {
-					case <-ctx.Done():
-						return ctx.Err()
-					default:
-					}
-				}
+	if ctx := s.cfg.Ctx; ctx != nil {
+		// Every cell checks cancellation.
+		tick := func() error {
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			default:
 				return nil
-			})
+			}
+		}
+		for _, c := range s.cells {
+			c.eng.SetTick(tick)
 		}
 	}
 	var runErr error

@@ -328,13 +328,6 @@ func WithShards(n int) Option {
 	return func(c *config) { c.Sharded = n >= 1 }
 }
 
-// WithTick installs a progress probe invoked from the event loop at a fixed
-// event stride with the current virtual time and processed-event count; it
-// backs stuck-job watchdogs and must not touch simulation state.
-func WithTick(fn func(now time.Duration, events uint64)) Option {
-	return func(c *config) { c.OnTick = fn }
-}
-
 // The paper's Section 4 topology: 170 content servers with 5 end-users
 // each. Runs that set no topology use it.
 const (

@@ -13,8 +13,8 @@ import (
 )
 
 // cell is one simulation run a figure asks for: a system and the scenario
-// it runs, at the scale's seed plus seedOffset. The run controls (context,
-// probe) are the driver's to add.
+// it runs, at the scale's seed plus seedOffset. The run's context is the
+// driver's to add.
 type cell struct {
 	sys core.System
 	sc  plan.Scenario
@@ -40,9 +40,6 @@ func (s SimScale) run(t *Table, n int, at func(i int) cell) ([]*cdn.Result, erro
 	var controls []core.Option
 	if s.Ctx != nil {
 		controls = append(controls, core.WithContext(s.Ctx))
-	}
-	if s.Probe != nil {
-		controls = append(controls, core.WithTick(s.Probe))
 	}
 	simulated := make([]bool, n)
 	results, err := runner.Collect(s.Parallel, n, func(i int) (*cdn.Result, error) {

@@ -33,11 +33,6 @@ type SimScale struct {
 	// Ctx, when non-nil, makes every simulation run cancellable: cancelling
 	// it aborts in-flight runs promptly with the context's error.
 	Ctx context.Context
-	// Probe, when non-nil, is invoked from each run's event loop at a fixed
-	// event stride with the current virtual time and processed-event count.
-	// It backs stuck-job watchdogs; it may be called from whichever
-	// goroutine runs the simulation.
-	Probe func(now time.Duration, events uint64)
 	// Runs, when non-nil, shares runs across the figures that use it: each
 	// distinct run is simulated once (see RunTable). Nil simulates every
 	// run a figure asks for.

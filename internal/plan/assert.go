@@ -10,12 +10,12 @@ import (
 type CheckResult struct {
 	// Name is the check's rendered form, e.g.
 	// "p99_user_inconsistency <= 2*ttl" or "equiv cohort_explicit".
-	Name string `json:"name"`
-	OK   bool   `json:"ok"`
+	Name string
+	OK   bool
 	// Detail explains the outcome: the observed value and resolved
 	// threshold for assertions, the divergence (if any) for equivalence
 	// checks. Deterministic, so reports are byte-stable.
-	Detail string `json:"detail"`
+	Detail string
 }
 
 // fnum renders a float with the shortest representation that round-trips,

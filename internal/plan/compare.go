@@ -54,8 +54,8 @@ func (c Compare) Eval(seed int64, left, right map[string]float64) CheckResult {
 // EvalCompares judges a plan's cross-system compares against its executed
 // cells, returning a synthetic CellResult (ID "<plan>/compare") with one
 // check per compare x seed — or nil when the plan declares none. It is a
-// pure function of the cells' recorded metrics, so checkpoint-resumed
-// catalogs render the compare block byte-identically, at any parallelism.
+// pure function of the cells' recorded metrics, so the compare block renders
+// byte-identically at any parallelism.
 func EvalCompares(p *Plan, cells []*CellResult) *CellResult {
 	if len(p.Compare) == 0 {
 		return nil

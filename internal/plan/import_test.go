@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -82,7 +83,7 @@ func TestPlanImportRuns(t *testing.T) {
 	if len(cells) != 1 {
 		t.Fatalf("expected 1 cell, got %d", len(cells))
 	}
-	r, err := RunCell(cells[0], RunOptions{})
+	r, err := RunCell(context.Background(), cells[0])
 	if err != nil {
 		t.Fatalf("RunCell: %v", err)
 	}
@@ -112,11 +113,11 @@ func TestPlanImportDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
-	first, err := RunCell(cells[0], RunOptions{})
+	first, err := RunCell(context.Background(), cells[0])
 	if err != nil {
 		t.Fatalf("RunCell: %v", err)
 	}
-	again, err := RunCell(cells[0], RunOptions{})
+	again, err := RunCell(context.Background(), cells[0])
 	if err != nil {
 		t.Fatalf("RunCell #2: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestPlanImportExclusions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
-	if _, err := cells[0].run(p.Scenario, RunOptions{}); err == nil || !strings.Contains(err.Error(), "not resolved") {
+	if _, err := cells[0].run(context.Background(), p.Scenario); err == nil || !strings.Contains(err.Error(), "not resolved") {
 		t.Errorf("run with unresolved import: err = %v, want a not-resolved error", err)
 	}
 	if got := p.EffectiveServerTTL(); got != 60*time.Second {

@@ -12,7 +12,7 @@ import (
 // errors as <error>, and the cell's full metric map in <system-out> so a CI
 // artifact is enough to recalibrate an SLO. No wall-clock attributes are
 // emitted: the report is a pure function of the cell results, byte-identical
-// across -parallel settings and across checkpoint resume.
+// across -parallel settings.
 
 type junitSuites struct {
 	XMLName  xml.Name     `xml:"testsuites"`

@@ -97,7 +97,7 @@ const EquivCohortExplicit = "cohort_explicit"
 // Plan is one declarative scenario with assertions. The zero value is
 // invalid; plans come from ParsePlan.
 type Plan struct {
-	// Name identifies the plan in cell ids, reports, and checkpoints.
+	// Name identifies the plan in cell ids and reports.
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
 
@@ -141,8 +141,8 @@ type Compare struct {
 	Factor *float64 `json:"factor,omitempty"`
 }
 
-// nameRE bounds plan names to id-safe characters (they appear in cell ids,
-// junit testcase names, and checkpoint fingerprints).
+// nameRE bounds plan names to id-safe characters (they appear in cell ids
+// and junit testcase names).
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
 
 // validOps are the accepted assertion comparison operators.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"cdnconsistency/internal/audit"
 	"cdnconsistency/internal/cdn"
@@ -42,33 +41,22 @@ func (p *Plan) Cells() ([]Cell, error) {
 	return out, nil
 }
 
-// RunOptions carries the execution context into a cell run.
-type RunOptions struct {
-	// Ctx, when non-nil, makes the cell's simulations cancellable.
-	Ctx context.Context
-	// Probe, when non-nil, receives event-loop liveness reports (virtual
-	// time, processed events) for stuck-job watchdogs.
-	Probe func(now time.Duration, events uint64)
-}
-
-// CellResult is one executed cell's outcome. It round-trips through JSON
-// losslessly (float64 values use shortest-round-trip encoding), which is how
-// checkpointed catalog runs resume byte-identically.
+// CellResult is one executed cell's outcome.
 type CellResult struct {
-	ID     string `json:"id"`
-	Plan   string `json:"plan"`
-	System string `json:"system"`
-	Seed   int64  `json:"seed"`
+	ID     string
+	Plan   string
+	System string
+	Seed   int64
 	// Metrics holds the primary run's extracted metrics; nil when the run
 	// errored before producing a result.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Metrics map[string]float64
 	// Checks holds one entry per assertion, then per equivalence check.
-	Checks []CheckResult `json:"checks,omitempty"`
+	Checks []CheckResult
 	// Err records a run that failed outright (invalid configuration, a
 	// simulation error) — reported as a junit error, not a failure.
-	Err string `json:"error,omitempty"`
+	Err string
 	// Events counts the primary run's simulation events (metrics surface).
-	Events uint64 `json:"events,omitempty"`
+	Events uint64
 }
 
 // Failed reports whether the cell should fail the catalog: an execution
@@ -98,7 +86,7 @@ func (r *CellResult) FailureDetail() string {
 
 // Render prints the cell the way the catalog runner emits it: a header line
 // and one PASS/FAIL line per check. Output is a pure function of the
-// CellResult, so checkpointed cells replay byte-identically.
+// CellResult.
 func (r *CellResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== plan %s ==\n", r.ID)
@@ -131,19 +119,19 @@ func (r *CellResult) RenderMetrics() string {
 }
 
 // RunCell executes one cell: the primary simulation, the plan's equivalence
-// re-runs, and every assertion. The returned error is non-nil only for
-// cancellation/deadline aborts — those must not be recorded as cell
-// outcomes, so an interrupted catalog re-runs them on resume. Everything
-// else (including simulation errors and audit violations) lands in the
-// CellResult.
-func RunCell(c Cell, opt RunOptions) (*CellResult, error) {
+// re-runs, and every assertion, each simulation cancellable through ctx.
+// The returned error is non-nil only for cancellation/deadline aborts — an
+// interrupted cell has no outcome, so the catalog stops rather than report
+// one. Everything else (including simulation errors and audit violations)
+// lands in the CellResult.
+func RunCell(ctx context.Context, c Cell) (*CellResult, error) {
 	r := &CellResult{
 		ID:     c.ID(),
 		Plan:   c.Plan.Name,
 		System: c.System.Name,
 		Seed:   c.Seed,
 	}
-	res, err := c.run(c.Plan.Scenario, opt)
+	res, err := c.run(ctx, c.Plan.Scenario)
 	switch {
 	case err == nil:
 		r.Metrics = Metrics(res)
@@ -171,7 +159,7 @@ func RunCell(c Cell, opt RunOptions) (*CellResult, error) {
 			})
 			continue
 		}
-		check, err := c.runEquivalence(eq, r.Metrics, opt)
+		check, err := c.runEquivalence(ctx, eq, r.Metrics)
 		if err != nil {
 			return nil, err
 		}
@@ -182,23 +170,17 @@ func RunCell(c Cell, opt RunOptions) (*CellResult, error) {
 
 // run executes one simulation of the cell's system and seed against sc: the
 // plan's scenario, or an equivalence re-run's variant of it.
-func (c Cell) run(sc Scenario, opt RunOptions) (*cdn.Result, error) {
+func (c Cell) run(ctx context.Context, sc Scenario) (*cdn.Result, error) {
 	opts, err := sc.Options(c.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("plan %s: %w", c.Plan.Name, err)
 	}
-	if opt.Ctx != nil {
-		opts = append(opts, core.WithContext(opt.Ctx))
-	}
-	if opt.Probe != nil {
-		opts = append(opts, core.WithTick(opt.Probe))
-	}
-	return core.Run(c.System, opts...)
+	return core.Run(c.System, append(opts, core.WithContext(ctx))...)
 }
 
 // runEquivalence executes one cross-run check against the primary run's
 // metrics.
-func (c Cell) runEquivalence(name string, primary map[string]float64, opt RunOptions) (CheckResult, error) {
+func (c Cell) runEquivalence(ctx context.Context, name string, primary map[string]float64) (CheckResult, error) {
 	check := CheckResult{Name: "equiv " + name}
 	var (
 		sc = c.Plan.Scenario
@@ -226,7 +208,7 @@ func (c Cell) runEquivalence(name string, primary map[string]float64, opt RunOpt
 		check.Detail = fmt.Sprintf("unknown equivalence check %q", name)
 		return check, nil
 	}
-	res, err := c.run(sc, opt)
+	res, err := c.run(ctx, sc)
 	if err != nil {
 		if isAbort(err) {
 			return check, err
@@ -292,7 +274,7 @@ func abs(v float64) float64 {
 }
 
 // isAbort reports a cancellation or deadline error — the caller interrupted
-// the catalog, so the cell must re-run on resume rather than be recorded.
+// the catalog, so the cell has no outcome to record.
 func isAbort(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -37,7 +37,7 @@ func runOne(t *testing.T, p *Plan) *CellResult {
 	if len(cells) != 1 {
 		t.Fatalf("expected 1 cell, got %d", len(cells))
 	}
-	r, err := RunCell(cells[0], RunOptions{})
+	r, err := RunCell(context.Background(), cells[0])
 	if err != nil {
 		t.Fatalf("RunCell: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestRunCellSilentGameFails(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
-	r, err := RunCell(cells[0], RunOptions{})
+	r, err := RunCell(context.Background(), cells[0])
 	if err != nil {
 		t.Fatalf("RunCell: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestRunCellSimulationErrorRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
-	r, err := RunCell(cells[0], RunOptions{})
+	r, err := RunCell(context.Background(), cells[0])
 	if err != nil {
 		t.Fatalf("RunCell returned abort for a config error: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestRunCellCancelAborts(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := RunCell(cells[0], RunOptions{Ctx: ctx})
+	r, err := RunCell(ctx, cells[0])
 	if err == nil {
 		t.Fatalf("cancelled run returned a result: %+v", r)
 	}

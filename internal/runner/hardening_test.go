@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -101,136 +99,6 @@ func TestNoWorkerGoroutineLeakOnEarlyReturn(t *testing.T) {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
 	t.Fatalf("goroutines leaked: baseline %d, now %d\n%s", baseline, runtime.NumGoroutine(), buf[:n])
-}
-
-func TestWatchdogReportsStuckJob(t *testing.T) {
-	type report struct {
-		jobID, probe string
-		stacks       string
-	}
-	got := make(chan report, 1)
-	release := make(chan struct{})
-	jobs := []Job[int]{{ID: "slow", Run: func(m *Metrics) (int, error) {
-		m.SetProbe("sim-clock 12m30s, 42 events")
-		<-release
-		return 1, nil
-	}}}
-	done := make(chan []Result[int], 1)
-	go func() {
-		done <- All(jobs, Options{
-			Workers:    1,
-			StuckAfter: 20 * time.Millisecond,
-			OnStuck: func(id string, elapsed time.Duration, probe string, stacks []byte) {
-				select {
-				case got <- report{id, probe, string(stacks)}:
-				default:
-				}
-			},
-		})
-	}()
-	select {
-	case r := <-got:
-		if r.jobID != "slow" {
-			t.Errorf("watchdog reported job %q", r.jobID)
-		}
-		if !strings.Contains(r.probe, "sim-clock 12m30s") {
-			t.Errorf("report lacks the job's probe: %q", r.probe)
-		}
-		if !strings.Contains(r.stacks, "goroutine") {
-			t.Errorf("report lacks goroutine stacks: %.80q", r.stacks)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never fired for a stuck job")
-	}
-	close(release)
-	results := <-done
-	if results[0].Err != nil || results[0].Value != 1 {
-		t.Fatalf("watchdog killed the job: %+v", results[0])
-	}
-}
-
-func TestWatchdogSilentForFastJobs(t *testing.T) {
-	var fired atomic.Int32
-	All([]Job[int]{
-		{ID: "fast", Run: func(*Metrics) (int, error) { return 1, nil }},
-	}, Options{
-		Workers:    1,
-		StuckAfter: 30 * time.Millisecond,
-		OnStuck: func(string, time.Duration, string, []byte) {
-			fired.Add(1)
-		},
-	})
-	time.Sleep(80 * time.Millisecond)
-	if fired.Load() != 0 {
-		t.Error("watchdog fired for a job that finished in time")
-	}
-}
-
-func TestProbeIsSafeWithoutPool(t *testing.T) {
-	var m Metrics // zero value, no pool: SetProbe must not panic
-	m.SetProbe("x")
-	if m.Probe() != "" {
-		t.Error("zero-value Metrics stored a probe")
-	}
-}
-
-// Regression for the watchdog/completion race: time.AfterFunc's Stop does
-// not wait for a callback already in flight, so a job that finished right at
-// the StuckAfter boundary could still be reported stuck afterwards. The fix
-// guarantees a stuck report can never start once the job's execute has
-// returned — and result delivery happens after that — so a report observed
-// after a job's result was emitted is a bug, not bad luck.
-func TestWatchdogNeverReportsCompletedJob(t *testing.T) {
-	const n = 300
-	const stuckAfter = 2 * time.Millisecond
-
-	var delivered [n]atomic.Bool
-	var mu sync.Mutex
-	var violations []string
-
-	jobs := make([]Job[int], n)
-	for i := range jobs {
-		i := i
-		jobs[i] = Job[int]{ID: fmt.Sprintf("j%d", i), Run: func(*Metrics) (int, error) {
-			// Spin to exactly the watchdog boundary, so the timer firing
-			// and the job completing race on every single job.
-			start := time.Now()
-			for time.Since(start) < stuckAfter {
-			}
-			return i, nil
-		}}
-	}
-	err := ForEachOrdered(jobs, Options{
-		Workers:    4,
-		StuckAfter: stuckAfter,
-		OnStuck: func(id string, _ time.Duration, _ string, _ []byte) {
-			var idx int
-			fmt.Sscanf(id, "j%d", &idx)
-			if delivered[idx].Load() {
-				mu.Lock()
-				violations = append(violations, id)
-				mu.Unlock()
-			}
-		},
-	}, func(i int, r Result[int]) error {
-		if r.Err != nil {
-			t.Errorf("job %d failed: %v", i, r.Err)
-		}
-		delivered[i].Store(true)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Post-fix no report can outlive its job, so any straggler from the
-	// pre-fix race fires within this grace window and is caught below
-	// instead of panicking after the test returns.
-	time.Sleep(100 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(violations) > 0 {
-		t.Fatalf("%d completed jobs reported stuck (e.g. %s)", len(violations), violations[0])
-	}
 }
 
 // Satellite coverage for the nesting case the package docs promise is safe:

@@ -25,7 +25,6 @@ import (
 	"runtime/metrics"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -43,33 +42,10 @@ type Metrics struct {
 	AllocBytes uint64
 	// Panicked reports that Err wraps a recovered panic (*PanicError).
 	Panicked bool
-
-	// probe is the job's latest liveness report, read by the stuck-job
-	// watchdog from its timer goroutine. A pointer so Metrics stays
-	// copyable by value in Result.
-	probe *atomic.Value
 }
 
 // AddEvents accumulates a job-reported progress count.
 func (m *Metrics) AddEvents(n uint64) { m.Events += n }
-
-// SetProbe publishes the job's current progress (e.g. "sim-clock 12m30s,
-// 1.2M events") for the stuck-job watchdog to include in its report. Safe to
-// call from the running job while the watchdog fires concurrently.
-func (m *Metrics) SetProbe(s string) {
-	if m.probe != nil {
-		m.probe.Store(s)
-	}
-}
-
-// Probe returns the latest SetProbe value, or "" when none was published.
-func (m *Metrics) Probe() string {
-	if m.probe == nil {
-		return ""
-	}
-	s, _ := m.probe.Load().(string)
-	return s
-}
 
 // Job is one independent unit of work.
 type Job[T any] struct {
@@ -104,18 +80,6 @@ type Options struct {
 	// cancellation-aware jobs observe the same context themselves and
 	// return early.
 	Context context.Context
-	// StuckAfter arms a per-job watchdog: a job still running after this
-	// wall-clock duration is reported once via OnStuck with the job's
-	// latest probe (Metrics.SetProbe) and a full goroutine stack dump. The
-	// job is not killed — the report exists so an operator can tell a
-	// livelocked sweep from a slow one. Zero disables the watchdog;
-	// OnStuck must be non-nil for it to arm.
-	StuckAfter time.Duration
-	// OnStuck receives watchdog reports. It runs on the watchdog's timer
-	// goroutine, concurrent with the still-running job and with other jobs.
-	// A report for a job always completes before that job's result is
-	// delivered: a job that already finished is never reported stuck.
-	OnStuck func(jobID string, elapsed time.Duration, probe string, stacks []byte)
 }
 
 // ErrSkipped marks a job that was never started because an earlier job
@@ -221,7 +185,7 @@ func ForEachOrdered[T any](jobs []Job[T], opts Options, emit func(i int, r Resul
 					default:
 					}
 				}
-				r := execute(jobs[i], opts)
+				r := execute(jobs[i])
 				if r.Err != nil && opts.FailFast {
 					mu.Lock()
 					stopped = true
@@ -251,43 +215,9 @@ func ForEachOrdered[T any](jobs []Job[T], opts Options, emit func(i int, r Resul
 }
 
 // execute runs one job, filling in its metrics and converting a panic into
-// a *PanicError so one bad job cannot kill the whole run. When the watchdog
-// is armed, a job still running after StuckAfter is reported once with its
-// latest probe and a full goroutine dump.
-func execute[T any](j Job[T], opts Options) (r Result[T]) {
+// a *PanicError so one bad job cannot kill the whole run.
+func execute[T any](j Job[T]) (r Result[T]) {
 	r.ID = j.ID
-	r.Metrics.probe = new(atomic.Value)
-	if opts.StuckAfter > 0 && opts.OnStuck != nil {
-		m := &r.Metrics // the watchdog reads the probe the job writes
-		start := time.Now()
-		// done guards OnStuck against the completion race: time.AfterFunc's
-		// Stop does not wait for a callback already in flight, so without
-		// the guard a job that finished right at the StuckAfter boundary
-		// could still be reported stuck afterwards. Marking done under the
-		// same mutex the callback takes makes the guarantee strict: once
-		// the deferred stop has run, no new report can start, and a report
-		// already past the guard completes before execute returns.
-		var (
-			wmu  sync.Mutex
-			done bool
-		)
-		w := time.AfterFunc(opts.StuckAfter, func() {
-			wmu.Lock()
-			defer wmu.Unlock()
-			if done {
-				return
-			}
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			opts.OnStuck(j.ID, time.Since(start), m.Probe(), buf[:n])
-		})
-		defer func() {
-			wmu.Lock()
-			done = true
-			wmu.Unlock()
-			w.Stop()
-		}()
-	}
 	allocStart := heapAllocBytes()
 	start := time.Now()
 	defer func() {

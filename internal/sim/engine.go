@@ -115,30 +115,23 @@ type Engine struct {
 	maxEvents uint64
 
 	// tick, when set, runs every tickStride processed events. It exists for
-	// externally-imposed concerns — context cancellation checks and liveness
-	// probes — that must not perturb the simulation itself: a tick returning
-	// a non-nil error aborts Run with that error, and a tick must never
-	// schedule events or draw from the engine's RNG.
-	tick       func(e *Engine) error
-	tickStride uint64
+	// the caller's cancellation check, which must not perturb the simulation
+	// itself: a tick returning a non-nil error aborts Run with that error,
+	// and a tick must never schedule events or draw from the engine's RNG.
+	tick func() error
 }
 
-// defaultTickStride balances tick latency against per-event overhead: a
-// cancelled context is noticed within a few thousand events (microseconds of
-// wall time) while the hot loop pays one counter comparison per event.
-const defaultTickStride = 4096
+// tickStride balances tick latency against per-event overhead: a cancelled
+// context is noticed within a few thousand events (microseconds of wall
+// time) while the hot loop pays one counter comparison per event.
+const tickStride = 4096
 
-// SetTick installs fn to run every stride processed events (stride 0
-// selects the default). A non-nil error from fn aborts Run with that error.
-// The tick observes the engine (Now, Processed) but must not mutate it;
-// cancellation checks and progress probes are the intended uses. A nil fn
-// removes the hook.
-func (e *Engine) SetTick(stride uint64, fn func(e *Engine) error) {
-	if stride == 0 {
-		stride = defaultTickStride
-	}
+// SetTick installs fn to run every tickStride processed events; a non-nil
+// error from fn aborts Run with that error. It is the hook for a
+// cancellation check: fn must not touch the simulation. A nil fn removes
+// the hook.
+func (e *Engine) SetTick(fn func() error) {
 	e.tick = fn
-	e.tickStride = stride
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -629,8 +622,8 @@ func (e *Engine) run(limit time.Duration, bound runBound) error {
 		e.now = it.at
 		e.lastAt = it.at
 		e.processed++
-		if e.tick != nil && e.processed%e.tickStride == 0 {
-			if err := e.tick(e); err != nil {
+		if e.tick != nil && e.processed%tickStride == 0 {
+			if err := e.tick(); err != nil {
 				return err
 			}
 		}
